@@ -1,97 +1,24 @@
-//! Shared command-line parsing and telemetry plumbing for the bench
-//! binaries.
+//! Shared command-line parsing for the table binaries.
 //!
-//! Every `bench` bin accepts the same engine and telemetry flags; parsing
-//! them here (once) keeps new flags from having to be replicated across
-//! `parallel`, `crashfork`, `crashprune`, `soak`, `memperf`, `trend`, and
-//! the table bins. The shared flags are:
+//! Every table bin accepts the same engine flags; parsing them here (once)
+//! keeps new flags from having to be replicated across `table1`..`table5`
+//! and `sweep`. The shared flags are:
 //!
 //! * `--workers N|auto` (also `--workers=N`) — worker-pool size
 //! * `--no-fork` / `--no-prune` / `--no-gc` — disable a physical strategy
 //! * `--gc-every N` / `--sample-every N` — tuning knobs
-//! * `--progress` / `--telemetry-out F.jsonl` / `--prom-out F` /
-//!   `--profile` — the wall-clock telemetry plane (stderr/side files only)
-//! * `--out PATH` — where the bin writes its `BENCH_*.json`
+//! * `--out PATH` — where the bin also writes its rendered output
 //!
 //! Anything unrecognized lands in [`CommonArgs::rest`] for the bin's own
-//! loop. [`meta_header`] renders the `schema_version` + run-metadata
-//! preamble every `BENCH_*.json` document starts with, so the metadata is
-//! emitted by the harness rather than hand-maintained.
+//! loop.
 
-use std::sync::Arc;
-
-use jaaru::obs::telemetry::{start_reporter, Reporter, ReporterConfig, Telemetry};
 use jaaru::EngineConfig;
-
-/// Schema version stamped into every `BENCH_*.json` document. Bump when a
-/// field changes meaning; the `trend` gate refuses to compare documents
-/// with mismatched versions.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
-
-/// The wall-clock telemetry flags shared by every bin.
-#[derive(Debug, Default, Clone)]
-pub struct TelemetryFlags {
-    /// `--progress`: heartbeat lines on stderr.
-    pub progress: bool,
-    /// `--telemetry-out F`: periodic JSONL snapshots.
-    pub telemetry_out: Option<String>,
-    /// `--prom-out F`: Prometheus text exposition written at exit.
-    pub prom_out: Option<String>,
-    /// `--profile`: post-run self-profile tree on stderr.
-    pub profile: bool,
-}
-
-impl TelemetryFlags {
-    /// Whether any telemetry feature was requested.
-    pub fn any(&self) -> bool {
-        self.progress || self.telemetry_out.is_some() || self.prom_out.is_some() || self.profile
-    }
-
-    /// Builds the telemetry handle (enabled iff any flag was given) and
-    /// starts the background reporter. Keep the [`Reporter`] alive for the
-    /// duration of the measured work; drop it before calling
-    /// [`TelemetryFlags::finish`].
-    pub fn start(&self, label: &str) -> (Arc<Telemetry>, Reporter) {
-        let tel = if self.any() {
-            Arc::new(Telemetry::new())
-        } else {
-            Arc::clone(Telemetry::off())
-        };
-        let reporter = start_reporter(
-            &tel,
-            ReporterConfig {
-                progress: self.progress,
-                jsonl: self.telemetry_out.clone().map(Into::into),
-                label: label.to_owned(),
-                ..ReporterConfig::default()
-            },
-        );
-        (tel, reporter)
-    }
-
-    /// Emits the post-run artifacts: Prometheus exposition to `--prom-out`
-    /// and the `--profile` tree to stderr. Call after dropping the
-    /// [`Reporter`].
-    pub fn finish(&self, tel: &Telemetry) {
-        if let Some(path) = &self.prom_out {
-            std::fs::write(path, tel.to_prometheus()).expect("write prometheus metrics");
-        }
-        if self.profile {
-            eprint!("{}", tel.render_profile());
-        }
-    }
-}
 
 /// The shared flags, parsed once per bin.
 #[derive(Debug)]
 pub struct CommonArgs {
     /// Engine configuration after `--workers`/`--no-*`/tuning flags.
     pub engine: EngineConfig,
-    /// Whether `--workers` was given explicitly (bins with a non-default
-    /// worker count, like `parallel`, keep their own default otherwise).
-    pub workers_given: bool,
-    /// The wall-clock telemetry flags.
-    pub telemetry: TelemetryFlags,
     /// `--out PATH`, if given.
     pub out: Option<String>,
     /// Everything this parser didn't consume, in order.
@@ -103,11 +30,6 @@ impl CommonArgs {
     pub fn has_flag(&self, flag: &str) -> bool {
         self.rest.iter().any(|a| a == flag)
     }
-
-    /// The `--out` path, defaulting to `default` when absent.
-    pub fn out_or(&self, default: &str) -> String {
-        self.out.clone().unwrap_or_else(|| default.to_owned())
-    }
 }
 
 /// Parses the shared flags from the process arguments.
@@ -118,13 +40,11 @@ pub fn common_args() -> CommonArgs {
 /// [`common_args`] over an explicit argument list (testable).
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> CommonArgs {
     let mut engine = None;
-    let mut workers_given = false;
     let mut fork = true;
     let mut prune = true;
     let mut gc = true;
     let mut gc_every = None;
     let mut sample_every = None;
-    let mut telemetry = TelemetryFlags::default();
     let mut out = None;
     let mut rest = Vec::new();
     let mut args = args.into_iter();
@@ -135,10 +55,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> CommonArgs {
             "--no-gc" => gc = false,
             "--gc-every" => gc_every = args.next().and_then(|v| v.parse().ok()),
             "--sample-every" => sample_every = args.next().and_then(|v| v.parse().ok()),
-            "--progress" => telemetry.progress = true,
-            "--telemetry-out" => telemetry.telemetry_out = args.next(),
-            "--prom-out" => telemetry.prom_out = args.next(),
-            "--profile" => telemetry.profile = true,
             "--out" => out = args.next(),
             _ => {
                 let value = if arg == "--workers" {
@@ -148,7 +64,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> CommonArgs {
                 };
                 match value {
                     Some(v) => {
-                        workers_given = true;
                         // `--workers` replaces the whole config (matching
                         // the historical per-bin behavior); `--no-*` flags
                         // apply on top below.
@@ -181,32 +96,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> CommonArgs {
     if let Some(every) = sample_every {
         engine = engine.with_sample_every(every);
     }
-    CommonArgs {
-        engine,
-        workers_given,
-        telemetry,
-        out,
-        rest,
-    }
-}
-
-/// Renders the `schema_version` + run-metadata preamble of a hand-written
-/// `BENCH_*.json` document: schema version, bench name, workload
-/// description, and — when the bin drives the engine — the worker count
-/// and strategy flags. The caller appends its own fields after this.
-pub fn meta_header(bench: &str, workload: &str, engine: Option<&EngineConfig>) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "  \"schema_version\": {BENCH_SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"bench\": \"{bench}\",");
-    let _ = writeln!(s, "  \"workload\": \"{workload}\",");
-    if let Some(e) = engine {
-        let _ = writeln!(s, "  \"workers\": {},", e.workers);
-        let _ = writeln!(s, "  \"fork\": {},", e.fork);
-        let _ = writeln!(s, "  \"prune\": {},", e.prune);
-        let _ = writeln!(s, "  \"gc\": {},", e.gc);
-    }
-    s
+    CommonArgs { engine, out, rest }
 }
 
 #[cfg(test)]
@@ -225,15 +115,12 @@ mod tests {
             "--no-fork",
             "--workers",
             "8",
-            "--progress",
             "--out",
             "x.json",
             "--smoke",
         ]);
         assert_eq!(c.engine.workers, 8);
-        assert!(c.workers_given);
         assert!(!c.engine.fork);
-        assert!(c.telemetry.progress);
         assert_eq!(c.out.as_deref(), Some("x.json"));
         assert_eq!(c.rest, vec!["--records", "40", "--smoke"]);
         assert!(c.has_flag("--smoke"));
@@ -244,26 +131,5 @@ mod tests {
     fn workers_equals_and_auto_forms() {
         assert_eq!(parse(&["--workers=4"]).engine.workers, 4);
         assert_eq!(parse(&["--workers", "auto"]).engine.workers, 0);
-        assert!(!parse(&[]).workers_given);
-    }
-
-    #[test]
-    fn telemetry_flags_detect_any() {
-        assert!(!parse(&[]).telemetry.any());
-        assert!(parse(&["--profile"]).telemetry.any());
-        assert!(parse(&["--telemetry-out", "t.jsonl"]).telemetry.any());
-        assert!(parse(&["--prom-out", "m.prom"]).telemetry.any());
-    }
-
-    #[test]
-    fn meta_header_includes_schema_and_engine_flags() {
-        let engine = EngineConfig::with_workers(4).with_fork(false);
-        let h = meta_header("soak", "zipfian kv traffic", Some(&engine));
-        assert!(h.contains("\"schema_version\": 1,"));
-        assert!(h.contains("\"bench\": \"soak\","));
-        assert!(h.contains("\"workers\": 4,"));
-        assert!(h.contains("\"fork\": false,"));
-        let plain = meta_header("memperf", "event-stream replay", None);
-        assert!(!plain.contains("workers"));
     }
 }

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use jaaru::obs::Json;
 use jaaru::{Engine, EngineConfig, ExecMode, Program, RaceReport};
-use yashme::{YashmeConfig, YashmeDetector};
+use yashme::YashmeConfig;
 
 /// Which engine mode the paper used for a benchmark (§7.1: indexes are
 /// model-checked; PMDK, Memcached, and Redis run in random mode).
@@ -155,11 +155,6 @@ pub fn bug_finding_run_with(entry: &SuiteEntry, engine: &EngineConfig) -> yashme
         SuiteMode::Random(n) => ExecMode::random(n, HARNESS_SEED),
     };
     yashme::check_with(&program, mode, YashmeConfig::default(), engine)
-}
-
-/// Builds a detector boxed for engine use (bench helper).
-pub fn boxed_detector(config: YashmeConfig) -> Box<YashmeDetector> {
-    Box::new(YashmeDetector::new(config))
 }
 
 #[cfg(test)]

@@ -105,40 +105,9 @@ pub fn fastfair_workload(cfg: WorkloadConfig) -> Program {
         })
 }
 
-/// A crash-point-heavy append-log workload for the checkpoint/fork
-/// benchmark: every record is stored, flushed, and fenced — two crash
-/// points per record — so full re-execution replays an O(records) prefix
-/// at each of O(records) crash points (quadratic total work), while fork
-/// mode executes the prefix once and replays only each post-crash suffix.
-/// The tail record is deliberately left unflushed so the post-crash scan
-/// has a persistency race to find.
-pub fn crashlog_workload(records: usize) -> Program {
-    Program::new("crashlog")
-        .pre_crash(move |ctx: &mut Ctx| {
-            let base = ctx.root();
-            for i in 0..records as u64 {
-                let slot = base + (i % 8) * 8;
-                ctx.store_u64(slot, i + 1, Atomicity::Plain, "log.record");
-                ctx.clflush(slot);
-                ctx.sfence();
-            }
-            let tail = base + 64;
-            ctx.store_u64(tail, records as u64, Atomicity::Plain, "log.tail");
-            // No flush before the crash: the tail store may be read
-            // post-crash without ever having been persisted.
-        })
-        .post_crash(move |ctx: &mut Ctx| {
-            let base = ctx.root();
-            for i in 0..8u64 {
-                let _ = ctx.load_u64(base + i * 8, Atomicity::Plain);
-            }
-            let _ = ctx.load_u64(base + 64, Atomicity::Plain);
-        })
-}
-
 /// A redundancy-heavy append-log workload for the equivalence-pruning
-/// benchmark: like [`crashlog_workload`], every record is stored, flushed,
-/// and fenced, but each record is followed by `scrub_rounds` *redundant*
+/// benchmark: every record is stored, flushed, and fenced — two crash
+/// points per record — and then followed by `scrub_rounds` *redundant*
 /// re-flush passes (`clflush` + `sfence` of the already-persisted slot —
 /// the belt-and-braces scrubbing pattern defensive PM code emits).
 ///

@@ -3,7 +3,8 @@
 //! is byte-identical across worker counts and across every physical
 //! strategy combination (fork/prune/GC on/off). Coverage is measured on
 //! the deterministic virtual clock; how the crash space was physically
-//! explored must never show through.
+//! explored must never show through. The table3 suite document is also
+//! pinned byte for byte to the checked-in `COVERAGE_baseline.json`.
 
 use jaaru::{CoverageReport, EngineConfig};
 use yashme::json::{coverage_doc, coverage_suite_json};
@@ -50,18 +51,25 @@ fn coverage_json_identical_across_fork_prune_gc() {
     }
 }
 
+/// The table3 suite coverage document over the first `benchmarks` RECIPE
+/// benchmarks, rendered exactly as `table3 --coverage-out` writes it.
+fn table3_suite_doc(engine: &EngineConfig, benchmarks: usize) -> String {
+    let mut aggregate = CoverageReport::default();
+    let mut docs = Vec::new();
+    for spec in recipe::all_benchmarks().into_iter().take(benchmarks) {
+        let report = yashme::model_check_with(&(spec.program)(), engine);
+        aggregate.absorb_suite(report.coverage());
+        docs.push(coverage_doc(spec.name, &report));
+    }
+    format!(
+        "{}\n",
+        coverage_suite_json("table3", &aggregate, docs).render()
+    )
+}
+
 #[test]
 fn suite_document_identical_across_strategies() {
-    let build = |engine: &EngineConfig| {
-        let mut aggregate = CoverageReport::default();
-        let mut docs = Vec::new();
-        for spec in recipe::all_benchmarks().into_iter().take(2) {
-            let report = yashme::model_check_with(&(spec.program)(), engine);
-            aggregate.absorb_suite(report.coverage());
-            docs.push(coverage_doc(spec.name, &report));
-        }
-        coverage_suite_json("table3", &aggregate, docs).render()
-    };
+    let build = |engine: &EngineConfig| table3_suite_doc(engine, 2);
     let reference = build(&EngineConfig::with_workers(1));
     let strategies = [
         EngineConfig::with_workers(8),
@@ -113,5 +121,29 @@ fn table3_attribution_is_at_least_950_permille() {
         "store/flush/fence attribution fell to {}‰ — an unlabeled flush or \
          fence site crept into a shipped workload",
         summary.attributed_permille()
+    );
+}
+
+/// The checked-in coverage baseline, exactly as `table3 --coverage-out`
+/// writes it.
+const BASELINE: &str = include_str!("../../../COVERAGE_baseline.json");
+
+#[test]
+fn table3_coverage_matches_the_checked_in_baseline() {
+    let got = table3_suite_doc(&EngineConfig::sequential(), usize::MAX);
+    // The document is one line; point at the first differing byte.
+    let at = got
+        .bytes()
+        .zip(BASELINE.bytes())
+        .position(|(g, b)| g != b)
+        .unwrap_or(got.len().min(BASELINE.len()));
+    let near = &got.as_bytes()[at.saturating_sub(40)..(at + 40).min(got.len())];
+    assert!(
+        got == BASELINE,
+        "the table3 coverage document drifted from COVERAGE_baseline.json at \
+         byte {at}, near {:?}; if the change is intended, refresh the \
+         baseline with `cargo run --release -p bench --bin table3 -- \
+         --coverage-out COVERAGE_baseline.json`",
+        String::from_utf8_lossy(near),
     );
 }

@@ -1,9 +1,10 @@
 //! Parallel exploration on the real evaluation suite: worker pools must
-//! reproduce the sequential reports exactly, and (on multi-core hosts)
-//! faster.
+//! reproduce the sequential reports exactly — also while every benchmark
+//! shares the global pool at once — and (on multi-core hosts) faster.
 
 use bench::{bug_finding_run_with, evaluation_suite};
 use jaaru::EngineConfig;
+use yashme::json::run_json;
 use yashme::{ReportKind, RunReport};
 
 fn fingerprint(report: &RunReport) -> Vec<(ReportKind, &'static str)> {
@@ -70,6 +71,35 @@ fn trace_and_metrics_are_worker_count_invariant_on_suite() {
         metrics(&auto),
         "metrics differ at auto workers"
     );
+}
+
+#[test]
+fn concurrently_submitted_suite_matches_sequential_runs() {
+    // Every benchmark of the suite submits its batches to the shared pool
+    // at the same time, one submitter thread each. Overlap moves
+    // scheduling, never results: each rendered report must equal the
+    // benchmark's sequential run.
+    let suite = evaluation_suite();
+    let render = |name: &str, report: &RunReport| run_json(name, report, false).render();
+    let parallel = EngineConfig::with_workers(4);
+    let overlapped: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = suite
+            .iter()
+            .map(|entry| {
+                let parallel = &parallel;
+                scope.spawn(move || render(entry.name, &bug_finding_run_with(entry, parallel)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("submitter thread"))
+            .collect()
+    });
+    assert_eq!(overlapped.len(), 13);
+    for (entry, got) in suite.iter().zip(&overlapped) {
+        let sequential = bug_finding_run_with(entry, &EngineConfig::sequential());
+        assert_eq!(*got, render(entry.name, &sequential), "{}", entry.name);
+    }
 }
 
 /// Acceptance benchmark: 4 workers at least 2x faster than 1 on a suite

@@ -1110,29 +1110,6 @@ impl Engine {
         crash_target: Option<(usize, usize)>,
         sink: Box<dyn EventSink>,
     ) -> SingleRun {
-        Self::run_single_with(
-            program,
-            policy,
-            persistence,
-            seed,
-            crash_target,
-            sink,
-            &EngineConfig::default(),
-        )
-    }
-
-    /// [`Engine::run_single`] with explicit engine configuration (the soak
-    /// harness uses this to flip streaming GC per run).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_single_with(
-        program: &Program,
-        policy: SchedPolicy,
-        persistence: PersistencePolicy,
-        seed: u64,
-        crash_target: Option<(usize, usize)>,
-        sink: Box<dyn EventSink>,
-        config: &EngineConfig,
-    ) -> SingleRun {
         Self::run_single_observed(
             program,
             policy,
@@ -1140,14 +1117,15 @@ impl Engine {
             seed,
             crash_target,
             sink,
-            config,
+            &EngineConfig::default(),
             Telemetry::off(),
         )
     }
 
-    /// [`Engine::run_single_with`] publishing wall-clock telemetry to
-    /// `tel` (see [`Engine::run_observed`] for the plane contract). The
-    /// whole run is attributed to the full-run phase.
+    /// [`Engine::run_single`] with explicit engine configuration,
+    /// publishing wall-clock telemetry to `tel` (see
+    /// [`Engine::run_observed`] for the plane contract). The whole run is
+    /// attributed to the full-run phase.
     #[allow(clippy::too_many_arguments)]
     pub fn run_single_observed(
         program: &Program,

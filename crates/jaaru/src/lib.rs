@@ -49,7 +49,6 @@ mod event;
 mod mem;
 pub mod pool;
 mod program;
-pub mod refmodel;
 mod report;
 mod sched;
 mod sink;

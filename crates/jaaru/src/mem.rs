@@ -1526,7 +1526,7 @@ impl MemState {
     }
 
     /// The store event that produced the persisted byte at `addr`, if any
-    /// (for differential tests and the `memperf` microbenchmark).
+    /// (for differential tests).
     pub fn image_prov_at(&self, addr: Addr) -> Option<EventId> {
         self.image_prov.get(addr)
     }

@@ -4,6 +4,7 @@
 //! re-execution, at every worker count, on the real benchmark suite and
 //! on randomized programs.
 
+use bench::workload::crashprune_workload;
 use bench::{evaluation_suite, SuiteMode, HARNESS_SEED};
 use jaaru::{Atomicity, Ctx, Engine, EngineConfig, ExecMode, ModelCheckConfig, Program, RunReport};
 use rand::rngs::StdRng;
@@ -77,6 +78,52 @@ fn fork_matches_full_on_the_evaluation_suite() {
             );
         }
     }
+}
+
+#[test]
+fn fork_executes_strictly_fewer_events_on_a_crash_dense_log() {
+    // An append log with two crash points per record and no scrub rounds:
+    // full re-execution replays an O(records) prefix at each crash point,
+    // fork mode executes the prefix once and replays only the suffixes.
+    let program = crashprune_workload(32, 0);
+    let mode = ExecMode::model_check();
+    let fork = check(
+        &program,
+        mode,
+        &EngineConfig::sequential().with_prune(false),
+    );
+    let full = check(&program, mode, &EngineConfig::sequential().with_fork(false));
+    assert_eq!(
+        fingerprint("crashlog", &fork),
+        fingerprint("crashlog", &full)
+    );
+    assert!(fork.fork_stats().snapshots > 0, "fork mode should engage");
+    // Logical stats are identical (checked above); what fork mode saves is
+    // the prefix it never re-executes.
+    let physical = fork.stats().events() - fork.fork_stats().prefix_events_skipped;
+    assert!(
+        physical < full.stats().events(),
+        "fork {physical} events vs full {}",
+        full.stats().events()
+    );
+}
+
+#[test]
+#[ignore = "wall-clock comparison; run explicitly with -- --ignored on an idle host"]
+fn fork_is_faster_in_wall_clock() {
+    let program = crashprune_workload(192, 0);
+    let mode = ExecMode::model_check();
+    let timed = |engine: &EngineConfig| {
+        let start = std::time::Instant::now();
+        check(&program, mode, engine);
+        start.elapsed()
+    };
+    let fork_time = timed(&EngineConfig::sequential());
+    let full_time = timed(&EngineConfig::sequential().with_fork(false));
+    assert!(
+        fork_time < full_time,
+        "fork {fork_time:?} should beat full {full_time:?}"
+    );
 }
 
 /// One operation of the randomized-program language. Offsets are 8-byte

@@ -10,14 +10,19 @@
 //! programs — the maximally hostile schedule for any "GC changed a
 //! report" bug. The complementary unit tests live in `jaaru::mem`
 //! (`gc_never_retires_an_unpersisted_store` et al.); these tests pin the
-//! end-to-end contract.
+//! end-to-end contract, and the soak plateau test pins the bounded-memory
+//! claim GC exists for.
 
 use bench::{evaluation_suite, SuiteMode, HARNESS_SEED};
-use jaaru::{Atomicity, Ctx, EngineConfig, ExecMode, Program, RunReport};
+use jaaru::obs::telemetry::Telemetry;
+use jaaru::{
+    Atomicity, Ctx, Engine, EngineConfig, ExecMode, PersistencePolicy, Program, RunReport,
+    SchedPolicy,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use yashme::json::run_json;
-use yashme::YashmeConfig;
+use yashme::{YashmeConfig, YashmeDetector};
 
 /// Worker counts every comparison runs at: sequential, a small pool, and
 /// one-per-CPU.
@@ -295,4 +300,42 @@ fn gc_matches_unbounded_on_the_soak_traffic() {
         let streamed = check(&program, mode, &gc_hot(workers));
         assert_eq!(fingerprint("soak", &streamed), want, "workers {workers}");
     }
+}
+
+#[test]
+fn gc_keeps_peak_live_events_flat_as_the_soak_trace_grows() {
+    // The bounded-memory claim: with GC on, a 12x longer soak session must
+    // not grow the peak number of live event-table slots. Scale matters —
+    // at 40,000 ops the peak is flat (~1.03x), while below ~24,000 ops
+    // warm-up still dominates it and the ratio climbs past the bound.
+    let soak = |total_ops: u64| {
+        let cfg = apps::traffic::TrafficConfig {
+            clients: 4,
+            ops_per_client: total_ops / 4,
+            keys: 256,
+            ..apps::traffic::TrafficConfig::default()
+        };
+        let run = Engine::run_single_observed(
+            &apps::traffic::soak_program(cfg),
+            SchedPolicy::RandomChoice,
+            PersistencePolicy::Random,
+            HARNESS_SEED,
+            None,
+            Box::new(YashmeDetector::new(YashmeConfig::default())),
+            &EngineConfig::default(),
+            Telemetry::off(),
+        );
+        (run.stats.events(), run.gc.peak_live_events)
+    };
+    let (small_events, small_peak) = soak(40_000 / 12);
+    let (full_events, full_peak) = soak(40_000);
+    let event_growth = full_events as f64 / small_events.max(1) as f64;
+    let peak_growth = full_peak as f64 / small_peak.max(1) as f64;
+    // The peak gauge is only kept while GC runs; a zero peak means the run
+    // was not bounded at all, not that it was bounded perfectly.
+    assert!(
+        small_peak > 0 && event_growth >= 10.0 && peak_growth <= 1.5,
+        "events {small_events} -> {full_events} ({event_growth:.2}x), \
+         peak live events {small_peak} -> {full_peak} ({peak_growth:.2}x)"
+    );
 }

@@ -7,25 +7,39 @@
 //! driven through both models in lockstep. Both perform the same clock
 //! ticks, event-id draws, and rng draws, so every observable must agree
 //! exactly: load bytes, the `chosen` and `candidates` event sets *in
-//! order* (sink reporting depends on it), the persisted image, and per-byte
-//! provenance.
+//! order* (sink reporting depends on it), every thread's vector clock, the
+//! persisted image, and per-byte provenance.
+//!
+//! Every operation is issued by one of [`THREADS`] threads (the main thread
+//! and children registered under it), so per-thread store buffers, the
+//! acquire path's clock joins, and candidate sets built from other threads'
+//! stores are compared too. Besides the property test, a seeded 20k-op
+//! stream over sixteen cache lines replays the store-heavy mix of the
+//! paper's data-structure benchmarks.
+
+mod refmodel;
 
 use compiler_model::CompilerConfig;
-use jaaru::refmodel::RefMemState;
 use jaaru::{Atomicity, MemState, NullSink, PersistencePolicy};
 use pmem::Addr;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
+use refmodel::RefMemState;
 
-/// The exercised window: three cache lines starting at the root region.
+/// The property test's window: three cache lines starting at the root
+/// region, small enough that threads keep colliding on the same bytes.
 const WINDOW: u64 = 192;
+
+/// Threads issuing operations: the main thread plus three children.
+const THREADS: usize = 4;
 
 fn base() -> Addr {
     Addr::BASE
 }
 
-/// One operation of the differential op language.
+/// One operation of the differential op language; a step pairs it with
+/// the index (below [`THREADS`]) of the thread that issues it.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Store `len` bytes of a value pattern at `off` (kept inside the
@@ -103,26 +117,32 @@ fn policy_of(p: u8) -> PersistencePolicy {
     }
 }
 
-/// Runs `ops` through both models, asserting equality at every observation
-/// point. Returns an error message on the first divergence.
-fn run_differential(ops: &[Op]) -> Result<(), String> {
+/// Runs `steps` through both models over the first `window` bytes of the
+/// root region, asserting equality at every observation point. Returns an
+/// error message on the first divergence.
+fn run_differential(window: u64, steps: &[(usize, Op)]) -> Result<(), String> {
     let mut sink = NullSink;
     let mut opt = MemState::new(CompilerConfig::default(), 1 << 20);
-    let mut oracle = RefMemState::new(CompilerConfig::default(), 1 << 20);
-    let t_opt = opt.register_thread(None);
-    let t_ref = oracle.register_thread(None);
-    assert_eq!(t_opt, t_ref);
-    let t = t_opt;
+    let mut oracle = RefMemState::new(CompilerConfig::default());
+    let main = opt.register_thread(None);
+    assert_eq!(main, oracle.register_thread(None));
+    let mut tids = vec![main];
+    for _ in 1..THREADS {
+        let child = opt.register_thread(Some(main));
+        assert_eq!(child, oracle.register_thread(Some(main)));
+        tids.push(child);
+    }
 
-    for (step, op) in ops.iter().enumerate() {
-        match *op {
+    for (step, &(thread, op)) in steps.iter().enumerate() {
+        let t = tids[thread];
+        match op {
             Op::Store {
                 off,
                 len,
                 seed,
                 release,
             } => {
-                let off = off.min(WINDOW - len);
+                let off = off.min(window - len);
                 let bytes: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8)).collect();
                 let atomicity = if release {
                     Atomicity::ReleaseAcquire
@@ -133,7 +153,7 @@ fn run_differential(ops: &[Op]) -> Result<(), String> {
                 oracle.exec_store(t, base() + off, &bytes, atomicity, "w");
             }
             Op::Load { off, len, acquire } => {
-                let off = off.min(WINDOW - len);
+                let off = off.min(window - len);
                 let atomicity = if acquire {
                     Atomicity::ReleaseAcquire
                 } else {
@@ -213,13 +233,24 @@ fn run_differential(ops: &[Op]) -> Result<(), String> {
                 let mut rng_b = StdRng::seed_from_u64(seed);
                 opt.crash(policy, &mut rng_a);
                 oracle.crash(policy, &mut rng_b);
-                // Both threads must be re-registered after a crash (clocks
-                // carry over; buffers were cleared identically).
-                check_persistent_state(step, &opt, &oracle)?;
+                // Threads keep their ids across the crash (clocks carry
+                // over; buffers were cleared identically).
+                check_persistent_state(window, step, &opt, &oracle)?;
+            }
+        }
+        // Clock agreement for every thread after every step: acquire
+        // joins and spawn inheritance are only visible here.
+        for &tid in &tids {
+            if opt.cv(tid) != oracle.cv(tid) {
+                return Err(format!(
+                    "step {step}: clock of {tid:?} {:?} != {:?}",
+                    opt.cv(tid),
+                    oracle.cv(tid)
+                ));
             }
         }
         // Storemap agreement over the window after every step.
-        for i in 0..WINDOW {
+        for i in 0..window {
             let at = base() + i;
             if opt.store_map_at(at) != oracle.store_map_at(at) {
                 return Err(format!("step {step}: storemap diverged at {at}"));
@@ -231,11 +262,16 @@ fn run_differential(ops: &[Op]) -> Result<(), String> {
     let mut rng_b = StdRng::seed_from_u64(7);
     opt.crash(PersistencePolicy::FullCache, &mut rng_a);
     oracle.crash(PersistencePolicy::FullCache, &mut rng_b);
-    check_persistent_state(ops.len(), &opt, &oracle)
+    check_persistent_state(window, steps.len(), &opt, &oracle)
 }
 
-fn check_persistent_state(step: usize, opt: &MemState, oracle: &RefMemState) -> Result<(), String> {
-    for i in 0..WINDOW {
+fn check_persistent_state(
+    window: u64,
+    step: usize,
+    opt: &MemState,
+    oracle: &RefMemState,
+) -> Result<(), String> {
+    for i in 0..window {
         let at = base() + i;
         if opt.image().read_u8(at) != oracle.image_byte(at) {
             return Err(format!(
@@ -255,14 +291,74 @@ fn check_persistent_state(step: usize, opt: &MemState, oracle: &RefMemState) -> 
     Ok(())
 }
 
+/// Issues every op from the main thread.
+fn on_main(ops: &[Op]) -> Vec<(usize, Op)> {
+    ops.iter().map(|&op| (0, op)).collect()
+}
+
+/// A seeded stream over sixteen cache lines with the store-heavy mix of
+/// the paper's data-structure benchmarks: many small stores, loads
+/// spanning whole records, periodic flushes and fences, rare crashes.
+/// Threads issue operations round-robin.
+fn seeded_stream(window: u64, ops: usize, seed: u64) -> Vec<(usize, Op)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..ops)
+        .map(|n| {
+            let roll = rng.gen_range(0u32..100);
+            let op = if roll < 32 {
+                let len = rng.gen_range(8u64..33);
+                Op::Store {
+                    off: rng.gen_range(0..window - len),
+                    len,
+                    seed: rng.gen_range(0u32..256) as u8,
+                    release: rng.gen_bool(0.25),
+                }
+            } else if roll < 72 {
+                let len = rng.gen_range(16u64..65);
+                Op::Load {
+                    off: rng.gen_range(0..window - len),
+                    len,
+                    acquire: rng.gen_bool(0.25),
+                }
+            } else if roll < 80 {
+                Op::Clflush {
+                    off: rng.gen_range(0..window),
+                }
+            } else if roll < 85 {
+                Op::Clwb {
+                    off: rng.gen_range(0..window),
+                }
+            } else if roll < 90 {
+                Op::Sfence
+            } else if roll < 93 {
+                Op::Mfence
+            } else if roll < 96 {
+                Op::Cas {
+                    slot: rng.gen_range(0..window / 8),
+                    expected: rng.gen_range(0u64..4),
+                    new: rng.gen_range(1u64..100),
+                }
+            } else if roll < 99 {
+                Op::Drain
+            } else {
+                Op::Crash {
+                    policy: 2,
+                    seed: rng.next_u64(),
+                }
+            };
+            (n % THREADS, op)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn line_slab_memory_matches_byte_oracle(
-        ops in proptest::collection::vec(arb_op(), 1..60)
+        steps in proptest::collection::vec((0..THREADS, arb_op()), 1..60)
     ) {
-        if let Err(msg) = run_differential(&ops) {
+        if let Err(msg) = run_differential(WINDOW, &steps) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -314,7 +410,7 @@ fn directed_torn_store_and_partial_persistence_agree() {
             acquire: false,
         },
     ];
-    run_differential(&ops).expect("models agree");
+    run_differential(WINDOW, &on_main(&ops)).expect("models agree");
 }
 
 #[test]
@@ -357,5 +453,86 @@ fn cas_and_eviction_orders_agree() {
             acquire: true,
         },
     ];
-    run_differential(&ops).expect("models agree");
+    run_differential(WINDOW, &on_main(&ops)).expect("models agree");
+}
+
+#[test]
+fn release_acquire_handoff_across_threads_agrees() {
+    // Thread 1 publishes with a release store that thread 2 acquires,
+    // while thread 3 keeps an unflushed plain store buffered on the same
+    // line: the acquire joins thread 1's clock and the loads see stores
+    // from every thread as candidates.
+    let steps = [
+        (
+            1,
+            Op::Store {
+                off: 0,
+                len: 8,
+                seed: 4,
+                release: false,
+            },
+        ),
+        (
+            1,
+            Op::Store {
+                off: 8,
+                len: 8,
+                seed: 5,
+                release: true,
+            },
+        ),
+        (1, Op::Drain),
+        (
+            3,
+            Op::Store {
+                off: 4,
+                len: 8,
+                seed: 6,
+                release: false,
+            },
+        ),
+        (
+            2,
+            Op::Load {
+                off: 8,
+                len: 8,
+                acquire: true,
+            },
+        ),
+        (
+            2,
+            Op::Load {
+                off: 0,
+                len: 16,
+                acquire: false,
+            },
+        ),
+        (3, Op::Drain),
+        (0, Op::Clwb { off: 0 }),
+        (0, Op::Sfence),
+        (
+            2,
+            Op::Cas {
+                slot: 1,
+                expected: 0,
+                new: 3,
+            },
+        ),
+        (0, Op::Crash { policy: 2, seed: 5 }),
+        (
+            3,
+            Op::Load {
+                off: 0,
+                len: 16,
+                acquire: true,
+            },
+        ),
+    ];
+    run_differential(WINDOW, &steps).expect("models agree");
+}
+
+#[test]
+fn seeded_four_thread_stream_agrees() {
+    let steps = seeded_stream(1024, 20_000, 0x59a5_311e);
+    run_differential(1024, &steps).expect("models agree");
 }

@@ -30,6 +30,15 @@ fn fingerprint(name: &str, report: &RunReport) -> String {
     )
 }
 
+/// Simulated events this run physically executed: the logical event total
+/// minus prefix events inherited from snapshots and minus suffix events
+/// attributed to skipped class members rather than executed.
+fn physical_events(report: &RunReport) -> u64 {
+    report.stats().events()
+        - report.fork_stats().prefix_events_skipped
+        - report.prune_stats().events_attributed
+}
+
 fn check(program: &Program, mode: ExecMode, engine: &EngineConfig) -> RunReport {
     yashme::check_with(program, mode, YashmeConfig::default(), engine)
 }
@@ -88,6 +97,7 @@ fn pruned_matches_exhaustive_on_the_crashprune_workload() {
         &EngineConfig::sequential().with_fork(false),
     );
     let want = fingerprint("crashprune", &exhaustive);
+    let exhaustive_resumed = exhaustive.fork_stats().resumed_runs;
     assert_eq!(
         fingerprint("crashprune", &full),
         want,
@@ -111,6 +121,20 @@ fn pruned_matches_exhaustive_on_the_crashprune_workload() {
             "fewer representatives ({}) than crash points ({})",
             p.representatives,
             pruned.crash_points()
+        );
+        // Four scrub rounds give 10 crash points but 2 classes per record,
+        // so pruning must resume at least 4x fewer suffixes and execute
+        // strictly fewer events than exhaustive resumption.
+        let resumed = pruned.fork_stats().resumed_runs - p.suffixes_skipped;
+        assert!(
+            resumed * 4 <= exhaustive_resumed,
+            "pruned {resumed} resumed vs exhaustive {exhaustive_resumed}"
+        );
+        assert!(
+            physical_events(&pruned) < physical_events(&exhaustive),
+            "pruned {} events vs exhaustive {}",
+            physical_events(&pruned),
+            physical_events(&exhaustive)
         );
     }
 }

@@ -29,7 +29,6 @@
 //! ```
 
 mod clock;
-pub mod legacy;
 mod vector;
 
 pub use clock::{Clock, Seq, SeqCounter, ThreadId};

@@ -48,9 +48,9 @@ enum Repr {
 /// of the logical components — everything past it is implicitly zero — and a
 /// cached exact maximum component lets [`leq`] and [`join`] skip their
 /// component loops when one side trivially dominates (`self.max == 0`, or
-/// `self.max > other.max`). The legacy `Vec`-backed layout survives as
-/// [`crate::legacy::VectorClock`], the differential oracle these semantics
-/// are tested against.
+/// `self.max > other.max`). The legacy `Vec`-backed layout survives on the
+/// test side (`tests/legacy/`), the differential oracle these semantics are
+/// tested against.
 ///
 /// [`happens_before`]: VectorClock::happens_before
 /// [`join`]: VectorClock::join

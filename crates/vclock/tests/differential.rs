@@ -1,5 +1,5 @@
 //! Differential property tests: the inline/copy-on-write [`VectorClock`]
-//! against the legacy `Vec`-backed layout ([`vclock::legacy::VectorClock`]).
+//! against the legacy `Vec`-backed layout ([`legacy::VectorClock`]).
 //!
 //! Both implementations are driven through identical randomly generated
 //! operation sequences; after every step each observable surface — `get`,
@@ -9,8 +9,10 @@
 //! the semantic specification; any divergence is a bug in the new
 //! representation, not a judgment call.
 
+mod legacy;
+
 use proptest::prelude::*;
-use vclock::{legacy, ThreadId, VectorClock};
+use vclock::{ThreadId, VectorClock};
 
 /// One mutation step applied to both implementations in lockstep. Thread
 /// indices straddle the inline capacity (4) so sequences routinely cross

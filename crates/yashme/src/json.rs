@@ -117,8 +117,7 @@ pub fn coverage_doc(benchmark: &str, report: &RunReport) -> Json {
 }
 
 /// Renders the suite-level `--coverage-out` document: the aggregate
-/// coverage plane first (so first-occurrence field extraction, as the
-/// trend gate uses, reads suite totals), then the per-benchmark documents.
+/// coverage plane first, then the per-benchmark documents.
 /// `aggregate` is the site-table/raced-label union over the suite; its
 /// cartography is left empty because crash-space phases are per-program.
 pub fn coverage_suite_json(
