@@ -8,7 +8,8 @@
 
 use bench::{evaluation_suite, HARNESS_SEED};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use jaaru::{Engine, ExecMode};
+use jaaru::obs::Telemetry;
+use jaaru::{Engine, EngineConfig, ExecMode};
 use yashme::YashmeConfig;
 
 fn bench_overhead(c: &mut Criterion) {
@@ -25,6 +26,7 @@ fn bench_overhead(c: &mut Criterion) {
                         program,
                         ExecMode::random(1, HARNESS_SEED),
                         YashmeConfig::default(),
+                        &EngineConfig::default(),
                     )
                 })
             },
@@ -34,9 +36,13 @@ fn bench_overhead(c: &mut Criterion) {
             &program,
             |b, program| {
                 b.iter(|| {
-                    Engine::run(program, ExecMode::random(1, HARNESS_SEED), &|| {
-                        Box::new(jaaru::NullSink)
-                    })
+                    Engine::run_observed(
+                        program,
+                        ExecMode::random(1, HARNESS_SEED),
+                        &|| Box::new(jaaru::NullSink),
+                        &EngineConfig::default(),
+                        Telemetry::off(),
+                    )
                 })
             },
         );
@@ -55,6 +61,7 @@ fn bench_prefix_vs_baseline(c: &mut Criterion) {
                 &program,
                 ExecMode::random(1, HARNESS_SEED),
                 YashmeConfig::default(),
+                &EngineConfig::default(),
             )
         })
     });
@@ -64,6 +71,7 @@ fn bench_prefix_vs_baseline(c: &mut Criterion) {
                 &program,
                 ExecMode::random(1, HARNESS_SEED),
                 YashmeConfig::baseline(),
+                &EngineConfig::default(),
             )
         })
     });

@@ -8,6 +8,7 @@
 
 use bench::workload::{cceh_workload, WorkloadConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use jaaru::EngineConfig;
 
 fn bench_model_check_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("model-check-scaling");
@@ -39,6 +40,7 @@ fn bench_single_execution_scaling(c: &mut Criterion) {
                         program,
                         jaaru::ExecMode::random(1, 15),
                         yashme::YashmeConfig::default(),
+                        &EngineConfig::default(),
                     )
                 })
             },

@@ -2,6 +2,7 @@
 //! sit closest to the paper's Table 5 shape.
 
 use bench::{evaluation_suite, table5_row};
+use jaaru::EngineConfig;
 
 fn main() {
     let paper: &[(&str, usize, usize)] = &[
@@ -26,7 +27,7 @@ fn main() {
         let mut total_p = 0;
         let mut total_b = 0;
         for (entry, &(_, pp, pb)) in suite.iter().zip(paper) {
-            let row = table5_row(entry, seed);
+            let row = table5_row(entry, seed, &EngineConfig::sequential());
             dist += row.prefix.abs_diff(pp) + row.baseline.abs_diff(pb);
             total_p += row.prefix;
             total_b += row.baseline;

@@ -34,7 +34,7 @@ fn main() {
         println!("{name} ({known} known races):");
         println!("  executions\tprefix\tbaseline");
         for &n in &budgets {
-            let prefix = yashme::check_with(
+            let prefix = yashme::check(
                 &program,
                 ExecMode::random(n, 15),
                 YashmeConfig::default(),
@@ -42,7 +42,7 @@ fn main() {
             )
             .race_labels()
             .len();
-            let baseline = yashme::check_with(
+            let baseline = yashme::check(
                 &program,
                 ExecMode::random(n, 15),
                 YashmeConfig::baseline(),

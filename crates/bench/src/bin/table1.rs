@@ -4,6 +4,8 @@
 
 fn main() {
     let c = bench::cli::common_args();
+    let mut rest = c.rest.iter();
+    let out_path = rest.find(|a| *a == "--out").and_then(|_| rest.next());
     let mut out = String::new();
     out.push_str("Table 1: Reordering constraints in Px86sim\n");
     out.push_str(
@@ -11,7 +13,7 @@ fn main() {
     );
     out.push_str(&px86::render_table1());
     print!("{out}");
-    if let Some(path) = &c.out {
+    if let Some(path) = out_path {
         std::fs::write(path, out).expect("write table1 output");
     }
 }

@@ -9,6 +9,8 @@ use compiler_model::CompilerConfig;
 
 fn main() {
     let c = bench::cli::common_args();
+    let mut rest = c.rest.iter();
+    let out_path = rest.find(|a| *a == "--out").and_then(|_| rest.next());
     let mut out = String::new();
     out.push_str("Table 2a: store optimizations observed in popular compilers\n\n");
     out.push_str(&compiler_model::render_table2a());
@@ -27,7 +29,7 @@ fn main() {
         );
     }
     print!("{out}");
-    if let Some(path) = &c.out {
+    if let Some(path) = out_path {
         std::fs::write(path, out).expect("write table2 output");
     }
 }

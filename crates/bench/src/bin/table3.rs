@@ -1,8 +1,7 @@
 //! Regenerates Table 3 (and the Figure 11 detail): the persistency races
 //! model checking finds in CCEH, FAST_FAIR, and the RECIPE benchmarks.
 //!
-//! `--workers N` (or `YASHME_WORKERS`) fans crash-point exploration out
-//! over a worker pool; the table is identical at every worker count.
+//! `--workers N` fans crash-point exploration out over a worker pool; the table is identical at every worker count.
 //! `--json` emits the table as a machine-readable document instead.
 //!
 //! The coverage plane rides along: `--coverage` prints each benchmark's
@@ -13,7 +12,8 @@
 //! `COVERAGE_baseline.json` by the CI gate.
 
 use jaaru::obs::Json;
-use jaaru::CoverageReport;
+use jaaru::{CoverageReport, ExecMode};
+use yashme::YashmeConfig;
 
 fn main() {
     let c = bench::cli::common_args();
@@ -36,7 +36,12 @@ fn main() {
     let mut aggregate = CoverageReport::default();
     let mut coverage_docs = Vec::new();
     for spec in recipe::all_benchmarks() {
-        let report = yashme::model_check_with(&(spec.program)(), &c.engine);
+        let report = yashme::check(
+            &(spec.program)(),
+            ExecMode::model_check(),
+            YashmeConfig::default(),
+            &c.engine,
+        );
         for label in report.race_labels() {
             if !as_json {
                 println!("{idx}\t{}\t{label}", spec.name);

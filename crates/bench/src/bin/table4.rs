@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use bench::{bug_finding_run_with, evaluation_suite};
+use bench::{bug_finding_run, evaluation_suite};
 use jaaru::obs::Json;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
         ) {
             continue;
         }
-        let report = bug_finding_run_with(&entry, &engine);
+        let report = bug_finding_run(&entry, &engine);
         for label in report.race_labels() {
             pmdk_labels.insert(label.to_owned());
         }
@@ -46,7 +46,7 @@ fn main() {
         if entry.name != "Memcached" {
             continue;
         }
-        let report = bug_finding_run_with(&entry, &engine);
+        let report = bug_finding_run(&entry, &engine);
         for label in report.race_labels() {
             memcached_labels.push(label);
             if !as_json {
@@ -67,7 +67,7 @@ fn main() {
         if entry.name != "Redis" {
             continue;
         }
-        let report = bug_finding_run_with(&entry, &engine);
+        let report = bug_finding_run(&entry, &engine);
         redis_new = report
             .race_labels()
             .into_iter()

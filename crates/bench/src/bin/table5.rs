@@ -5,7 +5,7 @@
 //! machine-readable document. Timing fields are wall-clock and therefore
 //! not run-to-run stable; every other field is deterministic.
 
-use bench::{evaluation_suite, table5_row_with, HARNESS_SEED};
+use bench::{evaluation_suite, table5_row, HARNESS_SEED};
 use jaaru::obs::Json;
 use jaaru::EngineConfig;
 
@@ -25,7 +25,7 @@ fn main() {
     let mut total_baseline = 0;
     let mut rows = Vec::new();
     for entry in evaluation_suite() {
-        let row = table5_row_with(&entry, HARNESS_SEED, &engine);
+        let row = table5_row(&entry, HARNESS_SEED, &engine);
         if !as_json {
             println!(
                 "{:<16}\t{}\t{}\t{:.3?}\t{:.3?}",
@@ -86,7 +86,7 @@ fn companion_sweep(engine: &EngineConfig, as_json: bool) -> Json {
     let mut rows = Vec::new();
     for entry in evaluation_suite() {
         let program = (entry.program)();
-        let prefix = yashme::check_with(
+        let prefix = yashme::check(
             &program,
             ExecMode::random(20, HARNESS_SEED),
             YashmeConfig::default(),
@@ -94,7 +94,7 @@ fn companion_sweep(engine: &EngineConfig, as_json: bool) -> Json {
         )
         .race_labels()
         .len();
-        let baseline = yashme::check_with(
+        let baseline = yashme::check(
             &program,
             ExecMode::random(20, HARNESS_SEED),
             YashmeConfig::baseline(),

@@ -1,26 +1,27 @@
-//! Shared command-line parsing for the table binaries.
+//! The one engine-flag parser, shared by the table binaries and the
+//! `yashme` CLI.
 //!
-//! Every table bin accepts the same engine flags; parsing them here (once)
-//! keeps new flags from having to be replicated across `table1`..`table5`
-//! and `sweep`. The shared flags are:
+//! Engine configuration comes only from these flags; without them every
+//! binary runs on [`EngineConfig::default`]. The shared flags are:
 //!
 //! * `--workers N|auto` (also `--workers=N`) — worker-pool size
 //! * `--no-fork` / `--no-prune` / `--no-gc` — disable a physical strategy
+//! * `--prune-paranoid` / `--gc-paranoid` — lockstep verification modes
 //! * `--gc-every N` / `--sample-every N` — tuning knobs
-//! * `--out PATH` — where the bin also writes its rendered output
 //!
-//! Anything unrecognized lands in [`CommonArgs::rest`] for the bin's own
-//! loop.
+//! Each flag sets one field, so their order does not matter. Anything
+//! unrecognized lands in [`CommonArgs::rest`] for the bin's own loop.
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 use jaaru::EngineConfig;
 
 /// The shared flags, parsed once per bin.
 #[derive(Debug)]
 pub struct CommonArgs {
-    /// Engine configuration after `--workers`/`--no-*`/tuning flags.
+    /// Engine configuration after the engine flags.
     pub engine: EngineConfig,
-    /// `--out PATH`, if given.
-    pub out: Option<String>,
     /// Everything this parser didn't consume, in order.
     pub rest: Vec<String>,
 }
@@ -32,96 +33,73 @@ impl CommonArgs {
     }
 }
 
-/// Parses the shared flags from the process arguments.
+/// Parses the shared flags from the process arguments; on a malformed flag
+/// prints the message and exits with status 2.
 pub fn common_args() -> CommonArgs {
-    parse_args(std::env::args().skip(1))
+    parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
 }
 
-/// [`common_args`] over an explicit argument list (testable).
-pub fn parse_args(args: impl IntoIterator<Item = String>) -> CommonArgs {
-    let mut engine = None;
-    let mut fork = true;
-    let mut prune = true;
-    let mut gc = true;
-    let mut gc_every = None;
-    let mut sample_every = None;
-    let mut out = None;
+/// Parses `flag`'s value, naming the flag in the error.
+fn value<T>(flag: &str, v: Option<String>) -> Result<T, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    v.ok_or_else(|| format!("{flag} needs a value"))?
+        .parse()
+        .map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// [`common_args`] over an explicit argument list (testable). `Err` carries
+/// the message for a missing or malformed flag value.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, String> {
+    let mut engine = EngineConfig::default();
     let mut rest = Vec::new();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--no-fork" => fork = false,
-            "--no-prune" => prune = false,
-            "--no-gc" => gc = false,
-            "--gc-every" => gc_every = args.next().and_then(|v| v.parse().ok()),
-            "--sample-every" => sample_every = args.next().and_then(|v| v.parse().ok()),
-            "--out" => out = args.next(),
+            "--no-fork" => engine.fork = false,
+            "--no-prune" => engine.prune = false,
+            "--no-gc" => engine.gc = false,
+            "--prune-paranoid" => engine.prune_paranoid = true,
+            "--gc-paranoid" => engine.gc_paranoid = true,
+            "--gc-every" => engine = engine.with_gc_every(value("--gc-every", args.next())?),
+            "--sample-every" => engine.sample_every = value("--sample-every", args.next())?,
             _ => {
-                let value = if arg == "--workers" {
+                let workers = if arg == "--workers" {
                     args.next()
+                } else if let Some(v) = arg.strip_prefix("--workers=") {
+                    Some(v.to_owned())
                 } else {
-                    arg.strip_prefix("--workers=").map(str::to_owned)
+                    rest.push(arg);
+                    continue;
                 };
-                match value {
-                    Some(v) => {
-                        // `--workers` replaces the whole config (matching
-                        // the historical per-bin behavior); `--no-*` flags
-                        // apply on top below.
-                        engine = Some(if v.eq_ignore_ascii_case("auto") {
-                            EngineConfig::with_workers(0)
-                        } else {
-                            EngineConfig::with_workers(v.parse().unwrap_or(1))
-                        });
-                    }
-                    None => rest.push(arg),
-                }
+                engine.workers = match workers {
+                    Some(v) if v.eq_ignore_ascii_case("auto") => 0,
+                    v => value("--workers", v)?,
+                };
             }
         }
     }
-    let mut engine = engine.unwrap_or_else(EngineConfig::from_env);
-    // Only apply explicit `--no-*`; otherwise keep whatever the config
-    // already says (e.g. `YASHME_FORK=0` via `from_env`).
-    if !fork {
-        engine = engine.with_fork(false);
-    }
-    if !prune {
-        engine = engine.with_prune(false);
-    }
-    if !gc {
-        engine = engine.with_gc(false);
-    }
-    if let Some(every) = gc_every {
-        engine = engine.with_gc_every(every);
-    }
-    if let Some(every) = sample_every {
-        engine = engine.with_sample_every(every);
-    }
-    CommonArgs { engine, out, rest }
+    Ok(CommonArgs { engine, rest })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> CommonArgs {
+    fn parse(args: &[&str]) -> Result<CommonArgs, String> {
         parse_args(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn shared_flags_are_consumed_and_rest_preserved() {
-        let c = parse(&[
-            "--records",
-            "40",
-            "--no-fork",
-            "--workers",
-            "8",
-            "--out",
-            "x.json",
-            "--smoke",
-        ]);
+        let c = parse(&["--records", "40", "--no-fork", "--workers", "8", "--smoke"]).unwrap();
         assert_eq!(c.engine.workers, 8);
         assert!(!c.engine.fork);
-        assert_eq!(c.out.as_deref(), Some("x.json"));
         assert_eq!(c.rest, vec!["--records", "40", "--smoke"]);
         assert!(c.has_flag("--smoke"));
         assert!(!c.has_flag("--no-fork"), "consumed flags leave rest");
@@ -129,7 +107,69 @@ mod tests {
 
     #[test]
     fn workers_equals_and_auto_forms() {
-        assert_eq!(parse(&["--workers=4"]).engine.workers, 4);
-        assert_eq!(parse(&["--workers", "auto"]).engine.workers, 0);
+        assert_eq!(parse(&["--workers=4"]).unwrap().engine.workers, 4);
+        assert_eq!(parse(&["--workers", "auto"]).unwrap().engine.workers, 0);
+        assert_eq!(parse(&["--workers=AUTO"]).unwrap().engine.workers, 0);
+    }
+
+    #[test]
+    fn no_flags_is_the_default_config() {
+        let c = parse(&[]).unwrap();
+        let d = EngineConfig::default();
+        assert_eq!(format!("{:?}", c.engine), format!("{d:?}"));
+    }
+
+    #[test]
+    fn flag_order_does_not_matter() {
+        // `--workers` sets only the worker count: strategy flags before it
+        // survive.
+        let a = parse(&["--no-gc", "--gc-paranoid", "--workers", "8"]).unwrap();
+        let b = parse(&["--workers", "8", "--gc-paranoid", "--no-gc"]).unwrap();
+        assert_eq!(format!("{:?}", a.engine), format!("{:?}", b.engine));
+        assert_eq!(a.engine.workers, 8);
+        assert!(!a.engine.gc);
+        assert!(a.engine.gc_paranoid);
+    }
+
+    #[test]
+    fn paranoid_flags_switch_on_their_modes() {
+        let c = parse(&["--prune-paranoid"]).unwrap();
+        assert!(c.engine.prune_paranoid);
+        assert!(!c.engine.gc_paranoid);
+        let c = parse(&["--gc-paranoid"]).unwrap();
+        assert!(c.engine.gc_paranoid);
+        assert!(!c.engine.prune_paranoid);
+    }
+
+    #[test]
+    fn tuning_knobs_are_parsed() {
+        let c = parse(&["--gc-every", "16", "--sample-every", "3"]).unwrap();
+        assert_eq!(c.engine.gc_every, 16);
+        assert_eq!(c.engine.sample_every, 3);
+        // The GC period is clamped to at least one commit.
+        assert_eq!(parse(&["--gc-every", "0"]).unwrap().engine.gc_every, 1);
+    }
+
+    #[test]
+    fn malformed_numbers_are_rejected() {
+        for (args, flag) in [
+            (&["--workers", "abc"][..], "--workers"),
+            (&["--workers=-1"][..], "--workers"),
+            (&["--workers="][..], "--workers"),
+            (&["--gc-every", "often"][..], "--gc-every"),
+            (&["--gc-every", "-4"][..], "--gc-every"),
+            (&["--sample-every", "1.5"][..], "--sample-every"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with(&format!("bad {flag}: ")), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn missing_values_are_rejected() {
+        for flag in ["--workers", "--gc-every", "--sample-every"] {
+            let err = parse(&[flag]).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
     }
 }

@@ -12,8 +12,8 @@ pub mod workload;
 
 use std::time::{Duration, Instant};
 
-use jaaru::obs::Json;
-use jaaru::{Engine, EngineConfig, ExecMode, Program, RaceReport};
+use jaaru::obs::{Json, Telemetry};
+use jaaru::{Engine, EngineConfig, ExecMode, Program};
 use yashme::YashmeConfig;
 
 /// Which engine mode the paper used for a benchmark (§7.1: indexes are
@@ -105,33 +105,27 @@ pub struct Table5Row {
     pub jaaru_time: Duration,
 }
 
-/// Runs one benchmark for a single random execution under `config`,
-/// returning its de-duplicated true-race labels.
-pub fn single_random_races(program: &Program, config: YashmeConfig, seed: u64) -> Vec<RaceReport> {
-    let report = yashme::check(program, ExecMode::random(1, seed), config);
-    report.true_races().cloned().collect()
-}
-
-/// Measures one Table 5 row (sequential engine).
-pub fn table5_row(entry: &SuiteEntry, seed: u64) -> Table5Row {
-    table5_row_with(entry, seed, &EngineConfig::sequential())
-}
-
 /// Measures one Table 5 row under the given engine configuration.
-pub fn table5_row_with(entry: &SuiteEntry, seed: u64, engine: &EngineConfig) -> Table5Row {
+pub fn table5_row(entry: &SuiteEntry, seed: u64, engine: &EngineConfig) -> Table5Row {
     let program = (entry.program)();
     let mode = ExecMode::random(1, seed);
-    let prefix = yashme::check_with(&program, mode, YashmeConfig::default(), engine)
+    let prefix = yashme::check(&program, mode, YashmeConfig::default(), engine)
         .true_races()
         .count();
-    let baseline = yashme::check_with(&program, mode, YashmeConfig::baseline(), engine)
+    let baseline = yashme::check(&program, mode, YashmeConfig::baseline(), engine)
         .true_races()
         .count();
     let start = Instant::now();
-    let _ = yashme::check_with(&program, mode, YashmeConfig::default(), engine);
+    let _ = yashme::check(&program, mode, YashmeConfig::default(), engine);
     let yashme_time = start.elapsed();
     let start = Instant::now();
-    let _ = Engine::run_with(&program, mode, &|| Box::new(jaaru::NullSink), engine);
+    let _ = Engine::run_observed(
+        &program,
+        mode,
+        &|| Box::new(jaaru::NullSink),
+        engine,
+        Telemetry::off(),
+    );
     let jaaru_time = start.elapsed();
     Table5Row {
         name: entry.name,
@@ -142,19 +136,15 @@ pub fn table5_row_with(entry: &SuiteEntry, seed: u64, engine: &EngineConfig) -> 
     }
 }
 
-/// Runs a benchmark in its paper mode and returns the full report.
-pub fn bug_finding_run(entry: &SuiteEntry) -> yashme::RunReport {
-    bug_finding_run_with(entry, &EngineConfig::sequential())
-}
-
-/// [`bug_finding_run`] under the given engine configuration.
-pub fn bug_finding_run_with(entry: &SuiteEntry, engine: &EngineConfig) -> yashme::RunReport {
+/// Runs a benchmark in its paper mode under the given engine
+/// configuration and returns the full report.
+pub fn bug_finding_run(entry: &SuiteEntry, engine: &EngineConfig) -> yashme::RunReport {
     let program = (entry.program)();
     let mode = match entry.mode {
         SuiteMode::ModelCheck => ExecMode::model_check(),
         SuiteMode::Random(n) => ExecMode::random(n, HARNESS_SEED),
     };
-    yashme::check_with(&program, mode, YashmeConfig::default(), engine)
+    yashme::check(&program, mode, YashmeConfig::default(), engine)
 }
 
 #[cfg(test)]
@@ -214,7 +204,7 @@ mod tests {
         let mut total_prefix = 0;
         let mut total_baseline = 0;
         for entry in evaluation_suite() {
-            let row = table5_row(&entry, HARNESS_SEED);
+            let row = table5_row(&entry, HARNESS_SEED, &EngineConfig::default());
             assert!(
                 row.prefix >= row.baseline,
                 "{}: prefix {} < baseline {}",

@@ -149,7 +149,6 @@ pub fn crashprune_workload(records: usize, scrub_rounds: usize) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yashme::YashmeConfig;
 
     #[test]
     fn keys_are_deterministic_per_seed() {
@@ -181,11 +180,7 @@ mod tests {
 
     #[test]
     fn generated_cceh_workload_finds_the_cceh_races() {
-        let report = yashme::check(
-            &cceh_workload(WorkloadConfig::small()),
-            jaaru::ExecMode::model_check(),
-            YashmeConfig::default(),
-        );
+        let report = yashme::model_check(&cceh_workload(WorkloadConfig::small()));
         assert!(report.race_labels().contains(&"Pair.key (pair.h)"));
         assert!(report.race_labels().contains(&"Pair.value (pair.h)"));
     }

@@ -6,16 +6,16 @@
 //! explored must never show through. The table3 suite document is also
 //! pinned byte for byte to the checked-in `COVERAGE_baseline.json`.
 
-use jaaru::{CoverageReport, EngineConfig};
+use jaaru::{CoverageReport, EngineConfig, ExecMode};
 use yashme::json::{coverage_doc, coverage_suite_json};
 use yashme::YashmeConfig;
 
 /// One benchmark's coverage JSON under `engine`.
 fn coverage_bytes(engine: &EngineConfig) -> String {
     let program = recipe::cceh::program();
-    let report = yashme::check_with(
+    let report = yashme::check(
         &program,
-        jaaru::ExecMode::model_check(),
+        ExecMode::model_check(),
         YashmeConfig::default(),
         engine,
     );
@@ -57,7 +57,12 @@ fn table3_suite_doc(engine: &EngineConfig, benchmarks: usize) -> String {
     let mut aggregate = CoverageReport::default();
     let mut docs = Vec::new();
     for spec in recipe::all_benchmarks().into_iter().take(benchmarks) {
-        let report = yashme::model_check_with(&(spec.program)(), engine);
+        let report = yashme::check(
+            &(spec.program)(),
+            ExecMode::model_check(),
+            YashmeConfig::default(),
+            engine,
+        );
         aggregate.absorb_suite(report.coverage());
         docs.push(coverage_doc(spec.name, &report));
     }

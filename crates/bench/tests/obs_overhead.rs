@@ -6,7 +6,8 @@
 
 use std::time::{Duration, Instant};
 
-use bench::{bug_finding_run_with, evaluation_suite, SuiteEntry};
+use bench::{bug_finding_run, evaluation_suite, SuiteEntry};
+use jaaru::obs::Telemetry;
 use jaaru::{Engine, EngineConfig, ExecMode, NullSink};
 
 fn cceh() -> SuiteEntry {
@@ -20,9 +21,9 @@ fn cceh() -> SuiteEntry {
 fn disabled_tracing_allocates_nothing() {
     // Structural half of the guarantee: no trace buffers exist unless the
     // run opted in.
-    let off = bug_finding_run_with(&cceh(), &EngineConfig::sequential());
+    let off = bug_finding_run(&cceh(), &EngineConfig::sequential());
     assert!(off.trace().is_none(), "trace recorded without opting in");
-    let on = bug_finding_run_with(&cceh(), &EngineConfig::sequential().with_trace(true));
+    let on = bug_finding_run(&cceh(), &EngineConfig::sequential().with_trace(true));
     assert!(on.trace().is_some(), "opted-in run lost its trace");
 }
 
@@ -49,23 +50,31 @@ fn disabled_tracing_costs_no_more_than_a_null_sink() {
     let mode = ExecMode::model_check();
     const RUNS: usize = 15;
     // Warm up allocators and caches before timing anything.
-    let _ = Engine::run_with(
+    let _ = Engine::run_observed(
         &program,
         mode,
         &|| Box::new(NullSink),
         &EngineConfig::sequential(),
+        Telemetry::off(),
     );
     let null_sink = median_run_time(RUNS, || {
-        let _ = Engine::run_with(
+        let _ = Engine::run_observed(
             &program,
             mode,
             &|| Box::new(NullSink),
             &EngineConfig::sequential(),
+            Telemetry::off(),
         );
     });
     let trace_off = median_run_time(RUNS, || {
         let config = EngineConfig::sequential(); // trace defaults to off
-        let _ = Engine::run_with(&program, mode, &|| Box::new(NullSink), &config);
+        let _ = Engine::run_observed(
+            &program,
+            mode,
+            &|| Box::new(NullSink),
+            &config,
+            Telemetry::off(),
+        );
     });
     assert!(
         trace_off <= null_sink.saturating_mul(3) + Duration::from_millis(5),

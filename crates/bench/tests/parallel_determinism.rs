@@ -2,7 +2,7 @@
 //! reproduce the sequential reports exactly — also while every benchmark
 //! shares the global pool at once — and (on multi-core hosts) faster.
 
-use bench::{bug_finding_run_with, evaluation_suite};
+use bench::{bug_finding_run, evaluation_suite};
 use jaaru::EngineConfig;
 use yashme::json::run_json;
 use yashme::{ReportKind, RunReport};
@@ -25,8 +25,8 @@ fn suite_index_benchmarks_are_worker_count_invariant() {
         if !matches!(entry.name, "CCEH" | "Fast_Fair") {
             continue;
         }
-        let seq = bug_finding_run_with(entry, &EngineConfig::with_workers(1));
-        let par = bug_finding_run_with(entry, &EngineConfig::with_workers(8));
+        let seq = bug_finding_run(entry, &EngineConfig::with_workers(1));
+        let par = bug_finding_run(entry, &EngineConfig::with_workers(8));
         assert_eq!(fingerprint(&seq), fingerprint(&par), "{}", entry.name);
         assert_eq!(seq.executions(), par.executions(), "{}", entry.name);
         assert!(
@@ -49,7 +49,7 @@ fn trace_and_metrics_are_worker_count_invariant_on_suite() {
         .find(|e| e.name == "CCEH")
         .expect("suite contains CCEH");
     let run = |workers: usize| {
-        bug_finding_run_with(
+        bug_finding_run(
             &entry,
             &EngineConfig::with_workers(workers).with_trace(true),
         )
@@ -87,7 +87,7 @@ fn concurrently_submitted_suite_matches_sequential_runs() {
             .iter()
             .map(|entry| {
                 let parallel = &parallel;
-                scope.spawn(move || render(entry.name, &bug_finding_run_with(entry, parallel)))
+                scope.spawn(move || render(entry.name, &bug_finding_run(entry, parallel)))
             })
             .collect();
         handles
@@ -97,7 +97,7 @@ fn concurrently_submitted_suite_matches_sequential_runs() {
     });
     assert_eq!(overlapped.len(), 13);
     for (entry, got) in suite.iter().zip(&overlapped) {
-        let sequential = bug_finding_run_with(entry, &EngineConfig::sequential());
+        let sequential = bug_finding_run(entry, &EngineConfig::sequential());
         assert_eq!(*got, render(entry.name, &sequential), "{}", entry.name);
     }
 }
@@ -124,7 +124,7 @@ fn four_workers_double_throughput_on_multicore() {
         let start = std::time::Instant::now();
         let mut report = None;
         for _ in 0..10 {
-            report = Some(bug_finding_run_with(&entry, &cfg));
+            report = Some(bug_finding_run(&entry, &cfg));
         }
         (start.elapsed(), report.expect("ran"))
     };

@@ -9,16 +9,16 @@ use std::sync::Arc;
 
 use jaaru::obs::telemetry::Telemetry;
 use jaaru::obs::to_chrome_json;
-use jaaru::{EngineConfig, ExecMode};
+use jaaru::{Engine, EngineConfig, ExecMode};
 use yashme::json::{coverage_doc, run_json};
-use yashme::YashmeConfig;
+use yashme::{YashmeConfig, YashmeDetector};
 
 /// Every deterministic surface of one CCEH run, rendered to bytes
 /// (elapsed excluded from the run JSON — wall clock is the one
 /// legitimately nondeterministic field).
 fn surfaces(engine: &EngineConfig, mode: ExecMode) -> (String, String, String, String) {
     let program = recipe::cceh::program();
-    let report = yashme::check_with(&program, mode, YashmeConfig::default(), engine);
+    let report = yashme::check(&program, mode, YashmeConfig::default(), engine);
     (
         run_json("CCEH", &report, false).render(),
         report
@@ -58,10 +58,10 @@ fn stealing_actually_happens_under_the_stall_hook() {
     let program = recipe::cceh::program();
     let tel = Arc::new(Telemetry::new());
     jaaru::pool::set_stall_ms(1);
-    let report = yashme::check_observed(
+    let report = Engine::run_observed(
         &program,
         ExecMode::model_check(),
-        YashmeConfig::default(),
+        &|| Box::new(YashmeDetector::with_defaults()),
         &EngineConfig::with_workers(8),
         &tel,
     );

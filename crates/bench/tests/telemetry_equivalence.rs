@@ -8,9 +8,9 @@ use std::sync::Arc;
 
 use jaaru::obs::telemetry::{start_reporter, ReporterConfig, Telemetry};
 use jaaru::obs::to_chrome_json;
-use jaaru::{EngineConfig, ExecMode};
+use jaaru::{Engine, EngineConfig, ExecMode};
 use yashme::json::run_json;
-use yashme::YashmeConfig;
+use yashme::{YashmeConfig, YashmeDetector};
 
 /// Every deterministic surface of a run, rendered to bytes: the run JSON
 /// (elapsed excluded — wall clock is the one legitimately nondeterministic
@@ -32,7 +32,7 @@ fn plain_vs_observed(
     tag: &str,
 ) -> (yashme::RunReport, yashme::RunReport, Arc<Telemetry>) {
     let program = recipe::cceh::program();
-    let plain = yashme::check_with(&program, mode, YashmeConfig::default(), engine);
+    let plain = yashme::check(&program, mode, YashmeConfig::default(), engine);
     let tel = Arc::new(Telemetry::new());
     let jsonl =
         std::env::temp_dir().join(format!("yashme-tel-eq-{}-{tag}.jsonl", std::process::id()));
@@ -44,7 +44,13 @@ fn plain_vs_observed(
             ..ReporterConfig::default()
         },
     );
-    let observed = yashme::check_observed(&program, mode, YashmeConfig::default(), engine, &tel);
+    let observed = Engine::run_observed(
+        &program,
+        mode,
+        &|| Box::new(YashmeDetector::with_defaults()),
+        engine,
+        &tel,
+    );
     drop(reporter);
     let text = std::fs::read_to_string(&jsonl).expect("reporter wrote its JSONL file");
     let _ = std::fs::remove_file(&jsonl);
@@ -95,16 +101,16 @@ fn random_mode_reports_identical_with_telemetry_on() {
 fn disabled_handle_is_the_plain_path() {
     let program = recipe::cceh::program();
     let engine = EngineConfig::with_workers(2).with_trace(true);
-    let plain = yashme::check_with(
+    let plain = yashme::check(
         &program,
         ExecMode::model_check(),
         YashmeConfig::default(),
         &engine,
     );
-    let observed = yashme::check_observed(
+    let observed = Engine::run_observed(
         &program,
         ExecMode::model_check(),
-        YashmeConfig::default(),
+        &|| Box::new(YashmeDetector::with_defaults()),
         &engine,
         Telemetry::off(),
     );
@@ -115,10 +121,10 @@ fn disabled_handle_is_the_plain_path() {
 fn profile_attributes_nearly_all_wall_time_to_named_phases() {
     let program = recipe::cceh::program();
     let tel = Arc::new(Telemetry::new());
-    let _ = yashme::check_observed(
+    let _ = Engine::run_observed(
         &program,
         ExecMode::model_check(),
-        YashmeConfig::default(),
+        &|| Box::new(YashmeDetector::with_defaults()),
         &EngineConfig::sequential(),
         &tel,
     );
@@ -136,10 +142,10 @@ fn profile_attributes_nearly_all_wall_time_to_named_phases() {
 fn prometheus_exposition_reflects_the_run() {
     let program = recipe::cceh::program();
     let tel = Arc::new(Telemetry::new());
-    let report = yashme::check_observed(
+    let report = Engine::run_observed(
         &program,
         ExecMode::model_check(),
-        YashmeConfig::default(),
+        &|| Box::new(YashmeDetector::with_defaults()),
         &EngineConfig::with_workers(2),
         &tel,
     );

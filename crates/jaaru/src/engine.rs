@@ -101,8 +101,8 @@ pub struct EngineConfig {
     /// simulator state at every crash point, and resumes only the
     /// post-crash continuation from each snapshot — O(prefix + Σ suffixes)
     /// instead of O(points × full run). The aggregated [`RunReport`] is
-    /// byte-identical either way; switch off via `--no-fork` /
-    /// `YASHME_FORK=0` to compare or to debug a full re-execution.
+    /// byte-identical either way; switch off via `--no-fork` to compare
+    /// or to debug a full re-execution.
     pub fork: bool,
     /// Crash-state equivalence pruning (on by default; effective only with
     /// `fork` in model-checking mode).
@@ -115,13 +115,12 @@ pub struct EngineConfig {
     /// results, so the engine resumes one *representative* suffix per
     /// equivalence class and attributes its outcome to the other members.
     /// The aggregated [`RunReport`] stays byte-identical to exhaustive
-    /// exploration; switch off via `--no-prune` / `YASHME_PRUNE=0`.
+    /// exploration; switch off via `--no-prune`.
     pub prune: bool,
     /// Paranoid pruning verification (off by default): resume *every*
     /// class member anyway and assert its executed outcome matches the
     /// attributed one, panicking on divergence. Costs what pruning saves —
-    /// a correctness harness, not a production mode
-    /// (`YASHME_PRUNE_PARANOID=1`).
+    /// a correctness harness, not a production mode (`--prune-paranoid`).
     pub prune_paranoid: bool,
     /// Streaming epoch GC (on by default).
     ///
@@ -134,8 +133,8 @@ pub struct EngineConfig {
     /// their `flushmap` entries too. Memory then scales with *live* state
     /// rather than trace length, which is what makes multi-million-event
     /// soak runs possible. Reports, traces, and fingerprints are
-    /// byte-identical with GC on or off; switch off via `--no-gc` /
-    /// `YASHME_GC=0` to compare.
+    /// byte-identical with GC on or off; switch off via `--no-gc` to
+    /// compare.
     pub gc: bool,
     /// Commits between streaming-GC mark-sweep passes (default 4096).
     ///
@@ -146,7 +145,7 @@ pub struct EngineConfig {
     pub gc_every: u32,
     /// Paranoid GC verification (off by default): run a second, never-
     /// retired detector in lockstep and assert both halves drain identical
-    /// reports (`YASHME_GC_PARANOID=1`). Costs the memory GC saves — a
+    /// reports (`--gc-paranoid`). Costs the memory GC saves — a
     /// correctness harness, not a production mode.
     pub gc_paranoid: bool,
     /// Periodic crash-point sampling (off by default; `0`/`1` explore every
@@ -238,71 +237,6 @@ impl EngineConfig {
     pub fn with_sample_every(mut self, every: u32) -> Self {
         self.sample_every = every;
         self
-    }
-
-    /// Reads engine configuration from the environment:
-    ///
-    /// * `YASHME_WORKERS` — a worker count, or `auto`/`0` for one worker per
-    ///   available CPU. Unset or unparsable values fall back to sequential
-    ///   execution.
-    /// * `YASHME_FORK` — `0`/`false`/`off` disables checkpoint/fork
-    ///   exploration (any other value, or unset, leaves it on).
-    /// * `YASHME_PRUNE` — `0`/`false`/`off` disables crash-state
-    ///   equivalence pruning (any other value, or unset, leaves it on).
-    /// * `YASHME_PRUNE_PARANOID` — `1`/`true`/`on` enables paranoid
-    ///   pruning verification.
-    /// * `YASHME_GC` — `0`/`false`/`off` disables streaming epoch GC.
-    /// * `YASHME_GC_EVERY` — commits between GC passes (default 4096).
-    /// * `YASHME_GC_PARANOID` — `1`/`true`/`on` enables the lockstep
-    ///   un-GC'd shadow detector.
-    /// * `YASHME_SAMPLE_EVERY` — explore only every Nth crash point
-    ///   (unset, `0`, or `1`: every point).
-    pub fn from_env() -> Self {
-        let mut config = match std::env::var("YASHME_WORKERS") {
-            Ok(v) if v.eq_ignore_ascii_case("auto") => EngineConfig::with_workers(0),
-            Ok(v) => EngineConfig::with_workers(v.parse().unwrap_or(1)),
-            Err(_) => EngineConfig::default(),
-        };
-        let off =
-            |v: &str| v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off");
-        if let Ok(v) = std::env::var("YASHME_FORK") {
-            if off(&v) {
-                config.fork = false;
-            }
-        }
-        if let Ok(v) = std::env::var("YASHME_PRUNE") {
-            if off(&v) {
-                config.prune = false;
-            }
-        }
-        let on =
-            |v: &str| v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on");
-        if let Ok(v) = std::env::var("YASHME_PRUNE_PARANOID") {
-            if on(&v) {
-                config.prune_paranoid = true;
-            }
-        }
-        if let Ok(v) = std::env::var("YASHME_GC") {
-            if off(&v) {
-                config.gc = false;
-            }
-        }
-        if let Ok(v) = std::env::var("YASHME_GC_EVERY") {
-            if let Ok(n) = v.parse::<u32>() {
-                config.gc_every = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("YASHME_GC_PARANOID") {
-            if on(&v) {
-                config.gc_paranoid = true;
-            }
-        }
-        if let Ok(v) = std::env::var("YASHME_SAMPLE_EVERY") {
-            if let Ok(n) = v.parse::<u32>() {
-                config.sample_every = n;
-            }
-        }
-        config
     }
 
     /// The effective pool size: `workers`, with `0` resolved to the number
@@ -436,37 +370,19 @@ impl RunAccumulator {
 /// The execution engine.
 ///
 /// See the crate docs for an end-to-end example; the highest-level entry
-/// point is [`Engine::run`].
+/// point is [`Engine::run_observed`].
 #[derive(Debug)]
 pub struct Engine;
 
 impl Engine {
     /// Runs `program` under `mode`, creating a detector per simulated run
-    /// via `sink_factory`, and aggregates de-duplicated reports.
+    /// via `sink_factory`, and aggregates de-duplicated reports. The report
+    /// is identical for every `config.workers` value.
     ///
-    /// Worker-pool sizing comes from the `YASHME_WORKERS` environment
-    /// variable (see [`EngineConfig::from_env`]); use [`Engine::run_with`]
-    /// to pass an explicit [`EngineConfig`].
-    pub fn run(program: &Program, mode: ExecMode, sink_factory: SinkFactory<'_>) -> RunReport {
-        Self::run_with(program, mode, sink_factory, &EngineConfig::from_env())
-    }
-
-    /// [`Engine::run`] with explicit engine configuration. The report is
-    /// identical for every `config.workers` value.
-    pub fn run_with(
-        program: &Program,
-        mode: ExecMode,
-        sink_factory: SinkFactory<'_>,
-        config: &EngineConfig,
-    ) -> RunReport {
-        Self::run_observed(program, mode, sink_factory, config, Telemetry::off())
-    }
-
-    /// [`Engine::run_with`] publishing wall-clock telemetry to `tel`.
-    ///
-    /// Telemetry is the write-only second observability plane: the engine
-    /// reports phase timings, worker utilization, and progress counters
-    /// into it but never reads it back, so the returned [`RunReport`] (and
+    /// Wall-clock telemetry is published to `tel` ([`Telemetry::off`] for
+    /// none). Telemetry is the write-only second observability plane: the
+    /// engine reports phase timings, worker utilization, and progress
+    /// counters into it but never reads it back, so the returned [`RunReport`] (and
     /// everything derived from it — traces, metrics, `--json`) is
     /// byte-identical whether `tel` is enabled or [`Telemetry::off`].
     pub fn run_observed(
@@ -1040,30 +956,15 @@ impl Engine {
     /// the space of schedules" (§6).
     ///
     /// Returns the de-duplicated reports and the number of schedules run.
-    /// Worker-pool sizing comes from `YASHME_WORKERS`; see
-    /// [`Engine::explore_schedules_with`].
+    /// The frontier is explored in waves of up to `config.workers`
+    /// schedules; the schedules run, their reports merge, and their branch
+    /// alternatives enqueue in exactly the order the sequential
+    /// breadth-first search uses, so results are identical for every worker
+    /// count. Each schedule's memory system and sink follow `config`'s GC
+    /// settings (streaming GC, `gc_every`, paranoid GC). The result carries
+    /// no trace, so tracing stays off; fork, pruning and sampling have no
+    /// crash-point fan-out to act on here.
     pub fn explore_schedules(
-        program: &Program,
-        crash_target: Option<(usize, usize)>,
-        sink_factory: SinkFactory<'_>,
-        max_runs: usize,
-    ) -> (Vec<RaceReport>, usize) {
-        Self::explore_schedules_with(
-            program,
-            crash_target,
-            sink_factory,
-            max_runs,
-            &EngineConfig::from_env(),
-        )
-    }
-
-    /// [`Engine::explore_schedules`] with explicit engine configuration.
-    ///
-    /// The frontier is explored in waves of up to `workers` schedules; the
-    /// schedules run, their reports merge, and their branch alternatives
-    /// enqueue in exactly the order the sequential breadth-first search
-    /// uses, so results are identical for every worker count.
-    pub fn explore_schedules_with(
         program: &Program,
         crash_target: Option<(usize, usize)>,
         sink_factory: SinkFactory<'_>,
@@ -1080,7 +981,7 @@ impl Engine {
         while runs < max_runs && !pending.is_empty() {
             let wave_len = pending.len().min(workers).min(max_runs - runs);
             let wave: Vec<Vec<usize>> = pending.drain(..wave_len).collect();
-            let results = Self::run_scripts(program, &wave, crash_target, sink_factory, workers);
+            let results = Self::run_scripts(program, &wave, crash_target, sink_factory, config);
             for (script, (run, log)) in wave.iter().zip(results) {
                 runs += 1;
                 races.merge(run.reports);
@@ -1221,8 +1122,9 @@ impl Engine {
         scripts: &[Vec<usize>],
         crash_target: Option<(usize, usize)>,
         sink_factory: SinkFactory<'_>,
-        workers: usize,
+        config: &EngineConfig,
     ) -> Vec<(SingleRun, Vec<(usize, usize)>)> {
+        let workers = config.resolved_workers();
         Self::fan_out(scripts.to_vec(), workers, Telemetry::off(), |script| {
             let (run, log, _) = Self::run_inner(
                 program,
@@ -1230,10 +1132,10 @@ impl Engine {
                 PersistencePolicy::FullCache,
                 0,
                 crash_target,
-                sink_factory(),
+                Self::make_sink(sink_factory, &config.with_trace(false)),
                 script,
                 None,
-                Self::gc_period(&EngineConfig::default()),
+                Self::gc_period(config),
                 Telemetry::off(),
             );
             (run, log)

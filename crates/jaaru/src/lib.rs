@@ -16,7 +16,13 @@
 //! * [`Engine`] — runs a program in model-checking mode (a crash injected
 //!   before every flush/fence point) or random mode (random schedules,
 //!   eviction timing, and crash placement), simulating the Px86sim storage
-//!   system and reporting events to a pluggable [`EventSink`];
+//!   system and reporting events to a pluggable [`EventSink`]. One entry
+//!   point per job: [`Engine::run_observed`] (a whole [`ExecMode`] run),
+//!   [`Engine::run_single`]/[`Engine::run_single_observed`] (one simulated
+//!   run), [`Engine::run_plain`] (detector-less baseline), and
+//!   [`Engine::explore_schedules`]. Each takes its [`EngineConfig`]
+//!   explicitly (or uses [`EngineConfig::default`]); nothing is read from
+//!   the environment;
 //! * [`RaceReport`]/[`RunReport`] — detector findings (filled in by the
 //!   `yashme` crate's sink; [`NullSink`] gives plain-Jaaru behaviour).
 //!
@@ -68,7 +74,7 @@ pub use report::{
     ForkStats, GcStats, PruneStats, RaceProvenance, RaceReport, ReportKind, RunReport,
 };
 pub use sched::SchedPolicy;
-pub use sink::{EventSink, GcParanoidSink, NullSink, SpanTraceSink, TeeSink, TraceSink};
+pub use sink::{EventSink, GcParanoidSink, NullSink, SpanTraceSink};
 
 // Re-exported so downstream crates get the full vocabulary from one place.
 pub use obs;

@@ -191,7 +191,7 @@ impl fmt::Display for RaceReport {
 /// between worker counts, since whichever side of a shared slab mutates
 /// first pays the clone). The logical [`RunReport`] must stay byte-identical
 /// across all of those, so the physical counters live here and surface
-/// through [`RunReport::fork_stats`] / [`RunReport::fork_metrics`] only.
+/// through [`RunReport::fork_stats`] only.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ForkStats {
     /// Snapshots captured by the profiling run (0 when fork mode is off or
@@ -230,7 +230,7 @@ impl ForkStats {
 /// [`RunReport::metrics`] and the JSON surface, because they legitimately
 /// differ between pruned and exhaustive exploration while the logical
 /// report must stay byte-identical. Surfaced through
-/// [`RunReport::prune_stats`] / [`RunReport::prune_metrics`] only.
+/// [`RunReport::prune_stats`] only.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PruneStats {
     /// Distinct `(phase, fingerprint)` equivalence classes among the crash
@@ -263,8 +263,7 @@ impl PruneStats {
 /// from [`RunReport::metrics`] and the JSON surface, because they
 /// legitimately differ between streaming and unbounded runs (and across
 /// worker counts) while the logical report must stay byte-identical.
-/// Surfaced through [`RunReport::gc_stats`] / [`RunReport::gc_metrics`]
-/// only. All zeros when GC was off.
+/// Surfaced through [`RunReport::gc_stats`] only. All zeros when GC was off.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct GcStats {
     /// Mark-sweep passes run.
@@ -477,44 +476,12 @@ impl RunReport {
         &self.fork
     }
 
-    /// A separate registry for the fork-strategy counters, under the
-    /// `fork.*` names. Kept apart from [`metrics`](Self::metrics) so the
-    /// logical report stays byte-identical between fork mode and full
-    /// re-execution.
-    pub fn fork_metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        let f = &self.fork;
-        m.add(obs::names::FORK_SNAPSHOTS, f.snapshots);
-        m.add(obs::names::FORK_RESUMED_RUNS, f.resumed_runs);
-        m.add(obs::names::FORK_COW_CLONES, f.cow_clones);
-        m.add(obs::names::FORK_COW_BYTES, f.cow_bytes);
-        m.add(
-            obs::names::FORK_PREFIX_EVENTS_SKIPPED,
-            f.prefix_events_skipped,
-        );
-        m.add(obs::names::FORK_SUFFIX_EVENTS, f.suffix_events);
-        m
-    }
-
     /// Physical-strategy counters from crash-state equivalence pruning.
     /// Like [`fork_stats`](Self::fork_stats), deliberately outside
     /// [`metrics`](Self::metrics) and the JSON report. All zeros when
     /// pruning was off, unsupported, or found no redundancy to exploit.
     pub fn prune_stats(&self) -> &PruneStats {
         &self.prune
-    }
-
-    /// A separate registry for the pruning counters, under the `prune.*`
-    /// names — same byte-comparability rule as
-    /// [`fork_metrics`](Self::fork_metrics).
-    pub fn prune_metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        let p = &self.prune;
-        m.add(obs::names::PRUNE_CLASSES, p.classes);
-        m.add(obs::names::PRUNE_REPRESENTATIVES, p.representatives);
-        m.add(obs::names::PRUNE_SUFFIXES_SKIPPED, p.suffixes_skipped);
-        m.add(obs::names::PRUNE_EVENTS_ATTRIBUTED, p.events_attributed);
-        m
     }
 
     /// Streaming-GC counters and live-state gauges. Like
@@ -524,24 +491,6 @@ impl RunReport {
     /// zeros when GC was off.
     pub fn gc_stats(&self) -> &GcStats {
         &self.gc
-    }
-
-    /// A separate registry for the GC counters and live-state gauges, under
-    /// the `gc.*` / `mem.*` / `detector.*` names — same byte-comparability
-    /// rule as [`fork_metrics`](Self::fork_metrics).
-    pub fn gc_metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        let g = &self.gc;
-        m.add(obs::names::GC_PASSES, g.passes);
-        m.add(obs::names::GC_EVENTS_RETIRED, g.events_retired);
-        m.add(obs::names::GC_FLUSHES_RETIRED, g.flushes_retired);
-        m.add(obs::names::GC_LINE_ENTRIES_RETIRED, g.line_entries_retired);
-        m.add(obs::names::MEM_EVENT_SLOTS_LIVE, g.live_events);
-        m.add(obs::names::MEM_EVENT_SLOTS_PEAK, g.peak_live_events);
-        m.add(obs::names::MEM_EVENT_SLOTS_REUSED, g.slots_reused);
-        m.add(obs::names::DETECTOR_FLUSHMAP_LIVE, g.flushmap_live);
-        m.add(obs::names::DETECTOR_FLUSHMAP_PEAK, g.flushmap_peak);
-        m
     }
 }
 

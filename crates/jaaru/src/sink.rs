@@ -108,7 +108,7 @@ pub trait EventSink: Send {
     }
 
     /// Takes the span trace recorded during the run, if this sink records
-    /// one. Only [`SpanTraceSink`] (and tees containing it) return `Some`;
+    /// one. Only [`SpanTraceSink`] (and wrappers around it) return `Some`;
     /// detectors and [`NullSink`] use the default, so a run without tracing
     /// pays nothing.
     fn drain_trace(&mut self) -> Option<obs::TraceBuf> {
@@ -234,130 +234,6 @@ mod tests {
     }
 }
 
-/// Fans events out to two sinks (e.g. a detector plus a tracer).
-///
-/// Reports from both sinks are concatenated, detector-first.
-#[derive(Debug)]
-pub struct TeeSink<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: EventSink, B: EventSink> TeeSink<A, B> {
-    /// Creates a tee over two sinks.
-    pub fn new(a: A, b: B) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: EventSink, B: EventSink> EventSink for TeeSink<A, B> {
-    fn on_execution_start(&mut self, exec: ExecId) {
-        self.a.on_execution_start(exec);
-        self.b.on_execution_start(exec);
-    }
-
-    fn on_store_executed(&mut self, store: &StoreEvent) {
-        self.a.on_store_executed(store);
-        self.b.on_store_executed(store);
-    }
-
-    fn on_store_committed(&mut self, store: &StoreEvent) {
-        self.a.on_store_committed(store);
-        self.b.on_store_committed(store);
-    }
-
-    fn on_clflush_committed(&mut self, flush: &FlushEvent, line_stores: &[&StoreEvent]) {
-        self.a.on_clflush_committed(flush, line_stores);
-        self.b.on_clflush_committed(flush, line_stores);
-    }
-
-    fn on_clwb_fenced(
-        &mut self,
-        clwb: &FlushEvent,
-        fence_cv: &VectorClock,
-        line_stores: &[&StoreEvent],
-    ) {
-        self.a.on_clwb_fenced(clwb, fence_cv, line_stores);
-        self.b.on_clwb_fenced(clwb, fence_cv, line_stores);
-    }
-
-    fn on_crash(&mut self, exec: ExecId) {
-        self.a.on_crash(exec);
-        self.b.on_crash(exec);
-    }
-
-    fn on_pre_exec_read(
-        &mut self,
-        load: &LoadInfo,
-        chosen: &[&StoreEvent],
-        candidates: &[&StoreEvent],
-    ) {
-        self.a.on_pre_exec_read(load, chosen, candidates);
-        self.b.on_pre_exec_read(load, chosen, candidates);
-    }
-
-    fn on_stores_retired(&mut self, retired: &[crate::event::EventId]) {
-        self.a.on_stores_retired(retired);
-        self.b.on_stores_retired(retired);
-    }
-
-    fn live_gauges(&self) -> Vec<(&'static str, u64)> {
-        let mut out = self.a.live_gauges();
-        out.extend(self.b.live_gauges());
-        out
-    }
-
-    fn drain_reports(&mut self) -> Vec<RaceReport> {
-        let mut out = self.a.drain_reports();
-        out.extend(self.b.drain_reports());
-        out
-    }
-
-    fn drain_trace(&mut self) -> Option<obs::TraceBuf> {
-        match (self.a.drain_trace(), self.b.drain_trace()) {
-            (Some(mut a), Some(b)) => {
-                a.absorb(b);
-                Some(a)
-            }
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn fork_sink(&self) -> Option<Box<dyn EventSink>> {
-        // A tee forks only if both halves do.
-        let a = self.a.fork_sink()?;
-        let b = self.b.fork_sink()?;
-        Some(Box::new(TeeSink { a, b }))
-    }
-
-    fn fingerprint_token(&self) -> u64 {
-        pmem::mix64(self.a.fingerprint_token() ^ pmem::mix64(self.b.fingerprint_token()))
-    }
-}
-
-/// Records a human-readable event trace — attach alongside a detector via
-/// [`TeeSink`] to see what an execution did.
-///
-/// Deliberately does **not** implement [`EventSink::fork_sink`]: lines are
-/// written through a shared handle, so forked copies would interleave their
-/// output. Attaching one makes the engine fall back to full re-execution.
-#[derive(Debug, Default)]
-pub struct TraceSink {
-    lines: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
-}
-
-impl TraceSink {
-    /// Creates an empty tracer.
-    pub fn new() -> Self {
-        TraceSink::default()
-    }
-
-    /// A shared handle to the recorded lines (valid after the run).
-    pub fn lines(&self) -> std::sync::Arc<std::sync::Mutex<Vec<String>>> {
-        self.lines.clone()
-    }
-}
-
 /// Records the engine event stream as deterministic spans and counters in
 /// an [`obs::TraceBuf`], forwarding every event to an inner sink (usually
 /// the Yashme detector).
@@ -366,8 +242,8 @@ impl TraceSink {
 /// delivered event — never from wall time — so the trace of a run is
 /// identical wherever and whenever the run executes. The engine wraps sink
 /// factories in this type when [`EngineConfig::trace`](crate::EngineConfig)
-/// is on and collects the buffers into the [`RunReport`]'s merged
-/// [`obs::RunTrace`].
+/// is on and collects the buffers into the
+/// [`RunReport`](crate::RunReport)'s merged [`obs::RunTrace`].
 ///
 /// Span taxonomy (see DESIGN.md "Observability"):
 /// * one `exec N` span per execution, categorized pre-/post-crash;
@@ -527,7 +403,7 @@ impl<S: EventSink> EventSink for SpanTraceSink<S> {
     }
 }
 
-/// Paranoid streaming-GC mode (`YASHME_GC_PARANOID=1`): runs a second,
+/// Paranoid streaming-GC mode (`--gc-paranoid`): runs a second,
 /// never-retired copy of the sink in lockstep with the primary.
 ///
 /// Both halves receive the identical logical event stream; only the primary
@@ -630,39 +506,5 @@ impl EventSink for GcParanoidSink {
         // (that is what the mode asserts), so folding it in would only
         // double-hash the same information.
         self.primary.fingerprint_token()
-    }
-}
-
-impl EventSink for TraceSink {
-    fn on_execution_start(&mut self, exec: ExecId) {
-        self.lines
-            .lock()
-            .expect("trace lock")
-            .push(format!("=== execution {exec} ==="));
-    }
-
-    fn on_store_committed(&mut self, store: &StoreEvent) {
-        self.lines.lock().expect("trace lock").push(format!(
-            "{} store {} ({} bytes, {}) @ {}",
-            store.thread,
-            store.label,
-            store.len(),
-            store.atomicity,
-            store.addr
-        ));
-    }
-
-    fn on_clflush_committed(&mut self, flush: &FlushEvent, _line_stores: &[&StoreEvent]) {
-        self.lines
-            .lock()
-            .expect("trace lock")
-            .push(format!("{} clflush {}", flush.thread, flush.addr));
-    }
-
-    fn on_crash(&mut self, exec: ExecId) {
-        self.lines
-            .lock()
-            .expect("trace lock")
-            .push(format!("*** crash (execution {exec}) ***"));
     }
 }

@@ -4,7 +4,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use jaaru::{Atomicity, Ctx, Engine, PersistencePolicy, Program, SchedPolicy, SingleRun};
+use jaaru::obs::Telemetry;
+use jaaru::{
+    Atomicity, Ctx, Engine, EngineConfig, PersistencePolicy, Program, SchedPolicy, SingleRun,
+};
 
 fn run_mc(program: &Program, target: Option<(usize, usize)>) -> SingleRun {
     Engine::run_single(
@@ -319,9 +322,13 @@ fn random_profile_run_counts_toward_totals() {
             ctx.sfence();
         })
         .post_crash(|_ctx: &mut Ctx| panic!("post-crash symptom"));
-    let report = Engine::run(&program, jaaru::ExecMode::random(0, 7), &|| {
-        Box::new(MarkerSink)
-    });
+    let report = Engine::run_observed(
+        &program,
+        jaaru::ExecMode::random(0, 7),
+        &|| Box::new(MarkerSink),
+        &EngineConfig::default(),
+        Telemetry::off(),
+    );
     assert_eq!(report.executions(), 1, "the profile run counts");
     assert_eq!(report.race_labels(), vec!["marker"]);
     assert_eq!(report.post_crash_panics().len(), 1);

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use jaaru::{Atomicity, Ctx, Engine, Program};
+use jaaru::{Atomicity, Ctx, Engine, EngineConfig, Program};
 
 #[test]
 fn enumerates_all_store_buffering_outcomes() {
@@ -37,7 +37,13 @@ fn enumerates_all_store_buffering_outcomes() {
             .unwrap()
             .insert((r1.load(Ordering::SeqCst), r2.load(Ordering::SeqCst)));
     });
-    let (_, runs) = Engine::explore_schedules(&program, None, &|| Box::new(jaaru::NullSink), 500);
+    let (_, runs) = Engine::explore_schedules(
+        &program,
+        None,
+        &|| Box::new(jaaru::NullSink),
+        500,
+        &EngineConfig::default(),
+    );
     let found = outcomes.lock().unwrap().clone();
     assert!(runs > 1, "multiple schedules explored");
     assert!(found.contains(&(1, 1)), "{found:?}");
@@ -53,7 +59,13 @@ fn single_threaded_program_explores_exactly_once() {
         ctx.store_u64(x, 1, Atomicity::Plain, "x");
         ctx.clflush(x);
     });
-    let (_, runs) = Engine::explore_schedules(&program, None, &|| Box::new(jaaru::NullSink), 100);
+    let (_, runs) = Engine::explore_schedules(
+        &program,
+        None,
+        &|| Box::new(jaaru::NullSink),
+        100,
+        &EngineConfig::default(),
+    );
     assert_eq!(runs, 1, "no branch points in a single-threaded program");
 }
 
@@ -73,7 +85,13 @@ fn exploration_respects_the_run_bound() {
             ctx.join(h);
         }
     });
-    let (_, runs) = Engine::explore_schedules(&program, None, &|| Box::new(jaaru::NullSink), 25);
+    let (_, runs) = Engine::explore_schedules(
+        &program,
+        None,
+        &|| Box::new(jaaru::NullSink),
+        25,
+        &EngineConfig::default(),
+    );
     assert_eq!(runs, 25, "bound reached");
 }
 
@@ -121,10 +139,45 @@ fn exploration_detects_schedule_dependent_races() {
             let _ = ctx.load_u64(x, Atomicity::Plain);
         });
     let sink_factory = move || Box::new(count.clone()) as Box<dyn jaaru::EventSink>;
-    let (_, runs) = Engine::explore_schedules(&program, None, &sink_factory, 10);
+    let (_, runs) =
+        Engine::explore_schedules(&program, None, &sink_factory, 10, &EngineConfig::default());
     assert_eq!(runs, 1);
     assert!(
         total.load(std::sync::atomic::Ordering::SeqCst) > 0,
         "cross-execution read seen"
     );
+}
+
+#[test]
+fn exploration_follows_the_gc_settings() {
+    // Each schedule's memory system takes its GC period from the config:
+    // a pass after every commit retires persisted stores and tells the
+    // sink; with GC off nothing is ever retired.
+    #[derive(Clone, Default)]
+    struct RetireCounter(Arc<AtomicU64>);
+
+    impl jaaru::EventSink for RetireCounter {
+        fn on_stores_retired(&mut self, retired: &[jaaru::EventId]) {
+            self.0.fetch_add(retired.len() as u64, Ordering::SeqCst);
+        }
+    }
+
+    let program = Program::new("persisted").pre_crash(|ctx: &mut Ctx| {
+        let x = ctx.root();
+        for v in 0..8u64 {
+            ctx.store_u64(x, v, Atomicity::Plain, "x");
+            ctx.clflush(x);
+            ctx.sfence();
+        }
+    });
+    let retired = |config: &EngineConfig| {
+        let counter = RetireCounter::default();
+        let seen = counter.0.clone();
+        let factory = move || Box::new(counter.clone()) as Box<dyn jaaru::EventSink>;
+        let (_, runs) = Engine::explore_schedules(&program, None, &factory, 10, config);
+        assert_eq!(runs, 1);
+        seen.load(Ordering::SeqCst)
+    };
+    assert!(retired(&EngineConfig::default().with_gc_every(1)) > 0);
+    assert_eq!(retired(&EngineConfig::default().with_gc(false)), 0);
 }

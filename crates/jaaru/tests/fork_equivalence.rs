@@ -6,6 +6,7 @@
 
 use bench::workload::crashprune_workload;
 use bench::{evaluation_suite, SuiteMode, HARNESS_SEED};
+use jaaru::obs::Telemetry;
 use jaaru::{Atomicity, Ctx, Engine, EngineConfig, ExecMode, ModelCheckConfig, Program, RunReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,7 +30,7 @@ fn fingerprint(name: &str, report: &RunReport) -> String {
 }
 
 fn check(program: &Program, mode: ExecMode, engine: &EngineConfig) -> RunReport {
-    yashme::check_with(program, mode, YashmeConfig::default(), engine)
+    yashme::check(program, mode, YashmeConfig::default(), engine)
 }
 
 #[test]
@@ -315,11 +316,12 @@ fn unforkable_sink_falls_back_to_full_replay() {
 
     let program = random_program(3);
     let run = |config: &EngineConfig| {
-        Engine::run_with(
+        Engine::run_observed(
             &program,
             ExecMode::model_check(),
             &|| Box::new(PlainSink),
             config,
+            Telemetry::off(),
         )
     };
     let fork = run(&EngineConfig::sequential());

@@ -42,7 +42,7 @@ fn fingerprint(name: &str, report: &RunReport) -> String {
 }
 
 fn check(program: &Program, mode: ExecMode, engine: &EngineConfig) -> RunReport {
-    yashme::check_with(program, mode, YashmeConfig::default(), engine)
+    yashme::check(program, mode, YashmeConfig::default(), engine)
 }
 
 /// GC at its most aggressive: a pass after every commit.

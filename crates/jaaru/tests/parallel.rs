@@ -1,6 +1,7 @@
 //! The parallel crash-point exploration engine: worker pools must produce
 //! byte-identical reports to sequential runs, for every mode.
 
+use jaaru::obs::Telemetry;
 use jaaru::{Atomicity, Ctx, Engine, EngineConfig, ExecMode, Program, RaceReport};
 use yashme::YashmeDetector;
 
@@ -38,18 +39,20 @@ fn fingerprint(races: &[RaceReport]) -> Vec<(jaaru::ReportKind, &'static str)> {
 #[test]
 fn model_check_reports_identical_across_worker_counts() {
     let program = racy_program();
-    let seq = Engine::run_with(
+    let seq = Engine::run_observed(
         &program,
         ExecMode::model_check(),
         &detector_factory,
         &EngineConfig::with_workers(1),
+        Telemetry::off(),
     );
     for workers in [2, 8] {
-        let par = Engine::run_with(
+        let par = Engine::run_observed(
             &program,
             ExecMode::model_check(),
             &detector_factory,
             &EngineConfig::with_workers(workers),
+            Telemetry::off(),
         );
         assert_eq!(
             fingerprint(seq.races()),
@@ -64,17 +67,19 @@ fn model_check_reports_identical_across_worker_counts() {
 #[test]
 fn random_mode_reports_identical_across_worker_counts() {
     let program = racy_program();
-    let seq = Engine::run_with(
+    let seq = Engine::run_observed(
         &program,
         ExecMode::random(12, 42),
         &detector_factory,
         &EngineConfig::with_workers(1),
+        Telemetry::off(),
     );
-    let par = Engine::run_with(
+    let par = Engine::run_observed(
         &program,
         ExecMode::random(12, 42),
         &detector_factory,
         &EngineConfig::with_workers(8),
+        Telemetry::off(),
     );
     assert_eq!(fingerprint(seq.races()), fingerprint(par.races()));
     assert_eq!(seq.executions(), par.executions());
@@ -98,14 +103,14 @@ fn schedule_exploration_identical_across_worker_counts() {
         ctx.join(h1);
         ctx.join(h2);
     });
-    let (seq_reports, seq_runs) = Engine::explore_schedules_with(
+    let (seq_reports, seq_runs) = Engine::explore_schedules(
         &program,
         None,
         &|| Box::new(jaaru::NullSink),
         40,
         &EngineConfig::with_workers(1),
     );
-    let (par_reports, par_runs) = Engine::explore_schedules_with(
+    let (par_reports, par_runs) = Engine::explore_schedules(
         &program,
         None,
         &|| Box::new(jaaru::NullSink),
@@ -140,11 +145,12 @@ fn parallel_model_check_is_faster_on_multicore() {
     let time = |workers: usize| {
         let start = std::time::Instant::now();
         for _ in 0..20 {
-            let _ = Engine::run_with(
+            let _ = Engine::run_observed(
                 &program,
                 ExecMode::model_check(),
                 &detector_factory,
                 &EngineConfig::with_workers(workers),
+                Telemetry::off(),
             );
         }
         start.elapsed()

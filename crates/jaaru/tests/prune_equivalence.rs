@@ -40,7 +40,7 @@ fn physical_events(report: &RunReport) -> u64 {
 }
 
 fn check(program: &Program, mode: ExecMode, engine: &EngineConfig) -> RunReport {
-    yashme::check_with(program, mode, YashmeConfig::default(), engine)
+    yashme::check(program, mode, YashmeConfig::default(), engine)
 }
 
 #[test]

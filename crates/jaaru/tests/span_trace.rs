@@ -1,6 +1,7 @@
 //! Engine-level span tracing: deterministic collection, worker-count
 //! invariance, and zero trace state when disabled.
 
+use jaaru::obs::Telemetry;
 use jaaru::{Atomicity, Ctx, Engine, EngineConfig, ExecMode, NullSink, Program};
 
 fn racy_program() -> Program {
@@ -20,21 +21,23 @@ fn racy_program() -> Program {
 }
 
 fn traced_report(workers: usize) -> jaaru::RunReport {
-    Engine::run_with(
+    Engine::run_observed(
         &racy_program(),
         ExecMode::model_check(),
         &|| Box::new(NullSink),
         &EngineConfig::with_workers(workers).with_trace(true),
+        Telemetry::off(),
     )
 }
 
 #[test]
 fn tracing_off_allocates_no_trace() {
-    let report = Engine::run_with(
+    let report = Engine::run_observed(
         &racy_program(),
         ExecMode::model_check(),
         &|| Box::new(NullSink),
         &EngineConfig::sequential(),
+        Telemetry::off(),
     );
     assert!(report.trace().is_none());
     // Metrics still work without a trace.

@@ -101,41 +101,6 @@ pub mod names {
     pub const TRACE_EVENTS: &str = "trace.events";
     /// Spans recorded across all run lanes.
     pub const TRACE_SPANS: &str = "trace.spans";
-    /// Snapshots captured at crash points during the profile run.
-    pub const FORK_SNAPSHOTS: &str = "fork.snapshots";
-    /// Target executions resumed from a snapshot instead of replayed in full.
-    pub const FORK_RESUMED_RUNS: &str = "fork.resumed_runs";
-    /// Copy-on-write clones of shared lines / queues forced by mutation.
-    pub const FORK_COW_CLONES: &str = "fork.cow_clones";
-    /// Bytes physically copied by those copy-on-write clones.
-    pub const FORK_COW_BYTES: &str = "fork.cow_bytes";
-    /// Pre-crash prefix events inherited from snapshots rather than re-executed.
-    pub const FORK_PREFIX_EVENTS_SKIPPED: &str = "fork.prefix_events_skipped";
-    /// Post-crash suffix events actually executed by resumed runs.
-    pub const FORK_SUFFIX_EVENTS: &str = "fork.suffix_events";
-    /// Distinct crash-state equivalence classes among profiled crash points.
-    pub const PRUNE_CLASSES: &str = "prune.classes";
-    /// Representative suffixes resumed (one per equivalence class).
-    pub const PRUNE_REPRESENTATIVES: &str = "prune.representatives";
-    /// Class-member suffixes skipped; results attributed from the
-    /// representative instead of being executed.
-    pub const PRUNE_SUFFIXES_SKIPPED: &str = "prune.suffixes_skipped";
-    /// Suffix events credited to skipped members without being executed.
-    pub const PRUNE_EVENTS_ATTRIBUTED: &str = "prune.events_attributed";
-    /// Streaming-GC mark-sweep passes run.
-    pub const GC_PASSES: &str = "gc.passes";
-    /// Store events retired by streaming GC (table slot freed).
-    pub const GC_EVENTS_RETIRED: &str = "gc.events_retired";
-    /// Flush events dropped after their single read (or at a crash).
-    pub const GC_FLUSHES_RETIRED: &str = "gc.flushes_retired";
-    /// Committed-store log entries drained into the image at floor raises.
-    pub const GC_LINE_ENTRIES_RETIRED: &str = "gc.line_entries_retired";
-    /// Store-event table entries resident at the end of the run.
-    pub const MEM_EVENT_SLOTS_LIVE: &str = "mem.event_slots_live";
-    /// High-water mark of resident store-event table entries.
-    pub const MEM_EVENT_SLOTS_PEAK: &str = "mem.event_slots_peak";
-    /// Event-table slots handed out again after retirement.
-    pub const MEM_EVENT_SLOTS_REUSED: &str = "mem.event_slots_reused";
     /// Detector flushmap entries resident at the end of the run.
     pub const DETECTOR_FLUSHMAP_LIVE: &str = "detector.flushmap_live";
     /// High-water mark of detector flushmap entries.
@@ -165,23 +130,6 @@ mod tests {
             super::names::ENGINE_QUEUE_DEPTH,
             super::names::TRACE_EVENTS,
             super::names::TRACE_SPANS,
-            super::names::FORK_SNAPSHOTS,
-            super::names::FORK_RESUMED_RUNS,
-            super::names::FORK_COW_CLONES,
-            super::names::FORK_COW_BYTES,
-            super::names::FORK_PREFIX_EVENTS_SKIPPED,
-            super::names::FORK_SUFFIX_EVENTS,
-            super::names::PRUNE_CLASSES,
-            super::names::PRUNE_REPRESENTATIVES,
-            super::names::PRUNE_SUFFIXES_SKIPPED,
-            super::names::PRUNE_EVENTS_ATTRIBUTED,
-            super::names::GC_PASSES,
-            super::names::GC_EVENTS_RETIRED,
-            super::names::GC_FLUSHES_RETIRED,
-            super::names::GC_LINE_ENTRIES_RETIRED,
-            super::names::MEM_EVENT_SLOTS_LIVE,
-            super::names::MEM_EVENT_SLOTS_PEAK,
-            super::names::MEM_EVENT_SLOTS_REUSED,
             super::names::DETECTOR_FLUSHMAP_LIVE,
             super::names::DETECTOR_FLUSHMAP_PEAK,
         ];

@@ -636,7 +636,9 @@ impl Telemetry {
             self.live_slots.load(Ordering::Relaxed)
         );
         let sched = self.sched_counters();
-        out.push_str("# HELP yashme_sched_jobs_total Jobs submitted to the work-stealing scheduler.\n");
+        out.push_str(
+            "# HELP yashme_sched_jobs_total Jobs submitted to the work-stealing scheduler.\n",
+        );
         out.push_str("# TYPE yashme_sched_jobs_total counter\n");
         let _ = writeln!(out, "yashme_sched_jobs_total {}", sched.jobs);
         out.push_str(

@@ -157,7 +157,7 @@ proptest! {
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
         for op in &ops {
             if let Op::Insert(k, v) = *op {
-                oracle.insert(*&k, *&v);
+                oracle.insert(k, v);
             }
         }
         let got = results.lock().unwrap().clone();

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 
-use jaaru::{Engine, ExecMode, PersistencePolicy, SchedPolicy};
+use jaaru::{Engine, EngineConfig, ExecMode, PersistencePolicy, SchedPolicy};
 use yashme::{YashmeConfig, YashmeDetector};
 
 #[test]
@@ -16,6 +16,7 @@ fn random_mode_survives_every_benchmark() {
             &(spec.program)(),
             ExecMode::random(30, 99),
             YashmeConfig::default(),
+            &EngineConfig::default(),
         );
         // Whatever garbage recovery read, every reported *race* label must
         // be one of the benchmark's known racy fields.

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use jaaru::{ExecMode, ModelCheckConfig};
+use jaaru::{EngineConfig, ExecMode, ModelCheckConfig};
 use yashme::YashmeConfig;
 
 #[test]
@@ -18,6 +18,7 @@ fn recovery_exploration_preserves_table3_races() {
                 crash_in_recovery: true,
             }),
             YashmeConfig::default(),
+            &EngineConfig::default(),
         );
         let base_labels: BTreeSet<&str> = base.race_labels().into_iter().collect();
         let deep_labels: BTreeSet<&str> = deep.race_labels().into_iter().collect();

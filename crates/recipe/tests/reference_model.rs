@@ -26,6 +26,10 @@ fn arb_ops(key_range: std::ops::Range<u64>, len: usize) -> impl Strategy<Value =
     )
 }
 
+/// `(op index, observed value)` per `Get`, shared with the simulated
+/// driver thread.
+type Observations = Arc<Mutex<Vec<(usize, Option<u64>)>>>;
+
 /// Runs `ops` against a port (via the driver closure) and the oracle,
 /// asserting every `Get` agrees. The driver returns `Some(observed)` for
 /// gets and handles inserts/removes itself.
@@ -33,7 +37,7 @@ fn check_against_oracle<F>(ops: Vec<Op>, driver: F)
 where
     F: Fn(&mut Ctx, &[Op], &mut dyn FnMut(usize, Option<u64>)) + Send + Sync + 'static,
 {
-    let results: Arc<Mutex<Vec<(usize, Option<u64>)>>> = Arc::new(Mutex::new(Vec::new()));
+    let results: Observations = Arc::new(Mutex::new(Vec::new()));
     let r = results.clone();
     let ops_for_driver = ops.clone();
     let program = Program::new("oracle").pre_crash(move |ctx: &mut Ctx| {

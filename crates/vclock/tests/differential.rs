@@ -56,7 +56,11 @@ impl Pair {
 
     fn assert_same(&self) {
         assert_eq!(self.new.len(), self.old.len(), "len diverged");
-        assert_eq!(self.new.is_empty(), self.old.is_empty(), "is_empty diverged");
+        assert_eq!(
+            self.new.is_empty(),
+            self.old.is_empty(),
+            "is_empty diverged"
+        );
         for i in 0..12u32 {
             let t = ThreadId::new(i);
             assert_eq!(self.new.get(t), self.old.get(t), "get({t}) diverged");
@@ -125,7 +129,11 @@ fn run_lockstep(ops: &[Op], seed_other: &[(u32, u64)]) {
         // Relational observables against the independently held clocks.
         for (n, o) in [(&other.new, &other.old), (&snap_new, &snap_old)] {
             assert_eq!(subject.new.leq(n), subject.old.leq(o), "leq diverged");
-            assert_eq!(n.leq(&subject.new), o.leq(&subject.old), "leq (flipped) diverged");
+            assert_eq!(
+                n.leq(&subject.new),
+                o.leq(&subject.old),
+                "leq (flipped) diverged"
+            );
             assert_eq!(
                 subject.new.happens_before(n),
                 subject.old.happens_before(o),

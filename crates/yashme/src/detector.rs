@@ -54,7 +54,7 @@ impl Default for ExecDetState {
 /// the algorithms of Fig. 8 (populating `flushmap` at `clflush` commit and
 /// `clwb`+fence) and Fig. 9 (race-checking loads that read pre-crash
 /// stores). See the crate docs for usage; most callers go through
-/// [`crate::model_check`] / [`crate::random_check`].
+/// [`crate::model_check`] / [`crate::check`].
 #[derive(Debug, Clone)]
 pub struct YashmeDetector {
     config: YashmeConfig,

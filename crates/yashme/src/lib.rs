@@ -56,12 +56,11 @@
 //! * [`YashmeConfig`] selects prefix mode (the paper's contribution) or
 //!   baseline mode (races detected only when the crash physically landed in
 //!   the store→flush window), the comparison of Table 5.
-//! * [`model_check`], [`random_check`], and [`check`] wrap engine
-//!   construction. The `*_with` variants take an [`EngineConfig`] to fan
-//!   crash-point exploration out over a worker pool; the plain variants
-//!   size the pool from the `YASHME_WORKERS` environment variable (unset =
-//!   sequential). The aggregated report is identical for every worker
-//!   count.
+//! * [`model_check`] is the quickstart: paper defaults on the sequential
+//!   engine. [`check`] is the general entry point: any [`ExecMode`], any
+//!   [`YashmeConfig`], and an explicit [`EngineConfig`] (worker pool,
+//!   fork/prune/GC strategy). Engine configuration comes only from that
+//!   argument; the aggregated report is identical for every worker count.
 
 mod config;
 mod detector;
@@ -75,83 +74,36 @@ pub use jaaru::{EngineConfig, PruneStats, RaceProvenance, RaceReport, ReportKind
 
 use jaaru::{Engine, ExecMode, Program};
 
-/// Runs `program` under the given mode with a fresh detector per execution.
-/// Worker-pool sizing comes from `YASHME_WORKERS`; see [`check_with`].
-pub fn check(program: &Program, mode: ExecMode, config: YashmeConfig) -> RunReport {
-    check_with(program, mode, config, &EngineConfig::from_env())
-}
-
-/// [`check`] with explicit engine configuration (worker-pool sizing).
-pub fn check_with(
-    program: &Program,
-    mode: ExecMode,
-    config: YashmeConfig,
-    engine: &EngineConfig,
-) -> RunReport {
-    Engine::run_with(
+/// Model-checks `program`: a crash is injected before every flush/fence
+/// point of the pre-crash phase (§6), with prefix expansion enabled, on the
+/// default (sequential) engine.
+pub fn model_check(program: &Program) -> RunReport {
+    check(
         program,
-        mode,
-        &|| Box::new(YashmeDetector::new(config)),
-        engine,
+        ExecMode::model_check(),
+        YashmeConfig::default(),
+        &EngineConfig::default(),
     )
 }
 
-/// [`check_with`] publishing wall-clock telemetry (phase timers, worker
-/// utilization, progress counters) to `tel`. Telemetry is write-only: the
-/// returned report is byte-identical to [`check_with`]'s.
-pub fn check_observed(
+/// Runs `program` under `mode` with a fresh detector (configured by
+/// `config`) per simulated run, on the engine configured by `engine`. The
+/// aggregated report is identical for every worker count and fork/prune/GC
+/// setting.
+///
+/// For wall-clock telemetry, call [`jaaru::Engine::run_observed`] with a
+/// [`YashmeDetector`] factory directly.
+pub fn check(
     program: &Program,
     mode: ExecMode,
     config: YashmeConfig,
     engine: &EngineConfig,
-    tel: &std::sync::Arc<jaaru::obs::Telemetry>,
 ) -> RunReport {
     Engine::run_observed(
         program,
         mode,
         &|| Box::new(YashmeDetector::new(config)),
         engine,
-        tel,
-    )
-}
-
-/// Model-checks `program`: a crash is injected before every flush/fence
-/// point of the pre-crash phase (§6), with prefix expansion enabled.
-pub fn model_check(program: &Program) -> RunReport {
-    check(program, ExecMode::model_check(), YashmeConfig::default())
-}
-
-/// [`model_check`] with explicit engine configuration.
-pub fn model_check_with(program: &Program, engine: &EngineConfig) -> RunReport {
-    check_with(
-        program,
-        ExecMode::model_check(),
-        YashmeConfig::default(),
-        engine,
-    )
-}
-
-/// Runs `program` in random mode: `executions` runs with random schedules,
-/// eviction timing, crash placement, and persistence cuts.
-pub fn random_check(program: &Program, executions: usize, seed: u64) -> RunReport {
-    check(
-        program,
-        ExecMode::random(executions, seed),
-        YashmeConfig::default(),
-    )
-}
-
-/// [`random_check`] with explicit engine configuration.
-pub fn random_check_with(
-    program: &Program,
-    executions: usize,
-    seed: u64,
-    engine: &EngineConfig,
-) -> RunReport {
-    check_with(
-        program,
-        ExecMode::random(executions, seed),
-        YashmeConfig::default(),
-        engine,
+        jaaru::obs::Telemetry::off(),
     )
 }

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use jaaru::obs::telemetry::{SchedCounters, WorkerStat};
-use jaaru::obs::{names, Phase};
+use jaaru::obs::Phase;
 use jaaru::{RaceReport, ReportKind, RunReport, SiteKind};
 
 /// Renders Table 3 / Table 4 style rows: `# <tab> Benchmark <tab> Root
@@ -66,39 +66,16 @@ pub fn render_summary(report: &RunReport) -> String {
     out
 }
 
-/// Renders the run's operation counters and load-resolution breakdown,
-/// followed by every metric in the run's registry under its canonical
-/// [`jaaru::obs::names`] key.
+/// Renders every metric in the run's registry under its canonical
+/// [`jaaru::obs::names`] key: the operation counters, the load-resolution
+/// breakdown, the engine counters and histograms.
 ///
-/// The two summary lines and the registry dump draw from the *same*
-/// [`RunReport::metrics`] source, so the human-readable counters can never
-/// drift from the `--metrics-out` export. Nothing here depends on wall
-/// time, so the output is deterministic and golden-testable.
+/// The dump reads the *same* [`RunReport::metrics`] source as the
+/// `--metrics-out` export, so the two can never drift. Nothing here
+/// depends on wall time, so the output is deterministic and golden-testable.
 pub fn render_stats(report: &RunReport) -> String {
     let m = report.metrics();
     let mut out = String::new();
-    writeln!(
-        out,
-        "ops: {} stores ({} committed), {} loads, {} flushes, {} fences, {} cas, {} crashes",
-        m.counter(names::OPS_STORES_EXECUTED),
-        m.counter(names::OPS_STORES_COMMITTED),
-        m.counter(names::OPS_LOADS),
-        m.counter(names::OPS_FLUSHES),
-        m.counter(names::OPS_FENCES),
-        m.counter(names::OPS_CAS),
-        m.counter(names::OPS_CRASHES),
-    )
-    .expect("write to string");
-    writeln!(
-        out,
-        "load resolution: {} B from store-buffer bypass, {} B from cache, \
-         {} B from image; {} candidate store(s) scanned",
-        m.counter(names::LOAD_BYTES_FROM_BYPASS),
-        m.counter(names::LOAD_BYTES_FROM_CACHE),
-        m.counter(names::LOAD_BYTES_FROM_IMAGE),
-        m.counter(names::LOAD_CANDIDATE_STORES_SCANNED),
-    )
-    .expect("write to string");
     writeln!(out, "metrics:").expect("write to string");
     for (name, value) in m.counters() {
         writeln!(out, "  {name} = {value}").expect("write to string");
@@ -424,12 +401,22 @@ mod tests {
     fn stats_report_load_resolution_sources() {
         let report = sample_report();
         let stats = render_stats(&report);
-        assert!(stats.contains("loads"), "{stats}");
-        assert!(stats.contains("from image"), "{stats}");
-        assert!(stats.contains("candidate store(s) scanned"), "{stats}");
+        let s = report.stats();
+        for line in [
+            format!("  ops.loads = {}\n", s.loads),
+            format!("  load.bytes_from_bypass = {}\n", s.bytes_from_bypass),
+            format!("  load.bytes_from_cache = {}\n", s.bytes_from_cache),
+            format!("  load.bytes_from_image = {}\n", s.bytes_from_image),
+            format!(
+                "  load.candidate_stores_scanned = {}\n",
+                s.candidate_stores_scanned
+            ),
+        ] {
+            assert!(stats.contains(&line), "{line:?} missing from:\n{stats}");
+        }
         // The post-crash loads of persisted slots are served by the image.
-        assert!(report.stats().bytes_from_image > 0);
-        assert!(report.stats().loads > 0);
+        assert!(s.bytes_from_image > 0);
+        assert!(s.loads > 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * atomic stores are never reported (condition 1 of Definition 5.1),
 //! * reports are deterministic.
 
-use jaaru::{Atomicity, Ctx, ExecMode, Program};
+use jaaru::{Atomicity, Ctx, EngineConfig, ExecMode, Program};
 use proptest::prelude::*;
 use yashme::YashmeConfig;
 
@@ -100,7 +100,13 @@ fn build(ops: Vec<Op>) -> Program {
 }
 
 fn labels(ops: &[Op], config: YashmeConfig) -> Vec<&'static str> {
-    let mut l = yashme::check(&build(ops.to_vec()), ExecMode::model_check(), config).race_labels();
+    let mut l = yashme::check(
+        &build(ops.to_vec()),
+        ExecMode::model_check(),
+        config,
+        &EngineConfig::default(),
+    )
+    .race_labels();
     l.sort();
     l
 }

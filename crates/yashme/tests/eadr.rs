@@ -1,7 +1,7 @@
 //! eADR-mode tests (§7.5): races on eADR platforms are a strict subset of
 //! non-eADR races, and annotation-based suppression works.
 
-use jaaru::{Atomicity, Ctx, ExecMode, Program};
+use jaaru::{Atomicity, Ctx, EngineConfig, ExecMode, Program};
 use yashme::YashmeConfig;
 
 /// x stored, then a later same-thread store y is read first post-crash:
@@ -47,7 +47,12 @@ fn eadr_mode_suppresses_races_covered_by_later_events() {
         default.race_labels().contains(&"x"),
         "non-eADR: x races\n{default}"
     );
-    let eadr = yashme::check(&program, ExecMode::model_check(), YashmeConfig::eadr());
+    let eadr = yashme::check(
+        &program,
+        ExecMode::model_check(),
+        YashmeConfig::eadr(),
+        &EngineConfig::default(),
+    );
     assert!(
         !eadr.race_labels().contains(&"x"),
         "eADR: x covered by the later observed store\n{eadr}"
@@ -57,7 +62,12 @@ fn eadr_mode_suppresses_races_covered_by_later_events() {
 #[test]
 fn eadr_mode_still_detects_trailing_store_races() {
     let program = last_store_program();
-    let eadr = yashme::check(&program, ExecMode::model_check(), YashmeConfig::eadr());
+    let eadr = yashme::check(
+        &program,
+        ExecMode::model_check(),
+        YashmeConfig::eadr(),
+        &EngineConfig::default(),
+    );
     assert_eq!(eadr.race_labels(), vec!["x"], "{eadr}");
 }
 
@@ -71,6 +81,7 @@ fn eadr_races_are_a_subset_across_the_benchmark_suite() {
             &(spec.program)(),
             ExecMode::model_check(),
             YashmeConfig::eadr(),
+            &EngineConfig::default(),
         )
         .race_labels();
         for label in &eadr {
@@ -90,6 +101,7 @@ fn suppression_annotations_silence_chosen_labels() {
         &program,
         ExecMode::model_check(),
         YashmeConfig::new().with_suppressed(&["x"]),
+        &EngineConfig::default(),
     );
     assert!(report.races().is_empty(), "{report}");
     // Other labels are unaffected.
@@ -97,6 +109,7 @@ fn suppression_annotations_silence_chosen_labels() {
         &program,
         ExecMode::model_check(),
         YashmeConfig::new().with_suppressed(&["unrelated"]),
+        &EngineConfig::default(),
     );
     assert_eq!(report.race_labels(), vec!["x"]);
 }

@@ -1,7 +1,9 @@
 //! End-to-end reproductions of the paper's figures and §4.2 example,
 //! exercising detector + engine together.
 
-use jaaru::{Atomicity, Ctx, Engine, ExecMode, PersistencePolicy, Program, SchedPolicy};
+use jaaru::{
+    Atomicity, Ctx, Engine, EngineConfig, ExecMode, PersistencePolicy, Program, SchedPolicy,
+};
 use yashme::{YashmeConfig, YashmeDetector};
 
 /// Runs a single execution with a crash injected at `point` of phase 0.
@@ -331,7 +333,12 @@ fn invented_store_race_on_byte_field() {
 #[test]
 fn model_check_mode_enumerates_all_crash_points() {
     let program = figure1_program();
-    let report = yashme::check(&program, ExecMode::model_check(), YashmeConfig::default());
+    let report = yashme::check(
+        &program,
+        ExecMode::model_check(),
+        YashmeConfig::default(),
+        &EngineConfig::default(),
+    );
     // 1 profiling execution + 1 injected-crash execution (one crash point).
     assert_eq!(report.executions(), 2);
     assert_eq!(report.crash_points(), 1);
@@ -340,7 +347,12 @@ fn model_check_mode_enumerates_all_crash_points() {
 
 #[test]
 fn random_mode_finds_the_race() {
-    let report = yashme::random_check(&figure1_program(), 10, 7);
+    let report = yashme::check(
+        &figure1_program(),
+        ExecMode::random(10, 7),
+        YashmeConfig::default(),
+        &EngineConfig::default(),
+    );
     assert_eq!(report.race_labels(), vec!["pmobj->val"]);
     // 10 requested executions plus the initial profiling run, which counts
     // toward the totals like any other execution.

@@ -5,7 +5,7 @@
 //! bug in the recovery procedure." The execution stack (`exec`, `prev`)
 //! exists precisely for this; these tests exercise it end to end.
 
-use jaaru::{Atomicity, Ctx, ExecMode, ModelCheckConfig, Program};
+use jaaru::{Atomicity, Ctx, EngineConfig, ExecMode, ModelCheckConfig, Program};
 use yashme::YashmeConfig;
 
 /// Phase 0 writes data and a dirty flag; phase 1 (recovery) repairs and
@@ -66,6 +66,7 @@ fn crash_in_recovery_enumerates_phase1_points() {
             crash_in_recovery: true,
         }),
         YashmeConfig::default(),
+        &EngineConfig::default(),
     );
     assert!(
         deep.executions() > base.executions(),

@@ -37,8 +37,6 @@ fn sample_report() -> RunReport {
 fn details_stats_block_matches_golden() {
     let stats = render::render_stats(&sample_report());
     let golden = "\
-ops: 6 stores (6 committed), 6 loads, 2 flushes, 1 fences, 0 cas, 6 crashes
-load resolution: 0 B from store-buffer bypass, 0 B from cache, 48 B from image; 4 candidate store(s) scanned
 metrics:
   engine.crash_points = 2
   engine.dedup_hits = 4

@@ -30,7 +30,12 @@ fn two_stores() -> Program {
 
 fn main() {
     let default = yashme::model_check(&two_stores());
-    let eadr = yashme::check(&two_stores(), ExecMode::model_check(), YashmeConfig::eadr());
+    let eadr = yashme::check(
+        &two_stores(),
+        ExecMode::model_check(),
+        YashmeConfig::eadr(),
+        &EngineConfig::default(),
+    );
 
     println!("program: store x; store y; clflush y; sfence — post-crash reads y then x");
     println!();

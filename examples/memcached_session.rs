@@ -9,10 +9,17 @@
 //! Run with: `cargo run --example memcached_session`
 
 use apps::memcached;
+use jaaru::{EngineConfig, ExecMode};
+use yashme::YashmeConfig;
 
 fn main() {
     println!("Running memcached-pmem under Yashme (random mode, 20 executions)...");
-    let report = yashme::random_check(&memcached::program(), 20, 15);
+    let report = yashme::check(
+        &memcached::program(),
+        ExecMode::random(20, 15),
+        YashmeConfig::default(),
+        &EngineConfig::default(),
+    );
     println!();
     println!("=== Yashme report ===");
     print!("{report}");

@@ -1,16 +1,13 @@
-//! Execution tracing: attach a `TraceSink` next to the detector with a
-//! `TeeSink` and print what the execution actually did — the debugging
-//! workflow for understanding a race report.
+//! Execution tracing: run the detector with span tracing on, print what
+//! each simulated run did, then explain every race report step by step —
+//! the debugging workflow behind `yashme --explain` and `--trace-out`.
 //!
 //! Run with: `cargo run --example trace_demo`
 
-use jaaru::{TeeSink, TraceSink};
+use yashme::render;
 use yashme_repro::prelude::*;
 
 fn main() {
-    let tracer = TraceSink::new();
-    let lines = tracer.lines();
-
     let program = Program::new("traced")
         .pre_crash(|ctx: &mut Ctx| {
             let key = ctx.root();
@@ -29,23 +26,46 @@ fn main() {
             }
         });
 
-    let run = jaaru::Engine::run_single(
+    let report = yashme::check(
         &program,
-        SchedPolicy::Deterministic,
-        PersistencePolicy::FullCache,
-        0,
-        None,
-        Box::new(TeeSink::new(YashmeDetector::with_defaults(), tracer)),
+        ExecMode::model_check(),
+        YashmeConfig::default(),
+        &EngineConfig::default().with_trace(true),
     );
 
+    // One lane per simulated run (lane 0 merges them); timestamps are
+    // virtual-clock ticks, one per engine event.
+    let trace = report.trace().expect("tracing was on");
     println!("=== execution trace ===");
-    for line in lines.lock().unwrap().iter() {
-        println!("{line}");
+    for (lane, buf) in trace.lanes() {
+        for span in &buf.spans {
+            println!(
+                "lane {lane} [{:>4}+{:<3}] {:<16} {}",
+                span.start,
+                span.dur,
+                span.phase.name(),
+                span.name
+            );
+        }
+        for instant in &buf.instants {
+            println!(
+                "lane {lane} [{:>4}    ] {:<16} {}",
+                instant.ts,
+                instant.phase.name(),
+                instant.name
+            );
+        }
     }
+    println!(
+        "{} run(s), {} span(s), {} event(s)",
+        trace.runs(),
+        trace.span_count(),
+        trace.event_count()
+    );
     println!();
     println!("=== detector reports ===");
-    for report in &run.reports {
-        println!("{report}");
+    for (i, race) in report.races().iter().enumerate() {
+        print!("{}", render::render_explain("traced", i + 1, race));
     }
-    assert!(!run.reports.is_empty());
+    assert!(!report.races().is_empty());
 }

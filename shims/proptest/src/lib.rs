@@ -330,6 +330,13 @@ macro_rules! proptest {
     };
 }
 
+/// Runs one generated test case. The case body is a closure so that
+/// `prop_assert!` and `?` can return early from it.
+#[doc(hidden)]
+pub fn __run_case(case: impl FnOnce() -> Result<(), TestCaseError>) -> Result<(), TestCaseError> {
+    case()
+}
+
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_impl {
@@ -340,12 +347,11 @@ macro_rules! __proptest_impl {
                 let config: $crate::ProptestConfig = $config;
                 let mut rng = $crate::TestRng::from_name(stringify!($name));
                 for case in 0..config.cases {
-                    let result: ::core::result::Result<(), $crate::TestCaseError> =
-                        (|| {
-                            $(let $arg = $crate::Strategy::generate(&($strategy), &mut rng);)+
-                            $body
-                            ::core::result::Result::Ok(())
-                        })();
+                    let result = $crate::__run_case(|| {
+                        $(let $arg = $crate::Strategy::generate(&($strategy), &mut rng);)+
+                        $body
+                        ::core::result::Result::Ok(())
+                    });
                     if let ::core::result::Result::Err(e) = result {
                         panic!(
                             "proptest {} failed at case {}/{}: {}",

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use bench::{evaluation_suite, SuiteEntry};
 use jaaru::obs::telemetry::{start_reporter, ReporterConfig, Telemetry};
 use jaaru::obs::Json;
-use jaaru::{EngineConfig, ExecMode};
-use yashme::{json, render, YashmeConfig};
+use jaaru::{Engine, EngineConfig, ExecMode};
+use yashme::{json, render, YashmeConfig, YashmeDetector};
 
 #[derive(Debug)]
 struct Options {
@@ -78,7 +78,7 @@ impl Default for Options {
             telemetry_out: None,
             prom_out: None,
             profile: false,
-            engine: EngineConfig::from_env(),
+            engine: EngineConfig::default(),
         }
     }
 }
@@ -86,7 +86,7 @@ impl Default for Options {
 fn usage() -> &'static str {
     "usage: yashme (--list | --all | --benchmark <NAME>) \
      [--mode model-check|random] [--executions N] [--seed S] \
-     [--workers N|auto] [--no-fork] [--no-prune] [--no-gc] \
+     [--workers N|auto] [--no-fork] [--no-prune] [--no-gc] [--prune-paranoid] \
      [--gc-every N] [--gc-paranoid] [--sample-every N] [--baseline] [--eadr] \
      [--details] [--explain] [--json] [--trace-out FILE] [--metrics-out FILE] \
      [--coverage] [--coverage-out FILE] \
@@ -94,16 +94,14 @@ fn usage() -> &'static str {
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    // Tracked separately from `opts.engine` because `--workers` replaces
-    // the whole engine config; applied once parsing is done.
-    let mut no_fork = false;
-    let mut no_prune = false;
-    let mut no_gc = false;
-    let mut gc_every = None;
-    let mut gc_paranoid = false;
-    let mut sample_every = None;
-    let mut it = args.iter();
+    // The engine flags go through the one shared parser; everything it
+    // leaves over is this tool's own.
+    let common = bench::cli::parse_args(args.iter().cloned())?;
+    let mut opts = Options {
+        engine: common.engine,
+        ..Options::default()
+    };
+    let mut it = common.rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--list" => opts.list = true,
@@ -139,38 +137,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| "--seed needs a number".to_owned())?
                     .parse()
                     .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--workers" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--workers needs a count or 'auto'".to_owned())?;
-                opts.engine = if v.eq_ignore_ascii_case("auto") {
-                    EngineConfig::with_workers(0)
-                } else {
-                    EngineConfig::with_workers(
-                        v.parse().map_err(|e| format!("bad --workers: {e}"))?,
-                    )
-                };
-            }
-            "--no-fork" => no_fork = true,
-            "--no-prune" => no_prune = true,
-            "--no-gc" => no_gc = true,
-            "--gc-every" => {
-                gc_every = Some(
-                    it.next()
-                        .ok_or_else(|| "--gc-every needs a number".to_owned())?
-                        .parse()
-                        .map_err(|e| format!("bad --gc-every: {e}"))?,
-                )
-            }
-            "--gc-paranoid" => gc_paranoid = true,
-            "--sample-every" => {
-                sample_every = Some(
-                    it.next()
-                        .ok_or_else(|| "--sample-every needs a number".to_owned())?
-                        .parse()
-                        .map_err(|e| format!("bad --sample-every: {e}"))?,
-                )
             }
             "--baseline" => opts.baseline = true,
             "--eadr" => opts.eadr = true,
@@ -232,24 +198,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         // export was requested.
         opts.engine = opts.engine.with_trace(true);
     }
-    if no_fork {
-        opts.engine = opts.engine.with_fork(false);
-    }
-    if no_prune {
-        opts.engine = opts.engine.with_prune(false);
-    }
-    if no_gc {
-        opts.engine = opts.engine.with_gc(false);
-    }
-    if let Some(every) = gc_every {
-        opts.engine = opts.engine.with_gc_every(every);
-    }
-    if gc_paranoid {
-        opts.engine = opts.engine.with_gc_paranoid(true);
-    }
-    if let Some(every) = sample_every {
-        opts.engine = opts.engine.with_sample_every(every);
-    }
     Ok(opts)
 }
 
@@ -294,7 +242,14 @@ fn run_one(
     // cumulative counters (the plane outlives this run under --all).
     let sched_before = tel.sched_counters();
     let lanes_before = tel.worker_stats().len();
-    let report = yashme::check_observed(&program, mode, config_of(opts), &opts.engine, tel);
+    let config = config_of(opts);
+    let report = Engine::run_observed(
+        &program,
+        mode,
+        &|| Box::new(YashmeDetector::new(config)),
+        &opts.engine,
+        tel,
+    );
     if opts.json {
         docs.push(json::run_json(entry.name, &report, true));
     } else {

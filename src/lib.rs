@@ -53,7 +53,8 @@ pub use yashme;
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
     pub use jaaru::{
-        Atomicity, Ctx, Engine, ExecMode, PersistencePolicy, Program, RandomConfig, SchedPolicy,
+        Atomicity, Ctx, Engine, EngineConfig, ExecMode, PersistencePolicy, Program, RandomConfig,
+        SchedPolicy,
     };
     pub use pmem::{Addr, CacheLineId, PmAllocator, PmImage, CACHE_LINE_SIZE};
     pub use vclock::{ThreadId, VectorClock};

@@ -22,6 +22,7 @@ fn eadr_subset_holds_for_extras_too() {
             &extras::pqueue::program(variant),
             ExecMode::model_check(),
             YashmeConfig::eadr(),
+            &EngineConfig::default(),
         )
         .race_labels();
         for label in &eadr {
@@ -63,6 +64,7 @@ fn schedule_exploration_composes_with_the_detector() {
         None,
         &|| Box::new(YashmeDetector::with_defaults()),
         40,
+        &EngineConfig::default(),
     );
     assert!(runs > 1);
     assert!(
