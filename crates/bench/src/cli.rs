@@ -7,7 +7,7 @@
 //! * `--workers N|auto` (also `--workers=N`) — worker-pool size
 //! * `--no-fork` / `--no-prune` / `--no-gc` — disable a physical strategy
 //! * `--prune-paranoid` / `--gc-paranoid` — lockstep verification modes
-//! * `--gc-every N` / `--sample-every N` — tuning knobs
+//! * `--gc-every N` — the GC tuning knob
 //!
 //! Each flag sets one field, so their order does not matter. Anything
 //! unrecognized lands in [`CommonArgs::rest`] for the bin's own loop.
@@ -67,7 +67,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, 
             "--prune-paranoid" => engine.prune_paranoid = true,
             "--gc-paranoid" => engine.gc_paranoid = true,
             "--gc-every" => engine = engine.with_gc_every(value("--gc-every", args.next())?),
-            "--sample-every" => engine.sample_every = value("--sample-every", args.next())?,
             _ => {
                 let workers = if arg == "--workers" {
                     args.next()
@@ -143,9 +142,8 @@ mod tests {
 
     #[test]
     fn tuning_knobs_are_parsed() {
-        let c = parse(&["--gc-every", "16", "--sample-every", "3"]).unwrap();
+        let c = parse(&["--gc-every", "16"]).unwrap();
         assert_eq!(c.engine.gc_every, 16);
-        assert_eq!(c.engine.sample_every, 3);
         // The GC period is clamped to at least one commit.
         assert_eq!(parse(&["--gc-every", "0"]).unwrap().engine.gc_every, 1);
     }
@@ -158,7 +156,6 @@ mod tests {
             (&["--workers="][..], "--workers"),
             (&["--gc-every", "often"][..], "--gc-every"),
             (&["--gc-every", "-4"][..], "--gc-every"),
-            (&["--sample-every", "1.5"][..], "--sample-every"),
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.starts_with(&format!("bad {flag}: ")), "{args:?}: {err}");
@@ -167,7 +164,7 @@ mod tests {
 
     #[test]
     fn missing_values_are_rejected() {
-        for flag in ["--workers", "--gc-every", "--sample-every"] {
+        for flag in ["--workers", "--gc-every"] {
             let err = parse(&[flag]).unwrap_err();
             assert_eq!(err, format!("{flag} needs a value"));
         }

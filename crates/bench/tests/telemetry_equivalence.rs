@@ -39,7 +39,9 @@ fn plain_vs_observed(
     let reporter = start_reporter(
         &tel,
         ReporterConfig {
-            jsonl: Some(jsonl.clone()),
+            jsonl: Some(Box::new(
+                std::fs::File::create(&jsonl).expect("create the JSONL file"),
+            )),
             label: "telemetry-equivalence".to_owned(),
             ..ReporterConfig::default()
         },

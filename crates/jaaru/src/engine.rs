@@ -21,7 +21,9 @@ use crate::ctx::spawn_task;
 use crate::mem::{MemState, PersistencePolicy};
 use crate::pool;
 use crate::report::{ForkStats, GcStats, PruneStats, RaceReport, RunReport};
-use crate::sched::{Core, CrashCtl, PointRecord, SchedPolicy, Shared, Snapshot, SnapshotLog};
+use crate::sched::{
+    Capture, Core, CrashCtl, PointRecord, SchedPolicy, Shared, Snapshot, SnapshotLog,
+};
 use crate::sink::{EventSink, GcParanoidSink, NullSink, SpanTraceSink};
 use crate::Program;
 
@@ -148,13 +150,6 @@ pub struct EngineConfig {
     /// reports (`--gc-paranoid`). Costs the memory GC saves — a
     /// correctness harness, not a production mode.
     pub gc_paranoid: bool,
-    /// Periodic crash-point sampling (off by default; `0`/`1` explore every
-    /// point). With `sample_every = N > 1`, model checking injects crashes
-    /// only at every Nth discovered crash point — the soak-scale trade:
-    /// long traces have millions of crash points, and exhaustive
-    /// exploration of all of them is neither affordable nor (for
-    /// throughput measurement) interesting.
-    pub sample_every: u32,
 }
 
 impl Default for EngineConfig {
@@ -168,7 +163,6 @@ impl Default for EngineConfig {
             gc: true,
             gc_every: 4096,
             gc_paranoid: false,
-            sample_every: 0,
         }
     }
 }
@@ -232,13 +226,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy exploring only every `every`th crash point (`0` or
-    /// `1` explore every point).
-    pub fn with_sample_every(mut self, every: u32) -> Self {
-        self.sample_every = every;
-        self
-    }
-
     /// The effective pool size: `workers`, with `0` resolved to the number
     /// of available CPUs.
     pub fn resolved_workers(&self) -> usize {
@@ -278,14 +265,51 @@ pub struct SingleRun {
 /// worker pool invokes it from several threads at once.
 pub type SinkFactory<'a> = &'a (dyn Fn() -> Box<dyn EventSink> + Sync);
 
-/// Parameters of one simulated run inside a fan-out batch.
-#[derive(Debug, Clone, Copy)]
+/// Parameters of one simulated run: what [`Engine::run_inner`] builds a
+/// run from.
+#[derive(Debug, Clone)]
 struct RunSpec {
     policy: SchedPolicy,
     persistence: PersistencePolicy,
     seed: u64,
     crash_target: Option<(usize, usize)>,
+    /// [`SchedPolicy::Scripted`]: the candidate index to pick at each
+    /// branch point (empty otherwise).
+    script: Vec<usize>,
 }
+
+impl RunSpec {
+    fn new(
+        policy: SchedPolicy,
+        persistence: PersistencePolicy,
+        seed: u64,
+        crash_target: Option<(usize, usize)>,
+    ) -> Self {
+        RunSpec {
+            policy,
+            persistence,
+            seed,
+            crash_target,
+            script: Vec::new(),
+        }
+    }
+
+    /// A model-checking run: the deterministic schedule, crashing into
+    /// [`MODEL_CHECK_PERSISTENCE`].
+    fn model_check(crash_target: Option<(usize, usize)>) -> Self {
+        RunSpec::new(
+            SchedPolicy::Deterministic,
+            MODEL_CHECK_PERSISTENCE,
+            0,
+            crash_target,
+        )
+    }
+}
+
+/// How model checking materializes a crash. Suffixes resumed from
+/// snapshots replay the injected crash themselves, so they must use the
+/// same policy as the full runs they stand in for.
+const MODEL_CHECK_PERSISTENCE: PersistencePolicy = PersistencePolicy::FullCache;
 
 /// Order-preserving report accumulator with hashed `(kind, label)` dedup —
 /// replaces the old O(n²) linear-scan merge.
@@ -402,178 +426,96 @@ impl Engine {
         match mode {
             ExecMode::ModelCheck(cfg) => {
                 // Profiling run: no injected crash (every phase runs to its
-                // end-of-phase crash); counts the crash points per phase. In
-                // fork mode it additionally captures a snapshot at every
-                // crash point of the targeted phases — the deterministic
+                // end-of-phase crash); counts the crash points per phase and
+                // records each point of the targeted phases, capturing
+                // snapshots per the capture policy — the deterministic
                 // schedule makes each snapshot exactly the state a full run
                 // with that crash target reaches at its injection point.
-                let profile_spec = RunSpec {
-                    policy: SchedPolicy::Deterministic,
-                    persistence: PersistencePolicy::FullCache,
-                    seed: 0,
-                    crash_target: None,
+                let capture = if !config.fork {
+                    Capture::Records
+                } else if config.prune && !config.prune_paranoid {
+                    Capture::Representatives
+                } else {
+                    Capture::EveryPoint
                 };
-                // The snapshot log always observes the targeted phases:
-                // every sampled crash point gets a `PointRecord`, from which
-                // the coverage plane's cartography is derived whatever the
-                // resume strategy. Snapshots themselves (the expensive part)
-                // are captured only in fork mode.
                 let capture_phases = 1 + usize::from(cfg.crash_in_recovery);
-                let sample = config.sample_every as usize;
-                let snaplog = Some(SnapshotLog::new(
-                    capture_phases,
-                    config.fork,
-                    config.prune,
-                    config.prune_paranoid,
-                    sample,
-                ));
                 let (profile, _, log) = {
                     let _t = tel.time(WallPhase::ProfileRun);
                     Self::run_inner(
                         program,
-                        profile_spec.policy,
-                        profile_spec.persistence,
-                        profile_spec.seed,
-                        None,
+                        &RunSpec::model_check(None),
                         Self::make_sink(sink_factory, config),
-                        Vec::new(),
-                        snaplog,
-                        Self::gc_period(config),
+                        Some(SnapshotLog::new(capture_phases, capture)),
+                        config,
                         tel,
                     )
                 };
                 tel.execution_done();
                 crash_points = profile.points.iter().sum();
-                let phase0_points = profile.points.first().copied().unwrap_or(0);
-                let phase1_points = profile.points.get(1).copied().unwrap_or(0);
                 let profile_points = profile.points.clone();
                 let profile_events = profile.stats.events();
                 acc.absorb_run(profile);
+                let log = log.expect("the profile run keeps its snapshot log");
 
-                // One run per crash target, in target order. With sampling,
-                // only every `sample`th point is targeted — matching the
-                // points the snapshot log observed, so `records` and
-                // `targets` stay index-aligned.
-                let sampled = |t: usize| sample <= 1 || t.is_multiple_of(sample);
-                let mut targets: Vec<(usize, usize)> = (0..phase0_points)
-                    .filter(|&t| sampled(t))
-                    .map(|t| (0, t))
-                    .collect();
-                if cfg.crash_in_recovery {
-                    targets.extend((0..phase1_points).filter(|&t| sampled(t)).map(|t| (1, t)));
-                }
+                // One crash target per recorded point, in target order.
+                let targets: Vec<(usize, usize)> =
+                    log.records.iter().map(|r| (r.phase, r.point)).collect();
                 Self::sample_queue_depth(&mut queue_depth, targets.len());
                 tel.add_points_total(targets.len() as u64);
-                cartography = Self::build_cartography(&profile_points, log.as_ref());
+                cartography = Self::build_cartography(&profile_points, &log);
                 // Resume from snapshots when the profiling run captured a
-                // usable set — one per target, or with pruning one per
-                // equivalence class; otherwise (fork disabled, or the sink
-                // cannot fork) fall back to one full re-execution per
-                // target.
-                let snaps = log.filter(|l| {
-                    if l.unsupported || l.records.len() != targets.len() {
-                        return false;
+                // usable set — one per class, or one per point; otherwise
+                // (fork disabled, or the sink cannot fork) fall back to one
+                // full re-execution per target.
+                let classes = Self::class_ranges(&log.records, config.prune);
+                let wanted = match log.capture {
+                    Capture::Records => None,
+                    Capture::Representatives => Some(classes.len()),
+                    Capture::EveryPoint => Some(targets.len()),
+                };
+                if !log.unsupported && wanted == Some(log.snaps.len()) {
+                    acc.fork.snapshots += log.snaps.len() as u64;
+                    if config.prune {
+                        acc.prune.classes += classes.len() as u64;
+                        acc.prune.representatives += classes.len() as u64;
                     }
-                    let expected = if l.prune && !l.paranoid {
-                        Self::class_ranges(&l.records).len()
-                    } else {
-                        targets.len()
-                    };
-                    l.snaps.len() == expected
-                });
-                match snaps {
-                    Some(log) => {
-                        acc.fork.snapshots += log.snaps.len() as u64;
-                        if log.prune {
-                            Self::run_pruned(
-                                program,
-                                log,
-                                &profile_points,
-                                profile_events,
-                                profile_spec.persistence,
-                                workers,
-                                &mut acc,
-                                tel,
-                            );
-                        } else {
-                            // Estimate each suffix's cost as the events the
-                            // profiling run executed *after* its crash point
-                            // — the scheduler buckets small suffixes into
-                            // chunks from these.
-                            let costs: Vec<u64> = log
-                                .records
-                                .iter()
-                                .map(|r| r.suffix_cost(profile_events))
-                                .collect();
-                            let runs = {
-                                let _t = tel.time(WallPhase::SuffixResume);
-                                Self::fan_out_weighted(
-                                    log.snaps,
-                                    Some(costs),
-                                    workers,
-                                    tel,
-                                    |snap| {
-                                        let run = Self::resume_run(
-                                            program,
-                                            snap,
-                                            &profile_points,
-                                            profile_spec.persistence,
-                                        );
-                                        tel.suffix_resumed();
-                                        tel.add_points_done(1);
-                                        tel.execution_done();
-                                        run
-                                    },
-                                )
-                            };
-                            let _t = tel.time(WallPhase::Merge);
-                            for run in runs {
-                                acc.absorb_run(run);
-                            }
-                        }
-                    }
-                    None => {
-                        let specs: Vec<RunSpec> = targets
-                            .iter()
-                            .map(|&(p, t)| RunSpec {
-                                crash_target: Some((p, t)),
-                                ..profile_spec
-                            })
-                            .collect();
-                        let runs = {
-                            let _t = tel.time(WallPhase::FullRun);
-                            Self::run_specs(
-                                program,
-                                specs,
-                                sink_factory,
-                                workers,
-                                config,
-                                tel,
-                                true,
-                            )
-                        };
-                        let _t = tel.time(WallPhase::Merge);
-                        for run in runs {
-                            acc.absorb_run(run);
-                        }
-                    }
+                    Self::resume_classes(
+                        program,
+                        log,
+                        &classes,
+                        &profile_points,
+                        profile_events,
+                        workers,
+                        &mut acc,
+                        tel,
+                    );
+                } else {
+                    let specs = targets
+                        .into_iter()
+                        .map(|t| RunSpec::model_check(Some(t)))
+                        .collect();
+                    Self::absorb_batch(program, specs, sink_factory, config, tel, &mut acc, true);
                 }
             }
             ExecMode::Random(cfg) => {
                 // One profiling run estimates the crash-point count; it is a
                 // full simulated run and its reports, panics, and execution
                 // count all land in the aggregate like any other run.
-                let profile = {
+                let random = |seed, crash_target| {
+                    RunSpec::new(
+                        SchedPolicy::RandomChoice,
+                        PersistencePolicy::Random,
+                        seed,
+                        crash_target,
+                    )
+                };
+                let (profile, _, _) = {
                     let _t = tel.time(WallPhase::ProfileRun);
-                    Self::run_spec(
+                    Self::run_inner(
                         program,
-                        RunSpec {
-                            policy: SchedPolicy::RandomChoice,
-                            persistence: PersistencePolicy::Random,
-                            seed: cfg.seed,
-                            crash_target: None,
-                        },
+                        &random(cfg.seed, None),
                         Self::make_sink(sink_factory, config),
+                        None,
                         config,
                         tel,
                     )
@@ -597,23 +539,11 @@ impl Engine {
                         } else {
                             None
                         };
-                        RunSpec {
-                            policy: SchedPolicy::RandomChoice,
-                            persistence: PersistencePolicy::Random,
-                            seed: seed_e,
-                            crash_target: target,
-                        }
+                        random(seed_e, target)
                     })
                     .collect();
                 Self::sample_queue_depth(&mut queue_depth, specs.len());
-                let runs = {
-                    let _t = tel.time(WallPhase::FullRun);
-                    Self::run_specs(program, specs, sink_factory, workers, config, tel, false)
-                };
-                let _t = tel.time(WallPhase::Merge);
-                for run in runs {
-                    acc.absorb_run(run);
-                }
+                Self::absorb_batch(program, specs, sink_factory, config, tel, &mut acc, false);
             }
         }
 
@@ -695,16 +625,19 @@ impl Engine {
     /// Partitions profiled crash points into crash-state equivalence
     /// classes: maximal runs of consecutive points with equal
     /// `(phase, fingerprint)`. Returns `(start, len)` pairs over `records`.
+    /// With `merge` off every point is its own class — exhaustive
+    /// resumption is class resumption over singletons.
     ///
     /// Only consecutive points can share a class: the fingerprint is a
     /// rolling hash, so any state-changing event between two points
     /// separates them for good.
-    fn class_ranges(records: &[PointRecord]) -> Vec<(usize, usize)> {
+    fn class_ranges(records: &[PointRecord], merge: bool) -> Vec<(usize, usize)> {
         let mut classes: Vec<(usize, usize)> = Vec::new();
         for (i, r) in records.iter().enumerate() {
             match classes.last_mut() {
                 Some((start, len))
-                    if records[*start].phase == r.phase
+                    if merge
+                        && records[*start].phase == r.phase
                         && records[*start].fingerprint == r.fingerprint =>
                 {
                     *len += 1;
@@ -717,23 +650,18 @@ impl Engine {
 
     /// Derives the crash-space cartography from the profiling run's point
     /// records: per targeted phase, how many crash points the program
-    /// offered, how many periodic sampling skipped, how many distinct
-    /// crash-state equivalence classes the sampled points fell into
-    /// (`explored` — what pruning resumes, and what exhaustive resumption
-    /// covers redundantly), and the class-size histogram.
+    /// offered, how many distinct crash-state equivalence classes they fell
+    /// into (`explored` — what pruning resumes, and what exhaustive
+    /// resumption covers redundantly), and the class-size histogram.
     ///
     /// Everything is computed from the record stream and the fingerprint
     /// structure, both of which are strategy-independent, so the chart is
     /// byte-identical across fork/prune/GC on/off and every worker count.
-    fn build_cartography(profile_points: &[usize], log: Option<&SnapshotLog>) -> obs::Cartography {
-        let Some(log) = log else {
-            return obs::Cartography::default();
-        };
-        let classes = Self::class_ranges(&log.records);
+    fn build_cartography(profile_points: &[usize], log: &SnapshotLog) -> obs::Cartography {
+        let classes = Self::class_ranges(&log.records, true);
         let phases = (0..log.capture_phases.min(profile_points.len()))
             .map(|p| {
                 let points = profile_points[p] as u64;
-                let sampled = log.records.iter().filter(|r| r.phase == p).count() as u64;
                 let mut sizes: HashMap<u64, u64> = HashMap::new();
                 let mut explored = 0u64;
                 for &(start, len) in &classes {
@@ -747,9 +675,8 @@ impl Engine {
                 obs::PhaseChart {
                     phase: p,
                     points,
-                    sampled_out: points - sampled,
                     explored,
-                    prunable: sampled - explored,
+                    prunable: points - explored,
                     class_sizes,
                 }
             })
@@ -757,22 +684,24 @@ impl Engine {
         obs::Cartography { phases }
     }
 
-    /// Pruned resumption: resumes one representative suffix per equivalence
-    /// class and attributes its outcome to every skipped member, absorbing
-    /// results in exact crash-target order so the aggregated report is
-    /// byte-identical to exhaustive exploration.
+    /// Class resumption: resumes one suffix per class from its snapshot and
+    /// attributes the outcome to every other member, absorbing results in
+    /// exact crash-target order so the aggregated report is byte-identical
+    /// to one full re-execution per crash point. Without pruning every
+    /// class is a single point, so nothing is attributed.
     ///
-    /// In paranoid mode the snapshot log captured every point, each member
-    /// suffix is executed as well, and its outcome is asserted equal to the
-    /// attributed one — the accumulator still absorbs the attributed runs,
-    /// so the report (and the `prune.*` counters) match normal pruning.
+    /// Under [`Capture::EveryPoint`] with pruning (paranoid mode) every
+    /// member suffix is executed as well, and its outcome is asserted equal
+    /// to the attributed one — the accumulator still absorbs the attributed
+    /// runs, so the report (and the `prune.*` counters) match normal
+    /// pruning.
     #[allow(clippy::too_many_arguments)]
-    fn run_pruned(
+    fn resume_classes(
         program: &Program,
         log: SnapshotLog,
+        classes: &[(usize, usize)],
         profile_points: &[usize],
         profile_events: u64,
-        persistence: PersistencePolicy,
         workers: usize,
         acc: &mut RunAccumulator,
         tel: &Arc<Telemetry>,
@@ -780,16 +709,15 @@ impl Engine {
         let SnapshotLog {
             snaps,
             records,
-            paranoid,
+            capture,
             ..
         } = log;
-        let classes = Self::class_ranges(&records);
-        acc.prune.classes += classes.len() as u64;
-        acc.prune.representatives += classes.len() as u64;
-        // Suffix-cost estimates for the scheduler's chunking, index-aligned
-        // with `snaps`: one per class representative normally, one per
-        // point under paranoia.
-        let costs: Vec<u64> = if paranoid {
+        // Snapshot k is class k's representative, or under
+        // `EveryPoint` point k — either way the resumed runs come back in
+        // class order, representative first. Suffix-cost estimates for the
+        // scheduler's chunking are index-aligned with `snaps`.
+        let every_point = capture == Capture::EveryPoint;
+        let costs: Vec<u64> = if every_point {
             records
                 .iter()
                 .map(|r| r.suffix_cost(profile_events))
@@ -800,15 +728,11 @@ impl Engine {
                 .map(|&(start, _)| records[start].suffix_cost(profile_events))
                 .collect()
         };
-        // Without paranoia, snapshot k is class k's representative; with
-        // it, snapshot i is point i — either way the resumed runs come
-        // back in class order, representative first.
         let runs = {
             let _t = tel.time(WallPhase::SuffixResume);
-            Self::fan_out_weighted(snaps, Some(costs), workers, tel, |snap| {
-                let run = Self::resume_run(program, snap, profile_points, persistence);
-                // Every physically resumed suffix completes one crash point
-                // (a representative here, or every point under paranoia).
+            Self::fan_out(snaps, Some(&costs), workers, tel, |snap| {
+                let run = Self::resume_run(program, snap, profile_points);
+                // Every physically resumed suffix completes one crash point.
                 tel.suffix_resumed();
                 tel.add_points_done(1);
                 tel.execution_done();
@@ -817,17 +741,17 @@ impl Engine {
         };
         let _merge = tel.time(WallPhase::Merge);
         let mut runs = runs.into_iter();
-        for &(start, len) in &classes {
-            let rep = runs.next().expect("one run per representative");
+        for &(start, len) in classes {
+            let rep = runs.next().expect("one run per class");
             let rep_rec = &records[start];
             let members = &records[start + 1..start + len];
             let synthesized: Vec<SingleRun> = members
                 .iter()
                 .map(|m| Self::attribute_member(&rep, rep_rec, m))
                 .collect();
-            if paranoid {
+            if every_point {
                 for (member, synth) in members.iter().zip(&synthesized) {
-                    let actual = runs.next().expect("paranoid resumes every member");
+                    let actual = runs.next().expect("every member was resumed");
                     assert_eq!(
                         Self::run_fingerprint(&actual),
                         Self::run_fingerprint(synth),
@@ -837,15 +761,14 @@ impl Engine {
                         member.point,
                     );
                 }
+            } else {
+                // Attribution completes the members' crash points; under
+                // `EveryPoint` each member was resumed (and counted) above.
+                tel.add_points_done(members.len() as u64);
             }
             acc.prune.suffixes_skipped += members.len() as u64;
             acc.prune.events_attributed += rep.fork.suffix_events * members.len() as u64;
             tel.add_pruned(members.len() as u64);
-            if !paranoid {
-                // Attribution completes the members' crash points; under
-                // paranoia each member was resumed (and counted) above.
-                tel.add_points_done(members.len() as u64);
-            }
             acc.absorb_run(rep);
             for synth in synthesized {
                 acc.absorb_run(synth);
@@ -962,8 +885,8 @@ impl Engine {
     /// breadth-first search uses, so results are identical for every worker
     /// count. Each schedule's memory system and sink follow `config`'s GC
     /// settings (streaming GC, `gc_every`, paranoid GC). The result carries
-    /// no trace, so tracing stays off; fork, pruning and sampling have no
-    /// crash-point fan-out to act on here.
+    /// no trace, so tracing stays off; fork and pruning have no crash-point
+    /// fan-out to act on here.
     pub fn explore_schedules(
         program: &Program,
         crash_target: Option<(usize, usize)>,
@@ -972,6 +895,7 @@ impl Engine {
         config: &EngineConfig,
     ) -> (Vec<RaceReport>, usize) {
         let workers = config.resolved_workers();
+        let config = config.with_trace(false);
         // Breadth-first over branch points: alternatives at *early* branch
         // points diverge most, so they are explored first under a bound.
         let mut pending: std::collections::VecDeque<Vec<usize>> =
@@ -981,7 +905,26 @@ impl Engine {
         while runs < max_runs && !pending.is_empty() {
             let wave_len = pending.len().min(workers).min(max_runs - runs);
             let wave: Vec<Vec<usize>> = pending.drain(..wave_len).collect();
-            let results = Self::run_scripts(program, &wave, crash_target, sink_factory, config);
+            let specs = wave
+                .iter()
+                .map(|script| RunSpec {
+                    script: script.clone(),
+                    ..RunSpec::new(
+                        SchedPolicy::Scripted,
+                        PersistencePolicy::FullCache,
+                        0,
+                        crash_target,
+                    )
+                })
+                .collect();
+            let results = Self::run_batch(
+                program,
+                specs,
+                sink_factory,
+                &config,
+                Telemetry::off(),
+                false,
+            );
             for (script, (run, log)) in wave.iter().zip(results) {
                 runs += 1;
                 races.merge(run.reports);
@@ -1039,105 +982,67 @@ impl Engine {
         tel: &Arc<Telemetry>,
     ) -> SingleRun {
         let start = Instant::now();
-        let run = {
+        let (run, _, _) = {
             let _t = tel.time(WallPhase::FullRun);
             Self::run_inner(
                 program,
-                policy,
-                persistence,
-                seed,
-                crash_target,
+                &RunSpec::new(policy, persistence, seed, crash_target),
                 sink,
-                Vec::new(),
                 None,
-                Self::gc_period(config),
+                config,
                 tel,
             )
-            .0
         };
         tel.execution_done();
         tel.add_total(start.elapsed());
         run
     }
 
-    /// [`Engine::run_single`] over a [`RunSpec`]. The telemetry handle is
-    /// forwarded to the memory system for event-rate publishing only; no
-    /// phase or total time is attributed here (the caller owns that).
-    fn run_spec(
-        program: &Program,
-        spec: RunSpec,
-        sink: Box<dyn EventSink>,
-        config: &EngineConfig,
-        tel: &Arc<Telemetry>,
-    ) -> SingleRun {
-        Self::run_inner(
-            program,
-            spec.policy,
-            spec.persistence,
-            spec.seed,
-            spec.crash_target,
-            sink,
-            Vec::new(),
-            None,
-            Self::gc_period(config),
-            tel,
-        )
-        .0
-    }
-
-    /// Runs every spec, returning outcomes in spec order. With more than
-    /// one worker the specs fan out over a bounded pool fed by a shared
-    /// work queue; each worker builds a private sink per run, so runs
-    /// never share mutable state.
-    #[allow(clippy::too_many_arguments)]
-    fn run_specs(
+    /// Runs `specs` as one batch and absorbs the outcomes in spec order:
+    /// the full re-execution tail shared by random mode and model checking
+    /// without snapshots. `count_points` marks each run as one completed
+    /// crash point on the progress counters.
+    fn absorb_batch(
         program: &Program,
         specs: Vec<RunSpec>,
         sink_factory: SinkFactory<'_>,
-        workers: usize,
+        config: &EngineConfig,
+        tel: &Arc<Telemetry>,
+        acc: &mut RunAccumulator,
+        count_points: bool,
+    ) {
+        let runs = {
+            let _t = tel.time(WallPhase::FullRun);
+            Self::run_batch(program, specs, sink_factory, config, tel, count_points)
+        };
+        let _t = tel.time(WallPhase::Merge);
+        for (run, _) in runs {
+            acc.absorb_run(run);
+        }
+    }
+
+    /// Runs every spec on its own sink from `sink_factory`, returning
+    /// `(outcome, branch-choice log)` pairs in spec order. With more than
+    /// one worker the specs fan out over the pool; each run builds a
+    /// private sink, so runs never share mutable state. The telemetry
+    /// handle is forwarded to the memory system for event-rate publishing
+    /// only; no phase or total time is attributed here (the caller owns
+    /// that).
+    fn run_batch(
+        program: &Program,
+        specs: Vec<RunSpec>,
+        sink_factory: SinkFactory<'_>,
         config: &EngineConfig,
         tel: &Arc<Telemetry>,
         count_points: bool,
-    ) -> Vec<SingleRun> {
-        Self::fan_out(specs, workers, tel, |spec| {
-            let run = Self::run_spec(
-                program,
-                spec,
-                Self::make_sink(sink_factory, config),
-                config,
-                tel,
-            );
+    ) -> Vec<(SingleRun, Vec<(usize, usize)>)> {
+        Self::fan_out(specs, None, config.resolved_workers(), tel, |spec| {
+            let sink = Self::make_sink(sink_factory, config);
+            let (run, log, _) = Self::run_inner(program, &spec, sink, None, config, tel);
             tel.execution_done();
             if count_points {
                 tel.add_points_done(1);
             }
-            run
-        })
-    }
-
-    /// Runs every script (resuming from `crash_target`), returning
-    /// `(outcome, branch-choice log)` pairs in script order.
-    fn run_scripts(
-        program: &Program,
-        scripts: &[Vec<usize>],
-        crash_target: Option<(usize, usize)>,
-        sink_factory: SinkFactory<'_>,
-        config: &EngineConfig,
-    ) -> Vec<(SingleRun, Vec<(usize, usize)>)> {
-        let workers = config.resolved_workers();
-        Self::fan_out(scripts.to_vec(), workers, Telemetry::off(), |script| {
-            let (run, log, _) = Self::run_inner(
-                program,
-                SchedPolicy::Scripted,
-                PersistencePolicy::FullCache,
-                0,
-                crash_target,
-                Self::make_sink(sink_factory, &config.with_trace(false)),
-                script,
-                None,
-                Self::gc_period(config),
-                Telemetry::off(),
-            );
             (run, log)
         })
     }
@@ -1145,28 +1050,18 @@ impl Engine {
     /// The worker pool: applies `job` to every item, returning results in
     /// item order. Sequential when `workers <= 1` or there is at most one
     /// item; otherwise the batch goes to the suite-global work-stealing
-    /// scheduler ([`crate::pool`]) with uniform cost estimates.
+    /// scheduler ([`crate::pool`]), which buckets consecutive items into
+    /// chunks of roughly equal cost from the optional per-item `costs`
+    /// (simulated event counts; uniform when `None`). Estimates never
+    /// influence results — only how work is grouped and distributed.
     ///
     /// When `tel` is enabled, per-lane busy/idle wall time is recorded —
     /// the queue-stall number behind the `--profile` worker-utilization
     /// line. This is pure observation: job order, results, and merging are
     /// unaffected.
-    fn fan_out<T, R, F>(items: Vec<T>, workers: usize, tel: &Arc<Telemetry>, job: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        Self::fan_out_weighted(items, None, workers, tel, job)
-    }
-
-    /// [`Engine::fan_out`] with optional per-item cost estimates (simulated
-    /// event counts) that the scheduler uses to bucket consecutive items
-    /// into chunks of roughly equal cost. Estimates never influence
-    /// results — only how work is grouped and distributed.
-    fn fan_out_weighted<T, R, F>(
+    fn fan_out<T, R, F>(
         items: Vec<T>,
-        costs: Option<Vec<u64>>,
+        costs: Option<&[u64]>,
         workers: usize,
         tel: &Arc<Telemetry>,
         job: F,
@@ -1196,46 +1091,49 @@ impl Engine {
             });
             return results;
         }
-        pool::global().run_batch(items, costs.as_deref(), workers, tel, job)
+        pool::global().run_batch(items, costs, workers, tel, job)
     }
 
-    /// [`Engine::run_single`] plus schedule scripting and snapshot capture:
-    /// returns the branch-point choice log and (when a `snaplog` was
-    /// installed) the snapshot log alongside the outcome.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds and runs one simulated run from `spec` under `config`'s GC
+    /// settings: returns the branch-point choice log and (when a `snaplog`
+    /// was installed) the snapshot log alongside the outcome.
     fn run_inner(
         program: &Program,
-        policy: SchedPolicy,
-        persistence: PersistencePolicy,
-        seed: u64,
-        crash_target: Option<(usize, usize)>,
+        spec: &RunSpec,
         sink: Box<dyn EventSink>,
-        script: Vec<usize>,
         snaplog: Option<SnapshotLog>,
-        gc_every: Option<u64>,
+        config: &EngineConfig,
         tel: &Arc<Telemetry>,
     ) -> (SingleRun, Vec<(usize, usize)>, Option<SnapshotLog>) {
         install_quiet_panic_hook();
         let mut mem = MemState::new(program.compiler(), program.heap_bytes());
-        if let Some(every) = gc_every {
+        if let Some(every) = Self::gc_period(config) {
             mem.enable_gc(every);
         }
         if tel.enabled() {
             mem.set_telemetry(Arc::clone(tel));
         }
-        let shared = Arc::new(Shared::new(mem, sink, policy, StdRng::seed_from_u64(seed)));
+        let rng = StdRng::seed_from_u64(spec.seed);
+        let shared = Arc::new(Shared::new(mem, sink, spec.policy, rng));
         shared.with_core(|core| {
-            core.sched.script = script;
+            core.sched.script = spec.script.clone();
             core.snaplog = snaplog;
         });
         let mut points = Vec::with_capacity(program.phases().len());
 
         for (i, phase) in program.phases().iter().enumerate() {
-            let target = match crash_target {
+            let target = match spec.crash_target {
                 Some((p, idx)) if p == i => Some(idx),
                 _ => None,
             };
-            Self::exec_phase(&shared, phase.clone(), i, target, persistence, &mut points);
+            Self::exec_phase(
+                &shared,
+                phase.clone(),
+                i,
+                target,
+                spec.persistence,
+                &mut points,
+            );
         }
 
         Self::finish_run(&shared, points)
@@ -1334,12 +1232,7 @@ impl Engine {
     /// carried in the snapshot's `MemState::stats`) ride along from the
     /// snapshot, which is what keeps the aggregated report byte-identical
     /// to full re-execution.
-    fn resume_run(
-        program: &Program,
-        snap: Snapshot,
-        profile_points: &[usize],
-        persistence: PersistencePolicy,
-    ) -> SingleRun {
+    fn resume_run(program: &Program, snap: Snapshot, profile_points: &[usize]) -> SingleRun {
         install_quiet_panic_hook();
         let Snapshot {
             phase,
@@ -1366,12 +1259,19 @@ impl Engine {
             let Core { mem, sink, rng, .. } = core;
             mem.drain_all_sbs(sink.as_mut());
             sink.on_crash(mem.cur.id);
-            mem.crash(persistence, rng);
+            mem.crash(MODEL_CHECK_PERSISTENCE, rng);
         });
         // The injected crash counts its own point before firing.
         points.push(point + 1);
         for (i, body) in program.phases().iter().enumerate().skip(phase + 1) {
-            Self::exec_phase(&shared, body.clone(), i, None, persistence, &mut points);
+            Self::exec_phase(
+                &shared,
+                body.clone(),
+                i,
+                None,
+                MODEL_CHECK_PERSISTENCE,
+                &mut points,
+            );
         }
         let (mut run, _, _) = Self::finish_run(&shared, points);
         run.fork.resumed_runs = 1;

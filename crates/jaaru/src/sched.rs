@@ -223,6 +223,23 @@ impl PointRecord {
     }
 }
 
+/// What the profiling run's [`SnapshotLog`] captures at each crash point of
+/// the targeted phases. Every state records a [`PointRecord`] per point —
+/// the coverage plane's crash-space cartography is derived from the record
+/// stream whatever the resume strategy — and they differ only in which
+/// points also get a [`Snapshot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Capture {
+    /// No snapshots: every crash target is re-executed in full (fork off).
+    Records,
+    /// A snapshot at the first point of each crash-state equivalence class
+    /// (pruning): the class's representative.
+    Representatives,
+    /// A snapshot at every point: fork without pruning, or paranoid pruning
+    /// that executes every class member to cross-check attribution.
+    EveryPoint,
+}
+
 /// Snapshot collection plugged into the profiling run's [`Core`].
 ///
 /// Capture happens inside [`Shared::crash_point`], *before* the point is
@@ -230,56 +247,31 @@ impl PointRecord {
 /// would have reached, since the deterministic pre-crash schedule is
 /// bit-reproducible.
 pub(crate) struct SnapshotLog {
-    /// Snapshots are taken only in phases `0..capture_phases` (the phases
+    /// Points are observed only in phases `0..capture_phases` (the phases
     /// crash targets are injected into).
     pub capture_phases: usize,
-    /// When `false`, the log runs in records-only mode: every point still
-    /// gets a [`PointRecord`] (the coverage plane's crash-space cartography
-    /// is derived from the record stream, whatever the resume strategy),
-    /// but no [`Snapshot`] is captured — fork/prune are off.
-    pub capture_snaps: bool,
+    pub capture: Capture,
     /// Current phase index, maintained by the engine's phase prologue.
     pub phase: usize,
     pub snaps: Vec<Snapshot>,
     /// One record per crash point in the capture phases, snapshot or not.
     pub records: Vec<PointRecord>,
-    /// Equivalence pruning: skip the (expensive) snapshot capture for a
-    /// point whose `(phase, fingerprint)` equals the previous point's —
-    /// that class already has a representative snapshot.
-    pub prune: bool,
-    /// Paranoid verification: capture every point even when pruning, so the
-    /// engine can execute skipped members and cross-check attribution.
-    pub paranoid: bool,
-    /// Periodic crash-point sampling (`--sample-every N`): observe only
-    /// points whose phase-local index is a multiple of `sample`. `0` and `1`
-    /// both mean "every point". Sampled-out points get neither a
-    /// [`PointRecord`] nor a [`Snapshot`], so the engine's target list (also
-    /// restricted to multiples of `sample`) stays aligned with `records`.
-    pub sample: usize,
-    /// `(phase, fingerprint)` of the most recent point, for the skip check.
+    /// `(phase, fingerprint)` of the most recent point, for the
+    /// representative check.
     last: Option<(usize, u64)>,
-    /// Set when the sink cannot fork; the engine then falls back to full
-    /// re-execution.
+    /// Set when the sink cannot fork; no further snapshot is captured and
+    /// the engine falls back to full re-execution.
     pub unsupported: bool,
 }
 
 impl SnapshotLog {
-    pub fn new(
-        capture_phases: usize,
-        capture_snaps: bool,
-        prune: bool,
-        paranoid: bool,
-        sample: usize,
-    ) -> Self {
+    pub fn new(capture_phases: usize, capture: Capture) -> Self {
         SnapshotLog {
             capture_phases,
-            capture_snaps,
+            capture,
             phase: 0,
             snaps: Vec::new(),
             records: Vec::new(),
-            prune,
-            paranoid,
-            sample,
             last: None,
             unsupported: false,
         }
@@ -295,7 +287,7 @@ pub(crate) struct Core {
     pub rng: StdRng,
     /// Panic messages from simulated-task code (post-crash symptoms).
     pub panics: Vec<String>,
-    /// Snapshot collection, installed only for a profiling run in fork mode.
+    /// Snapshot collection, installed only for a model-checking profile run.
     pub snaplog: Option<SnapshotLog>,
 }
 
@@ -455,11 +447,8 @@ impl Shared {
             snaplog,
         } = core;
         let Some(log) = snaplog else { return };
-        if log.unsupported || log.phase >= log.capture_phases {
+        if log.phase >= log.capture_phases {
             return;
-        }
-        if log.sample > 1 && crash.seen % log.sample != 0 {
-            return; // sampled out: not a target, so record nothing
         }
         // The point's class fingerprint: everything that determines the
         // observable result of resuming from here. Both components are O(1)
@@ -481,15 +470,15 @@ impl Shared {
         });
         let fresh = log.last != Some((log.phase, fp));
         log.last = Some((log.phase, fp));
-        if !log.capture_snaps {
-            // Records-only mode: cartography wants the point stream, but no
-            // resume strategy will consume snapshots.
-            return;
-        }
-        if log.prune && !log.paranoid && !fresh {
+        let wanted = match log.capture {
+            Capture::Records => false,
             // Same class as the previous point: its representative snapshot
             // is already captured. Skipping `mem.fork()` here is the
             // profiling-run half of the pruning win.
+            Capture::Representatives => fresh,
+            Capture::EveryPoint => true,
+        };
+        if !wanted || log.unsupported {
             return;
         }
         // Telemetry (wall-clock plane): time the capture itself — the

@@ -1,9 +1,10 @@
 //! Differential tests for streaming epoch GC: the `RunReport` — races,
 //! stats, metrics, `--json` rendering, and span traces — must be
 //! byte-identical between GC-on and GC-off runs, at every worker count, on
-//! the real benchmark suite and on randomized programs. Mirrors
+//! the real benchmark suite and the soak traffic. Mirrors
 //! `prune_equivalence.rs` and `fork_equivalence.rs`, which pin the same
-//! contract for the other physical strategies.
+//! contract for the other physical strategies; randomized programs go
+//! through the whole strategy matrix in `strategy_matrix.rs`.
 //!
 //! GC is aggressive here (`gc_every(1)`: a mark-sweep pass after every
 //! committed store) so retirement happens constantly even on small
@@ -13,37 +14,13 @@
 //! end-to-end contract, and the soak plateau test pins the bounded-memory
 //! claim GC exists for.
 
+mod common;
+
 use bench::{evaluation_suite, SuiteMode, HARNESS_SEED};
+use common::{check, fingerprint, random_program, STORE_HEAVY, WORKER_COUNTS};
 use jaaru::obs::telemetry::Telemetry;
-use jaaru::{
-    Atomicity, Ctx, Engine, EngineConfig, ExecMode, PersistencePolicy, Program, RunReport,
-    SchedPolicy,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use yashme::json::run_json;
+use jaaru::{Engine, EngineConfig, ExecMode, PersistencePolicy, SchedPolicy};
 use yashme::{YashmeConfig, YashmeDetector};
-
-/// Worker counts every comparison runs at: sequential, a small pool, and
-/// one-per-CPU.
-const WORKER_COUNTS: [usize; 3] = [1, 8, 0];
-
-/// The full comparison surface of one run: the elapsed-free `--json`
-/// document (races with provenance, labels, executions, crash points,
-/// panics, dedup hits, metrics) plus the raw stats and race debug
-/// renderings.
-fn fingerprint(name: &str, report: &RunReport) -> String {
-    format!(
-        "{}\n{:?}\n{:?}",
-        run_json(name, report, false).render(),
-        report.stats(),
-        report.races(),
-    )
-}
-
-fn check(program: &Program, mode: ExecMode, engine: &EngineConfig) -> RunReport {
-    yashme::check(program, mode, YashmeConfig::default(), engine)
-}
 
 /// GC at its most aggressive: a pass after every commit.
 fn gc_hot(workers: usize) -> EngineConfig {
@@ -74,186 +51,22 @@ fn gc_matches_unbounded_on_the_evaluation_suite() {
     }
 }
 
-/// One operation of the randomized-program language. Offsets are 8-byte
-/// slots inside the root region.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Store { slot: u64, val: u64, release: bool },
-    Load { slot: u64, acquire: bool },
-    Clflush { slot: u64 },
-    Clwb { slot: u64 },
-    Sfence,
-    Mfence,
-    Cas { slot: u64, expected: u64, new: u64 },
-    FetchAdd { slot: u64, delta: u64 },
-}
-
-const SLOTS: u64 = 24;
-
-fn random_ops(rng: &mut StdRng, n: usize) -> Vec<Op> {
-    (0..n)
-        .map(|_| {
-            let slot = rng.gen_range(0..SLOTS);
-            match rng.gen_range(0..10u32) {
-                // Store-and-flush heavy: overwrites of already-persisted
-                // slots are exactly what retirement feeds on, and loads of
-                // retired-then-reused addresses are the readback hazard.
-                0..=3 => Op::Store {
-                    slot,
-                    val: rng.gen_range(1..1000),
-                    release: rng.gen_range(0..2) == 0,
-                },
-                4 => Op::Load {
-                    slot,
-                    acquire: rng.gen_range(0..2) == 0,
-                },
-                5..=6 => Op::Clflush { slot },
-                7 => Op::Clwb { slot },
-                8 => Op::Sfence,
-                9 if slot % 3 == 0 => Op::Mfence,
-                9 if slot % 3 == 1 => Op::Cas {
-                    slot,
-                    expected: 0,
-                    new: rng.gen_range(1..100),
-                },
-                _ => Op::FetchAdd {
-                    slot,
-                    delta: rng.gen_range(1..5),
-                },
-            }
-        })
-        .collect()
-}
-
-fn apply(ctx: &mut Ctx, ops: &[Op]) {
-    let base = ctx.root();
-    for op in ops {
-        match *op {
-            Op::Store { slot, val, release } => {
-                let atom = if release {
-                    Atomicity::ReleaseAcquire
-                } else {
-                    Atomicity::Plain
-                };
-                ctx.store_u64(base + slot * 8, val, atom, "rand.slot");
-            }
-            Op::Load { slot, acquire } => {
-                let atom = if acquire {
-                    Atomicity::ReleaseAcquire
-                } else {
-                    Atomicity::Plain
-                };
-                let _ = ctx.load_u64(base + slot * 8, atom);
-            }
-            Op::Clflush { slot } => ctx.clflush(base + slot * 8),
-            Op::Clwb { slot } => ctx.clwb(base + slot * 8),
-            Op::Sfence => ctx.sfence(),
-            Op::Mfence => ctx.mfence(),
-            Op::Cas {
-                slot,
-                expected,
-                new,
-            } => {
-                let _ = ctx.cas_u64(base + slot * 8, expected, new, "rand.cas");
-            }
-            Op::FetchAdd { slot, delta } => {
-                let _ = ctx.fetch_add_u64(base + slot * 8, delta, "rand.faa");
-            }
-        }
-    }
-}
-
-/// A randomized program in the style of the sibling equivalence suites: a
-/// pre-crash phase of random store/flush/fence/CAS traffic (plus one
-/// spawned thread for scheduler coverage), a recovery phase that also
-/// mutates and flushes, and a final phase that scans every slot — the
-/// scans force post-crash loads of addresses whose history GC may have
-/// retired.
-fn random_program(seed: u64) -> Program {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pre = random_ops(&mut rng, 28);
-    let spawned = random_ops(&mut rng, 6);
-    let recovery = random_ops(&mut rng, 10);
-    Program::new("randomized")
-        .pre_crash(move |ctx: &mut Ctx| {
-            let child_ops = spawned.clone();
-            let h = ctx.spawn(move |ctx2: &mut Ctx| apply(ctx2, &child_ops));
-            apply(ctx, &pre);
-            ctx.join(h);
-        })
-        .phase(move |ctx: &mut Ctx| apply(ctx, &recovery))
-        .phase(|ctx: &mut Ctx| {
-            let base = ctx.root();
-            for slot in 0..SLOTS {
-                let _ = ctx.load_u64(base + slot * 8, Atomicity::Plain);
-            }
-        })
-}
-
-#[test]
-fn gc_matches_unbounded_on_randomized_programs() {
-    for seed in 0..6u64 {
-        let program = random_program(seed);
-        let unbounded = check(
-            &program,
-            ExecMode::model_check(),
-            &EngineConfig::sequential().with_gc(false),
-        );
-        let want = fingerprint("randomized", &unbounded);
-        for workers in WORKER_COUNTS {
-            let streamed = check(&program, ExecMode::model_check(), &gc_hot(workers));
-            assert_eq!(
-                fingerprint("randomized", &streamed),
-                want,
-                "seed {seed} workers {workers}"
-            );
-        }
-    }
-}
-
 #[test]
 fn gc_actually_retires_state_on_these_programs() {
     // Guard against the equivalence suite passing vacuously: with a pass
     // per commit, the randomized programs must see real retirement work.
     let mut retired = 0;
     for seed in 0..6u64 {
-        let report = check(&random_program(seed), ExecMode::model_check(), &gc_hot(1));
+        let report = check(
+            &random_program(&STORE_HEAVY, seed),
+            ExecMode::model_check(),
+            &gc_hot(1),
+        );
         let g = report.gc_stats();
         assert!(g.passes > 0, "seed {seed}: no GC pass ran");
         retired += g.events_retired + g.flushes_retired + g.line_entries_retired;
     }
     assert!(retired > 0, "no program retired anything — vacuous suite");
-}
-
-#[test]
-fn gc_matches_unbounded_with_tracing() {
-    // The span trace rides the same event stream; retirement must neither
-    // tick the virtual span clock nor reorder spans.
-    let program = random_program(2);
-    let cfg = |workers: usize, gc: bool| {
-        let c = EngineConfig::with_workers(workers).with_trace(true);
-        if gc {
-            c.with_gc_every(1)
-        } else {
-            c.with_gc(false)
-        }
-    };
-    let unbounded = check(&program, ExecMode::model_check(), &cfg(1, false));
-    let want_trace = obs::to_chrome_json(unbounded.trace().expect("trace"));
-    let want = fingerprint("randomized", &unbounded);
-    for workers in [1usize, 8] {
-        let streamed = check(&program, ExecMode::model_check(), &cfg(workers, true));
-        assert_eq!(
-            fingerprint("randomized", &streamed),
-            want,
-            "workers {workers}"
-        );
-        assert_eq!(
-            obs::to_chrome_json(streamed.trace().expect("trace")),
-            want_trace,
-            "span trace must be byte-identical under GC (workers {workers})"
-        );
-    }
 }
 
 #[test]
@@ -265,13 +78,17 @@ fn paranoid_mode_runs_an_ungc_shadow_in_lockstep() {
         .with_gc_every(1)
         .with_gc_paranoid(true);
     for seed in [0u64, 2, 5] {
-        let report = check(&random_program(seed), ExecMode::model_check(), &paranoid);
+        let report = check(
+            &random_program(&STORE_HEAVY, seed),
+            ExecMode::model_check(),
+            &paranoid,
+        );
         assert_eq!(
             fingerprint("randomized", &report),
             fingerprint(
                 "randomized",
                 &check(
-                    &random_program(seed),
+                    &random_program(&STORE_HEAVY, seed),
                     ExecMode::model_check(),
                     &EngineConfig::sequential().with_gc(false),
                 )

@@ -5,8 +5,7 @@
 //! records *how* a run executed and the wall-clock telemetry plane (PR 8)
 //! records *how long* it took; this plane records *how much was checked* —
 //! which static store/flush/fence/load sites were exercised and with what
-//! verdict, and how much of the crash-state space was explored, pruned, or
-//! sampled away.
+//! verdict, and how much of the crash-state space was explored or pruned.
 //!
 //! Everything here lives on the logical side of the determinism contract:
 //! a [`SiteTable`] accumulates alongside `ExecStats` (absorb / minus /
@@ -281,7 +280,7 @@ impl SiteTable {
 /// All fields are derived from the profiling run's crash-point stream and
 /// fingerprint structure, which are strategy-independent: `explored` is
 /// the number of *distinct crash states* (equivalence classes) among the
-/// sampled points — what pruning resumes when on, and what exhaustive
+/// points — what pruning resumes when on, and what exhaustive
 /// resumption covers redundantly when off — so the chart is byte-identical
 /// whether or not fork/prune/GC actually ran.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -290,11 +289,9 @@ pub struct PhaseChart {
     pub phase: usize,
     /// Crash points the phase offered.
     pub points: u64,
-    /// Points skipped by `--sample-every` periodic sampling.
-    pub sampled_out: u64,
-    /// Distinct crash-state equivalence classes among the sampled points.
+    /// Distinct crash-state equivalence classes among the points.
     pub explored: u64,
-    /// Sampled points whose crash state duplicated an earlier class.
+    /// Points whose crash state duplicated an earlier class.
     pub prunable: u64,
     /// Class-size histogram: `(class size, number of classes)`, sorted.
     pub class_sizes: Vec<(u64, u64)>,
@@ -426,7 +423,6 @@ pub fn coverage_json(report: &CoverageReport) -> Json {
         Json::obj([
             ("phase", p.phase.into()),
             ("points", p.points.into()),
-            ("sampled_out", p.sampled_out.into()),
             ("explored", p.explored.into()),
             ("prunable", p.prunable.into()),
             (

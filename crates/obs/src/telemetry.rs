@@ -30,7 +30,6 @@
 //! happens *inside* a top-level segment and are reported indented,
 //! excluded from the coverage sum so nothing is counted twice.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -154,7 +153,7 @@ impl SchedCounters {
     }
 }
 
-/// One point of the ring-buffer time series.
+/// One telemetry sample: the counters at an instant.
 #[derive(Debug, Clone)]
 pub struct TelemetrySample {
     /// Offset from telemetry start.
@@ -183,12 +182,9 @@ pub struct TelemetrySample {
     pub eta: Option<Duration>,
 }
 
-/// Ring-buffer state behind one mutex: the series plus the previous
-/// sample's cursor for rate computation.
-#[derive(Debug)]
-struct Ring {
-    samples: VecDeque<TelemetrySample>,
-    cap: usize,
+/// The previous recorded sample's position, for rate computation.
+#[derive(Debug, Default)]
+struct Cursor {
     last_events: u64,
     last_at: Duration,
 }
@@ -213,7 +209,7 @@ pub struct Telemetry {
     sched_steals: AtomicU64,
     sched_queue_depth: AtomicU64,
     workers: Mutex<Vec<WorkerStat>>,
-    ring: Mutex<Ring>,
+    cursor: Mutex<Cursor>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -261,12 +257,7 @@ impl Telemetry {
             sched_steals: AtomicU64::new(0),
             sched_queue_depth: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
-            ring: Mutex::new(Ring {
-                samples: VecDeque::new(),
-                cap: 1024,
-                last_events: 0,
-                last_at: Duration::ZERO,
-            }),
+            cursor: Mutex::default(),
         }
     }
 
@@ -412,19 +403,23 @@ impl Telemetry {
     }
 
     /// A snapshot of the counters right now, with the event rate computed
-    /// against the previous recorded sample. Does not touch the ring.
+    /// against the previous recorded sample. Does not move the cursor.
     pub fn sample(&self) -> TelemetrySample {
-        let ring = self.ring.lock().expect("telemetry ring");
-        self.sample_against(&ring)
+        let cursor = self.cursor.lock().expect("telemetry cursor");
+        self.sample_against(&cursor)
     }
 
-    fn sample_against(&self, ring: &Ring) -> TelemetrySample {
+    fn sample_against(&self, cursor: &Cursor) -> TelemetrySample {
         let at = self.start.elapsed();
         let events = self.events.load(Ordering::Relaxed);
-        let delta_e = events.saturating_sub(ring.last_events);
-        let delta_t = at.saturating_sub(ring.last_at);
-        let window = if ring.last_at.is_zero() { at } else { delta_t };
-        let window_events = if ring.last_at.is_zero() {
+        let delta_e = events.saturating_sub(cursor.last_events);
+        let delta_t = at.saturating_sub(cursor.last_at);
+        let window = if cursor.last_at.is_zero() {
+            at
+        } else {
+            delta_t
+        };
+        let window_events = if cursor.last_at.is_zero() {
             events
         } else {
             delta_e
@@ -456,29 +451,14 @@ impl Telemetry {
         }
     }
 
-    /// Takes a sample and appends it to the ring-buffer time series
-    /// (evicting the oldest point past capacity).
+    /// Takes a sample and moves the cursor to it, so the next sample's
+    /// rate covers the window since this one.
     pub fn sample_and_record(&self) -> TelemetrySample {
-        let mut ring = self.ring.lock().expect("telemetry ring");
-        let sample = self.sample_against(&ring);
-        ring.last_events = sample.events;
-        ring.last_at = sample.at;
-        if ring.samples.len() >= ring.cap {
-            ring.samples.pop_front();
-        }
-        ring.samples.push_back(sample.clone());
+        let mut cursor = self.cursor.lock().expect("telemetry cursor");
+        let sample = self.sample_against(&cursor);
+        cursor.last_events = sample.events;
+        cursor.last_at = sample.at;
         sample
-    }
-
-    /// The recorded time series, oldest first.
-    pub fn samples(&self) -> Vec<TelemetrySample> {
-        self.ring
-            .lock()
-            .expect("telemetry ring")
-            .samples
-            .iter()
-            .cloned()
-            .collect()
     }
 
     /// The recorded worker busy/idle stats.
@@ -796,14 +776,14 @@ impl Drop for PhaseTimer<'_> {
 }
 
 /// Configuration of the background [`Reporter`] thread.
-#[derive(Debug, Clone)]
 pub struct ReporterConfig {
     /// Sampling interval (default one second).
     pub interval: Duration,
     /// Print a heartbeat line to stderr per sample.
     pub progress: bool,
-    /// Append one JSONL snapshot per sample to this file.
-    pub jsonl: Option<std::path::PathBuf>,
+    /// Write one JSONL snapshot per sample here. The caller opens it, so an
+    /// unwritable destination is reported before any run starts.
+    pub jsonl: Option<Box<dyn std::io::Write + Send>>,
     /// Label in the heartbeat prefix (`[label] ...`).
     pub label: String,
 }
@@ -843,8 +823,8 @@ impl Drop for Reporter {
     }
 }
 
-/// Spawns the periodic sampling thread: every `interval` it records a
-/// sample into the ring buffer and emits the configured outputs (stderr
+/// Spawns the periodic sampling thread: every `interval` it takes a
+/// sample and emits the configured outputs (stderr
 /// heartbeat, JSONL line). Returns an inert handle when `tel` is disabled.
 pub fn start_reporter(tel: &Arc<Telemetry>, config: ReporterConfig) -> Reporter {
     let stop = Arc::new(AtomicBool::new(false));
@@ -856,11 +836,7 @@ pub fn start_reporter(tel: &Arc<Telemetry>, config: ReporterConfig) -> Reporter 
     let handle = std::thread::Builder::new()
         .name("yashme-telemetry".to_owned())
         .spawn(move || {
-            let mut jsonl = config.jsonl.as_ref().map(|path| {
-                std::fs::File::create(path)
-                    .map(std::io::BufWriter::new)
-                    .unwrap_or_else(|e| panic!("telemetry jsonl {}: {e}", path.display()))
-            });
+            let mut jsonl = config.jsonl.map(std::io::BufWriter::new);
             let mut emit = |tel: &Telemetry| {
                 let sample = tel.sample_and_record();
                 if config.progress {
@@ -923,15 +899,23 @@ mod tests {
     }
 
     #[test]
-    fn sample_rates_use_the_previous_ring_point() {
+    fn sample_rates_use_the_previous_recorded_sample() {
         let tel = Telemetry::new();
         tel.add_events(1000);
         let first = tel.sample_and_record();
         assert_eq!(first.events, 1000);
         tel.add_events(500);
+        let peek = tel.sample();
+        assert_eq!(peek.events, 1500);
+        assert_eq!(
+            tel.cursor.lock().unwrap().last_events,
+            1000,
+            "a plain sample leaves the cursor where it was"
+        );
         let second = tel.sample_and_record();
         assert_eq!(second.events, 1500);
-        assert_eq!(tel.samples().len(), 2);
+        let cursor = tel.cursor.lock().unwrap();
+        assert_eq!((cursor.last_events, cursor.last_at), (1500, second.at));
     }
 
     #[test]
@@ -1016,26 +1000,60 @@ mod tests {
         assert!(tree.contains("7 job(s)"));
     }
 
+    /// A JSONL destination the test can read back.
+    #[derive(Clone, Default)]
+    struct Lines(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Lines {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Lines {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
     #[test]
     fn reporter_emits_a_final_sample_on_drop() {
         let tel = Arc::new(Telemetry::new());
         tel.add_events(10);
+        let out = Lines::default();
         let reporter = start_reporter(
             &tel,
             ReporterConfig {
                 interval: Duration::from_secs(60),
+                jsonl: Some(Box::new(out.clone())),
                 ..ReporterConfig::default()
             },
         );
         drop(reporter);
-        assert!(!tel.samples().is_empty(), "final sample recorded");
+        let text = out.text();
+        assert_eq!(text.lines().count(), 1, "one final sample: {text:?}");
+        assert!(text.contains("\"events\":10,"), "{text:?}");
+        assert_eq!(tel.cursor.lock().unwrap().last_events, 10);
     }
 
     #[test]
     fn disabled_reporter_spawns_no_thread() {
         let tel = Arc::new(Telemetry::disabled());
-        let reporter = start_reporter(&tel, ReporterConfig::default());
+        let out = Lines::default();
+        let reporter = start_reporter(
+            &tel,
+            ReporterConfig {
+                jsonl: Some(Box::new(out.clone())),
+                ..ReporterConfig::default()
+            },
+        );
+        assert!(reporter.handle.is_none());
         drop(reporter);
-        assert!(tel.samples().is_empty());
+        assert!(out.text().is_empty());
     }
 }

@@ -267,8 +267,8 @@ pub fn render_coverage(report: &RunReport) -> String {
         writeln!(
             out,
             "  crash-space phase {}: {} point(s) — {} distinct crash state(s) \
-             explored, {} prunable duplicate(s), {} sampled out",
-            p.phase, p.points, p.explored, p.prunable, p.sampled_out,
+             explored, {} prunable duplicate(s)",
+            p.phase, p.points, p.explored, p.prunable,
         )
         .expect("write to string");
     }

@@ -87,7 +87,7 @@ fn usage() -> &'static str {
     "usage: yashme (--list | --all | --benchmark <NAME>) \
      [--mode model-check|random] [--executions N] [--seed S] \
      [--workers N|auto] [--no-fork] [--no-prune] [--no-gc] [--prune-paranoid] \
-     [--gc-every N] [--gc-paranoid] [--sample-every N] [--baseline] [--eadr] \
+     [--gc-every N] [--gc-paranoid] [--baseline] [--eadr] \
      [--details] [--explain] [--json] [--trace-out FILE] [--metrics-out FILE] \
      [--coverage] [--coverage-out FILE] \
      [--progress] [--telemetry-out FILE.jsonl] [--prom-out FILE] [--profile]"
@@ -384,11 +384,23 @@ fn main() -> ExitCode {
     } else {
         Arc::clone(Telemetry::off())
     };
+    // Opened here, before any benchmark runs, so an unwritable path fails
+    // fast like the other output flags.
+    let jsonl = match &opts.telemetry_out {
+        Some(path) => match std::fs::File::create(path) {
+            Ok(file) => Some(Box::new(file) as Box<dyn std::io::Write + Send>),
+            Err(e) => {
+                eprintln!("writing telemetry to {path}: {e}");
+                return ExitCode::from(2);
+            }
+        },
+        None => None,
+    };
     let reporter = start_reporter(
         &tel,
         ReporterConfig {
             progress: opts.progress,
-            jsonl: opts.telemetry_out.clone().map(Into::into),
+            jsonl,
             ..ReporterConfig::default()
         },
     );
