@@ -6,8 +6,9 @@
 //! engine. Flush and fence operations are also crash points — the engine
 //! injects crashes "before every clflush or fence operation" (§6).
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 use pmem::Addr;
 use px86::Atomicity;
@@ -370,30 +371,55 @@ impl std::fmt::Debug for Ctx {
     }
 }
 
-/// Spawns the OS thread hosting a simulated task; the wrapper waits for the
-/// token, runs `f`, records non-crash panics, and hands the token on.
-pub(crate) fn spawn_task(
-    shared: Arc<Shared>,
-    tid: ThreadId,
-    f: impl FnOnce(&mut Ctx) + Send + 'static,
-) {
+thread_local! {
+    /// Set while this thread runs simulated-task code (inside [`run_task`]).
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs simulated task `tid` on the calling thread: waits for the token,
+/// runs `f`, records a non-crash panic as a post-crash symptom, and hands
+/// the token on. The engine calls it inline for each phase's main task;
+/// [`spawn_task`] hosts it on a new OS thread for [`Ctx::spawn`].
+pub(crate) fn run_task(shared: &Arc<Shared>, tid: ThreadId, f: impl FnOnce(&mut Ctx)) {
+    IN_TASK.set(true);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        shared.enter_task(tid);
+        let mut ctx = Ctx::new(shared.clone(), tid);
+        f(&mut ctx);
+    }));
+    IN_TASK.set(false);
+    if let Err(payload) = result {
+        if payload.downcast_ref::<CrashUnwind>().is_none() {
+            let msg = panic_message(&*payload);
+            shared.with_core(|core| core.panics.push(msg));
+        }
+    }
+    shared.finish_task(tid);
+}
+
+/// Spawns the OS thread hosting a [`Ctx::spawn`] child, which runs
+/// [`run_task`].
+fn spawn_task(shared: Arc<Shared>, tid: ThreadId, f: impl FnOnce(&mut Ctx) + Send + 'static) {
     std::thread::Builder::new()
         .name(format!("jaaru-task-{}", tid.index()))
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                shared.wait_for_token(tid);
-                let mut ctx = Ctx::new(shared.clone(), tid);
-                f(&mut ctx);
-            }));
-            if let Err(payload) = result {
-                if payload.downcast_ref::<CrashUnwind>().is_none() {
-                    let msg = panic_message(&*payload);
-                    shared.with_core(|core| core.panics.push(msg));
-                }
-            }
-            shared.finish_task(tid);
-        })
+        .spawn(move || run_task(&shared, tid, f))
         .expect("spawn simulated task");
+}
+
+/// Installs (once) a panic hook that silences panics raised inside
+/// simulated tasks — crash unwinds and injected-fault symptoms are expected
+/// there and would otherwise flood stderr. Any other panic, on any thread,
+/// reaches the previously installed hook.
+pub(crate) fn install_quiet_panic_hook() {
+    static INIT: Once = Once::new();
+    INIT.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !IN_TASK.try_with(Cell::get).unwrap_or(false) {
+                prev(info);
+            }
+        }));
+    });
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

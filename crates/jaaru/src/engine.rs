@@ -17,7 +17,7 @@ use obs::telemetry::{Telemetry, WallPhase, WorkerStat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ctx::spawn_task;
+use crate::ctx::{install_quiet_panic_hook, run_task};
 use crate::mem::{MemState, PersistencePolicy};
 use crate::pool;
 use crate::report::{ForkStats, GcStats, PruneStats, RaceReport, RunReport};
@@ -82,11 +82,13 @@ pub struct EngineConfig {
     /// Number of worker threads exploring crash points concurrently.
     ///
     /// `1` (the default) runs strictly sequentially on the calling thread.
-    /// `0` means "auto": one worker per available CPU. Because every
-    /// simulated run serializes its own `jaaru-task-*` threads through the
-    /// scheduler token, `workers` bounds *total* runnable concurrency, not
-    /// just top-level fan-out: at most `workers` OS threads make progress
-    /// at any instant no matter how many tasks each simulated run spawns.
+    /// `0` means "auto": one worker per available CPU. Each simulated run
+    /// executes its phases' main tasks on the worker running it and
+    /// serializes any [`Ctx::spawn`](crate::Ctx::spawn) children (each on
+    /// an OS thread of its own) through the scheduler token, so `workers`
+    /// bounds *total* runnable concurrency, not just top-level fan-out: at
+    /// most `workers` OS threads make progress at any instant no matter how
+    /// many tasks each simulated run spawns.
     pub workers: usize,
     /// Record a deterministic span trace of every run (off by default).
     ///
@@ -1126,26 +1128,19 @@ impl Engine {
                 Some((p, idx)) if p == i => Some(idx),
                 _ => None,
             };
-            Self::exec_phase(
-                &shared,
-                phase.clone(),
-                i,
-                target,
-                spec.persistence,
-                &mut points,
-            );
+            Self::exec_phase(&shared, phase, i, target, spec.persistence, &mut points);
         }
 
         Self::finish_run(&shared, points)
     }
 
     /// Runs one phase against the shared core: prologue (crash-control
-    /// reset, execution-start event), the simulated task, and epilogue
-    /// (crash-point accounting, end-of-phase power loss, image
+    /// reset, execution-start event), the main task on the calling thread,
+    /// and epilogue (crash-point accounting, end-of-phase power loss, image
     /// materialization).
     fn exec_phase(
         shared: &Arc<Shared>,
-        body: crate::program::PhaseFn,
+        body: &crate::program::PhaseFn,
         index: usize,
         crash_target: Option<usize>,
         persistence: PersistencePolicy,
@@ -1166,7 +1161,8 @@ impl Engine {
             core.sched.register(t);
             t
         });
-        spawn_task(shared.clone(), tid, move |ctx| body(ctx));
+        // The main task runs inline; the host then waits out any children.
+        run_task(shared, tid, |ctx| body(ctx));
         shared.wait_all_tasks();
         shared.with_core(|core| {
             points.push(core.crash.seen);
@@ -1264,14 +1260,7 @@ impl Engine {
         // The injected crash counts its own point before firing.
         points.push(point + 1);
         for (i, body) in program.phases().iter().enumerate().skip(phase + 1) {
-            Self::exec_phase(
-                &shared,
-                body.clone(),
-                i,
-                None,
-                MODEL_CHECK_PERSISTENCE,
-                &mut points,
-            );
+            Self::exec_phase(&shared, body, i, None, MODEL_CHECK_PERSISTENCE, &mut points);
         }
         let (mut run, _, _) = Self::finish_run(&shared, points);
         run.fork.resumed_runs = 1;
@@ -1279,24 +1268,4 @@ impl Engine {
         run.fork.suffix_events = run.stats.events().saturating_sub(prefix_events);
         run
     }
-}
-
-/// Installs (once) a panic hook that silences panics originating in
-/// simulated task threads — crash unwinds and injected-fault symptoms are
-/// expected there and would otherwise flood stderr.
-fn install_quiet_panic_hook() {
-    use std::sync::Once;
-    static INIT: Once = Once::new();
-    INIT.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let quiet = std::thread::current()
-                .name()
-                .map(|n| n.starts_with("jaaru-task-"))
-                .unwrap_or(false);
-            if !quiet {
-                prev(info);
-            }
-        }));
-    });
 }

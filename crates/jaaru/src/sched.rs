@@ -1,4 +1,4 @@
-//! Token-passing cooperative scheduler over OS threads.
+//! Token-passing cooperative scheduler.
 //!
 //! The engine serializes simulated threads: exactly one holds the *token*
 //! and runs benchmark code; everyone else blocks. Every memory operation is
@@ -8,10 +8,17 @@
 //! seeded-random in random mode. Crash injection simply marks the run
 //! crashed; every task unwinds with [`CrashUnwind`] at its next scheduling
 //! point.
+//!
+//! A phase's main task runs inline on the thread that runs the phase; only
+//! [`Ctx::spawn`](crate::Ctx::spawn) children get OS threads of their own.
+//! Each task parks in its own wait slot (its OS thread), and a handoff
+//! unparks exactly the new token holder. A yield that keeps the token
+//! makes no system call. The phase host is woken once, when the last task
+//! finishes; crash injection is the one broadcast.
 
-use std::collections::HashMap;
+use std::thread::Thread;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use pmem::Forkable;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -46,11 +53,20 @@ enum TaskState {
     Finished,
 }
 
-/// Scheduler bookkeeping (token, liveness).
+/// Scheduler bookkeeping (token, liveness, wait slots).
 pub(crate) struct Sched {
     token: ThreadId,
-    tasks: HashMap<ThreadId, TaskState>,
+    /// Task states indexed by [`ThreadId`]: ids are dense, handed out by
+    /// `MemState::register_thread`, and every id is registered here.
+    tasks: Vec<TaskState>,
+    /// Number of `Runnable` entries in `tasks`.
     active: usize,
+    /// Wait slots, indexed like `tasks`: the OS thread hosting each live
+    /// task, which a handoff to that task unparks. `None` before the task
+    /// first runs and after it finishes.
+    threads: Vec<Option<Thread>>,
+    /// The phase host, recorded only while it waits for `active == 0`.
+    host: Option<Thread>,
     pub crashed: bool,
     pub policy: SchedPolicy,
     /// Scripted mode: the candidate index to pick at each branch point.
@@ -65,8 +81,10 @@ impl Sched {
     fn new(policy: SchedPolicy) -> Self {
         Sched {
             token: ThreadId::MAIN,
-            tasks: HashMap::new(),
+            tasks: Vec::new(),
             active: 0,
+            threads: Vec::new(),
+            host: None,
             crashed: false,
             policy,
             script: Vec::new(),
@@ -76,7 +94,9 @@ impl Sched {
     }
 
     pub fn register(&mut self, tid: ThreadId) {
-        self.tasks.insert(tid, TaskState::Runnable);
+        assert_eq!(tid.as_usize(), self.tasks.len(), "thread ids are dense");
+        self.tasks.push(TaskState::Runnable);
+        self.threads.push(None);
         self.active += 1;
         if self.active == 1 {
             self.token = tid;
@@ -84,49 +104,51 @@ impl Sched {
     }
 
     pub fn is_finished(&self, tid: ThreadId) -> bool {
-        self.tasks.get(&tid) == Some(&TaskState::Finished)
+        self.tasks.get(tid.as_usize()) == Some(&TaskState::Finished)
     }
 
-    fn runnable_after(&self, from: ThreadId) -> Vec<ThreadId> {
-        let mut ids: Vec<ThreadId> = self
-            .tasks
-            .iter()
-            .filter(|(_, s)| **s == TaskState::Runnable)
-            .map(|(t, _)| *t)
-            .collect();
-        ids.sort();
-        // Rotate so the scan starts just after `from`.
-        let pivot = ids.iter().position(|&t| t > from).unwrap_or(0);
-        ids.rotate_left(pivot);
-        ids
+    /// The `n`-th runnable task in candidate order: ascending ids, starting
+    /// just after `from` and wrapping around to end with `from` itself.
+    fn nth_runnable_after(&self, from: ThreadId, n: usize) -> ThreadId {
+        let len = self.tasks.len();
+        (from.as_usize() + 1..from.as_usize() + 1 + len)
+            .map(|i| i % len)
+            .filter(|&i| self.tasks[i] == TaskState::Runnable)
+            .nth(n)
+            .map(|i| ThreadId::new(i as u32))
+            .expect("`active` counts the runnable tasks")
     }
 
     fn pick_next(&mut self, from: ThreadId, rng: &mut StdRng) -> Option<ThreadId> {
-        let candidates = self.runnable_after(from);
-        if candidates.is_empty() {
+        let count = self.active;
+        if count == 0 {
             return None;
         }
-        Some(match self.policy {
-            SchedPolicy::Deterministic => candidates[0],
-            SchedPolicy::RandomChoice => candidates[rng.gen_range(0..candidates.len())],
+        let idx = match self.policy {
+            SchedPolicy::Deterministic => 0,
+            SchedPolicy::RandomChoice => rng.gen_range(0..count),
+            // Branch points with a single candidate are not logged: they
+            // carry no exploration choice.
+            SchedPolicy::Scripted if count == 1 => 0,
             SchedPolicy::Scripted => {
-                // Branch points with a single candidate are not logged: they
-                // carry no exploration choice.
-                if candidates.len() == 1 {
-                    candidates[0]
-                } else {
-                    let idx = self
-                        .script
-                        .get(self.cursor)
-                        .copied()
-                        .unwrap_or(0)
-                        .min(candidates.len() - 1);
-                    self.cursor += 1;
-                    self.choice_log.push((idx, candidates.len()));
-                    candidates[idx]
-                }
+                let idx = self
+                    .script
+                    .get(self.cursor)
+                    .copied()
+                    .unwrap_or(0)
+                    .min(count - 1);
+                self.cursor += 1;
+                self.choice_log.push((idx, count));
+                idx
             }
-        })
+        };
+        Some(self.nth_runnable_after(from, idx))
+    }
+
+    /// Passes the token to `next`; returns the wait slot to unpark.
+    fn hand_to(&mut self, next: ThreadId) -> Option<Thread> {
+        self.token = next;
+        self.threads[next.as_usize()].clone()
     }
 }
 
@@ -138,16 +160,15 @@ impl Forkable for Sched {
     /// prefix task has unwound (`Finished`, `active == 0`) and the run is
     /// marked crashed. The token is deliberately not carried over — with no
     /// active task it is unobservable, and the next phase's `register` resets
-    /// it when `active` goes 0 → 1.
+    /// it when `active` goes 0 → 1. No task is live, so every wait slot is
+    /// empty.
     fn fork(&self) -> Self {
         Sched {
             token: self.token,
-            tasks: self
-                .tasks
-                .keys()
-                .map(|&t| (t, TaskState::Finished))
-                .collect(),
+            tasks: self.tasks.iter().map(|_| TaskState::Finished).collect(),
             active: 0,
+            threads: vec![None; self.tasks.len()],
+            host: None,
             crashed: true,
             policy: self.policy,
             script: self.script.clone(),
@@ -291,10 +312,11 @@ pub(crate) struct Core {
     pub snaplog: Option<SnapshotLog>,
 }
 
-/// The shared handle: a mutex-protected [`Core`] plus its condvar.
+/// The shared handle: a mutex-protected [`Core`]. Blocked tasks park on
+/// their OS threads; the wait slots live in [`Sched`], under the same lock
+/// as the token, so a handoff and the new holder's token check never race.
 pub(crate) struct Shared {
     pub core: Mutex<Core>,
-    pub cond: Condvar,
 }
 
 impl Shared {
@@ -309,7 +331,6 @@ impl Shared {
                 panics: Vec::new(),
                 snaplog: None,
             }),
-            cond: Condvar::new(),
         }
     }
 
@@ -318,7 +339,6 @@ impl Shared {
     pub fn from_parts(core: Core) -> Self {
         Shared {
             core: Mutex::new(core),
-            cond: Condvar::new(),
         }
     }
 
@@ -328,25 +348,40 @@ impl Shared {
         f(&mut core)
     }
 
-    /// Blocks until `tid` holds the token (a freshly spawned task's first
-    /// action).
+    /// A task's first action: records the calling OS thread as `tid`'s wait
+    /// slot, then blocks until `tid` holds the token. A phase's main task
+    /// holds it from registration on and does not block.
     ///
     /// # Panics
     ///
     /// Unwinds with [`CrashUnwind`] if a crash is injected while waiting.
-    pub fn wait_for_token(&self, tid: ThreadId) {
-        let mut guard = self.core.lock();
-        while guard.sched.token != tid && !guard.sched.crashed {
-            self.cond.wait(&mut guard);
-        }
-        if guard.sched.crashed {
-            drop(guard);
-            std::panic::panic_any(CrashUnwind);
+    pub fn enter_task(&self, tid: ThreadId) {
+        self.core.lock().sched.threads[tid.as_usize()] = Some(std::thread::current());
+        self.wait_turn(tid);
+    }
+
+    /// Parks until `tid` holds the token. The token is re-checked under the
+    /// lock after every wake-up, so a spurious or stale unpark is harmless,
+    /// and a handoff made before the park leaves the unpark token set, so
+    /// it is not lost.
+    fn wait_turn(&self, tid: ThreadId) {
+        loop {
+            let core = self.core.lock();
+            if core.sched.crashed {
+                drop(core);
+                std::panic::panic_any(CrashUnwind);
+            }
+            if core.sched.token == tid {
+                return;
+            }
+            drop(core);
+            std::thread::park();
         }
     }
 
     /// A scheduling point for task `tid`: performs buffer evictions per
-    /// policy, hands the token to the next task, and blocks until the token
+    /// policy and picks the next token holder. Keeping the token returns at
+    /// once; a handoff unparks the new holder and blocks until the token
     /// returns.
     ///
     /// # Panics
@@ -359,20 +394,16 @@ impl Shared {
             std::panic::panic_any(CrashUnwind);
         }
         Self::do_evictions(&mut guard);
-        {
-            let core = &mut *guard;
-            if let Some(next) = core.sched.pick_next(tid, &mut core.rng) {
-                core.sched.token = next;
-            }
+        let core = &mut *guard;
+        let wake = match core.sched.pick_next(tid, &mut core.rng) {
+            Some(next) if next != tid => core.sched.hand_to(next),
+            _ => return,
+        };
+        drop(guard);
+        if let Some(thread) = wake {
+            thread.unpark();
         }
-        self.cond.notify_all();
-        while guard.sched.token != tid && !guard.sched.crashed {
-            self.cond.wait(&mut guard);
-        }
-        if guard.sched.crashed {
-            drop(guard);
-            std::panic::panic_any(CrashUnwind);
-        }
+        self.wait_turn(tid);
     }
 
     /// Buffer evictions at a scheduling point.
@@ -407,7 +438,7 @@ impl Shared {
 
     /// Registers a crash point at task `tid`'s current position; if the
     /// injection target is here, marks the run crashed and unwinds.
-    pub fn crash_point(&self, _tid: ThreadId) {
+    pub fn crash_point(&self, tid: ThreadId) {
         let mut core = self.core.lock();
         if core.sched.crashed {
             drop(core);
@@ -424,7 +455,13 @@ impl Shared {
             core.sched.crashed = true;
             let exec = core.mem.cur.id;
             core.sink.on_crash(exec);
-            self.cond.notify_all();
+            // The one broadcast: every waiting task wakes and unwinds.
+            for (i, thread) in core.sched.threads.iter().enumerate() {
+                match thread {
+                    Some(thread) if i != tid.as_usize() => thread.unpark(),
+                    _ => {}
+                }
+            }
             drop(core);
             std::panic::panic_any(CrashUnwind);
         }
@@ -503,28 +540,42 @@ impl Shared {
         }
     }
 
-    /// Marks task `tid` finished and hands the token onward. Called by the
-    /// task wrapper as its last action (also after a crash unwind).
+    /// Marks task `tid` finished and hands the token onward, unparking the
+    /// new holder, or the phase host if `tid` was the last live task.
+    /// Called by the task wrapper as its last action (also after a crash
+    /// unwind).
     pub fn finish_task(&self, tid: ThreadId) {
         let mut guard = self.core.lock();
-        let core = &mut *guard;
-        if let Some(state) = core.sched.tasks.get_mut(&tid) {
-            *state = TaskState::Finished;
+        let Core { sched, rng, .. } = &mut *guard;
+        sched.tasks[tid.as_usize()] = TaskState::Finished;
+        sched.threads[tid.as_usize()] = None;
+        sched.active -= 1;
+        let wake = if sched.active == 0 {
+            sched.host.take()
+        } else if sched.token == tid {
+            let next = sched.pick_next(tid, rng).expect("a task is runnable");
+            sched.hand_to(next)
+        } else {
+            None
+        };
+        drop(guard);
+        if let Some(thread) = wake {
+            thread.unpark();
         }
-        core.sched.active -= 1;
-        if core.sched.token == tid {
-            if let Some(next) = core.sched.pick_next(tid, &mut core.rng) {
-                core.sched.token = next;
-            }
-        }
-        self.cond.notify_all();
     }
 
-    /// Blocks the host thread until every task has finished or unwound.
+    /// Blocks the phase host until every task has finished or unwound. The
+    /// host parks only while tasks are live, and the finish that takes
+    /// `active` to zero unparks it.
     pub fn wait_all_tasks(&self) {
-        let mut core = self.core.lock();
-        while core.sched.active > 0 {
-            self.cond.wait(&mut core);
+        loop {
+            let mut core = self.core.lock();
+            if core.sched.active == 0 {
+                return;
+            }
+            core.sched.host = Some(std::thread::current());
+            drop(core);
+            std::thread::park();
         }
     }
 }

@@ -1,4 +1,5 @@
-//! The `yashme` binary's handling of output paths it cannot write.
+//! The `yashme` binary's stderr: one message for an output path it cannot
+//! write, and nothing at all on a normal run.
 
 use std::process::Command;
 
@@ -24,4 +25,19 @@ fn unwritable_output_paths_exit_2_with_one_message() {
         );
     }
     assert!(!missing_dir.exists());
+}
+
+#[test]
+fn injected_crashes_leave_stderr_empty() {
+    // Every injected crash unwinds a simulated task; the engine's quiet
+    // panic hook must keep those unwinds off stderr.
+    for args in [&["-b", "CCEH"][..], &["--all"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_yashme"))
+            .args(args)
+            .output()
+            .expect("run yashme");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: races are found");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
 }
