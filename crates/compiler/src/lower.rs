@@ -56,7 +56,7 @@ impl CompilerConfig {
     /// Panics if `bytes` is empty.
     pub fn lower_store(&self, addr: Addr, bytes: &[u8], atomicity: Atomicity) -> Vec<StoreChunk> {
         assert!(!bytes.is_empty(), "zero-length store");
-        if !atomicity.is_tearable() {
+        if self.keeps_whole(bytes.len(), atomicity) {
             return vec![StoreChunk {
                 addr,
                 bytes: bytes.to_vec(),
@@ -91,6 +91,15 @@ impl CompilerConfig {
             off = end;
         }
         chunks
+    }
+
+    /// Whether [`lower_store`](Self::lower_store) emits a `len`-byte store
+    /// as one chunk holding exactly its bytes: always for a non-tearable
+    /// store, and for a tearable one that gets no invented stash and is not
+    /// wide enough to be split.
+    pub fn keeps_whole(&self, len: usize, atomicity: Atomicity) -> bool {
+        !atomicity.is_tearable()
+            || (!self.invent_stores && (len < 8 || (len == 8 && !self.tear_wide_stores)))
     }
 
     /// Lowers a `memset(addr, value, len)` into instruction chunks.

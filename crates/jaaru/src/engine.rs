@@ -9,11 +9,11 @@
 //! merged in crash-target order and the de-duplicated reports are stably
 //! sorted by `(kind, label)` regardless of worker count.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use obs::telemetry::{Telemetry, WallPhase, WorkerStat};
+use pmem::{FastMap, FastSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -317,7 +317,7 @@ const MODEL_CHECK_PERSISTENCE: PersistencePolicy = PersistencePolicy::FullCache;
 /// replaces the old O(n²) linear-scan merge.
 #[derive(Debug, Default)]
 struct ReportSet {
-    seen: HashSet<(crate::ReportKind, crate::event::Label)>,
+    seen: FastSet<(crate::ReportKind, crate::event::Label)>,
     reports: Vec<RaceReport>,
     /// Reports dropped because their `(kind, label)` was already present —
     /// surfaced as the `engine.dedup_hits` metric.
@@ -664,7 +664,7 @@ impl Engine {
         let phases = (0..log.capture_phases.min(profile_points.len()))
             .map(|p| {
                 let points = profile_points[p] as u64;
-                let mut sizes: HashMap<u64, u64> = HashMap::new();
+                let mut sizes: FastMap<u64, u64> = FastMap::default();
                 let mut explored = 0u64;
                 for &(start, len) in &classes {
                     if log.records[start].phase == p {

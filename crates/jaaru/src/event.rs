@@ -46,7 +46,7 @@ pub struct StoreEvent {
     /// First byte written.
     pub addr: Addr,
     /// The bytes written.
-    pub bytes: Vec<u8>,
+    pub bytes: StoreBytes,
     /// `true` if this is a compiler-invented temporary stash.
     pub invented: bool,
     /// Source label (racy-field name).
@@ -76,6 +76,52 @@ impl StoreEvent {
     /// Whether this store covers the byte at `addr`.
     pub fn covers(&self, addr: Addr) -> bool {
         addr >= self.addr && addr < self.addr + self.len()
+    }
+}
+
+/// The payload of a [`StoreEvent`]: up to 8 bytes — every lowered word,
+/// `memset` and `memcpy` chunk — live inline, so creating or cloning an
+/// event (the event table is cloned at every fork) allocates nothing.
+/// Longer payloads, from wide non-tearable stores, go to the heap. Derefs
+/// to `[u8]`.
+#[derive(Clone)]
+pub struct StoreBytes(Payload);
+
+#[derive(Clone)]
+enum Payload {
+    Inline { len: u8, buf: [u8; 8] },
+    Heap(Box<[u8]>),
+}
+
+impl From<&[u8]> for StoreBytes {
+    fn from(bytes: &[u8]) -> Self {
+        StoreBytes(if bytes.len() <= 8 {
+            let mut buf = [0u8; 8];
+            buf[..bytes.len()].copy_from_slice(bytes);
+            Payload::Inline {
+                len: bytes.len() as u8,
+                buf,
+            }
+        } else {
+            Payload::Heap(bytes.into())
+        })
+    }
+}
+
+impl std::ops::Deref for StoreBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Payload::Inline { len, buf } => &buf[..usize::from(*len)],
+            Payload::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl std::fmt::Debug for StoreBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -154,7 +200,7 @@ mod tests {
             clock: 1,
             atomicity: Atomicity::Plain,
             addr: Addr(addr),
-            bytes: vec![0; len],
+            bytes: vec![0; len][..].into(),
             invented: false,
             label: "x",
             seq: None,
@@ -174,5 +220,16 @@ mod tests {
     #[test]
     fn line_of_store() {
         assert_eq!(store(64, 8).line(), CacheLineId(1));
+    }
+
+    #[test]
+    fn store_bytes_round_trip_inline_and_on_the_heap() {
+        for len in [1usize, 4, 8, 9, 64] {
+            let data: Vec<u8> = (0..len as u8).collect();
+            let bytes = StoreBytes::from(&data[..]);
+            assert_eq!(&bytes[..], &data[..]);
+            assert_eq!(&bytes.clone()[..], &data[..]);
+            assert_eq!(format!("{bytes:?}"), format!("{data:?}"));
+        }
     }
 }

@@ -63,7 +63,7 @@ pub use ctx::{Ctx, JoinHandle};
 pub use engine::{
     Engine, EngineConfig, ExecMode, ModelCheckConfig, RandomConfig, SingleRun, SinkFactory,
 };
-pub use event::{EventId, ExecId, FlushEvent, FlushKind, Label, LoadInfo, StoreEvent};
+pub use event::{EventId, ExecId, FlushEvent, FlushKind, Label, LoadInfo, StoreBytes, StoreEvent};
 pub use mem::{ExecState, ExecStats, LoadOutcome, MemState, PersistencePolicy, ROOT_REGION_BYTES};
 pub use obs::coverage::{
     coverage_json, Cartography, CoverageReport, CoverageSummary, PhaseChart, SiteKind, SiteStats,

@@ -9,13 +9,12 @@
 //! committed stores (cache coherence guarantees persistence is prefix-closed
 //! per line, §4.1).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use compiler_model::CompilerConfig;
+use compiler_model::{CompilerConfig, StoreChunk};
 use obs::telemetry::{Telemetry, WallPhase};
-use pmem::{Addr, CacheLineId, Forkable, PmAllocator, PmImage, ProvenanceMap};
+use pmem::{Addr, CacheLineId, FastMap, FastSet, Forkable, PmAllocator, PmImage, ProvenanceMap};
 use px86::{Atomicity, FbEntry, FlushBuffer, SbEntry, SbStore, StoreBuffer};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -48,19 +47,23 @@ pub enum PersistencePolicy {
     Random,
 }
 
-/// One cache line's committed-store log, with a retired prefix.
+/// One cache line's committed-store log, with its persistence floor and a
+/// retired prefix.
 ///
-/// Logical indexes run `0..logical_len()`; the persistence floors in
-/// [`ExecState::persisted_upto`] are always logical. Streaming GC drains the
-/// already-persisted prefix into the persistent image as the floor rises
-/// (`retired` counts the drained entries, and is therefore always ≤ the
-/// floor), so only entries a future crash cut or candidate scan can still
-/// distinguish stay resident. With GC off `retired` stays 0 and the log is
-/// exactly the old flat `Vec<EventId>`.
+/// Logical indexes run `0..logical_len()`, and the floor is logical too. A
+/// log exists only once its line has a committed store, so a flush of a
+/// never-written line leaves no entry (its floor is 0 either way). Streaming
+/// GC drains the already-persisted prefix into the persistent image as the
+/// floor rises (`retired` counts the drained entries, and is therefore
+/// always ≤ `floor`), so only entries a future crash cut or candidate scan
+/// can still distinguish stay resident. With GC off `retired` stays 0.
 #[derive(Debug, Clone, Default)]
 struct LineLog {
     /// Length of the logical prefix already materialized into the image.
     retired: usize,
+    /// Length of the logical prefix definitely persisted (forced by
+    /// committed `clflush` / fenced `clwb`).
+    floor: usize,
     /// Retained committed stores, in cache (seq) order: these sit at logical
     /// indexes `retired..retired + order.len()`.
     order: Vec<EventId>,
@@ -87,11 +90,8 @@ pub struct ExecState {
     /// `storemap`: the most recent committed store covering each byte, kept
     /// as per-line slabs so a whole line resolves with one lookup.
     store_map: ProvenanceMap,
-    /// Committed stores per line, in cache (seq) order.
-    line_order: HashMap<CacheLineId, LineLog>,
-    /// Per line, the *logical* length of the `line_order` prefix that is
-    /// definitely persisted (forced by committed `clflush` / fenced `clwb`).
-    persisted_upto: HashMap<CacheLineId, usize>,
+    /// Committed stores per line, in cache (seq) order, with their floors.
+    line_order: FastMap<CacheLineId, LineLog>,
 }
 
 impl ExecState {
@@ -110,7 +110,6 @@ impl Forkable for ExecState {
             cache: self.cache.fork(),
             store_map: self.store_map.fork(),
             line_order: self.line_order.clone(),
-            persisted_upto: self.persisted_upto.clone(),
         }
     }
 }
@@ -133,7 +132,7 @@ struct EventTable {
     slots: Vec<Option<StoreEvent>>,
     stores: usize,
     /// Indexed (streaming) mode: where each live id's event lives.
-    index: Option<HashMap<EventId, u32>>,
+    index: Option<FastMap<EventId, u32>>,
     /// Retired slots awaiting reuse (indexed mode only).
     free: Vec<u32>,
     /// High-water mark of live entries.
@@ -146,7 +145,7 @@ impl EventTable {
     /// Switches to the indexed layout. Must precede any insertion.
     fn enable_indexing(&mut self) {
         assert!(self.slots.is_empty(), "enable indexing before any events");
-        self.index = Some(HashMap::new());
+        self.index = Some(FastMap::default());
     }
 
     fn insert(&mut self, id: EventId, event: StoreEvent) {
@@ -248,7 +247,7 @@ pub struct MemState {
     /// Event table: all store events, across executions.
     events: EventTable,
     /// Flush events (clflush/clwb), across executions.
-    flushes: HashMap<EventId, FlushEvent>,
+    flushes: FastMap<EventId, FlushEvent>,
     next_event: EventId,
     next_seq: u64,
     // Per-thread machine state (indexed by ThreadId).
@@ -257,15 +256,14 @@ pub struct MemState {
     cvs: Vec<VectorClock>,
     /// For each clwb sitting in a flush buffer: the line-order length at the
     /// moment it exited the store buffer (its guaranteed write-back point).
-    clwb_marks: HashMap<EventId, usize>,
+    clwb_marks: FastMap<EventId, usize>,
     /// For each sfence still buffered: its execution-time clock vector
     /// (Fig. 8's `Evict_FB` takes the *fence's* CV, which must be captured
-    /// when the sfence executes, not when it drains).
-    fence_cvs: HashMap<EventId, VectorClock>,
-    /// For each sfence still buffered: its static site label, so the
-    /// coverage plane can classify the fence (draining vs empty) when it
-    /// commits. Kept outside `px86::SbEntry`, which stays label-free.
-    fence_labels: HashMap<EventId, Label>,
+    /// when the sfence executes, not when it drains) and its static site
+    /// label, so the coverage plane can classify the fence (draining vs
+    /// empty) when it commits. Kept outside `px86::SbEntry`, which stays
+    /// label-free; a crash clears it with the buffers.
+    fences: FastMap<EventId, (VectorClock, Label)>,
     /// Current execution.
     pub cur: ExecState,
     /// Crashed executions, oldest first.
@@ -331,8 +329,7 @@ impl Forkable for MemState {
             fbs: self.fbs.iter().map(Forkable::fork).collect(),
             cvs: self.cvs.clone(),
             clwb_marks: self.clwb_marks.clone(),
-            fence_cvs: self.fence_cvs.clone(),
-            fence_labels: self.fence_labels.clone(),
+            fences: self.fences.clone(),
             cur: self.cur.fork(),
             past: self.past.iter().map(Forkable::fork).collect(),
             image: self.image.fork(),
@@ -466,15 +463,14 @@ impl MemState {
         MemState {
             compiler,
             events: EventTable::default(),
-            flushes: HashMap::new(),
+            flushes: FastMap::default(),
             next_event: 1,
             next_seq: 1,
             sbs: Vec::new(),
             fbs: Vec::new(),
             cvs: Vec::new(),
-            clwb_marks: HashMap::new(),
-            fence_cvs: HashMap::new(),
-            fence_labels: HashMap::new(),
+            clwb_marks: FastMap::default(),
+            fences: FastMap::default(),
             cur: ExecState::new(0),
             past: Vec::new(),
             image: PmImage::new(),
@@ -682,18 +678,13 @@ impl MemState {
         atomicity: Atomicity,
         label: Label,
     ) {
-        let chunks = self.compiler.lower_store(addr, bytes, atomicity);
-        for chunk in chunks {
-            self.push_store_chunks(
-                sink,
-                thread,
-                chunk.addr,
-                &chunk.bytes,
-                atomicity,
-                chunk.invented,
-                label,
-            );
+        // A store the compiler leaves whole skips the lowered `Vec`.
+        if self.compiler.keeps_whole(bytes.len(), atomicity) {
+            self.push_store_chunks(sink, thread, addr, bytes, atomicity, false, label);
+            return;
         }
+        let chunks = self.compiler.lower_store(addr, bytes, atomicity);
+        self.push_lowered(sink, thread, chunks, atomicity, label);
     }
 
     /// Executes a `memset`: lowered to non-atomic word chunks.
@@ -707,17 +698,7 @@ impl MemState {
         label: Label,
     ) {
         let chunks = self.compiler.lower_memset(addr, value, len);
-        for chunk in chunks {
-            self.push_store_chunks(
-                sink,
-                thread,
-                chunk.addr,
-                &chunk.bytes,
-                Atomicity::Plain,
-                false,
-                label,
-            );
-        }
+        self.push_lowered(sink, thread, chunks, Atomicity::Plain, label);
     }
 
     /// Executes a `memcpy`: lowered to non-atomic word chunks.
@@ -730,16 +711,20 @@ impl MemState {
         label: Label,
     ) {
         let chunks = self.compiler.lower_memcpy(addr, data);
-        for chunk in chunks {
-            self.push_store_chunks(
-                sink,
-                thread,
-                chunk.addr,
-                &chunk.bytes,
-                Atomicity::Plain,
-                false,
-                label,
-            );
+        self.push_lowered(sink, thread, chunks, Atomicity::Plain, label);
+    }
+
+    /// Pushes every chunk a compiler lowering produced.
+    fn push_lowered(
+        &mut self,
+        sink: &mut dyn EventSink,
+        thread: ThreadId,
+        chunks: Vec<StoreChunk>,
+        atomicity: Atomicity,
+        label: Label,
+    ) {
+        for c in chunks {
+            self.push_store_chunks(sink, thread, c.addr, &c.bytes, atomicity, c.invented, label);
         }
     }
 
@@ -771,7 +756,7 @@ impl MemState {
                 clock,
                 atomicity,
                 addr: at,
-                bytes: bytes[off..off + take].to_vec(),
+                bytes: bytes[off..off + take].into(),
                 invented,
                 label,
                 seq: None,
@@ -835,9 +820,8 @@ impl MemState {
         self.cov.record(SiteKind::Fence, label).executed += 1;
         self.cvs[thread.as_usize()].tick(thread);
         let id = self.fresh_event_id();
-        self.fence_cvs
-            .insert(id, self.cvs[thread.as_usize()].clone());
-        self.fence_labels.insert(id, label);
+        let cv = self.cvs[thread.as_usize()].clone();
+        self.fences.insert(id, (cv, label));
         self.sbs[thread.as_usize()].push(SbEntry::Sfence { id });
     }
 
@@ -850,6 +834,12 @@ impl MemState {
         self.drain_sb(sink, thread);
         let fence_cv = self.cvs[thread.as_usize()].clone();
         let drained = self.fence_fb(sink, thread, &fence_cv);
+        self.count_fence(label, drained);
+    }
+
+    /// Coverage: a fence drains if it retired at least one flush-buffer
+    /// entry, and is empty otherwise.
+    fn count_fence(&mut self, label: Label, drained: usize) {
         let s = self.cov.record(SiteKind::Fence, label);
         if drained > 0 {
             s.draining += 1;
@@ -862,9 +852,16 @@ impl MemState {
     // Buffer eviction (Fig. 8): take effect on the cache.
     // ------------------------------------------------------------------
 
-    /// Positions in `thread`'s store buffer that may legally evict next.
-    pub fn evictable(&self, thread: ThreadId) -> Vec<usize> {
-        self.sbs[thread.as_usize()].evictable_positions()
+    /// Number of entries in `thread`'s store buffer that may legally evict
+    /// next.
+    pub fn evictable_count(&self, thread: ThreadId) -> usize {
+        self.sbs[thread.as_usize()].evictable_count()
+    }
+
+    /// Position of the `n`-th (0-based) legally evictable entry of
+    /// `thread`'s store buffer, if there are more than `n`.
+    pub fn nth_evictable(&self, thread: ThreadId, n: usize) -> Option<usize> {
+        self.sbs[thread.as_usize()].nth_evictable(n)
     }
 
     /// Number of entries buffered by `thread`.
@@ -939,18 +936,8 @@ impl MemState {
             SbEntry::Clflush { addr, id } => {
                 let seq = self.fresh_seq();
                 let line = addr.cache_line();
-                let committed = self
-                    .cur
-                    .line_order
-                    .get(&line)
-                    .map(LineLog::logical_len)
-                    .unwrap_or(0);
-                let prev = {
-                    let floor = self.cur.persisted_upto.entry(line).or_insert(0);
-                    let prev = *floor;
-                    *floor = (*floor).max(committed);
-                    prev
-                };
+                let committed = self.committed_len(line);
+                let prev = self.raise_floor(line, committed);
                 // Only a flush that actually raises the persistence floor
                 // changes the crash state; re-flushing an already-persisted
                 // line is a no-op for every persistence policy (and the
@@ -977,27 +964,15 @@ impl MemState {
                 sink.on_clflush_committed(&flush, &line_stores);
             }
             SbEntry::Clwb { addr, id } => {
-                let line = addr.cache_line();
-                let committed = self
-                    .cur
-                    .line_order
-                    .get(&line)
-                    .map(LineLog::logical_len)
-                    .unwrap_or(0);
+                let committed = self.committed_len(addr.cache_line());
                 self.clwb_marks.insert(id, committed);
                 self.fbs[thread.as_usize()].push(FbEntry { addr, id });
             }
             SbEntry::Sfence { id } => {
                 let _seq = self.fresh_seq();
-                let fence_cv = self.fence_cvs.remove(&id).expect("sfence exec CV recorded");
-                let label = self.fence_labels.remove(&id).unwrap_or("");
+                let (fence_cv, label) = self.fences.remove(&id).expect("sfence exec CV recorded");
                 let drained = self.fence_fb(sink, thread, &fence_cv);
-                let s = self.cov.record(SiteKind::Fence, label);
-                if drained > 0 {
-                    s.draining += 1;
-                } else {
-                    s.empty += 1;
-                }
+                self.count_fence(label, drained);
             }
         }
     }
@@ -1016,12 +991,7 @@ impl MemState {
             drained += 1;
             let line = fb.addr.cache_line();
             let mark = self.clwb_marks.remove(&fb.id).unwrap_or(0);
-            let prev = {
-                let floor = self.cur.persisted_upto.entry(line).or_insert(0);
-                let prev = *floor;
-                *floor = (*floor).max(mark);
-                prev
-            };
+            let prev = self.raise_floor(line, mark);
             // Same rule as clflush commit: only an actual floor raise
             // changes the crash state.
             if mark > prev {
@@ -1040,6 +1010,27 @@ impl MemState {
             sink.on_clwb_fenced(&clwb, fence_cv, &line_stores);
         }
         drained
+    }
+
+    /// Logical length of `line`'s committed-store log (0 if never written).
+    fn committed_len(&self, line: CacheLineId) -> usize {
+        self.cur
+            .line_order
+            .get(&line)
+            .map_or(0, LineLog::logical_len)
+    }
+
+    /// Raises `line`'s persistence floor to at least `to`, returning the old
+    /// floor. A line with no log has floor 0, and `to` is then 0 too (it was
+    /// measured on this execution's log), so there is nothing to record.
+    fn raise_floor(&mut self, line: CacheLineId, to: usize) -> usize {
+        let Some(log) = self.cur.line_order.get_mut(&line) else {
+            debug_assert_eq!(to, 0, "a floor above 0 needs a committed store");
+            return 0;
+        };
+        let prev = log.floor;
+        log.floor = prev.max(to);
+        prev
     }
 
     /// Coverage bookkeeping for one flush commit: classifies the flush site
@@ -1079,7 +1070,6 @@ impl MemState {
         if self.gc_every.is_none() {
             return;
         }
-        let floor = self.cur.persisted_upto.get(&line).copied().unwrap_or(0);
         let MemState {
             events,
             cur,
@@ -1091,10 +1081,10 @@ impl MemState {
         let Some(log) = cur.line_order.get_mut(&line) else {
             return;
         };
-        if floor <= log.retired || log.order.is_empty() {
+        if log.floor <= log.retired || log.order.is_empty() {
             return;
         }
-        let n = (floor - log.retired).min(log.order.len());
+        let n = (log.floor - log.retired).min(log.order.len());
         let img_line = image.line_mut(line);
         let prov_line = image_prov.line_mut(line);
         for &id in &log.order[..n] {
@@ -1146,7 +1136,7 @@ impl MemState {
 
     fn run_gc_inner(&mut self, sink: &mut dyn EventSink) {
         self.gc.passes += 1;
-        let mut roots: HashSet<EventId> = HashSet::new();
+        let mut roots: FastSet<EventId> = FastSet::default();
         self.cur.store_map.for_each_id(|id| {
             roots.insert(id);
         });
@@ -1317,8 +1307,7 @@ impl MemState {
                     Some(o) => o,
                     None => continue,
                 };
-                let floor = prev.persisted_upto.get(&line).copied().unwrap_or(0);
-                for &id in log.suffix_from(floor) {
+                for &id in log.suffix_from(log.floor) {
                     self.stats.candidate_stores_scanned += 1;
                     let ev = self.events.get(id);
                     if ranges_overlap(ev.addr, ev.len(), addr, len) {
@@ -1417,12 +1406,12 @@ impl MemState {
             fb.clear();
         }
         self.clwb_marks.clear();
-        self.fence_cvs.clear();
+        self.fences.clear();
         let mut lines: Vec<_> = self.cur.line_order.keys().copied().collect();
         lines.sort(); // determinism of rng consumption
         for line in lines {
             let log = &self.cur.line_order[&line];
-            let floor = self.cur.persisted_upto.get(&line).copied().unwrap_or(0);
+            let floor = log.floor;
             // Cuts are logical indexes, so the RNG draws (and the persisted
             // prefix they denote) are identical whether or not streaming GC
             // already drained `log.retired` entries into the image.
@@ -1482,10 +1471,11 @@ impl MemState {
     /// Full content fingerprint of everything a crash at this instant can
     /// materialize or a post-crash suffix can observe: the persistent image
     /// and its provenance, the current execution's cache/storemap/line
-    /// orders/persistence floors, and the per-thread buffers. Used by the
-    /// paranoid pruning mode to cross-check the rolling event-delta
-    /// fingerprint against actual state. O(touched lines), amortized by the
-    /// [`pmem::ArcMemo`] pointer fast path across snapshots.
+    /// logs (orders and persistence floors), and the per-thread buffers.
+    /// Used by the paranoid pruning mode to cross-check the rolling
+    /// event-delta fingerprint against actual state. O(touched lines),
+    /// amortized by the [`pmem::ArcMemo`] pointer fast path across
+    /// snapshots.
     pub fn crash_state_fingerprint(&self, memo: &mut pmem::ArcMemo) -> u64 {
         let mut fp = pmem::Fp64::new();
         fp.absorb(self.image.fingerprint(memo));
@@ -1493,23 +1483,19 @@ impl MemState {
         fp.absorb(self.cur.cache.fingerprint(memo));
         fp.absorb(self.cur.store_map.fingerprint(memo));
         fp.absorb(self.cur.id as u64);
-        // Per-line orders and floors: XOR-combined so HashMap iteration
-        // order cannot leak into the value.
-        let mut orders = 0u64;
+        // Per-line logs: XOR-combined so map iteration order cannot leak
+        // into the value.
+        let mut logs = 0u64;
         for (line, log) in &self.cur.line_order {
             let mut inner = pmem::Fp64::new();
             inner.absorb(log.retired as u64);
+            inner.absorb(log.floor as u64);
             for &id in &log.order {
                 inner.absorb(id);
             }
-            orders ^= pmem::mix64(line.0 ^ pmem::mix64(inner.value()));
+            logs ^= pmem::mix64(line.0 ^ pmem::mix64(inner.value()));
         }
-        fp.absorb(orders);
-        let mut floors = 0u64;
-        for (line, floor) in &self.cur.persisted_upto {
-            floors ^= pmem::mix64(line.0 ^ pmem::mix64(*floor as u64));
-        }
-        fp.absorb(floors);
+        fp.absorb(logs);
         fp.absorb(self.cvs.len() as u64);
         for sb in &self.sbs {
             fp.absorb(sb.fingerprint());
@@ -1570,12 +1556,12 @@ const LINEAR_DEDUP_MAX: usize = 16;
 ///
 /// Replaces the old `push_unique` linear probes (O(k²) across k insertions):
 /// small sets dedup by scanning the vector, larger ones by a spilled
-/// [`HashSet`] index, while the vector preserves first-insertion order so
+/// [`FastSet`] index, while the vector preserves first-insertion order so
 /// sink reporting stays byte-identical to the byte-at-a-time implementation.
 #[derive(Debug, Clone, Default)]
 struct OrderedIdSet {
     items: Vec<EventId>,
-    index: Option<HashSet<EventId>>,
+    index: Option<FastSet<EventId>>,
 }
 
 impl OrderedIdSet {
@@ -1620,7 +1606,7 @@ fn ranges_overlap(a: Addr, a_len: u64, b: Addr, b_len: u64) -> bool {
 mod tests {
     use super::*;
     use crate::sink::NullSink;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn mem() -> MemState {
         MemState::new(CompilerConfig::default(), 1 << 20)
@@ -1843,22 +1829,8 @@ mod tests {
         let mut sink = NullSink;
         let t = m.register_thread(None);
         let a = Addr(0x1000);
-        m.exec_store(
-            &mut sink,
-            t,
-            a,
-            &1u64.to_le_bytes(),
-            Atomicity::Plain,
-            "first",
-        );
-        m.exec_store(
-            &mut sink,
-            t,
-            a,
-            &2u64.to_le_bytes(),
-            Atomicity::Plain,
-            "second",
-        );
+        m.exec_store(&mut sink, t, a, &1u64.to_le_bytes(), Atomicity::Plain, "s1");
+        m.exec_store(&mut sink, t, a, &2u64.to_le_bytes(), Atomicity::Plain, "s2");
         m.drain_sb(&mut sink, t);
         m.crash(PersistencePolicy::FullCache, &mut rng());
         let t2 = m.register_thread(None);
@@ -1878,22 +1850,8 @@ mod tests {
         // Two committed stores to one line, neither flushed: even with a GC
         // pass per commit both must stay live — they are still crash-cut
         // material and post-crash read candidates.
-        m.exec_store(
-            &mut sink,
-            t,
-            a,
-            &1u64.to_le_bytes(),
-            Atomicity::Plain,
-            "first",
-        );
-        m.exec_store(
-            &mut sink,
-            t,
-            a,
-            &2u64.to_le_bytes(),
-            Atomicity::Plain,
-            "second",
-        );
+        m.exec_store(&mut sink, t, a, &1u64.to_le_bytes(), Atomicity::Plain, "s1");
+        m.exec_store(&mut sink, t, a, &2u64.to_le_bytes(), Atomicity::Plain, "s2");
         m.drain_sb(&mut sink, t);
         let gc = m.gc_stats();
         assert_eq!(
@@ -1905,14 +1863,7 @@ mod tests {
         // storemap and image provenance, so the fully-decided first store
         // retires on a later pass while the still-provenant second stays.
         m.exec_clflush(t, a, "f");
-        m.exec_store(
-            &mut sink,
-            t,
-            a,
-            &3u64.to_le_bytes(),
-            Atomicity::Plain,
-            "third",
-        );
+        m.exec_store(&mut sink, t, a, &3u64.to_le_bytes(), Atomicity::Plain, "s3");
         m.drain_sb(&mut sink, t);
         let gc = m.gc_stats();
         assert!(gc.events_retired >= 1, "persisted+superseded store retires");
@@ -1974,6 +1925,37 @@ mod tests {
         // The stream is still readable and correct.
         let out = m.exec_load(t, a, 8, Atomicity::Plain, "r");
         assert_eq!(u64::from_le_bytes(out.bytes.try_into().unwrap()), 999);
+    }
+
+    #[test]
+    fn flushing_a_never_written_line_draws_nothing_at_a_crash() {
+        let next_draw = |flush: bool| {
+            let mut m = mem();
+            let mut sink = NullSink;
+            let t = m.register_thread(None);
+            let a = Addr(0x1000);
+            m.exec_store(&mut sink, t, a, &1u64.to_le_bytes(), Atomicity::Plain, "x");
+            if flush {
+                m.exec_clflush(t, a + 64, "f");
+                m.exec_clwb(t, a + 128, "f");
+                m.exec_sfence(t, "sf");
+            }
+            m.drain_sb(&mut sink, t);
+            let mut r = rng();
+            m.crash(PersistencePolicy::Random, &mut r);
+            r.next_u64()
+        };
+        assert_eq!(next_draw(true), next_draw(false));
+    }
+
+    #[test]
+    fn a_crash_drops_buffered_sfences() {
+        let mut m = mem();
+        let t = m.register_thread(None);
+        m.exec_sfence(t, "sf");
+        assert_eq!(m.fences.len(), 1);
+        m.crash(PersistencePolicy::FullCache, &mut rng());
+        assert!(m.fences.is_empty(), "forks after the crash would clone it");
     }
 
     #[test]

@@ -43,7 +43,6 @@
 //! no chunk survives its batch.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -51,6 +50,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use obs::telemetry::{Telemetry, WorkerStat};
+use pmem::FastMap;
 
 /// Lane index reported for chunks executed by a submitting thread (the
 /// injector is the submitters' shared home lane).
@@ -72,7 +72,7 @@ struct BatchState {
     done_cv: Condvar,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     tel: Arc<Telemetry>,
-    lane_busy: Mutex<HashMap<usize, (Duration, u64)>>,
+    lane_busy: Mutex<FastMap<usize, (Duration, u64)>>,
 }
 
 impl BatchState {
@@ -83,7 +83,7 @@ impl BatchState {
             done_cv: Condvar::new(),
             panic: Mutex::new(None),
             tel,
-            lane_busy: Mutex::new(HashMap::new()),
+            lane_busy: Mutex::new(FastMap::default()),
         }
     }
 

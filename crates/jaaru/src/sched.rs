@@ -424,11 +424,13 @@ impl Shared {
                     // clwb-overtaking-store reordering is explored).
                     let n = rng.gen_range(0..=mem.sb_len(t));
                     for _ in 0..n {
-                        let positions = mem.evictable(t);
-                        if positions.is_empty() {
+                        let count = mem.evictable_count(t);
+                        if count == 0 {
                             break;
                         }
-                        let pos = positions[rng.gen_range(0..positions.len())];
+                        let pos = mem
+                            .nth_evictable(t, rng.gen_range(0..count))
+                            .expect("fewer than `count` evictable entries");
                         mem.evict_one(sink.as_mut(), t, pos);
                     }
                 }

@@ -370,3 +370,68 @@ fn fetch_add_is_atomic_across_threads() {
         assert_eq!(total.load(Ordering::SeqCst), 12, "seed {seed}");
     }
 }
+
+/// The first `steps` ops of a fixed labeled stream (stores, flushes, loads
+/// and fences over eight lines, with labels first seen at different
+/// steps), plus a post-crash phase that reads every line back when
+/// `recover` is set.
+fn coverage_program(steps: usize, recover: bool) -> Program {
+    const LABELS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+    let program = Program::new("cov").pre_crash(move |ctx: &mut Ctx| {
+        let base = ctx.root();
+        for i in 0..steps {
+            let slot = base + (i as u64 % 8) * 64;
+            let label = LABELS[(i / 5) % LABELS.len()];
+            match i % 4 {
+                0 | 1 => ctx.store_u64(slot, i as u64, Atomicity::Plain, label),
+                2 => ctx.clflush_labeled(slot, label),
+                _ => drop(ctx.load_bytes_labeled(slot, 8, Atomicity::Plain, label)),
+            }
+            if i % 7 == 0 {
+                ctx.sfence_labeled(label);
+            }
+        }
+    });
+    if !recover {
+        return program;
+    }
+    program.post_crash(|ctx: &mut Ctx| {
+        for line in 0..8 {
+            ctx.load_bytes_labeled(ctx.root() + line * 64, 8, Atomicity::Plain, "r");
+        }
+    })
+}
+
+#[test]
+fn positional_coverage_minus_matches_a_content_keyed_one() {
+    // An earlier table and a later one of the same op stream: the earlier
+    // one's sites are a prefix of the later one's, as for a crash-point
+    // snapshot and its representative's total.
+    let earlier = run_mc(&coverage_program(12, false), None).cov;
+    let later = run_mc(&coverage_program(40, true), None).cov;
+    assert!(later.len() > earlier.len(), "later sees new sites");
+    // The content-keyed reference: every later site minus the earlier site
+    // with the same (kind, label), found by text.
+    let mut want = jaaru::SiteTable::default();
+    let base = earlier.sorted();
+    for (kind, label, stats) in later.sorted() {
+        let prior = base
+            .iter()
+            .find(|(k, l, _)| *k == kind && *l == label)
+            .map_or_else(Default::default, |row| row.2);
+        *want.record(kind, label) = stats.minus(&prior);
+    }
+    let base_heat = earlier.heat_sorted();
+    for (line, n) in later.heat_sorted() {
+        let prior = base_heat.iter().find(|h| h.0 == line).map_or(0, |h| h.1);
+        for _ in prior..n {
+            want.touch_line(line);
+        }
+    }
+    let got = later.minus(&earlier);
+    assert_eq!(got.canonical(), want.canonical());
+    // And attribution still reconstructs the later table.
+    let mut member = earlier.clone();
+    member.absorb(&got);
+    assert_eq!(member.canonical(), later.canonical());
+}

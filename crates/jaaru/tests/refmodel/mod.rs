@@ -162,7 +162,7 @@ impl RefMemState {
                 clock,
                 atomicity,
                 addr: at,
-                bytes: bytes[off..off + take].to_vec(),
+                bytes: bytes[off..off + take].into(),
                 invented: false,
                 label,
                 seq: None,

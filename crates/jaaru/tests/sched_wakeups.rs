@@ -9,6 +9,11 @@
 //! The file also pins where tasks run: a phase's main task on the thread
 //! that runs the engine, a `Ctx::spawn` child on a thread of its own.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "sets of OS thread ids, outside the simulator"
+)]
+
 use std::collections::HashSet;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};

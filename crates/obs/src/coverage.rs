@@ -164,17 +164,82 @@ pub struct SiteTable {
     /// Persisted-line touch heatmap: line base address → number of
     /// flush-driven persisted-floor raises that touched the line.
     heat: HashMap<u64, u64>,
+    /// Address-keyed front of `index`; never cloned or compared.
+    cache: SiteCache,
+}
+
+/// A label's identity as the cache sees it: its address, its length and
+/// the site kind. Equal `&'static str` pointers and lengths mean equal
+/// text, so a hit is exact; equal text at another address merely misses
+/// and falls back to the content-keyed index, which maps it to the same
+/// site.
+type CacheKey = (usize, usize, SiteKind);
+
+/// Slots of the direct-mapped [`SiteCache`] (a power of two).
+const CACHE_SLOTS: usize = 128;
+
+/// A direct-mapped cache from [`CacheKey`] to site index, so interning a
+/// site per simulated event costs a multiply and a compare instead of
+/// hashing the label's text. It is a pure accelerator: a clone starts
+/// empty (crash-point snapshots clone the table and must not carry it),
+/// and equality ignores it.
+#[derive(Default)]
+struct SiteCache {
+    /// Empty until the first lookup, then `CACHE_SLOTS` entries.
+    slots: Vec<Option<(CacheKey, u32)>>,
+}
+
+impl SiteCache {
+    fn slot(&mut self, key: CacheKey) -> &mut Option<(CacheKey, u32)> {
+        if self.slots.is_empty() {
+            self.slots = vec![None; CACHE_SLOTS];
+        }
+        let (ptr, len, kind) = key;
+        let h = (ptr as u64 ^ (len as u64) << 48 ^ kind as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        &mut self.slots[(h >> (64 - CACHE_SLOTS.trailing_zeros())) as usize]
+    }
+}
+
+impl Clone for SiteCache {
+    fn clone(&self) -> Self {
+        SiteCache::default()
+    }
+}
+
+impl PartialEq for SiteCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for SiteCache {}
+
+impl std::fmt::Debug for SiteCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SiteCache")
+    }
 }
 
 impl SiteTable {
     /// Interns `(kind, label)` and returns its id.
     pub fn site(&mut self, kind: SiteKind, label: &'static str) -> SiteId {
-        if let Some(&i) = self.index.get(&(kind, label)) {
-            return SiteId(i);
+        let key = (label.as_ptr() as usize, label.len(), kind);
+        let slot = self.cache.slot(key);
+        if let Some((k, i)) = *slot {
+            if k == key {
+                return SiteId(i);
+            }
         }
-        let i = u32::try_from(self.entries.len()).expect("site count fits u32");
-        self.index.insert((kind, label), i);
-        self.entries.push((kind, label, SiteStats::default()));
+        let i = match self.index.get(&(kind, label)) {
+            Some(&i) => i,
+            None => {
+                let i = u32::try_from(self.entries.len()).expect("site count fits u32");
+                self.index.insert((kind, label), i);
+                self.entries.push((kind, label, SiteStats::default()));
+                i
+            }
+        };
+        *slot = Some((key, i));
         SiteId(i)
     }
 
@@ -211,16 +276,18 @@ impl SiteTable {
 
     /// Difference `self - earlier` for prune attribution: the counters a
     /// representative run accumulated after the `earlier` snapshot was
-    /// taken. Both tables come from the same deterministic run, so every
-    /// site of `earlier` is present in `self` with dominating counters.
+    /// taken. Both tables come from the same deterministic run, so the
+    /// sites of `earlier` are, in order, a prefix of the sites of `self`
+    /// (sites are numbered in first-execution order), with dominating
+    /// counters; entries pair by position.
     pub fn minus(&self, earlier: &SiteTable) -> SiteTable {
+        debug_assert!(earlier.entries.len() <= self.entries.len());
         let mut out = SiteTable::default();
-        for (kind, label, stats) in &self.entries {
-            let base = earlier
-                .index
-                .get(&(*kind, label))
-                .map(|&i| earlier.entries[i as usize].2)
-                .unwrap_or_default();
+        for (i, (kind, label, stats)) in self.entries.iter().enumerate() {
+            let base = earlier.entries.get(i).map_or_else(SiteStats::default, |e| {
+                debug_assert!(e.0 == *kind && e.1 == *label, "earlier is not a prefix");
+                e.2
+            });
             *out.record(*kind, label) = stats.minus(&base);
         }
         for (line, n) in &self.heat {
@@ -509,6 +576,46 @@ mod tests {
             )
         );
         assert_eq!(rows[1].2.executed, 2);
+    }
+
+    #[test]
+    fn equal_text_at_another_address_shares_the_site() {
+        let mut t = SiteTable::default();
+        let literal: &'static str = "node.next";
+        let leaked: &'static str = Box::leak(literal.to_owned().into_boxed_str());
+        assert_ne!(literal.as_ptr(), leaked.as_ptr());
+        let a = t.site(SiteKind::Store, literal);
+        assert_eq!(t.site(SiteKind::Store, leaked), a);
+        // Both stay exact on repeat lookups, whichever is cached.
+        assert_eq!(t.site(SiteKind::Store, literal), a);
+        assert_eq!(t.site(SiteKind::Store, leaked), a);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn one_address_under_two_kinds_is_two_sites() {
+        let mut t = SiteTable::default();
+        let label: &'static str = "log.tail";
+        let store = t.site(SiteKind::Store, label);
+        let flush = t.site(SiteKind::Flush, label);
+        assert_ne!(store, flush);
+        assert_eq!(t.site(SiteKind::Store, label), store);
+        assert_eq!(t.site(SiteKind::Flush, label), flush);
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn clones_start_with_an_empty_cache_and_compare_equal() {
+        let mut t = SiteTable::default();
+        t.record(SiteKind::Store, "s").executed = 2;
+        t.record(SiteKind::Load, "l").pre_crash = 1;
+        t.touch_line(64);
+        assert!(!t.cache.slots.is_empty());
+        let c = t.clone();
+        assert!(c.cache.slots.is_empty(), "the cache must not ride along");
+        assert_eq!(c, t);
+        assert_eq!(c.sorted(), t.sorted());
+        assert_eq!(c.canonical(), t.canonical());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! avalanche — adjacent event ids or line ids never collide by accident of
 //! arithmetic structure.
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 use std::sync::Arc;
 
 /// The splitmix64 finalizer: a cheap full-avalanche 64-bit mixer.
@@ -79,7 +79,7 @@ impl Fp64 {
 /// place, so do not reuse a memo across mutations).
 #[derive(Debug, Default)]
 pub struct ArcMemo {
-    hashes: HashMap<usize, u64>,
+    hashes: FastMap<usize, u64>,
 }
 
 impl ArcMemo {

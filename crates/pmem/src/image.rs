@@ -1,6 +1,6 @@
 //! A byte image of the simulated persistent storage.
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 use std::sync::Arc;
 
 use crate::addr::{Addr, CacheLineId, CACHE_LINE_SIZE};
@@ -35,7 +35,7 @@ type LineSlab = [u8; CACHE_LINE_SIZE as usize];
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PmImage {
-    lines: HashMap<CacheLineId, Arc<LineSlab>>,
+    lines: FastMap<CacheLineId, Arc<LineSlab>>,
     cow_clones: u64,
     cow_bytes: u64,
 }
@@ -178,7 +178,7 @@ impl PmImage {
     /// Order-independent content fingerprint of the whole image.
     ///
     /// XORs a per-line hash (line id mixed with slab contents) over every
-    /// touched line, so HashMap iteration order cannot leak into the value.
+    /// touched line, so map iteration order cannot leak into the value.
     /// Slab hashes are memoized by `Arc` pointer identity: lines shared
     /// with other forks cost one lookup. All-zero slabs hash like any
     /// other content, so an explicitly zeroed line and a never-touched

@@ -18,6 +18,8 @@
 //! * [`Fp64`] / [`ArcMemo`] — rolling and memoized content fingerprints
 //!   over the persisted state, used by the engine's crash-state
 //!   equivalence pruning,
+//! * [`FastMap`] / [`FastSet`] — the simulator's one unseeded fast hasher,
+//!   used by every map and set on the per-event path,
 //! * [`StructLayout`] — a helper for laying out C-style structs in simulated
 //!   PM with natural field alignment, so benchmark ports can mirror the
 //!   field-level layout (and cache-line co-residency) of the original C++
@@ -40,6 +42,7 @@ mod addr;
 mod alloc;
 pub mod fingerprint;
 mod forkable;
+pub mod hash;
 mod image;
 mod layout;
 mod prov;
@@ -48,6 +51,7 @@ pub use addr::{Addr, CacheLineId, CACHE_LINE_SIZE};
 pub use alloc::{AllocError, PmAllocator};
 pub use fingerprint::{mix64, ArcMemo, Fp64};
 pub use forkable::Forkable;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use image::PmImage;
 pub use layout::{Field, StructLayout};
 pub use prov::{ProvId, ProvLine, ProvenanceMap};

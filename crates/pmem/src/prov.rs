@@ -9,7 +9,7 @@
 //! followed by plain array indexing, mirroring the line-granular storemap of
 //! the paper's Jaaru infrastructure (§6).
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -42,7 +42,7 @@ pub type ProvLine = [ProvId; CACHE_LINE_SIZE as usize];
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceMap {
-    lines: HashMap<CacheLineId, Arc<ProvLine>>,
+    lines: FastMap<CacheLineId, Arc<ProvLine>>,
     cow_clones: u64,
     cow_bytes: u64,
 }

@@ -1,5 +1,10 @@
 //! Property-based tests for the allocator and the persistent image.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the reference model keeps a std map, independent of the fast hasher"
+)]
+
 use pmem::{Addr, PmAllocator, PmImage, StructLayout};
 use proptest::prelude::*;
 

@@ -208,6 +208,33 @@ impl StoreBuffer {
         out
     }
 
+    /// Number of entries that may legally exit the buffer next: the length
+    /// of [`evictable_positions`](StoreBuffer::evictable_positions),
+    /// without building it.
+    pub fn evictable_count(&self) -> usize {
+        (0..self.entries.len())
+            .filter(|&i| self.is_evictable(i))
+            .count()
+    }
+
+    /// The `n`-th (0-based) entry of
+    /// [`evictable_positions`](StoreBuffer::evictable_positions), without
+    /// building it; `None` if fewer than `n + 1` entries may evict.
+    pub fn nth_evictable(&self, n: usize) -> Option<usize> {
+        (0..self.entries.len())
+            .filter(|&i| self.is_evictable(i))
+            .nth(n)
+    }
+
+    /// Whether the entry at `i` may overtake every entry ahead of it.
+    fn is_evictable(&self, i: usize) -> bool {
+        let cand = &self.entries[i];
+        self.entries
+            .iter()
+            .take(i)
+            .all(|earlier| earlier.may_be_overtaken_by(cand))
+    }
+
     /// Removes and returns the entry at `position`.
     ///
     /// # Panics

@@ -146,4 +146,17 @@ proptest! {
         prop_assert_eq!(after, expect);
         prop_assert_eq!(evicted.id(), before[p]);
     }
+
+    #[test]
+    fn count_and_nth_helpers_agree_with_evictable_positions(
+        entries in proptest::collection::vec(arb_entry(), 0..12),
+    ) {
+        let sb = build(&entries);
+        let positions = sb.evictable_positions();
+        prop_assert_eq!(sb.evictable_count(), positions.len());
+        for (n, &p) in positions.iter().enumerate() {
+            prop_assert_eq!(sb.nth_evictable(n), Some(p));
+        }
+        prop_assert_eq!(sb.nth_evictable(positions.len()), None);
+    }
 }

@@ -1,9 +1,9 @@
 //! The persistency-race detection algorithm (§6, Figures 8 and 9).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 
 use jaaru::{EventId, EventSink, ExecId, FlushEvent, LoadInfo, RaceReport, ReportKind, StoreEvent};
-use pmem::CacheLineId;
+use pmem::{CacheLineId, FastMap, FastSet};
 use vclock::{Clock, ThreadId, VectorClock};
 
 use crate::config::YashmeConfig;
@@ -29,10 +29,10 @@ struct ExecDetState {
     /// `flushmap`: store → flushes that happen-after it. A store with an
     /// *effective* record is persisted; effectiveness depends on the mode
     /// (prefix: the record must lie inside `CVpre`; baseline: any record).
-    flushmap: HashMap<EventId, Vec<FlushRecord>>,
+    flushmap: FastMap<EventId, Vec<FlushRecord>>,
     /// `lastflush`: cache line → clock-vector lower bound for when the line
     /// was written back, raised by post-crash reads of atomic stores.
-    lastflush: HashMap<CacheLineId, VectorClock>,
+    lastflush: FastMap<CacheLineId, VectorClock>,
     /// `CVpre`: how much of this execution later executions have observed —
     /// the consistent-prefix clock vector (§5.1).
     cv_pre: VectorClock,
@@ -41,8 +41,8 @@ struct ExecDetState {
 impl Default for ExecDetState {
     fn default() -> Self {
         ExecDetState {
-            flushmap: HashMap::with_capacity(FLUSHMAP_CAPACITY),
-            lastflush: HashMap::with_capacity(LASTFLUSH_CAPACITY),
+            flushmap: FastMap::with_capacity_and_hasher(FLUSHMAP_CAPACITY, Default::default()),
+            lastflush: FastMap::with_capacity_and_hasher(LASTFLUSH_CAPACITY, Default::default()),
             cv_pre: VectorClock::default(),
         }
     }
@@ -58,12 +58,12 @@ impl Default for ExecDetState {
 #[derive(Debug, Clone)]
 pub struct YashmeDetector {
     config: YashmeConfig,
-    states: HashMap<ExecId, ExecDetState>,
+    states: FastMap<ExecId, ExecDetState>,
     reports: Vec<RaceReport>,
     /// Labels already reported, to bound report volume per run. Hashed:
     /// the race check consults this once per candidate store, so a linear
     /// scan would make report-heavy runs quadratic.
-    reported: HashSet<(ReportKind, &'static str)>,
+    reported: FastSet<(ReportKind, &'static str)>,
     /// Rolling token over detector state changes, reported through
     /// [`EventSink::fingerprint_token`] so the engine's crash-state
     /// equivalence pruning splits classes whenever detector state that can
@@ -87,9 +87,9 @@ impl YashmeDetector {
     pub fn new(config: YashmeConfig) -> Self {
         YashmeDetector {
             config,
-            states: HashMap::new(),
+            states: FastMap::default(),
             reports: Vec::new(),
-            reported: HashSet::new(),
+            reported: FastSet::default(),
             token: pmem::Fp64::new(),
             flushmap_live: 0,
             flushmap_peak: 0,
@@ -128,8 +128,8 @@ impl YashmeDetector {
                 continue;
             }
             let records = match state.flushmap.entry(store.id) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(v) => {
                     self.flushmap_live += 1;
                     self.flushmap_peak = self.flushmap_peak.max(self.flushmap_live);
                     v.insert(Vec::new())
@@ -385,7 +385,7 @@ mod tests {
             clock,
             atomicity,
             addr: Addr(addr),
-            bytes: vec![0; 8],
+            bytes: [0u8; 8][..].into(),
             invented: false,
             label,
             seq: Some(id),
@@ -512,7 +512,7 @@ mod tests {
             clock: 5,
             atomicity: Atomicity::Plain,
             addr: Addr(0x1000),
-            bytes: vec![0; 8],
+            bytes: [0u8; 8][..].into(),
             invented: false,
             label: "x",
             seq: Some(1),
