@@ -1,9 +1,9 @@
-//! Determinism contract for the suite-global work-stealing scheduler: with
-//! stealing *forced* (per-lane stall hooks so chunks migrate off their home
-//! lanes), every deterministic surface — race reports, span trace, metrics
+//! Determinism contract for the parallel fan-out: with the stall hook
+//! spreading chunks over every executor and completing them out of item
+//! order, every deterministic surface — race reports, span trace, metrics
 //! registry, coverage JSON — stays byte-identical across workers 1/8/auto.
-//! Stealing moves where and when jobs execute; it must never move what they
-//! compute or how their results merge.
+//! The fan-out moves where and when jobs execute; it must never move what
+//! they compute or how their results merge.
 
 use std::sync::Arc;
 
@@ -53,8 +53,8 @@ fn reports_identical_across_workers_with_stealing_forced() {
 
 #[test]
 fn stealing_actually_happens_under_the_stall_hook() {
-    // The companion to the byte-identity test: prove the migration path was
-    // really exercised, via the wall-clock telemetry plane.
+    // The companion to the byte-identity test: prove the chunks really were
+    // spread over several executors, via the wall-clock telemetry plane.
     let program = recipe::cceh::program();
     let tel = Arc::new(Telemetry::new());
     jaaru::pool::set_stall_ms(1);
@@ -70,21 +70,17 @@ fn stealing_actually_happens_under_the_stall_hook() {
     let sched = tel.sched_counters();
     assert!(sched.jobs > 0, "suffix jobs went through the scheduler");
     assert!(sched.batches > 0, "jobs were chunked");
+    let busy = tel.worker_stats().iter().filter(|w| w.jobs > 0).count();
     assert!(
-        sched.steals > 0,
-        "stall hook must force chunk migration: {sched:?}"
+        busy >= 2,
+        "stall hook must spread chunks over executors: {:?}",
+        tel.worker_stats()
     );
-    assert!(sched.queue_depth > 0);
     // The nondeterministic counters live in the telemetry plane only: the
     // Prometheus export carries them, the deterministic surfaces (asserted
     // byte-identical above) never do.
     let prom = tel.to_prometheus();
-    for family in [
-        "yashme_sched_jobs_total",
-        "yashme_sched_batches_total",
-        "yashme_sched_steals_total",
-        "yashme_sched_queue_depth",
-    ] {
+    for family in ["yashme_sched_jobs_total", "yashme_sched_batches_total"] {
         assert!(prom.contains(family), "missing prom family {family}");
     }
 }

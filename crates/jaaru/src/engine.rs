@@ -3,8 +3,9 @@
 //!
 //! Crash-point exploration is embarrassingly parallel: every injected crash
 //! target is an independent simulated run with its own [`MemState`] and
-//! sink. [`EngineConfig::workers`] sizes a bounded worker pool that fans
-//! those runs out over OS threads while keeping the aggregated
+//! sink. [`EngineConfig::workers`] bounds a scoped fan-out ([`crate::pool`])
+//! that spreads those runs over the calling thread and up to `workers - 1`
+//! threads living only for the batch, while keeping the aggregated
 //! [`RunReport`] byte-identical to a sequential run: per-run results are
 //! merged in crash-target order and the de-duplicated reports are stably
 //! sorted by `(kind, label)` regardless of worker count.
@@ -82,13 +83,15 @@ pub struct EngineConfig {
     /// Number of worker threads exploring crash points concurrently.
     ///
     /// `1` (the default) runs strictly sequentially on the calling thread.
-    /// `0` means "auto": one worker per available CPU. Each simulated run
-    /// executes its phases' main tasks on the worker running it and
-    /// serializes any [`Ctx::spawn`](crate::Ctx::spawn) children (each on
-    /// an OS thread of its own) through the scheduler token, so `workers`
-    /// bounds *total* runnable concurrency, not just top-level fan-out: at
-    /// most `workers` OS threads make progress at any instant no matter how
-    /// many tasks each simulated run spawns.
+    /// `0` means "auto": one worker per available CPU. A fan-out runs on
+    /// the calling thread plus at most `workers - 1` scoped threads that
+    /// end with it, so no batch ever gets more executors than this. Each
+    /// simulated run executes its phases' main tasks on the worker running
+    /// it and serializes any [`Ctx::spawn`](crate::Ctx::spawn) children
+    /// (each on an OS thread of its own) through the scheduler token, so
+    /// `workers` bounds *total* runnable concurrency, not just top-level
+    /// fan-out: at most `workers` OS threads make progress at any instant
+    /// no matter how many tasks each simulated run spawns.
     pub workers: usize,
     /// Record a deterministic span trace of every run (off by default).
     ///
@@ -264,7 +267,7 @@ pub struct SingleRun {
 }
 
 /// Builds a fresh event sink for each simulated run. `Sync` because the
-/// worker pool invokes it from several threads at once.
+/// fan-out invokes it from several threads at once.
 pub type SinkFactory<'a> = &'a (dyn Fn() -> Box<dyn EventSink> + Sync);
 
 /// Parameters of one simulated run: what [`Engine::run_inner`] builds a
@@ -1025,7 +1028,7 @@ impl Engine {
 
     /// Runs every spec on its own sink from `sink_factory`, returning
     /// `(outcome, branch-choice log)` pairs in spec order. With more than
-    /// one worker the specs fan out over the pool; each run builds a
+    /// one worker the specs fan out over several threads; each run builds a
     /// private sink, so runs never share mutable state. The telemetry
     /// handle is forwarded to the memory system for event-rate publishing
     /// only; no phase or total time is attributed here (the caller owns
@@ -1049,17 +1052,18 @@ impl Engine {
         })
     }
 
-    /// The worker pool: applies `job` to every item, returning results in
-    /// item order. Sequential when `workers <= 1` or there is at most one
-    /// item; otherwise the batch goes to the suite-global work-stealing
-    /// scheduler ([`crate::pool`]), which buckets consecutive items into
-    /// chunks of roughly equal cost from the optional per-item `costs`
-    /// (simulated event counts; uniform when `None`). Estimates never
-    /// influence results — only how work is grouped and distributed.
+    /// Applies `job` to every item, returning results in item order.
+    /// Sequential when `workers <= 1` or there is at most one item;
+    /// otherwise the items fan out over [`pool::run_batch`], which buckets
+    /// consecutive items into chunks of roughly equal cost from the
+    /// optional per-item `costs` (simulated event counts; uniform when
+    /// `None`). Estimates never influence results — only how work is
+    /// grouped and distributed.
     ///
-    /// When `tel` is enabled, per-lane busy/idle wall time is recorded —
-    /// the queue-stall number behind the `--profile` worker-utilization
-    /// line. This is pure observation: job order, results, and merging are
+    /// When `tel` is enabled, each executor's busy/idle wall time and item
+    /// count accumulate into its worker slot (slot 0 is the calling
+    /// thread) — the numbers behind the `--profile` `workers:` line. This
+    /// is pure observation: job order, results, and merging are
     /// unaffected.
     fn fan_out<T, R, F>(
         items: Vec<T>,
@@ -1086,14 +1090,17 @@ impl Engine {
                     job(item)
                 })
                 .collect();
-            tel.record_worker(WorkerStat {
-                busy: t0.elapsed(),
-                idle: Duration::ZERO,
-                jobs,
-            });
+            tel.record_worker(
+                0,
+                WorkerStat {
+                    busy: t0.elapsed(),
+                    idle: Duration::ZERO,
+                    jobs,
+                },
+            );
             return results;
         }
-        pool::global().run_batch(items, costs, workers, tel, job)
+        pool::run_batch(items, costs, workers, tel, job)
     }
 
     /// Builds and runs one simulated run from `spec` under `config`'s GC

@@ -107,50 +107,38 @@ struct PhaseSlot {
     count: AtomicU64,
 }
 
-/// Busy/idle accounting for one worker-pool thread across one fan-out.
+/// Busy/idle accounting of one executor slot, summed over every fan-out.
 ///
-/// `idle` is queue-stall time: how long the worker sat blocked on the work
-/// queue (including the final wait that ends with queue closure).
-#[derive(Debug, Clone, Copy)]
+/// Slot 0 is the thread that called the engine; slots `1..` are the scoped
+/// threads a parallel fan-out spawns, so the number of slots is the largest
+/// executor count any fan-out used. `idle` is the time an executor had no
+/// chunk left while others were still finishing theirs.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStat {
     /// Time spent executing jobs.
     pub busy: Duration,
-    /// Time spent blocked on the work queue.
+    /// Time spent out of work before the fan-out ended.
     pub idle: Duration,
-    /// Jobs completed.
+    /// Jobs (items) completed.
     pub jobs: u64,
 }
 
-/// Counters of the suite-global work-stealing scheduler.
+/// Counters of the parallel fan-out.
 ///
 /// `jobs` and `batches` are deterministic functions of the engine
-/// configuration (chunking derives from profile-run cost estimates);
-/// `steals` and `queue_depth` depend on thread timing, which is why all
-/// four live in this plane and never in the deterministic metrics
-/// registry or `--json`.
+/// configuration (chunking derives from profile-run cost estimates), but
+/// only parallel fan-outs record them, so they live in this plane and never
+/// in the deterministic metrics registry or `--json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
-    /// Individual jobs submitted (one per crash-point suffix, run spec, …).
+    /// Individual jobs fanned out in parallel (one per crash-point suffix,
+    /// run spec, …).
     pub jobs: u64,
-    /// Cost-bucketed chunks those jobs were batched into.
+    /// Cost-bucketed chunks those jobs were grouped into.
     pub batches: u64,
-    /// Chunks executed by a lane other than their home lane.
+    /// Always 0: executors claim chunks from one shared cursor, nothing is
+    /// stolen. Kept for the benchmark's `pool.steals` column.
     pub steals: u64,
-    /// High-water mark of chunks queued at submission time.
-    pub queue_depth: u64,
-}
-
-impl SchedCounters {
-    /// Counter-wise difference (`queue_depth` is a gauge: the later
-    /// high-water mark wins), for per-benchmark deltas of a shared handle.
-    pub fn minus(&self, earlier: &SchedCounters) -> SchedCounters {
-        SchedCounters {
-            jobs: self.jobs.saturating_sub(earlier.jobs),
-            batches: self.batches.saturating_sub(earlier.batches),
-            steals: self.steals.saturating_sub(earlier.steals),
-            queue_depth: self.queue_depth,
-        }
-    }
 }
 
 /// One telemetry sample: the counters at an instant.
@@ -206,8 +194,6 @@ pub struct Telemetry {
     live_slots: AtomicU64,
     sched_jobs: AtomicU64,
     sched_batches: AtomicU64,
-    sched_steals: AtomicU64,
-    sched_queue_depth: AtomicU64,
     workers: Mutex<Vec<WorkerStat>>,
     cursor: Mutex<Cursor>,
 }
@@ -254,8 +240,6 @@ impl Telemetry {
             live_slots: AtomicU64::new(0),
             sched_jobs: AtomicU64::new(0),
             sched_batches: AtomicU64::new(0),
-            sched_steals: AtomicU64::new(0),
-            sched_queue_depth: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
             cursor: Mutex::default(),
         }
@@ -356,37 +340,36 @@ impl Telemetry {
         }
     }
 
-    /// Records one worker's busy/idle split for a finished fan-out.
-    pub fn record_worker(&self, stat: WorkerStat) {
+    /// Adds one executor's busy/idle split and job count from a finished
+    /// fan-out to executor slot `slot` (0 = the calling thread).
+    pub fn record_worker(&self, slot: usize, stat: WorkerStat) {
         if self.enabled {
-            self.workers.lock().expect("worker stats").push(stat);
+            let mut workers = self.workers.lock().expect("worker stats");
+            if workers.len() <= slot {
+                workers.resize(slot + 1, WorkerStat::default());
+            }
+            let w = &mut workers[slot];
+            w.busy += stat.busy;
+            w.idle += stat.idle;
+            w.jobs += stat.jobs;
         }
     }
 
-    /// Records one scheduler batch: `jobs` items bucketed into `chunks`
-    /// cost-balanced chunks, with `depth` chunks queued at submission.
-    pub fn add_sched_batch(&self, jobs: u64, chunks: u64, depth: u64) {
+    /// Records one parallel fan-out: `jobs` items bucketed into `chunks`
+    /// cost-balanced chunks.
+    pub fn add_sched_batch(&self, jobs: u64, chunks: u64) {
         if self.enabled {
             self.sched_jobs.fetch_add(jobs, Ordering::Relaxed);
             self.sched_batches.fetch_add(chunks, Ordering::Relaxed);
-            self.sched_queue_depth.fetch_max(depth, Ordering::Relaxed);
         }
     }
 
-    /// Records `n` chunks executed away from their home lane.
-    pub fn add_sched_steals(&self, n: u64) {
-        if self.enabled && n > 0 {
-            self.sched_steals.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// The scheduler counters recorded so far.
+    /// The fan-out counters recorded so far.
     pub fn sched_counters(&self) -> SchedCounters {
         SchedCounters {
             jobs: self.sched_jobs.load(Ordering::Relaxed),
             batches: self.sched_batches.load(Ordering::Relaxed),
-            steals: self.sched_steals.load(Ordering::Relaxed),
-            queue_depth: self.sched_queue_depth.load(Ordering::Relaxed),
+            steals: 0,
         }
     }
 
@@ -461,7 +444,7 @@ impl Telemetry {
         sample
     }
 
-    /// The recorded worker busy/idle stats.
+    /// The recorded busy/idle stats, one per executor slot.
     pub fn worker_stats(&self) -> Vec<WorkerStat> {
         self.workers.lock().expect("worker stats").clone()
     }
@@ -616,32 +599,20 @@ impl Telemetry {
             self.live_slots.load(Ordering::Relaxed)
         );
         let sched = self.sched_counters();
-        out.push_str(
-            "# HELP yashme_sched_jobs_total Jobs submitted to the work-stealing scheduler.\n",
-        );
+        out.push_str("# HELP yashme_sched_jobs_total Jobs fanned out over parallel executors.\n");
         out.push_str("# TYPE yashme_sched_jobs_total counter\n");
         let _ = writeln!(out, "yashme_sched_jobs_total {}", sched.jobs);
         out.push_str(
-            "# HELP yashme_sched_batches_total Cost-bucketed chunks submitted to the scheduler.\n",
+            "# HELP yashme_sched_batches_total Cost-bucketed chunks those jobs were grouped into.\n",
         );
         out.push_str("# TYPE yashme_sched_batches_total counter\n");
         let _ = writeln!(out, "yashme_sched_batches_total {}", sched.batches);
         out.push_str(
-            "# HELP yashme_sched_steals_total Chunks executed away from their home lane.\n",
-        );
-        out.push_str("# TYPE yashme_sched_steals_total counter\n");
-        let _ = writeln!(out, "yashme_sched_steals_total {}", sched.steals);
-        out.push_str(
-            "# HELP yashme_sched_queue_depth High-water mark of queued chunks at submission.\n",
-        );
-        out.push_str("# TYPE yashme_sched_queue_depth gauge\n");
-        let _ = writeln!(out, "yashme_sched_queue_depth {}", sched.queue_depth);
-        out.push_str(
-            "# HELP yashme_worker_busy_seconds_total Seconds each pool worker spent in jobs.\n",
+            "# HELP yashme_worker_busy_seconds_total Seconds each executor slot spent in jobs.\n",
         );
         out.push_str("# TYPE yashme_worker_busy_seconds_total counter\n");
         out.push_str(
-            "# HELP yashme_worker_idle_seconds_total Seconds each pool worker spent queue-stalled.\n",
+            "# HELP yashme_worker_idle_seconds_total Seconds each executor slot spent out of work.\n",
         );
         out.push_str("# TYPE yashme_worker_idle_seconds_total counter\n");
         for (i, w) in self.worker_stats().iter().enumerate() {
@@ -738,20 +709,16 @@ impl Telemetry {
             } else {
                 100.0 * busy.as_secs_f64() / occupied
             };
+            let chunks = match self.sched_counters().batches {
+                0 => String::new(),
+                c => format!(" in {c} chunk(s)"),
+            };
             let _ = writeln!(
                 out,
-                "  workers: {} pool thread(s), {jobs} job(s); busy {:.3?}, queue-stalled {:.3?} ({util:.1}% busy)",
+                "  workers: {} thread(s), {jobs} job(s){chunks}; busy {:.3?}, idle {:.3?} ({util:.1}% busy)",
                 workers.len(),
                 busy,
                 idle
-            );
-        }
-        let sched = self.sched_counters();
-        if sched.batches > 0 {
-            let _ = writeln!(
-                out,
-                "  sched: {} job(s) in {} chunk(s), {} stolen; peak queue {}",
-                sched.jobs, sched.batches, sched.steals, sched.queue_depth
             );
         }
         out
@@ -959,11 +926,14 @@ mod tests {
         let tel = Telemetry::new();
         tel.add_phase(WallPhase::ProfileRun, Duration::from_millis(5));
         tel.add_events(100);
-        tel.record_worker(WorkerStat {
-            busy: Duration::from_millis(3),
-            idle: Duration::from_millis(1),
-            jobs: 2,
-        });
+        tel.record_worker(
+            0,
+            WorkerStat {
+                busy: Duration::from_millis(3),
+                idle: Duration::from_millis(1),
+                jobs: 2,
+            },
+        );
         for line in tel.to_prometheus().lines() {
             assert!(!line.is_empty());
             if line.starts_with('#') {
@@ -986,18 +956,27 @@ mod tests {
         tel.add_phase(WallPhase::Merge, Duration::from_millis(35));
         tel.add_phase(WallPhase::GcPass, Duration::from_millis(2));
         tel.add_total(Duration::from_millis(100));
-        tel.record_worker(WorkerStat {
-            busy: Duration::from_millis(50),
-            idle: Duration::from_millis(10),
-            jobs: 7,
-        });
+        for slot in [0, 1, 0] {
+            tel.record_worker(
+                slot,
+                WorkerStat {
+                    busy: Duration::from_millis(50),
+                    idle: Duration::from_millis(10),
+                    jobs: 7,
+                },
+            );
+        }
+        tel.add_sched_batch(14, 5);
         let tree = tel.render_profile();
         assert!(tree.contains("profile-run"));
         assert!(tree.contains("merge"));
         assert!(tree.contains("gc-pass"));
         assert!(tree.contains("unattributed"));
         assert!(tree.contains("coverage 95.0%"));
-        assert!(tree.contains("7 job(s)"));
+        assert!(
+            tree.contains("workers: 2 thread(s), 21 job(s) in 5 chunk(s);"),
+            "{tree}"
+        );
     }
 
     /// A JSONL destination the test can read back.

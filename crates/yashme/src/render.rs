@@ -3,7 +3,6 @@
 
 use std::fmt::Write as _;
 
-use jaaru::obs::telemetry::{SchedCounters, WorkerStat};
 use jaaru::obs::Phase;
 use jaaru::{RaceReport, ReportKind, RunReport, SiteKind};
 
@@ -172,38 +171,6 @@ pub fn render_gc_stats(report: &RunReport) -> String {
         g.live_events, g.peak_live_events, g.slots_reused, g.flushmap_live, g.flushmap_peak,
     )
     .expect("write to string");
-    out
-}
-
-/// Renders the suite-global scheduler's counters for one benchmark run
-/// (`yashme --details`): the delta of the wall-clock telemetry plane's
-/// `sched.*` counters across the run, plus one busy/idle line per worker
-/// lane that participated in a batch. Unlike the fork/prune/gc counters
-/// these are *not* deterministic — steals, queue depths, and busy/idle
-/// splits move with the OS scheduler — which is why they ride the
-/// telemetry plane and stay out of `--json` (the deterministic surface).
-/// Renders the empty string when no batch went through the scheduler
-/// (sequential runs, single-suffix benchmarks).
-pub fn render_sched_stats(sched: &SchedCounters, lanes: &[WorkerStat]) -> String {
-    if sched.batches == 0 {
-        return String::new();
-    }
-    let mut out = String::new();
-    writeln!(
-        out,
-        "sched: {} suffix job(s) in {} cost-bucketed chunk(s), {} chunk(s) \
-         stolen, peak queue depth {}",
-        sched.jobs, sched.batches, sched.steals, sched.queue_depth,
-    )
-    .expect("write to string");
-    for (i, lane) in lanes.iter().enumerate() {
-        writeln!(
-            out,
-            "sched lane {i}: {} chunk(s), busy {:?}, idle {:?}",
-            lane.jobs, lane.busy, lane.idle,
-        )
-        .expect("write to string");
-    }
     out
 }
 
@@ -417,31 +384,6 @@ mod tests {
         // The post-crash loads of persisted slots are served by the image.
         assert!(s.bytes_from_image > 0);
         assert!(s.loads > 0);
-    }
-
-    #[test]
-    fn sched_stats_empty_without_batches_and_list_lanes_otherwise() {
-        use std::time::Duration;
-        let idle = SchedCounters::default();
-        assert_eq!(render_sched_stats(&idle, &[]), "");
-        let sched = SchedCounters {
-            jobs: 37,
-            batches: 14,
-            steals: 2,
-            queue_depth: 14,
-        };
-        let lanes = vec![WorkerStat {
-            busy: Duration::from_millis(3),
-            idle: Duration::from_micros(500),
-            jobs: 4,
-        }];
-        let out = render_sched_stats(&sched, &lanes);
-        assert!(
-            out.contains("37 suffix job(s) in 14 cost-bucketed chunk(s)"),
-            "{out}"
-        );
-        assert!(out.contains("2 chunk(s) stolen"), "{out}");
-        assert!(out.contains("sched lane 0: 4 chunk(s)"), "{out}");
     }
 
     #[test]

@@ -1,436 +1,4 @@
-//! Offline stub of `crossbeam`: the `channel` and `deque` modules, enough
-//! for the engine's multi-producer/multi-consumer work queues and the
-//! suite-global work-stealing scheduler.
-
-pub mod deque {
-    //! Work-stealing deques over a `Mutex<VecDeque>`.
-    //!
-    //! API shape matches `crossbeam-deque` where the workspace uses it:
-    //! a [`Worker`] deque owned by one pool lane, [`Stealer`] handles that
-    //! other lanes use to take work from it, a shared [`Injector`] for
-    //! submitted batches, and the [`Steal`] result triple. The lock-free
-    //! Chase-Lev machinery of the real crate is replaced by a mutex; the
-    //! scheduler's unit of work is a whole cost-bucketed chunk, so queue
-    //! operations are far off the hot path and a mutex is plenty.
-    //!
-    //! One deliberate simplification: the stub's [`Worker`] is `Sync` (the
-    //! real one is owner-only), which lets the scheduler keep every lane in
-    //! one vector. "Owner pops, others steal" remains a convention enforced
-    //! by the scheduler, not the type system.
-
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex, PoisonError};
-
-    /// Outcome of a steal attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// The attempt lost a race and may be retried. The mutex-backed
-        /// stub never loses races; the variant exists for API parity.
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// Returns the stolen task, if any.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-
-        /// Whether the queue was observed empty.
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-    }
-
-    fn lock<T>(q: &Mutex<VecDeque<T>>) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-        q.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// A FIFO deque owned by one scheduler lane.
-    pub struct Worker<T> {
-        inner: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Worker<T> {
-        /// Creates an empty FIFO worker deque.
-        pub fn new_fifo() -> Self {
-            Worker {
-                inner: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        /// Pushes a task onto the deque.
-        pub fn push(&self, task: T) {
-            lock(&self.inner).push_back(task);
-        }
-
-        /// Pops the next task in FIFO order.
-        pub fn pop(&self) -> Option<T> {
-            lock(&self.inner).pop_front()
-        }
-
-        /// Number of queued tasks.
-        pub fn len(&self) -> usize {
-            lock(&self.inner).len()
-        }
-
-        /// Whether the deque is empty.
-        pub fn is_empty(&self) -> bool {
-            lock(&self.inner).is_empty()
-        }
-
-        /// Creates a steal handle onto this deque.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    /// A handle other lanes use to steal from a [`Worker`] deque.
-    pub struct Stealer<T> {
-        inner: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals the oldest task from the owning worker's deque.
-        pub fn steal(&self) -> Steal<T> {
-            match lock(&self.inner).pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-    }
-
-    /// A shared FIFO queue that batches enter the scheduler through.
-    pub struct Injector<T> {
-        inner: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Self {
-            Injector::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        /// Creates an empty injector.
-        pub fn new() -> Self {
-            Injector {
-                inner: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        /// Enqueues a task.
-        pub fn push(&self, task: T) {
-            lock(&self.inner).push_back(task);
-        }
-
-        /// Steals one task.
-        pub fn steal(&self) -> Steal<T> {
-            match lock(&self.inner).pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Steals up to half the queue (capped like the real crate) into
-        /// `dest`, returning one task to run immediately.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let mut q = lock(&self.inner);
-            let first = match q.pop_front() {
-                Some(t) => t,
-                None => return Steal::Empty,
-            };
-            let extra = (q.len() / 2).min(32);
-            for _ in 0..extra {
-                match q.pop_front() {
-                    Some(t) => dest.push(t),
-                    None => break,
-                }
-            }
-            Steal::Success(first)
-        }
-
-        /// Number of queued tasks.
-        pub fn len(&self) -> usize {
-            lock(&self.inner).len()
-        }
-
-        /// Whether the injector is empty.
-        pub fn is_empty(&self) -> bool {
-            lock(&self.inner).is_empty()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn worker_is_fifo_and_stealable() {
-            let w = Worker::new_fifo();
-            let s = w.stealer();
-            w.push(1);
-            w.push(2);
-            w.push(3);
-            assert_eq!(w.pop(), Some(1));
-            assert_eq!(s.steal().success(), Some(2));
-            assert_eq!(w.pop(), Some(3));
-            assert!(s.steal().is_empty());
-        }
-
-        #[test]
-        fn injector_batch_steal_moves_half() {
-            let inj = Injector::new();
-            for i in 0..9 {
-                inj.push(i);
-            }
-            let w = Worker::new_fifo();
-            assert_eq!(inj.steal_batch_and_pop(&w).success(), Some(0));
-            // 8 remained; half (4) moved to the worker.
-            assert_eq!(w.len(), 4);
-            assert_eq!(inj.len(), 4);
-        }
-    }
-}
-
-pub mod channel {
-    //! MPMC channels over a `Mutex<VecDeque>` + `Condvar`.
-    //!
-    //! Semantics match crossbeam-channel where the workspace uses it:
-    //! cloneable senders and receivers, [`Receiver::recv`] blocking until a
-    //! message arrives or every sender is dropped, and iteration draining
-    //! until disconnect.
-
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, PoisonError};
-
-    struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
-        ready: Condvar,
-        senders: AtomicUsize,
-    }
-
-    /// Creates an unbounded MPMC channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            senders: AtomicUsize::new(1),
-        });
-        (
-            Sender {
-                inner: inner.clone(),
-            },
-            Receiver { inner },
-        )
-    }
-
-    /// Creates a channel with `cap` pre-reserved slots. The stub does not
-    /// enforce the bound (sends never block); the workspace only uses
-    /// capacities as sizing hints for fan-out queues filled before workers
-    /// start.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = unbounded();
-        tx.inner
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .reserve(cap);
-        (tx, rx)
-    }
-
-    /// Error returned by [`Sender::send`] when every receiver is gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty and
-    /// every sender is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty.
-        Empty,
-        /// The channel is empty and every sender is gone.
-        Disconnected,
-    }
-
-    /// The sending half; cloneable for multiple producers.
-    pub struct Sender<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues `value`, waking one waiting receiver.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            // Receiver count is not tracked: a send after all receivers drop
-            // parks the value harmlessly, which crossbeam reports as an
-            // error only to aid debugging. The workspace never does this.
-            self.inner
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(value);
-            self.inner.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.inner.senders.fetch_add(1, Ordering::SeqCst);
-            Sender {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            if self.inner.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.inner.ready.notify_all();
-            }
-        }
-    }
-
-    /// The receiving half; cloneable for multiple consumers.
-    pub struct Receiver<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or every sender is dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut queue = self
-                .inner
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(value) = queue.pop_front() {
-                    return Ok(value);
-                }
-                if self.inner.senders.load(Ordering::SeqCst) == 0 {
-                    return Err(RecvError);
-                }
-                queue = self
-                    .inner
-                    .ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut queue = self
-                .inner
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match queue.pop_front() {
-                Some(value) => Ok(value),
-                None if self.inner.senders.load(Ordering::SeqCst) == 0 => {
-                    Err(TryRecvError::Disconnected)
-                }
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// Iterates until the channel disconnects.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { receiver: self }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            Receiver {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    /// Blocking iterator over received messages.
-    pub struct Iter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn fan_out_fan_in() {
-            let (tx, rx) = unbounded();
-            for i in 0..100 {
-                tx.send(i).unwrap();
-            }
-            drop(tx);
-            let mut seen: Vec<i32> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|_| {
-                        let rx = rx.clone();
-                        s.spawn(move || rx.iter().collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap())
-                    .collect()
-            });
-            seen.sort_unstable();
-            assert_eq!(seen, (0..100).collect::<Vec<_>>());
-        }
-
-        #[test]
-        fn recv_errors_after_disconnect() {
-            let (tx, rx) = unbounded::<u8>();
-            tx.send(1).unwrap();
-            drop(tx);
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.recv(), Err(RecvError));
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        }
-    }
-}
+//! Empty stand-in for `crossbeam`. No workspace crate uses it; the package
+//! stays only because the benchmark's own `Cargo.lock` still lists the
+//! `jaaru -> crossbeam` edge, and dropping that edge would rewrite the lock
+//! file. The change that next edits the benchmark deletes this package.

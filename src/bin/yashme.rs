@@ -238,10 +238,6 @@ fn run_one(
         (Mode::Auto, bench::SuiteMode::ModelCheck) => ExecMode::model_check(),
         (Mode::Auto, bench::SuiteMode::Random(n)) => ExecMode::random(n, opts.seed),
     };
-    // Scheduler stats are per-benchmark deltas of the telemetry plane's
-    // cumulative counters (the plane outlives this run under --all).
-    let sched_before = tel.sched_counters();
-    let lanes_before = tel.worker_stats().len();
     let config = config_of(opts);
     let report = Engine::run_observed(
         &program,
@@ -269,9 +265,6 @@ fn run_one(
             print!("{}", render::render_fork_stats(&report));
             print!("{}", render::render_prune_stats(&report));
             print!("{}", render::render_gc_stats(&report));
-            let sched = tel.sched_counters().minus(&sched_before);
-            let lanes = tel.worker_stats().split_off(lanes_before);
-            print!("{}", render::render_sched_stats(&sched, &lanes));
         }
         if opts.explain {
             for (i, r) in report.races().iter().enumerate() {
@@ -372,13 +365,8 @@ fn main() -> ExitCode {
     // Wall-clock telemetry plane: enabled by any of its four flags. The
     // reporter thread emits heartbeats/JSONL to stderr/side files only, so
     // stdout (human tables or `--json`) can never interleave with it.
-    // `--details` rides along: its scheduler stats read the plane's
-    // counters, and the reporter stays silent without progress/jsonl flags.
-    let telemetry_on = opts.progress
-        || opts.telemetry_out.is_some()
-        || opts.prom_out.is_some()
-        || opts.profile
-        || opts.details;
+    let telemetry_on =
+        opts.progress || opts.telemetry_out.is_some() || opts.prom_out.is_some() || opts.profile;
     let tel = if telemetry_on {
         Arc::new(Telemetry::new())
     } else {
