@@ -331,7 +331,7 @@ mod tests {
                 Ordering::SeqCst,
             );
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(out.load(Ordering::SeqCst), 300);
     }
 
@@ -343,7 +343,7 @@ mod tests {
             server.set(ctx, 11, 2);
             assert_eq!(server.get(ctx, 11), Some(2));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -357,7 +357,7 @@ mod tests {
             server.set(ctx, 13, 300);
             assert_eq!(server.get(ctx, 13), Some(300));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn client_server_session_works() {
         // The full driver runs without panics and the server answers gets.
-        let run = Engine::run_plain(&program(), 3);
+        let run = crate::run_once(&program(), 3);
         assert!(run.panics.is_empty(), "{:?}", run.panics);
     }
 
@@ -407,7 +407,6 @@ mod tests {
 mod multiclient_tests {
     use super::*;
     use crate::client::{Command, Wire};
-    use jaaru::Engine;
 
     #[test]
     fn two_clients_share_the_server() {
@@ -438,7 +437,7 @@ mod multiclient_tests {
             assert_eq!(server.get(ctx, 22), Some(2));
             assert_eq!(server.get(ctx, 33), Some(3));
         });
-        let run = Engine::run_plain(&program, 6);
+        let run = crate::run_once(&program, 6);
         assert!(run.panics.is_empty(), "{:?}", run.panics);
     }
 }

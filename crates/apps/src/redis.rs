@@ -215,7 +215,7 @@ mod tests {
                 Ordering::SeqCst,
             );
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(out.load(Ordering::SeqCst), 150);
     }
 
@@ -256,12 +256,12 @@ mod tests {
             assert_eq!(server.get(ctx, 7), None);
             assert!(!server.del(ctx, 7));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
     fn client_server_session_works() {
-        let run = Engine::run_plain(&program(), 4);
+        let run = crate::run_once(&program(), 4);
         assert!(run.panics.is_empty(), "{:?}", run.panics);
     }
 

@@ -308,7 +308,6 @@ pub fn soak_program(cfg: TrafficConfig) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
 
     #[test]
     fn zipf_is_skewed_and_in_range() {
@@ -349,7 +348,7 @@ mod tests {
                 batch: 16,
                 ..TrafficConfig::default()
             };
-            let run = Engine::run_plain(&soak_program(cfg), 5);
+            let run = crate::run_once(&soak_program(cfg), 5);
             assert!(run.panics.is_empty(), "{backend:?}: {:?}", run.panics);
             // Every client op plus the quits reached the server: the ops
             // counter floor is one simulated event per command.
@@ -365,8 +364,8 @@ mod tests {
             keys: 16,
             ..TrafficConfig::default()
         };
-        let a = Engine::run_plain(&soak_program(cfg), 9);
-        let b = Engine::run_plain(&soak_program(cfg), 9);
+        let a = crate::run_once(&soak_program(cfg), 9);
+        let b = crate::run_once(&soak_program(cfg), 9);
         assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
         assert_eq!(a.points, b.points);
     }

@@ -1,10 +1,12 @@
 //! Internal: scans harness seeds for the one whose single-execution results
 //! sit closest to the paper's Table 5 shape.
+//!
+//! Accepts the shared engine flags (`--workers`, `--no-fork`, ...).
 
 use bench::{evaluation_suite, table5_row};
-use jaaru::EngineConfig;
 
 fn main() {
+    let c = bench::cli::common_args(&[], &[]);
     let paper: &[(&str, usize, usize)] = &[
         ("CCEH", 2, 0),
         ("Fast_Fair", 2, 1),
@@ -27,7 +29,7 @@ fn main() {
         let mut total_p = 0;
         let mut total_b = 0;
         for (entry, &(_, pp, pb)) in suite.iter().zip(paper) {
-            let row = table5_row(entry, seed, &EngineConfig::sequential());
+            let row = table5_row(entry, seed, &c.engine);
             dist += row.prefix.abs_diff(pp) + row.baseline.abs_diff(pb);
             total_p += row.prefix;
             total_b += row.baseline;

@@ -10,7 +10,7 @@ use jaaru::ExecMode;
 use yashme::YashmeConfig;
 
 fn main() {
-    let c = bench::cli::common_args();
+    let c = bench::cli::common_args(&[], &[]);
     let budgets = [1usize, 2, 5, 10, 20, 50];
     println!("Detection rate vs execution budget (random mode, seed 15)");
     println!();

@@ -3,9 +3,8 @@
 //! `--out PATH` writes the rendered table to a file as well as stdout.
 
 fn main() {
-    let c = bench::cli::common_args();
-    let mut rest = c.rest.iter();
-    let out_path = rest.find(|a| *a == "--out").and_then(|_| rest.next());
+    let c = bench::cli::common_args(&[], &["--out"]);
+    let out_path = c.value_of("--out");
     let mut out = String::new();
     out.push_str("Table 1: Reordering constraints in Px86sim\n");
     out.push_str(

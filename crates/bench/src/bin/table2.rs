@@ -8,9 +8,8 @@ use std::fmt::Write as _;
 use compiler_model::CompilerConfig;
 
 fn main() {
-    let c = bench::cli::common_args();
-    let mut rest = c.rest.iter();
-    let out_path = rest.find(|a| *a == "--out").and_then(|_| rest.next());
+    let c = bench::cli::common_args(&[], &["--out"]);
+    let out_path = c.value_of("--out");
     let mut out = String::new();
     out.push_str("Table 2a: store optimizations observed in popular compilers\n\n");
     out.push_str(&compiler_model::render_table2a());

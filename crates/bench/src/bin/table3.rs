@@ -16,16 +16,10 @@ use jaaru::{CoverageReport, ExecMode};
 use yashme::YashmeConfig;
 
 fn main() {
-    let c = bench::cli::common_args();
+    let c = bench::cli::common_args(&["--json", "--coverage"], &["--coverage-out"]);
     let as_json = c.has_flag("--json");
     let show_coverage = c.has_flag("--coverage");
-    let mut coverage_out = None;
-    let mut rest = c.rest.iter();
-    while let Some(arg) = rest.next() {
-        if arg == "--coverage-out" {
-            coverage_out = rest.next().cloned();
-        }
-    }
+    let coverage_out = c.value_of("--coverage-out");
     if !as_json {
         println!("Table 3: races found in CCEH, FAST_FAIR, and RECIPE benchmarks");
         println!();
@@ -90,7 +84,7 @@ fn main() {
     }
     if let Some(path) = coverage_out {
         let doc = yashme::json::coverage_suite_json("table3", &aggregate, coverage_docs);
-        std::fs::write(&path, format!("{}\n", doc.render())).expect("write coverage json");
+        std::fs::write(path, format!("{}\n", doc.render())).expect("write coverage json");
         if !as_json {
             println!("wrote {path}");
         }

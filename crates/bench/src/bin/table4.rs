@@ -9,7 +9,7 @@ use bench::{bug_finding_run, evaluation_suite};
 use jaaru::obs::Json;
 
 fn main() {
-    let c = bench::cli::common_args();
+    let c = bench::cli::common_args(&["--json"], &[]);
     let engine = c.engine;
     let as_json = c.has_flag("--json");
     if !as_json {

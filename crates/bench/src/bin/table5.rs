@@ -10,7 +10,7 @@ use jaaru::obs::Json;
 use jaaru::EngineConfig;
 
 fn main() {
-    let c = bench::cli::common_args();
+    let c = bench::cli::common_args(&["--json"], &[]);
     let engine = c.engine;
     let as_json = c.has_flag("--json");
     if !as_json {

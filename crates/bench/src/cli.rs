@@ -6,11 +6,11 @@
 //!
 //! * `--workers N|auto` (also `--workers=N`) — worker-pool size
 //! * `--no-fork` / `--no-prune` / `--no-gc` — disable a physical strategy
-//! * `--prune-paranoid` / `--gc-paranoid` — lockstep verification modes
 //! * `--gc-every N` — the GC tuning knob
 //!
 //! Each flag sets one field, so their order does not matter. Anything
-//! unrecognized lands in [`CommonArgs::rest`] for the bin's own loop.
+//! unrecognized lands in [`CommonArgs::rest`] for the bin's own flags;
+//! [`common_args`] rejects whatever the bin does not declare.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -31,15 +31,40 @@ impl CommonArgs {
     pub fn has_flag(&self, flag: &str) -> bool {
         self.rest.iter().any(|a| a == flag)
     }
+
+    /// The argument after the last `flag` among the unconsumed ones.
+    pub fn value_of(&self, flag: &str) -> Option<&str> {
+        let at = self.rest.iter().rposition(|a| a == flag)?;
+        self.rest.get(at + 1).map(String::as_str)
+    }
+
+    /// Checks that the unconsumed arguments are only the bin's own
+    /// `switches` and `valued` flags, each of the latter followed by its
+    /// value. `Err` names the first argument that is neither.
+    pub fn expect_only(&self, switches: &[&str], valued: &[&str]) -> Result<(), String> {
+        let mut rest = self.rest.iter();
+        while let Some(arg) = rest.next() {
+            if valued.contains(&arg.as_str()) {
+                rest.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            } else if !switches.contains(&arg.as_str()) {
+                return Err(format!("unknown argument {arg:?}"));
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Parses the shared flags from the process arguments; on a malformed flag
-/// prints the message and exits with status 2.
-pub fn common_args() -> CommonArgs {
-    parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2)
-    })
+/// Parses the process arguments: the shared flags plus a bin's own
+/// `switches` and `valued` flags (see [`CommonArgs::expect_only`]). On a
+/// malformed or unknown argument prints one line and exits with status 2,
+/// before the bin does any work.
+pub fn common_args(switches: &[&str], valued: &[&str]) -> CommonArgs {
+    parse_args(std::env::args().skip(1))
+        .and_then(|c| c.expect_only(switches, valued).map(|()| c))
+        .unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
 }
 
 /// Parses `flag`'s value, naming the flag in the error.
@@ -64,8 +89,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, 
             "--no-fork" => engine.fork = false,
             "--no-prune" => engine.prune = false,
             "--no-gc" => engine.gc = false,
-            "--prune-paranoid" => engine.prune_paranoid = true,
-            "--gc-paranoid" => engine.gc_paranoid = true,
             "--gc-every" => engine = engine.with_gc_every(value("--gc-every", args.next())?),
             _ => {
                 let workers = if arg == "--workers" {
@@ -122,22 +145,38 @@ mod tests {
     fn flag_order_does_not_matter() {
         // `--workers` sets only the worker count: strategy flags before it
         // survive.
-        let a = parse(&["--no-gc", "--gc-paranoid", "--workers", "8"]).unwrap();
-        let b = parse(&["--workers", "8", "--gc-paranoid", "--no-gc"]).unwrap();
+        let a = parse(&["--no-gc", "--no-prune", "--workers", "8"]).unwrap();
+        let b = parse(&["--workers", "8", "--no-prune", "--no-gc"]).unwrap();
         assert_eq!(format!("{:?}", a.engine), format!("{:?}", b.engine));
         assert_eq!(a.engine.workers, 8);
         assert!(!a.engine.gc);
-        assert!(a.engine.gc_paranoid);
+        assert!(!a.engine.prune);
     }
 
     #[test]
-    fn paranoid_flags_switch_on_their_modes() {
-        let c = parse(&["--prune-paranoid"]).unwrap();
-        assert!(c.engine.prune_paranoid);
-        assert!(!c.engine.gc_paranoid);
-        let c = parse(&["--gc-paranoid"]).unwrap();
-        assert!(c.engine.gc_paranoid);
-        assert!(!c.engine.prune_paranoid);
+    fn bins_accept_only_their_own_flags() {
+        let c = parse(&["--json", "--out", "t.txt", "--no-fork"]).unwrap();
+        assert_eq!(c.expect_only(&["--json"], &["--out"]), Ok(()));
+        assert_eq!(c.value_of("--out"), Some("t.txt"));
+        assert_eq!(
+            c.expect_only(&[], &["--out"]),
+            Err("unknown argument \"--json\"".to_owned())
+        );
+        // A valued flag's value is never mistaken for a flag.
+        let c = parse(&["--out", "--json"]).unwrap();
+        assert_eq!(c.expect_only(&[], &["--out"]), Ok(()));
+        let c = parse(&["--out"]).unwrap();
+        assert_eq!(
+            c.expect_only(&[], &["--out"]),
+            Err("--out needs a value".to_owned())
+        );
+        for retired in ["--no-frok", "--prune-paranoid", "--gc-paranoid"] {
+            let c = parse(&[retired]).unwrap();
+            assert_eq!(
+                c.expect_only(&["--json"], &[]),
+                Err(format!("unknown argument {retired:?}"))
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Shared harness code for the table-regeneration binaries and the
-//! Criterion benchmarks.
+//! `yashbench` benchmark.
 //!
 //! The paper's evaluation (§7) runs thirteen benchmarks: six persistent
 //! indexes (model-checking mode) and seven application/library workloads

@@ -1,6 +1,5 @@
 //! Exact work gate: the deterministic work counts of every `yashme --all`
-//! program the `bench` crate can build, pinned to the checked-in
-//! `WORK_baseline.json`.
+//! program, pinned to the checked-in `WORK_baseline.json`.
 //!
 //! Each program runs in its paper mode (model checking, or random mode at
 //! the harness seed) under `EngineConfig::sequential()`. One worker makes
@@ -8,23 +7,19 @@
 //! fork mode, so the gate compares them all exactly: executions, crash
 //! points, dedup hits, every `ExecStats` field, and the fork, prune and GC
 //! counters. Wall time is not gated here.
-//!
-//! The `x-*` extension programs of `yashme --all` live in the `extras`
-//! crate, which `bench` does not depend on; `x-pmemlog` (from `pmdk`) is
-//! covered.
 
 use bench::{bug_finding_run, evaluation_suite, SuiteEntry, SuiteMode};
 use jaaru::obs::Json;
 use jaaru::EngineConfig;
 
-/// The programs of `yashme --all` reachable from this crate, in its order.
+/// The programs of `yashme --all`, in its order.
 fn programs() -> Vec<SuiteEntry> {
     let mut suite = evaluation_suite();
-    suite.push(SuiteEntry {
-        name: "x-pmemlog",
-        program: pmdk::plog::program,
+    suite.extend(extras::suite().into_iter().map(|x| SuiteEntry {
+        name: x.name,
+        program: x.program,
         mode: SuiteMode::ModelCheck,
-    });
+    }));
     suite
 }
 

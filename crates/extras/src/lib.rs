@@ -14,6 +14,33 @@ pub mod pqueue;
 pub mod pskiplist;
 pub mod pstack;
 
+use jaaru::Program;
+
+/// One extension benchmark.
+#[derive(Debug, Clone, Copy)]
+pub struct Extra {
+    /// Name as `yashme --list` prints it.
+    pub name: &'static str,
+    /// Builds the driver program.
+    pub program: fn() -> Program,
+}
+
+/// The extension programs `yashme --all` runs after the paper's suite, in
+/// its order and all in model-checking mode: each structure's racy and
+/// fixed variant, then PMDK's `pmemlog` example.
+pub fn suite() -> Vec<Extra> {
+    let extra = |name, program| Extra { name, program };
+    vec![
+        extra("x-skiplist", || pskiplist::program(Variant::Racy)),
+        extra("x-skiplist-fixed", || pskiplist::program(Variant::Fixed)),
+        extra("x-queue", || pqueue::program(Variant::Racy)),
+        extra("x-queue-fixed", || pqueue::program(Variant::Fixed)),
+        extra("x-stack", || pstack::program(Variant::Racy)),
+        extra("x-stack-fixed", || pstack::program(Variant::Fixed)),
+        extra("x-pmemlog", pmdk::plog::program),
+    ]
+}
+
 /// Which store discipline a structure uses for its publish fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
@@ -30,4 +57,18 @@ impl Variant {
             Variant::Fixed => jaaru::Atomicity::ReleaseAcquire,
         }
     }
+}
+
+/// Runs `program` once, with no detector, on the random schedule and
+/// persistence cut drawn from `seed`: drives a unit test's own assertions.
+#[cfg(test)]
+pub(crate) fn run_once(program: &Program, seed: u64) -> jaaru::SingleRun {
+    jaaru::Engine::run_single(
+        program,
+        jaaru::SchedPolicy::RandomChoice,
+        jaaru::PersistencePolicy::Random,
+        seed,
+        None,
+        Box::new(jaaru::NullSink),
+    )
 }

@@ -169,7 +169,7 @@ mod tests {
                 assert!(q.enqueue(ctx, 7));
                 assert_eq!(q.dequeue(ctx), Some(7));
             });
-            Engine::run_plain(&program, 2);
+            crate::run_once(&program, 2);
         }
     }
 

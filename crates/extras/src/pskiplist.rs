@@ -219,7 +219,6 @@ pub fn program(variant: Variant) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::{Arc, Mutex};
 
     #[test]
@@ -238,7 +237,7 @@ mod tests {
                 assert_eq!(list.get(ctx, 99), None);
                 *s.lock().unwrap() = list.scan(ctx);
             });
-            Engine::run_plain(&program, 2);
+            crate::run_once(&program, 2);
             let keys = scanned.lock().unwrap().clone();
             let mut sorted = DRIVER_KEYS.to_vec();
             sorted.sort();
@@ -255,7 +254,7 @@ mod tests {
             assert_eq!(list.get(ctx, 5), Some(2));
             assert_eq!(list.scan(ctx).len(), 1);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]

@@ -188,7 +188,7 @@ mod tests {
                 assert_eq!(s.pop(ctx), Some(10));
                 assert_eq!(s.pop(ctx), None);
             });
-            Engine::run_plain(&program, 2);
+            crate::run_once(&program, 2);
         }
     }
 

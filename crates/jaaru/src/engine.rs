@@ -25,7 +25,7 @@ use crate::report::{ForkStats, GcStats, PruneStats, RaceReport, RunReport};
 use crate::sched::{
     Capture, Core, CrashCtl, PointRecord, SchedPolicy, Shared, Snapshot, SnapshotLog,
 };
-use crate::sink::{EventSink, GcParanoidSink, NullSink, SpanTraceSink};
+use crate::sink::{EventSink, SpanTraceSink};
 use crate::Program;
 
 /// Configuration of model-checking mode: systematic crash injection before
@@ -122,13 +122,11 @@ pub struct EngineConfig {
     /// results, so the engine resumes one *representative* suffix per
     /// equivalence class and attributes its outcome to the other members.
     /// The aggregated [`RunReport`] stays byte-identical to exhaustive
-    /// exploration; switch off via `--no-prune`.
+    /// exploration; switch off via `--no-prune`. Exhaustive resumption
+    /// executes every class member and asserts each outcome equals the one
+    /// pruning would have attributed to it, so `--no-prune` checks the
+    /// attribution rule on every run.
     pub prune: bool,
-    /// Paranoid pruning verification (off by default): resume *every*
-    /// class member anyway and assert its executed outcome matches the
-    /// attributed one, panicking on divergence. Costs what pruning saves —
-    /// a correctness harness, not a production mode (`--prune-paranoid`).
-    pub prune_paranoid: bool,
     /// Streaming epoch GC (on by default).
     ///
     /// Every [`gc_every`](EngineConfig::gc_every) committed stores the
@@ -150,11 +148,6 @@ pub struct EngineConfig {
     /// materialization that *bounds* memory is eager and independent of
     /// this knob.
     pub gc_every: u32,
-    /// Paranoid GC verification (off by default): run a second, never-
-    /// retired detector in lockstep and assert both halves drain identical
-    /// reports (`--gc-paranoid`). Costs the memory GC saves — a
-    /// correctness harness, not a production mode.
-    pub gc_paranoid: bool,
 }
 
 impl Default for EngineConfig {
@@ -164,10 +157,8 @@ impl Default for EngineConfig {
             trace: false,
             fork: true,
             prune: true,
-            prune_paranoid: false,
             gc: true,
             gc_every: 4096,
-            gc_paranoid: false,
         }
     }
 }
@@ -205,13 +196,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with paranoid pruning verification switched on or
-    /// off.
-    pub fn with_prune_paranoid(mut self, paranoid: bool) -> Self {
-        self.prune_paranoid = paranoid;
-        self
-    }
-
     /// Returns a copy with streaming epoch GC switched on or off.
     pub fn with_gc(mut self, gc: bool) -> Self {
         self.gc = gc;
@@ -222,12 +206,6 @@ impl EngineConfig {
     /// (clamped to at least 1).
     pub fn with_gc_every(mut self, every: u32) -> Self {
         self.gc_every = every.max(1);
-        self
-    }
-
-    /// Returns a copy with paranoid GC verification switched on or off.
-    pub fn with_gc_paranoid(mut self, paranoid: bool) -> Self {
-        self.gc_paranoid = paranoid;
         self
     }
 
@@ -438,7 +416,7 @@ impl Engine {
                 // with that crash target reaches at its injection point.
                 let capture = if !config.fork {
                     Capture::Records
-                } else if config.prune && !config.prune_paranoid {
+                } else if config.prune {
                     Capture::Representatives
                 } else {
                     Capture::EveryPoint
@@ -472,7 +450,7 @@ impl Engine {
                 // usable set — one per class, or one per point; otherwise
                 // (fork disabled, or the sink cannot fork) fall back to one
                 // full re-execution per target.
-                let classes = Self::class_ranges(&log.records, config.prune);
+                let classes = Self::class_ranges(&log.records);
                 let wanted = match log.capture {
                     Capture::Records => None,
                     Capture::Representatives => Some(classes.len()),
@@ -630,19 +608,18 @@ impl Engine {
     /// Partitions profiled crash points into crash-state equivalence
     /// classes: maximal runs of consecutive points with equal
     /// `(phase, fingerprint)`. Returns `(start, len)` pairs over `records`.
-    /// With `merge` off every point is its own class — exhaustive
-    /// resumption is class resumption over singletons.
+    /// Cartography, pruning and exhaustive resumption's attribution check
+    /// all share this one partition.
     ///
     /// Only consecutive points can share a class: the fingerprint is a
     /// rolling hash, so any state-changing event between two points
     /// separates them for good.
-    fn class_ranges(records: &[PointRecord], merge: bool) -> Vec<(usize, usize)> {
+    fn class_ranges(records: &[PointRecord]) -> Vec<(usize, usize)> {
         let mut classes: Vec<(usize, usize)> = Vec::new();
         for (i, r) in records.iter().enumerate() {
             match classes.last_mut() {
                 Some((start, len))
-                    if merge
-                        && records[*start].phase == r.phase
+                    if records[*start].phase == r.phase
                         && records[*start].fingerprint == r.fingerprint =>
                 {
                     *len += 1;
@@ -663,7 +640,7 @@ impl Engine {
     /// structure, both of which are strategy-independent, so the chart is
     /// byte-identical across fork/prune/GC on/off and every worker count.
     fn build_cartography(profile_points: &[usize], log: &SnapshotLog) -> obs::Cartography {
-        let classes = Self::class_ranges(&log.records, true);
+        let classes = Self::class_ranges(&log.records);
         let phases = (0..log.capture_phases.min(profile_points.len()))
             .map(|p| {
                 let points = profile_points[p] as u64;
@@ -692,14 +669,13 @@ impl Engine {
     /// Class resumption: resumes one suffix per class from its snapshot and
     /// attributes the outcome to every other member, absorbing results in
     /// exact crash-target order so the aggregated report is byte-identical
-    /// to one full re-execution per crash point. Without pruning every
-    /// class is a single point, so nothing is attributed.
+    /// to one full re-execution per crash point.
     ///
-    /// Under [`Capture::EveryPoint`] with pruning (paranoid mode) every
-    /// member suffix is executed as well, and its outcome is asserted equal
-    /// to the attributed one — the accumulator still absorbs the attributed
-    /// runs, so the report (and the `prune.*` counters) match normal
-    /// pruning.
+    /// Under [`Capture::EveryPoint`] (fork without pruning) every member
+    /// suffix is executed as well: each executed member is asserted equal
+    /// to the outcome attribution would have synthesized for it, and the
+    /// executed run is what the accumulator absorbs — so the report is the
+    /// exhaustive one and the `prune.*` counters stay zero.
     #[allow(clippy::too_many_arguments)]
     fn resume_classes(
         program: &Program,
@@ -754,29 +730,35 @@ impl Engine {
                 .iter()
                 .map(|m| Self::attribute_member(&rep, rep_rec, m))
                 .collect();
-            if every_point {
-                for (member, synth) in members.iter().zip(&synthesized) {
-                    let actual = runs.next().expect("every member was resumed");
-                    assert_eq!(
-                        Self::run_fingerprint(&actual),
-                        Self::run_fingerprint(synth),
-                        "prune_paranoid: attributed outcome for crash point \
-                         (phase {}, point {}) diverges from its executed run",
-                        member.phase,
-                        member.point,
-                    );
-                }
+            let member_runs = if every_point {
+                members
+                    .iter()
+                    .zip(synthesized)
+                    .map(|(member, synth)| {
+                        let actual = runs.next().expect("every member was resumed");
+                        assert_eq!(
+                            Self::run_fingerprint(&actual),
+                            Self::run_fingerprint(&synth),
+                            "attributed outcome for crash point (phase {}, point {}) \
+                             diverges from its executed run",
+                            member.phase,
+                            member.point,
+                        );
+                        actual
+                    })
+                    .collect()
             } else {
                 // Attribution completes the members' crash points; under
                 // `EveryPoint` each member was resumed (and counted) above.
+                acc.prune.suffixes_skipped += members.len() as u64;
+                acc.prune.events_attributed += rep.fork.suffix_events * members.len() as u64;
                 tel.add_points_done(members.len() as u64);
-            }
-            acc.prune.suffixes_skipped += members.len() as u64;
-            acc.prune.events_attributed += rep.fork.suffix_events * members.len() as u64;
-            tel.add_pruned(members.len() as u64);
+                tel.add_pruned(members.len() as u64);
+                synthesized
+            };
             acc.absorb_run(rep);
-            for synth in synthesized {
-                acc.absorb_run(synth);
+            for run in member_runs {
+                acc.absorb_run(run);
             }
         }
     }
@@ -819,7 +801,7 @@ impl Engine {
         }
     }
 
-    /// Comparison key for paranoid verification: everything the
+    /// Comparison key for the attribution check: everything the
     /// accumulator folds into the logical report — reports, panics, crash
     /// points, operation counters — excluding physical strategy counters
     /// (fork bookkeeping) and traces (a traced run ticks its virtual clock
@@ -835,21 +817,14 @@ impl Engine {
         )
     }
 
-    /// Builds the per-run sink: the factory's sink — doubled into a
-    /// lockstep [`GcParanoidSink`] pair under paranoid GC — wrapped in a
-    /// [`SpanTraceSink`] when tracing is on. The trace wrapper goes
-    /// *outside* the paranoid pair so the virtual clock ticks once per
-    /// logical event, not per half.
+    /// Builds the per-run sink: the factory's sink, wrapped in a
+    /// [`SpanTraceSink`] when tracing is on.
     fn make_sink(sink_factory: SinkFactory<'_>, config: &EngineConfig) -> Box<dyn EventSink> {
-        let inner: Box<dyn EventSink> = if config.gc && config.gc_paranoid {
-            Box::new(GcParanoidSink::new(sink_factory(), sink_factory()))
-        } else {
-            sink_factory()
-        };
+        let sink = sink_factory();
         if config.trace {
-            Box::new(SpanTraceSink::new(inner))
+            Box::new(SpanTraceSink::new(sink))
         } else {
-            inner
+            sink
         }
     }
 
@@ -864,19 +839,6 @@ impl Engine {
         }
     }
 
-    /// Runs `program` once under model-checking defaults with no detector —
-    /// the plain-Jaaru baseline for overhead measurements (Table 5).
-    pub fn run_plain(program: &Program, seed: u64) -> SingleRun {
-        Self::run_single(
-            program,
-            SchedPolicy::RandomChoice,
-            PersistencePolicy::Random,
-            seed,
-            None,
-            Box::new(NullSink),
-        )
-    }
-
     /// Exhaustively explores thread interleavings: runs `program` once per
     /// distinct schedule (breadth-first over branch points where more than
     /// one task is runnable), bounded by `max_runs`. An extension beyond
@@ -888,8 +850,8 @@ impl Engine {
     /// schedules; the schedules run, their reports merge, and their branch
     /// alternatives enqueue in exactly the order the sequential
     /// breadth-first search uses, so results are identical for every worker
-    /// count. Each schedule's memory system and sink follow `config`'s GC
-    /// settings (streaming GC, `gc_every`, paranoid GC). The result carries
+    /// count. Each schedule's memory system follows `config`'s GC settings
+    /// (streaming GC, `gc_every`). The result carries
     /// no trace, so tracing stays off; fork and pruning have no crash-point
     /// fan-out to act on here.
     pub fn explore_schedules(

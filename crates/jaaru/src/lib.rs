@@ -19,8 +19,7 @@
 //!   system and reporting events to a pluggable [`EventSink`]. One entry
 //!   point per job: [`Engine::run_observed`] (a whole [`ExecMode`] run),
 //!   [`Engine::run_single`]/[`Engine::run_single_observed`] (one simulated
-//!   run), [`Engine::run_plain`] (detector-less baseline), and
-//!   [`Engine::explore_schedules`]. Each takes its [`EngineConfig`]
+//!   run), and [`Engine::explore_schedules`]. Each takes its [`EngineConfig`]
 //!   explicitly (or uses [`EngineConfig::default`]); nothing is read from
 //!   the environment;
 //! * [`RaceReport`]/[`RunReport`] — detector findings (filled in by the
@@ -32,8 +31,7 @@
 //! still simulates buffers, crashes, and candidate reads):
 //!
 //! ```
-//! use jaaru::{Atomicity, Ctx, Engine, Program};
-//! use pmem::Addr;
+//! use jaaru::{Atomicity, Ctx, Engine, NullSink, PersistencePolicy, Program, SchedPolicy};
 //!
 //! let program = Program::new("demo")
 //!     .pre_crash(|ctx: &mut Ctx| {
@@ -45,7 +43,14 @@
 //!         let a = ctx.root();
 //!         let _ = ctx.load_u64(a, Atomicity::Plain);
 //!     });
-//! let outcome = Engine::run_plain(&program, 1);
+//! let outcome = Engine::run_single(
+//!     &program,
+//!     SchedPolicy::RandomChoice,
+//!     PersistencePolicy::Random,
+//!     1,
+//!     None,
+//!     Box::new(NullSink),
+//! );
 //! assert_eq!(outcome.points, vec![1, 0]); // one crash point: the clflush
 //! ```
 
@@ -74,7 +79,7 @@ pub use report::{
     ForkStats, GcStats, PruneStats, RaceProvenance, RaceReport, ReportKind, RunReport,
 };
 pub use sched::SchedPolicy;
-pub use sink::{EventSink, GcParanoidSink, NullSink, SpanTraceSink};
+pub use sink::{EventSink, NullSink, SpanTraceSink};
 
 // Re-exported so downstream crates get the full vocabulary from one place.
 pub use obs;

@@ -1472,8 +1472,10 @@ impl MemState {
     /// materialize or a post-crash suffix can observe: the persistent image
     /// and its provenance, the current execution's cache/storemap/line
     /// logs (orders and persistence floors), and the per-thread buffers.
-    /// Used by the paranoid pruning mode to cross-check the rolling
-    /// event-delta fingerprint against actual state. O(touched lines),
+    /// No engine path calls it: it is the subject of yashbench's
+    /// `--layers` fingerprint microbenchmark, which prices a full content
+    /// hash against the rolling event-delta fingerprint pruning keeps.
+    /// O(touched lines),
     /// amortized by the [`pmem::ArcMemo`] pointer fast path across
     /// snapshots.
     pub fn crash_state_fingerprint(&self, memo: &mut pmem::ArcMemo) -> u64 {

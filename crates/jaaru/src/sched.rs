@@ -256,8 +256,8 @@ pub(crate) enum Capture {
     /// A snapshot at the first point of each crash-state equivalence class
     /// (pruning): the class's representative.
     Representatives,
-    /// A snapshot at every point: fork without pruning, or paranoid pruning
-    /// that executes every class member to cross-check attribution.
+    /// A snapshot at every point (fork without pruning): every class
+    /// member is executed and cross-checked against its attribution.
     EveryPoint,
 }
 

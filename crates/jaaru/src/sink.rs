@@ -402,109 +402,3 @@ impl<S: EventSink> EventSink for SpanTraceSink<S> {
         pmem::mix64(self.inner.fingerprint_token() ^ pmem::mix64(self.buf.now()))
     }
 }
-
-/// Paranoid streaming-GC mode (`--gc-paranoid`): runs a second,
-/// never-retired copy of the sink in lockstep with the primary.
-///
-/// Both halves receive the identical logical event stream; only the primary
-/// receives [`EventSink::on_stores_retired`]. At every report drain the two
-/// are asserted identical, so any retirement of state the detector still
-/// needed shows up as a hard panic at the first divergence instead of a
-/// silently missing race.
-pub struct GcParanoidSink {
-    primary: Box<dyn EventSink>,
-    shadow: Box<dyn EventSink>,
-}
-
-impl GcParanoidSink {
-    /// Wraps a primary (GC-aware) sink and an un-GC'd shadow copy.
-    pub fn new(primary: Box<dyn EventSink>, shadow: Box<dyn EventSink>) -> Self {
-        GcParanoidSink { primary, shadow }
-    }
-}
-
-impl EventSink for GcParanoidSink {
-    fn on_execution_start(&mut self, exec: ExecId) {
-        self.primary.on_execution_start(exec);
-        self.shadow.on_execution_start(exec);
-    }
-
-    fn on_store_executed(&mut self, store: &StoreEvent) {
-        self.primary.on_store_executed(store);
-        self.shadow.on_store_executed(store);
-    }
-
-    fn on_store_committed(&mut self, store: &StoreEvent) {
-        self.primary.on_store_committed(store);
-        self.shadow.on_store_committed(store);
-    }
-
-    fn on_clflush_committed(&mut self, flush: &FlushEvent, line_stores: &[&StoreEvent]) {
-        self.primary.on_clflush_committed(flush, line_stores);
-        self.shadow.on_clflush_committed(flush, line_stores);
-    }
-
-    fn on_clwb_fenced(
-        &mut self,
-        clwb: &FlushEvent,
-        fence_cv: &VectorClock,
-        line_stores: &[&StoreEvent],
-    ) {
-        self.primary.on_clwb_fenced(clwb, fence_cv, line_stores);
-        self.shadow.on_clwb_fenced(clwb, fence_cv, line_stores);
-    }
-
-    fn on_crash(&mut self, exec: ExecId) {
-        self.primary.on_crash(exec);
-        self.shadow.on_crash(exec);
-    }
-
-    fn on_pre_exec_read(
-        &mut self,
-        load: &LoadInfo,
-        chosen: &[&StoreEvent],
-        candidates: &[&StoreEvent],
-    ) {
-        self.primary.on_pre_exec_read(load, chosen, candidates);
-        self.shadow.on_pre_exec_read(load, chosen, candidates);
-    }
-
-    fn on_stores_retired(&mut self, retired: &[crate::event::EventId]) {
-        // The whole point: the shadow never learns about retirement.
-        self.primary.on_stores_retired(retired);
-    }
-
-    fn live_gauges(&self) -> Vec<(&'static str, u64)> {
-        self.primary.live_gauges()
-    }
-
-    fn drain_reports(&mut self) -> Vec<RaceReport> {
-        let primary = self.primary.drain_reports();
-        let shadow = self.shadow.drain_reports();
-        assert_eq!(
-            format!("{primary:?}"),
-            format!("{shadow:?}"),
-            "GC paranoid mode: retired detector state changed the reports"
-        );
-        primary
-    }
-
-    fn drain_trace(&mut self) -> Option<obs::TraceBuf> {
-        let primary = self.primary.drain_trace();
-        let _ = self.shadow.drain_trace();
-        primary
-    }
-
-    fn fork_sink(&self) -> Option<Box<dyn EventSink>> {
-        let primary = self.primary.fork_sink()?;
-        let shadow = self.shadow.fork_sink()?;
-        Some(Box::new(GcParanoidSink { primary, shadow }))
-    }
-
-    fn fingerprint_token(&self) -> u64 {
-        // Primary only: the shadow's state is byte-equal by construction
-        // (that is what the mode asserts), so folding it in would only
-        // double-hash the same information.
-        self.primary.fingerprint_token()
-    }
-}

@@ -1,15 +1,21 @@
 //! Shared by the differential suites: one randomized-program generator,
-//! parameterized by its op mix, plus the comparison surface and the worker
-//! counts every comparison runs at.
+//! parameterized by its op mix, plus the comparison surface, the worker
+//! counts every comparison runs at, and the GC shadow sink that checks
+//! streaming GC run by run.
 
 // Each test crate that declares `mod common;` uses a different subset.
 #![allow(dead_code)]
 
-use jaaru::{Atomicity, Ctx, EngineConfig, ExecMode, Program, RunReport};
+use jaaru::obs::{Telemetry, TraceBuf};
+use jaaru::{
+    Atomicity, Ctx, Engine, EngineConfig, EventId, EventSink, ExecId, ExecMode, FlushEvent,
+    LoadInfo, Program, RaceReport, RunReport, StoreEvent,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vclock::VectorClock;
 use yashme::json::run_json;
-use yashme::YashmeConfig;
+use yashme::{YashmeConfig, YashmeDetector};
 
 /// Worker counts every comparison runs at: sequential, a small pool, and
 /// one-per-CPU.
@@ -30,6 +36,126 @@ pub fn fingerprint(name: &str, report: &RunReport) -> String {
 
 pub fn check(program: &Program, mode: ExecMode, engine: &EngineConfig) -> RunReport {
     yashme::check(program, mode, YashmeConfig::default(), engine)
+}
+
+/// [`check`] with every run's detector inside a [`GcShadowSink`], so any
+/// report that streaming GC changes panics at the run's report drain.
+pub fn check_shadowed(program: &Program, mode: ExecMode, engine: &EngineConfig) -> RunReport {
+    let detector =
+        || -> Box<dyn EventSink> { Box::new(YashmeDetector::new(YashmeConfig::default())) };
+    Engine::run_observed(
+        program,
+        mode,
+        &|| Box::new(GcShadowSink::new(detector(), detector())),
+        engine,
+        Telemetry::off(),
+    )
+}
+
+/// The GC oracle: a second, never-retired copy of the sink runs in
+/// lockstep with the primary.
+///
+/// Both halves receive the identical event stream; only the primary
+/// receives [`EventSink::on_stores_retired`]. At every report drain the two
+/// are asserted identical, so any retirement of state the detector still
+/// needed shows up as a panic at the first divergence instead of a silently
+/// missing race.
+pub struct GcShadowSink {
+    primary: Box<dyn EventSink>,
+    shadow: Box<dyn EventSink>,
+}
+
+impl GcShadowSink {
+    /// Wraps a primary (GC-aware) sink and an un-GC'd shadow copy.
+    pub fn new(primary: Box<dyn EventSink>, shadow: Box<dyn EventSink>) -> Self {
+        GcShadowSink { primary, shadow }
+    }
+}
+
+impl EventSink for GcShadowSink {
+    fn on_execution_start(&mut self, exec: ExecId) {
+        self.primary.on_execution_start(exec);
+        self.shadow.on_execution_start(exec);
+    }
+
+    fn on_store_executed(&mut self, store: &StoreEvent) {
+        self.primary.on_store_executed(store);
+        self.shadow.on_store_executed(store);
+    }
+
+    fn on_store_committed(&mut self, store: &StoreEvent) {
+        self.primary.on_store_committed(store);
+        self.shadow.on_store_committed(store);
+    }
+
+    fn on_clflush_committed(&mut self, flush: &FlushEvent, line_stores: &[&StoreEvent]) {
+        self.primary.on_clflush_committed(flush, line_stores);
+        self.shadow.on_clflush_committed(flush, line_stores);
+    }
+
+    fn on_clwb_fenced(
+        &mut self,
+        clwb: &FlushEvent,
+        fence_cv: &VectorClock,
+        line_stores: &[&StoreEvent],
+    ) {
+        self.primary.on_clwb_fenced(clwb, fence_cv, line_stores);
+        self.shadow.on_clwb_fenced(clwb, fence_cv, line_stores);
+    }
+
+    fn on_crash(&mut self, exec: ExecId) {
+        self.primary.on_crash(exec);
+        self.shadow.on_crash(exec);
+    }
+
+    fn on_pre_exec_read(
+        &mut self,
+        load: &LoadInfo,
+        chosen: &[&StoreEvent],
+        candidates: &[&StoreEvent],
+    ) {
+        self.primary.on_pre_exec_read(load, chosen, candidates);
+        self.shadow.on_pre_exec_read(load, chosen, candidates);
+    }
+
+    fn on_stores_retired(&mut self, retired: &[EventId]) {
+        // The whole point: the shadow never learns about retirement.
+        self.primary.on_stores_retired(retired);
+    }
+
+    fn live_gauges(&self) -> Vec<(&'static str, u64)> {
+        self.primary.live_gauges()
+    }
+
+    fn drain_reports(&mut self) -> Vec<RaceReport> {
+        let primary = self.primary.drain_reports();
+        let shadow = self.shadow.drain_reports();
+        assert_eq!(
+            format!("{primary:?}"),
+            format!("{shadow:?}"),
+            "GC shadow: retired detector state changed the reports"
+        );
+        primary
+    }
+
+    fn drain_trace(&mut self) -> Option<TraceBuf> {
+        let primary = self.primary.drain_trace();
+        let _ = self.shadow.drain_trace();
+        primary
+    }
+
+    fn fork_sink(&self) -> Option<Box<dyn EventSink>> {
+        let primary = self.primary.fork_sink()?;
+        let shadow = self.shadow.fork_sink()?;
+        Some(Box::new(GcShadowSink { primary, shadow }))
+    }
+
+    fn fingerprint_token(&self) -> u64 {
+        // Primary only: the shadow's state is byte-equal by construction
+        // (that is what the shadow asserts), so folding it in would only
+        // double-hash the same information.
+        self.primary.fingerprint_token()
+    }
 }
 
 /// One operation of the randomized-program language. Offsets are 8-byte

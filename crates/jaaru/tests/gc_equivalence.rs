@@ -9,15 +9,18 @@
 //! GC is aggressive here (`gc_every(1)`: a mark-sweep pass after every
 //! committed store) so retirement happens constantly even on small
 //! programs — the maximally hostile schedule for any "GC changed a
-//! report" bug. The complementary unit tests live in `jaaru::mem`
+//! report" bug. Every GC'd run of the suites below also goes through the
+//! test-side GC shadow (`common::GcShadowSink`): an un-GC'd detector in
+//! lockstep that must drain the same reports, run by run. The
+//! complementary unit tests live in `jaaru::mem`
 //! (`gc_never_retires_an_unpersisted_store` et al.); these tests pin the
 //! end-to-end contract, and the soak plateau test pins the bounded-memory
 //! claim GC exists for.
 
 mod common;
 
-use bench::{evaluation_suite, SuiteMode, HARNESS_SEED};
-use common::{check, fingerprint, random_program, STORE_HEAVY, WORKER_COUNTS};
+use bench::{evaluation_suite, SuiteEntry, SuiteMode, HARNESS_SEED};
+use common::{check, check_shadowed, fingerprint, random_program, STORE_HEAVY, WORKER_COUNTS};
 use jaaru::obs::telemetry::Telemetry;
 use jaaru::{Engine, EngineConfig, ExecMode, PersistencePolicy, SchedPolicy};
 use yashme::{YashmeConfig, YashmeDetector};
@@ -27,9 +30,21 @@ fn gc_hot(workers: usize) -> EngineConfig {
     EngineConfig::with_workers(workers).with_gc_every(1)
 }
 
+/// Every program of `yashme --all`: the paper's suite, then the
+/// extension programs.
+fn all_programs() -> Vec<SuiteEntry> {
+    let mut suite = evaluation_suite();
+    suite.extend(extras::suite().into_iter().map(|x| SuiteEntry {
+        name: x.name,
+        program: x.program,
+        mode: SuiteMode::ModelCheck,
+    }));
+    suite
+}
+
 #[test]
 fn gc_matches_unbounded_on_the_evaluation_suite() {
-    for entry in evaluation_suite() {
+    for entry in all_programs() {
         let mode = match entry.mode {
             SuiteMode::ModelCheck => ExecMode::model_check(),
             // Trimmed execution budget: equivalence needs identical runs,
@@ -39,12 +54,17 @@ fn gc_matches_unbounded_on_the_evaluation_suite() {
         let program = (entry.program)();
         let unbounded = check(&program, mode, &EngineConfig::sequential().with_gc(false));
         let want = fingerprint(entry.name, &unbounded);
-        for workers in WORKER_COUNTS {
-            let streamed = check(&program, mode, &gc_hot(workers));
+        // Exhaustive resumption also runs GC'd suffixes from every point.
+        let configs = WORKER_COUNTS
+            .map(|workers| (format!("workers={workers}"), gc_hot(workers)))
+            .into_iter()
+            .chain([("no-prune".to_owned(), gc_hot(1).with_prune(false))]);
+        for (at, config) in configs {
+            let streamed = check_shadowed(&program, mode, &config);
             assert_eq!(
                 fingerprint(entry.name, &streamed),
                 want,
-                "{}: gc/workers={workers} diverged from unbounded/sequential",
+                "{}: gc/{at} diverged from unbounded/sequential",
                 entry.name
             );
         }
@@ -70,30 +90,26 @@ fn gc_actually_retires_state_on_these_programs() {
 }
 
 #[test]
-fn paranoid_mode_runs_an_ungc_shadow_in_lockstep() {
-    // Paranoid mode drives an un-GC'd shadow detector from the same event
-    // stream and panics at drain time if the reports differ — so merely
-    // completing these runs proves the retired state never fed a report.
-    let paranoid = EngineConfig::sequential()
-        .with_gc_every(1)
-        .with_gc_paranoid(true);
+fn an_ungc_shadow_runs_in_lockstep() {
+    // The shadow drives an un-GC'd detector from the same event stream and
+    // panics at drain time if the reports differ — so merely completing
+    // these runs proves the retired state never fed a report.
     for seed in [0u64, 2, 5] {
-        let report = check(
-            &random_program(&STORE_HEAVY, seed),
+        let program = random_program(&STORE_HEAVY, seed);
+        let report = check_shadowed(
+            &program,
             ExecMode::model_check(),
-            &paranoid,
+            &EngineConfig::sequential().with_gc_every(1),
+        );
+        let unbounded = check(
+            &program,
+            ExecMode::model_check(),
+            &EngineConfig::sequential().with_gc(false),
         );
         assert_eq!(
             fingerprint("randomized", &report),
-            fingerprint(
-                "randomized",
-                &check(
-                    &random_program(&STORE_HEAVY, seed),
-                    ExecMode::model_check(),
-                    &EngineConfig::sequential().with_gc(false),
-                )
-            ),
-            "seed {seed}: paranoid mode must not change the report"
+            fingerprint("randomized", &unbounded),
+            "seed {seed}: the shadow must not change the report"
         );
     }
 }

@@ -11,7 +11,7 @@ mod common;
 use bench::workload::crashprune_workload;
 use bench::{evaluation_suite, SuiteMode, HARNESS_SEED};
 use common::{apply, check, fingerprint, random_program, Op, FLUSH_HEAVY, WORKER_COUNTS};
-use jaaru::{Atomicity, Ctx, EngineConfig, ExecMode, Program, RunReport};
+use jaaru::{Atomicity, Ctx, EngineConfig, ExecMode, Program, PruneStats, RunReport};
 
 /// Simulated events this run physically executed: the logical event total
 /// minus prefix events inherited from snapshots and minus suffix events
@@ -119,27 +119,37 @@ fn pruned_matches_exhaustive_on_the_crashprune_workload() {
 }
 
 #[test]
-fn paranoid_mode_verifies_every_attribution() {
-    // Paranoid mode executes every skipped member's suffix anyway and
-    // panics if its outcome diverges from the attributed one — so merely
-    // completing these runs proves the attribution rule on programs with
-    // guaranteed multi-member classes.
+fn exhaustive_resumption_verifies_every_attribution() {
+    // Without pruning every class member's suffix is executed, and each is
+    // asserted equal to the outcome pruning would attribute to it (a
+    // divergence panics) — so merely completing these runs proves the
+    // attribution rule, provided the programs have multi-member classes.
     let heavy = crashprune_workload(12, 3);
-    let paranoid = EngineConfig::sequential().with_prune_paranoid(true);
-    let report = check(&heavy, ExecMode::model_check(), &paranoid);
-    assert!(report.prune_stats().suffixes_skipped > 0);
+    let exhaustive = EngineConfig::sequential().with_prune(false);
+    let report = check(&heavy, ExecMode::model_check(), &exhaustive);
+    let prunable = |report: &RunReport| -> u64 {
+        let phases = &report.coverage().cartography.phases;
+        phases.iter().map(|p| p.prunable).sum()
+    };
+    assert!(prunable(&report) > 0, "no multi-member class to check");
+    assert_eq!(*report.prune_stats(), PruneStats::default());
     assert_eq!(
         fingerprint("crashprune", &report),
         fingerprint(
             "crashprune",
             &check(&heavy, ExecMode::model_check(), &EngineConfig::sequential())
         ),
-        "paranoid mode must not change the report"
+        "pruning must not change the report"
     );
+    let mut checked = 0;
     for seed in [0u64, 3] {
         let program = random_program(&FLUSH_HEAVY, seed);
-        let _ = check(&program, ExecMode::model_check(), &paranoid);
+        checked += prunable(&check(&program, ExecMode::model_check(), &exhaustive));
     }
+    assert!(
+        checked > 0,
+        "no multi-member class among the random programs"
+    );
 }
 
 /// Builds a single-phase program from `ops` with a post-crash scan.

@@ -2,30 +2,33 @@
 //! of the engine's physical strategies — fork × capture policy × GC ×
 //! workers × tracing — must produce a report (and, traced, a span trace)
 //! byte-identical to the all-off sequential reference: full re-execution,
-//! no pruning, no GC, one worker. The per-strategy suites
+//! no pruning, no GC, one worker. Exhaustive resumption (`every-point`)
+//! also asserts every executed class member against the outcome pruning
+//! would attribute to it, and the `shadow` GC mode runs each detector
+//! beside an un-GC'd copy that must drain the same reports. The
+//! per-strategy suites
 //! (`fork_equivalence.rs`, `prune_equivalence.rs`, `gc_equivalence.rs`)
 //! keep the evaluation-suite comparisons and the special-purpose checks.
 
 mod common;
 
-use common::{check, fingerprint, random_program, Mix, MIXES, WORKER_COUNTS};
+use common::{check, check_shadowed, fingerprint, random_program, Mix, MIXES, WORKER_COUNTS};
 use jaaru::{EngineConfig, ExecMode, ModelCheckConfig, PruneStats};
 
-/// How the profile run captures snapshots, set through the prune flags.
-const CAPTURES: [(&str, bool, bool); 3] = [
-    // (name, prune, prune_paranoid)
-    ("representatives", true, false),
-    ("every-point", false, false),
-    ("paranoid", true, true),
+/// How the profile run captures snapshots, set through the prune flag.
+const CAPTURES: [(&str, bool); 2] = [
+    // (name, prune)
+    ("representatives", true),
+    ("every-point", false),
 ];
 
 /// GC off, a pass after every commit, and that plus the un-GC'd shadow
 /// detector in lockstep.
 const GC_MODES: [(&str, bool, bool); 3] = [
-    // (name, gc, gc_paranoid)
+    // (name, gc, shadow)
     ("off", false, false),
     ("every-1", true, false),
-    ("paranoid", true, true),
+    ("shadow", true, true),
 ];
 
 fn run_matrix(mode: ExecMode, seeds: &[u64]) {
@@ -51,23 +54,25 @@ fn check_program(mix: &Mix, seed: u64, mode: ExecMode) {
         let want = fingerprint("randomized", &reference);
         let want_trace = reference.trace().map(obs::to_chrome_json);
         for fork in [false, true] {
-            for (capture, prune, paranoid) in CAPTURES {
-                for (gc_mode, gc, gc_paranoid) in GC_MODES {
+            for (capture, prune) in CAPTURES {
+                for (gc_mode, gc, shadow) in GC_MODES {
                     for workers in WORKER_COUNTS {
                         let config = EngineConfig::with_workers(workers)
                             .with_fork(fork)
                             .with_prune(prune)
-                            .with_prune_paranoid(paranoid)
                             .with_gc(gc)
                             .with_gc_every(1)
-                            .with_gc_paranoid(gc_paranoid)
                             .with_trace(trace);
                         let at = format!(
                             "{} seed {seed}: fork={fork} capture={capture} gc={gc_mode} \
                              workers={workers} trace={trace}",
                             mix.name
                         );
-                        let report = check(&program, mode, &config);
+                        let report = if shadow {
+                            check_shadowed(&program, mode, &config)
+                        } else {
+                            check(&program, mode, &config)
+                        };
                         assert_eq!(fingerprint("randomized", &report), want, "{at}");
                         assert_eq!(
                             report.trace().map(obs::to_chrome_json),

@@ -313,7 +313,8 @@ impl SiteTable {
         rows
     }
 
-    /// Canonical single-line rendering for paranoid cross-checks: every
+    /// Canonical single-line rendering for the engine's attribution check
+    /// under exhaustive resumption: every
     /// site and heatmap entry in sorted order. Two tables with equal
     /// logical content render identically regardless of insertion order.
     pub fn canonical(&self) -> String {

@@ -210,7 +210,6 @@ pub fn program() -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -230,7 +229,7 @@ mod tests {
             }
             s.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(sum.load(Ordering::SeqCst), (1 + 2 + 3 + 4 + 5 + 6) * 2);
     }
 
@@ -248,7 +247,7 @@ mod tests {
             let k2 = ctx.load_u64(node + OFF_KEYS + 16, Atomicity::Plain);
             assert_eq!((k0, k1, k2), (10, 20, 30));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -259,7 +258,7 @@ mod tests {
             tree.insert(ctx, 10, 1);
             assert_eq!(tree.get(ctx, 11), None);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]

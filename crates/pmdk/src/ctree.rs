@@ -217,7 +217,6 @@ pub fn program() -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -237,7 +236,7 @@ mod tests {
             }
             s.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(sum.load(Ordering::SeqCst), (1 + 2 + 3 + 4 + 5) * 3);
     }
 
@@ -250,7 +249,7 @@ mod tests {
             tree.insert(ctx, 8, 2);
             assert_eq!(tree.get(ctx, 8), Some(2));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -262,7 +261,7 @@ mod tests {
             assert_eq!(tree.get(ctx, 9), None);
             assert_eq!(tree.get(ctx, 12), None);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]

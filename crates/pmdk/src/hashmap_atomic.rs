@@ -171,7 +171,6 @@ pub fn program() -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -191,7 +190,7 @@ mod tests {
             }
             o.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(out.load(Ordering::SeqCst), 5000 + (1 + 2 + 3 + 4 + 5) * 8);
     }
 

@@ -162,7 +162,6 @@ pub fn program() -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -182,7 +181,7 @@ mod tests {
             }
             s.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(sum.load(Ordering::SeqCst), (1 + 2 + 3 + 4 + 5) * 6);
     }
 
@@ -195,7 +194,7 @@ mod tests {
             map.insert(ctx, 2, 9);
             assert_eq!(map.get(ctx, 2), Some(9));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -211,7 +210,7 @@ mod tests {
             assert_eq!(map.get(ctx, 2), None);
             assert!(!map.remove(ctx, 2));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -236,7 +235,7 @@ mod tests {
             assert_eq!(map.get(ctx, base), None);
             assert_eq!(map.get(ctx, other), Some(20));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]

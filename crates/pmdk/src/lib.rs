@@ -75,3 +75,17 @@ pub fn all_benchmarks() -> Vec<PmdkBenchmark> {
         },
     ]
 }
+
+/// Runs `program` once, with no detector, on the random schedule and
+/// persistence cut drawn from `seed`: drives a unit test's own assertions.
+#[cfg(test)]
+pub(crate) fn run_once(program: &jaaru::Program, seed: u64) -> jaaru::SingleRun {
+    jaaru::Engine::run_single(
+        program,
+        jaaru::SchedPolicy::RandomChoice,
+        jaaru::PersistencePolicy::Random,
+        seed,
+        None,
+        Box::new(jaaru::NullSink),
+    )
+}

@@ -121,7 +121,7 @@ mod tests {
             assert!(log.append(ctx, b"world"));
             *o.lock().unwrap() = log.walk(ctx);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(out.lock().unwrap().as_slice(), b"hello world");
     }
 
@@ -135,7 +135,7 @@ mod tests {
             log.append(ctx, b"ok");
             assert_eq!(log.walk(ctx), b"ok");
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -146,7 +146,7 @@ mod tests {
             assert!(log.append(ctx, &big));
             assert!(!log.append(ctx, b"x"));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]

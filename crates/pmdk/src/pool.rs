@@ -173,7 +173,7 @@ mod tests {
                 .post_crash(move |ctx: &mut Ctx| {
                     o.store(Pool::open(ctx).is_some() as u64, Ordering::SeqCst);
                 });
-        Engine::run_plain(&program, 1);
+        crate::run_once(&program, 1);
         assert_eq!(ok.load(Ordering::SeqCst), 0);
     }
 

@@ -323,7 +323,6 @@ pub fn program() -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -340,7 +339,7 @@ mod tests {
             }
             h.store(tree.check_invariants(ctx), Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert!(height.load(Ordering::SeqCst) >= 2);
     }
 
@@ -360,7 +359,7 @@ mod tests {
             }
             s.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(
             sum.load(Ordering::SeqCst),
             (1..=7).map(|i| i * 4).sum::<u64>()
@@ -377,7 +376,7 @@ mod tests {
             assert_eq!(tree.get(ctx, 10), Some(2));
             assert_eq!(tree.get(ctx, 11), None);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -393,7 +392,7 @@ mod tests {
                 assert_eq!(tree.get(ctx, k), Some(k));
             }
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::pool::Pool;
 /// # Examples
 ///
 /// ```
-/// use jaaru::{Atomicity, Ctx, Engine, Program};
+/// use jaaru::{Atomicity, Ctx, Engine, NullSink, PersistencePolicy, Program, SchedPolicy};
 /// use pmdk::{pool::Pool, tx::Tx};
 ///
 /// let program = Program::new("tx-demo").pre_crash(|ctx: &mut Ctx| {
@@ -25,7 +25,14 @@ use crate::pool::Pool;
 ///     ctx.store_u64(obj, 42, Atomicity::Plain, "obj.value");
 ///     tx.commit(ctx);
 /// });
-/// Engine::run_plain(&program, 1);
+/// Engine::run_single(
+///     &program,
+///     SchedPolicy::RandomChoice,
+///     PersistencePolicy::Random,
+///     1,
+///     None,
+///     Box::new(NullSink),
+/// );
 /// ```
 #[derive(Debug)]
 pub struct Tx {

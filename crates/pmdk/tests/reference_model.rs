@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use jaaru::{Ctx, Engine, PersistencePolicy, Program, SchedPolicy};
+use jaaru::{Ctx, Engine, NullSink, PersistencePolicy, Program, SchedPolicy};
 use pmdk::pool::Pool;
 use proptest::prelude::*;
 
@@ -64,7 +64,14 @@ macro_rules! oracle_test {
                         }
                     }
                 });
-                Engine::run_plain(&program, 3);
+                Engine::run_single(
+                    &program,
+                    SchedPolicy::RandomChoice,
+                    PersistencePolicy::Random,
+                    3,
+                    None,
+                    Box::new(NullSink),
+                );
                 let got = results.lock().unwrap().clone();
                 prop_assert_eq!(got, oracle_expect(&ops), "ops: {:?}", ops);
             }

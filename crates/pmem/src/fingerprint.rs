@@ -1,16 +1,17 @@
 //! 64-bit fingerprints for persisted-state equivalence pruning.
 //!
-//! The engine's crash-point pruning needs two kinds of hashes:
+//! Two kinds of hashes:
 //!
 //! * a **rolling** event-delta hash ([`Fp64`]) that the memory model
-//!   updates incrementally as state-changing events commit — this is the
-//!   hot-path fingerprint, O(1) per event and zero-cost for events that do
-//!   not change crash-visible state, and
+//!   updates incrementally as state-changing events commit — the hash the
+//!   engine's crash-point pruning keys its classes on, O(1) per event and
+//!   zero-cost for events that do not change crash-visible state, and
 //! * a **content** hash over the Arc-shared line slabs of a
-//!   [`crate::PmImage`] / [`crate::ProvenanceMap`], used by the paranoid
-//!   collision check. Slabs shared between forks hash once thanks to the
-//!   [`ArcMemo`] pointer-equality fast path: an untouched slab costs one
-//!   map lookup, not 64 byte mixes.
+//!   [`crate::PmImage`] / [`crate::ProvenanceMap`], which feeds the
+//!   engine's full crash-state fingerprint; only yashbench's `--layers`
+//!   microbenchmark calls that. Slabs shared between forks hash once
+//!   thanks to the [`ArcMemo`] pointer-equality fast path: an untouched
+//!   slab costs one map lookup, not 64 byte mixes.
 //!
 //! Both are built on the splitmix64 finalizer, which is cheap and has full
 //! avalanche — adjacent event ids or line ids never collide by accident of
@@ -32,7 +33,9 @@ pub fn mix64(mut x: u64) -> u64 {
 ///
 /// `absorb` folds one word into the running state; two sequences of
 /// absorbed words compare equal only if they are the same words in the
-/// same order (up to 64-bit collisions, which the paranoid mode guards).
+/// same order (up to 64-bit collisions; a collision that merged two
+/// different crash states would fail exhaustive resumption's attribution
+/// check).
 ///
 /// # Examples
 ///

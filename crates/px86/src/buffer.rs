@@ -313,8 +313,8 @@ impl StoreBuffer {
         self.cow_bytes
     }
 
-    /// Order-sensitive content fingerprint of the buffered entries, used
-    /// by the engine's paranoid crash-state verification.
+    /// Order-sensitive content fingerprint of the buffered entries, one
+    /// input of the engine's full crash-state fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = pmem::Fp64::new();
         for entry in self.entries.iter() {
@@ -415,8 +415,8 @@ impl FlushBuffer {
         self.cow_bytes
     }
 
-    /// Order-sensitive content fingerprint of the pending `clwb`s, used by
-    /// the engine's paranoid crash-state verification.
+    /// Order-sensitive content fingerprint of the pending `clwb`s, one
+    /// input of the engine's full crash-state fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = pmem::Fp64::new();
         for entry in self.pending.iter() {

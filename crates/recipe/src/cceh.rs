@@ -239,7 +239,7 @@ mod tests {
                 Ordering::SeqCst,
             );
         });
-        Engine::run_plain(&program, 3);
+        crate::run_once(&program, 3);
         assert_eq!(found.load(Ordering::SeqCst), 160);
     }
 
@@ -250,7 +250,7 @@ mod tests {
             assert!(t.insert(ctx, 7, 70));
             assert_eq!(t.get(ctx, 8), None);
         });
-        Engine::run_plain(&program, 3);
+        crate::run_once(&program, 3);
     }
 
     #[test]
@@ -299,7 +299,7 @@ mod tests {
             assert!(t.insert(ctx, 7, 71));
             assert_eq!(t.get(ctx, 7), Some(71));
         });
-        Engine::run_plain(&program, 3);
+        crate::run_once(&program, 3);
     }
 
     #[test]

@@ -446,7 +446,7 @@ mod tests {
             }
             s.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 5);
+        crate::run_once(&program, 5);
         let expect: u64 = driver_keys().iter().map(|k| k * 2).sum();
         assert_eq!(sum.load(Ordering::SeqCst), expect);
     }
@@ -462,7 +462,7 @@ mod tests {
             }
             s.store(t.recovery_scan(ctx), Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 5);
+        crate::run_once(&program, 5);
         assert_eq!(
             scanned.load(Ordering::SeqCst),
             10,
@@ -481,7 +481,7 @@ mod tests {
             assert_eq!(t.search(ctx, 33), None);
             assert_eq!(t.search(ctx, 44), Some(44));
         });
-        Engine::run_plain(&program, 5);
+        crate::run_once(&program, 5);
     }
 
     #[test]

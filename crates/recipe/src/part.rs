@@ -382,7 +382,6 @@ pub fn source_profile() -> SourceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -401,7 +400,7 @@ mod tests {
             }
             s.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(sum.load(Ordering::SeqCst), 7 + 14 + 21 + 28 + 35);
     }
 
@@ -417,7 +416,7 @@ mod tests {
             t.remove(ctx, 0x11);
             r.store(t.epoch_recovery(ctx), Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         // One node from growth + one leaf from removal.
         assert_eq!(reclaimed.load(Ordering::SeqCst), 2);
     }
@@ -433,7 +432,7 @@ mod tests {
             assert_eq!(t.lookup(ctx, 0x33), None);
             assert_eq!(t.lookup(ctx, 0x44), Some(0x44));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]

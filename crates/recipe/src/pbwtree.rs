@@ -175,7 +175,6 @@ pub fn source_profile() -> SourceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -194,7 +193,7 @@ mod tests {
             }
             s.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(sum.load(Ordering::SeqCst), 5 + 10 + 15 + 20);
     }
 
@@ -205,7 +204,7 @@ mod tests {
             t.insert(ctx, 12, 1);
             assert_eq!(t.lookup(ctx, 99), None);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -216,7 +215,7 @@ mod tests {
             t.insert(ctx, 12, 2);
             assert_eq!(t.lookup(ctx, 12), Some(2));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -230,7 +229,7 @@ mod tests {
             let _ = t.lookup(ctx, 1);
             e2.store(t.recover_epoch(ctx), Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(e.load(Ordering::SeqCst), 3);
     }
 

@@ -211,7 +211,6 @@ pub fn source_profile() -> SourceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -230,7 +229,7 @@ mod tests {
             }
             s.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(sum.load(Ordering::SeqCst), 11 + 22 + 33 + 44 + 55);
     }
 
@@ -246,7 +245,7 @@ mod tests {
             assert!(t.put(ctx, 3, 9));
             assert_eq!(t.get(ctx, 3), Some(9));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]
@@ -257,7 +256,7 @@ mod tests {
             t.put(ctx, 3, 2);
             assert_eq!(t.get(ctx, 3), Some(2));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]

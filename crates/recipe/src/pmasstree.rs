@@ -223,7 +223,6 @@ pub fn source_profile() -> SourceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaaru::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -254,7 +253,7 @@ mod tests {
             }
             s.store(acc, Ordering::SeqCst);
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
         assert_eq!(sum.load(Ordering::SeqCst), (1 + 2 + 3 + 4 + 5 + 6) * 9);
     }
 
@@ -271,7 +270,7 @@ mod tests {
             assert_eq!(t.get(ctx, 99), None);
             assert_eq!(t.get(ctx, 5), Some(50));
         });
-        Engine::run_plain(&program, 2);
+        crate::run_once(&program, 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use jaaru::{Ctx, Engine, Program};
+use jaaru::{Ctx, Engine, NullSink, PersistencePolicy, Program, SchedPolicy};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -24,6 +24,18 @@ fn arb_ops(key_range: std::ops::Range<u64>, len: usize) -> impl Strategy<Value =
         ],
         1..len,
     )
+}
+
+/// Runs `program` once, with no detector, on a random schedule.
+fn run_once(program: &Program) {
+    Engine::run_single(
+        program,
+        SchedPolicy::RandomChoice,
+        PersistencePolicy::Random,
+        3,
+        None,
+        Box::new(NullSink),
+    );
 }
 
 /// `(op index, observed value)` per `Get`, shared with the simulated
@@ -46,7 +58,7 @@ where
         };
         driver(ctx, &ops_for_driver, &mut sink);
     });
-    Engine::run_plain(&program, 3);
+    run_once(&program);
 
     // Replay the oracle.
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
@@ -185,7 +197,7 @@ fn fastfair_capacity_rule_matches_manual_oracle() {
             out.push(t.search(ctx, k));
         }
     });
-    Engine::run_plain(&program, 3);
+    run_once(&program);
     let got = results.lock().unwrap().clone();
     assert!(!got.is_empty());
     for (i, v) in got.iter().enumerate() {

@@ -86,10 +86,9 @@ impl Default for Options {
 fn usage() -> &'static str {
     "usage: yashme (--list | --all | --benchmark <NAME>) \
      [--mode model-check|random] [--executions N] [--seed S] \
-     [--workers N|auto] [--no-fork] [--no-prune] [--no-gc] [--prune-paranoid] \
-     [--gc-every N] [--gc-paranoid] [--baseline] [--eadr] \
-     [--details] [--explain] [--json] [--trace-out FILE] [--metrics-out FILE] \
-     [--coverage] [--coverage-out FILE] \
+     [--workers N|auto] [--no-fork] [--no-prune] [--no-gc] [--gc-every N] \
+     [--baseline] [--eadr] [--details] [--explain] [--json] \
+     [--trace-out FILE] [--metrics-out FILE] [--coverage] [--coverage-out FILE] \
      [--progress] [--telemetry-out FILE.jsonl] [--prom-out FILE] [--profile]"
 }
 
@@ -313,41 +312,11 @@ fn main() -> ExitCode {
     };
     let mut suite = evaluation_suite();
     // Extension benchmarks (beyond the paper's evaluation).
-    suite.push(SuiteEntry {
-        name: "x-skiplist",
-        program: || extras::pskiplist::program(extras::Variant::Racy),
+    suite.extend(extras::suite().into_iter().map(|x| SuiteEntry {
+        name: x.name,
+        program: x.program,
         mode: bench::SuiteMode::ModelCheck,
-    });
-    suite.push(SuiteEntry {
-        name: "x-skiplist-fixed",
-        program: || extras::pskiplist::program(extras::Variant::Fixed),
-        mode: bench::SuiteMode::ModelCheck,
-    });
-    suite.push(SuiteEntry {
-        name: "x-queue",
-        program: || extras::pqueue::program(extras::Variant::Racy),
-        mode: bench::SuiteMode::ModelCheck,
-    });
-    suite.push(SuiteEntry {
-        name: "x-queue-fixed",
-        program: || extras::pqueue::program(extras::Variant::Fixed),
-        mode: bench::SuiteMode::ModelCheck,
-    });
-    suite.push(SuiteEntry {
-        name: "x-stack",
-        program: || extras::pstack::program(extras::Variant::Racy),
-        mode: bench::SuiteMode::ModelCheck,
-    });
-    suite.push(SuiteEntry {
-        name: "x-stack-fixed",
-        program: || extras::pstack::program(extras::Variant::Fixed),
-        mode: bench::SuiteMode::ModelCheck,
-    });
-    suite.push(SuiteEntry {
-        name: "x-pmemlog",
-        program: pmdk::plog::program,
-        mode: bench::SuiteMode::ModelCheck,
-    });
+    }));
     if opts.list {
         println!("registered benchmarks:");
         for e in &suite {

@@ -1,5 +1,6 @@
 //! The `yashme` binary's stderr: one message for an output path it cannot
-//! write, and nothing at all on a normal run.
+//! write or an argument it does not know, and nothing at all on a normal
+//! run.
 
 use std::process::Command;
 
@@ -39,5 +40,22 @@ fn injected_crashes_leave_stderr_empty() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: races are found");
         assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn retired_and_misspelled_flags_exit_2() {
+    for flag in ["--prune-paranoid", "--gc-paranoid", "--no-frok"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_yashme"))
+            .args(["--all", flag])
+            .output()
+            .expect("run yashme");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("unknown argument {flag:?}\n")),
+            "{flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}: ran before rejecting");
     }
 }
