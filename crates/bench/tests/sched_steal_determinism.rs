@@ -5,13 +5,39 @@
 //! The fan-out moves where and when jobs execute; it must never move what
 //! they compute or how their results merge.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use jaaru::obs::telemetry::Telemetry;
 use jaaru::obs::to_chrome_json;
 use jaaru::{Engine, EngineConfig, ExecMode};
 use yashme::json::{coverage_doc, run_json};
 use yashme::{YashmeConfig, YashmeDetector};
+
+/// Serializes the stall windows: every test here sets the process-global
+/// stall hook, and without this one test's reset could end another's window.
+static STALL: Mutex<()> = Mutex::new(());
+
+/// Holds the stall hook at 1 ms per chunk while alive. Dropping it, also
+/// when an assertion fails first, resets the hook and then frees the lock.
+struct StallWindow {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl StallWindow {
+    fn open() -> Self {
+        // A test that failed inside its window poisons the lock; the `()`
+        // it guards cannot be left invalid, so the other tests go on.
+        let _lock = STALL.lock().unwrap_or_else(PoisonError::into_inner);
+        jaaru::pool::set_stall_ms(1);
+        StallWindow { _lock }
+    }
+}
+
+impl Drop for StallWindow {
+    fn drop(&mut self) {
+        jaaru::pool::set_stall_ms(0);
+    }
+}
 
 /// Every deterministic surface of one CCEH run, rendered to bytes
 /// (elapsed excluded from the run JSON — wall clock is the one
@@ -37,7 +63,7 @@ fn reports_identical_across_workers_with_stealing_forced() {
         &EngineConfig::with_workers(1).with_trace(true),
         ExecMode::model_check(),
     );
-    jaaru::pool::set_stall_ms(1);
+    let _stall = StallWindow::open();
     for workers in [8usize, 0] {
         let got = surfaces(
             &EngineConfig::with_workers(workers).with_trace(true),
@@ -48,7 +74,6 @@ fn reports_identical_across_workers_with_stealing_forced() {
             "a surface diverged under forced stealing at workers={workers}"
         );
     }
-    jaaru::pool::set_stall_ms(0);
 }
 
 #[test]
@@ -57,15 +82,16 @@ fn stealing_actually_happens_under_the_stall_hook() {
     // spread over several executors, via the wall-clock telemetry plane.
     let program = recipe::cceh::program();
     let tel = Arc::new(Telemetry::new());
-    jaaru::pool::set_stall_ms(1);
-    let report = Engine::run_observed(
-        &program,
-        ExecMode::model_check(),
-        &|| Box::new(YashmeDetector::with_defaults()),
-        &EngineConfig::with_workers(8),
-        &tel,
-    );
-    jaaru::pool::set_stall_ms(0);
+    let report = {
+        let _stall = StallWindow::open();
+        Engine::run_observed(
+            &program,
+            ExecMode::model_check(),
+            &|| Box::new(YashmeDetector::with_defaults()),
+            &EngineConfig::with_workers(8),
+            &tel,
+        )
+    };
     assert!(!report.races().is_empty(), "CCEH reports its known races");
     let sched = tel.sched_counters();
     assert!(sched.jobs > 0, "suffix jobs went through the scheduler");
@@ -89,7 +115,7 @@ fn stealing_actually_happens_under_the_stall_hook() {
 fn random_mode_identical_across_workers_with_stealing_forced() {
     let mode = ExecMode::random(20, bench::HARNESS_SEED);
     let reference = surfaces(&EngineConfig::with_workers(1).with_trace(true), mode);
-    jaaru::pool::set_stall_ms(1);
+    let _stall = StallWindow::open();
     for workers in [8usize, 0] {
         let got = surfaces(&EngineConfig::with_workers(workers).with_trace(true), mode);
         assert_eq!(
@@ -97,5 +123,4 @@ fn random_mode_identical_across_workers_with_stealing_forced() {
             "random-mode surface diverged under forced stealing at workers={workers}"
         );
     }
-    jaaru::pool::set_stall_ms(0);
 }

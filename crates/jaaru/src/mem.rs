@@ -275,6 +275,9 @@ pub struct MemState {
     image_prov: ProvenanceMap,
     /// Scratch buffer for store-buffer bypass queries, reused across loads.
     bypass_scratch: Vec<Option<EventId>>,
+    /// Scratch for [`MemState::evictable`]: the positions it returns and
+    /// the lines `StoreBuffer::evictable_into` tracks.
+    evict_scratch: (Vec<usize>, Vec<CacheLineId>),
     /// The persistent-heap allocator (survives crashes; see crate docs).
     pub alloc: PmAllocator,
     /// Operation counters.
@@ -316,8 +319,8 @@ impl Forkable for MemState {
     /// Line slabs and buffer queues are shared copy-on-write; per-event
     /// bookkeeping (the event table, flush map, vector clocks, line orders)
     /// is cloned outright — it is proportional to the events executed so
-    /// far, not to the bytes of simulated PM. The bypass scratch buffer is
-    /// transient load-path state and starts empty in the fork.
+    /// far, not to the bytes of simulated PM. The bypass and eviction
+    /// scratch buffers are transient and start empty in the fork.
     fn fork(&self) -> Self {
         MemState {
             compiler: self.compiler,
@@ -335,6 +338,7 @@ impl Forkable for MemState {
             image: self.image.fork(),
             image_prov: self.image_prov.fork(),
             bypass_scratch: Vec::new(),
+            evict_scratch: Default::default(),
             alloc: self.alloc.clone(),
             stats: self.stats,
             cov: self.cov.clone(),
@@ -476,6 +480,7 @@ impl MemState {
             image: PmImage::new(),
             image_prov: ProvenanceMap::new(),
             bypass_scratch: Vec::new(),
+            evict_scratch: Default::default(),
             alloc: PmAllocator::new(Addr::BASE + ROOT_REGION_BYTES, heap_bytes),
             stats: ExecStats::default(),
             cov: SiteTable::default(),
@@ -852,29 +857,17 @@ impl MemState {
     // Buffer eviction (Fig. 8): take effect on the cache.
     // ------------------------------------------------------------------
 
-    /// Number of entries in `thread`'s store buffer that may legally evict
-    /// next.
-    pub fn evictable_count(&self, thread: ThreadId) -> usize {
-        self.sbs[thread.as_usize()].evictable_count()
-    }
-
-    /// Position of the `n`-th (0-based) legally evictable entry of
-    /// `thread`'s store buffer, if there are more than `n`.
-    pub fn nth_evictable(&self, thread: ThreadId, n: usize) -> Option<usize> {
-        self.sbs[thread.as_usize()].nth_evictable(n)
+    /// Positions in `thread`'s store buffer that may legally evict next, in
+    /// ascending order; valid until the next call.
+    pub fn evictable(&mut self, thread: ThreadId) -> &[usize] {
+        let (positions, lines) = &mut self.evict_scratch;
+        self.sbs[thread.as_usize()].evictable_into(positions, lines);
+        positions
     }
 
     /// Number of entries buffered by `thread`.
     pub fn sb_len(&self, thread: ThreadId) -> usize {
         self.sbs[thread.as_usize()].len()
-    }
-
-    /// Threads with non-empty store buffers.
-    pub fn threads_with_buffered_stores(&self) -> Vec<ThreadId> {
-        (0..self.sbs.len())
-            .filter(|&i| !self.sbs[i].is_empty())
-            .map(|i| ThreadId::new(i as u32))
-            .collect()
     }
 
     /// Evicts the entry at `position` of `thread`'s store buffer and applies

@@ -418,19 +418,18 @@ impl Shared {
         match sched.policy {
             SchedPolicy::Deterministic | SchedPolicy::Scripted => mem.drain_all_sbs(sink.as_mut()),
             SchedPolicy::RandomChoice => {
-                for t in mem.threads_with_buffered_stores() {
+                for i in 0..mem.thread_count() {
+                    let t = ThreadId::new(i as u32);
+                    let len = mem.sb_len(t);
+                    if len == 0 {
+                        continue;
+                    }
                     // Evict a random number of entries, choosing among the
                     // legally evictable positions each step (this is where
                     // clwb-overtaking-store reordering is explored).
-                    let n = rng.gen_range(0..=mem.sb_len(t));
-                    for _ in 0..n {
-                        let count = mem.evictable_count(t);
-                        if count == 0 {
-                            break;
-                        }
-                        let pos = mem
-                            .nth_evictable(t, rng.gen_range(0..count))
-                            .expect("fewer than `count` evictable entries");
+                    for _ in 0..rng.gen_range(0..=len) {
+                        let positions = mem.evictable(t);
+                        let pos = positions[rng.gen_range(0..positions.len())];
                         mem.evict_one(sink.as_mut(), t, pos);
                     }
                 }

@@ -220,11 +220,7 @@ fn run_differential(window: u64, steps: &[(usize, Op)]) -> Result<(), String> {
             }
             Op::Evict { pick } => {
                 let choices = oracle.evictable(t);
-                let count = opt.evictable_count(t);
-                if count != choices.len()
-                    || (0..count).any(|k| opt.nth_evictable(t, k) != Some(choices[k]))
-                    || opt.nth_evictable(t, count).is_some()
-                {
+                if opt.evictable(t) != choices {
                     return Err(format!("step {step}: evictable sets diverged"));
                 }
                 if let Some(&pos) = choices.get(pick as usize % choices.len().max(1)) {

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use compiler_model::CompilerConfig;
 use pmem::{Addr, CacheLineId, PmImage};
-use px86::{Atomicity, FbEntry, FlushBuffer, SbEntry, SbStore, StoreBuffer};
+use px86::{ordering_constraint, Atomicity, FbEntry, FlushBuffer, SbEntry, SbStore, StoreBuffer};
 use rand::rngs::StdRng;
 use rand::Rng;
 use vclock::{ThreadId, VectorClock};
@@ -208,9 +208,20 @@ impl RefMemState {
         self.fence_fb(thread);
     }
 
-    /// Positions in `thread`'s store buffer that may legally evict next.
+    /// Positions in `thread`'s store buffer that may legally evict next,
+    /// straight from Table 1: an entry may exit iff it may overtake every
+    /// entry ahead of it.
     pub fn evictable(&self, thread: ThreadId) -> Vec<usize> {
-        self.sbs[thread.as_usize()].evictable_positions()
+        let entries: Vec<&SbEntry> = self.sbs[thread.as_usize()].iter().collect();
+        (0..entries.len())
+            .filter(|&i| {
+                entries[..i].iter().all(|earlier| {
+                    // No CL cell involves sfence, the one entry without a line.
+                    let same_line = earlier.line() == entries[i].line();
+                    ordering_constraint(earlier.kind(), entries[i].kind()).allows_reorder(same_line)
+                })
+            })
+            .collect()
     }
 
     /// Evicts the entry at `position` of `thread`'s store buffer.

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use pmem::{Addr, CacheLineId, Forkable};
 
-use crate::ordering::{ordering_constraint, InsnKind};
+use crate::ordering::InsnKind;
 
 /// A buffered store: the byte range it writes plus the engine's event id.
 ///
@@ -115,31 +115,18 @@ impl SbEntry {
             SbEntry::Clflush { id, .. } | SbEntry::Clwb { id, .. } | SbEntry::Sfence { id } => *id,
         }
     }
-
-    /// Whether `self` (earlier in the buffer) and `later` may take effect out
-    /// of program order, per Table 1.
-    fn may_be_overtaken_by(&self, later: &SbEntry) -> bool {
-        let same_line = match (self.line(), later.line()) {
-            (Some(a), Some(b)) => a == b,
-            // An entry without a line (sfence) is conservatively treated as
-            // covering every line for CL cells; Table 1 has no CL cell
-            // involving sfence so the value is irrelevant.
-            _ => true,
-        };
-        ordering_constraint(self.kind(), later.kind()).allows_reorder(same_line)
-    }
 }
 
 /// A per-thread store buffer.
 ///
 /// Entries join at the tail in program order. An entry may *exit* (take
 /// effect on the cache) when every entry still ahead of it permits being
-/// overtaken per Table 1; [`evictable_positions`] enumerates the legal
-/// choices and the execution engine (scheduler) picks among them, which is
-/// how the simulation explores `clflushopt`/`clwb` overtaking stores to other
-/// cache lines.
+/// overtaken per Table 1; [`evictable_into`] lists the legal choices and
+/// the execution engine (scheduler) picks among them, which is how the
+/// simulation explores `clflushopt`/`clwb` overtaking stores to other cache
+/// lines.
 ///
-/// [`evictable_positions`]: StoreBuffer::evictable_positions
+/// [`evictable_into`]: StoreBuffer::evictable_into
 ///
 /// # Examples
 ///
@@ -152,11 +139,16 @@ impl SbEntry {
 /// sb.push(SbEntry::Clwb { addr: Addr(128), id: 2 }); // different line
 /// // Both the head store and the clwb (which may overtake a store to a
 /// // different line) are legal eviction choices.
-/// assert_eq!(sb.evictable_positions(), vec![0, 1]);
+/// let (mut positions, mut lines) = (Vec::new(), Vec::new());
+/// sb.evictable_into(&mut positions, &mut lines);
+/// assert_eq!(positions, vec![0, 1]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StoreBuffer {
     entries: Arc<VecDeque<SbEntry>>,
+    /// How many of `entries` are `clwb`s: where [`StoreBuffer::evictable_into`]
+    /// may stop.
+    clwbs: usize,
     cow_clones: u64,
     cow_bytes: u64,
 }
@@ -178,6 +170,7 @@ impl StoreBuffer {
 
     /// Appends an entry at the program-order tail.
     pub fn push(&mut self, entry: SbEntry) {
+        self.clwbs += usize::from(matches!(entry, SbEntry::Clwb { .. }));
         self.entries_mut().push_back(entry);
     }
 
@@ -191,48 +184,81 @@ impl StoreBuffer {
         self.entries.len()
     }
 
-    /// Positions of entries that may legally exit the buffer next.
+    /// Fills `out` with the positions of the entries that may legally exit
+    /// the buffer next, in ascending order, in one pass. An entry may exit
+    /// iff it may overtake every entry ahead of it; rather than testing
+    /// every pair, the pass follows the shape Table 1 gives a buffer of
+    /// stores, `clflush`, `clwb` and `sfence`:
     ///
-    /// Position 0 (the head) is always legal; a later entry is legal iff it
-    /// may overtake *every* entry ahead of it.
-    pub fn evictable_positions(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        'candidates: for (i, cand) in self.entries.iter().enumerate() {
-            for earlier in self.entries.iter().take(i) {
-                if !earlier.may_be_overtaken_by(cand) {
-                    continue 'candidates;
+    /// * each entry of the leading run of `clwb`s may exit (clfopt → clfopt
+    ///   is ✗);
+    /// * the first other entry may exit if it is a store (clfopt → Wr is
+    ///   ✗), a `clflush` of a line no leading `clwb` writes back
+    ///   (clfopt → clf is CL), or an `sfence` at the head;
+    /// * past it, only a `clwb` may exit, and only if no store or `clflush`
+    ///   ahead of it is on its line (Wr → clfopt and clf → clfopt are CL).
+    ///   Nothing overtakes an `sfence`, so the pass ends at the first one,
+    ///   or after the last buffered `clwb`, whichever comes first: a buffer
+    ///   of plain stores costs O(1).
+    ///
+    /// `blocked` is scratch for the lines of the stores and `clflush`es
+    /// past the leading run; like `out`, it is cleared first, so both can
+    /// be reused across calls.
+    pub fn evictable_into(&self, out: &mut Vec<usize>, blocked: &mut Vec<CacheLineId>) {
+        out.clear();
+        blocked.clear();
+        let mut clwbs_left = self.clwbs;
+        let mut entries = self.entries.iter().enumerate();
+        // Every clwb of the leading run exits; the first other entry ends it.
+        for (i, entry) in entries.by_ref() {
+            match entry {
+                SbEntry::Clwb { .. } => {
+                    clwbs_left -= 1;
+                    out.push(i);
+                    continue;
+                }
+                SbEntry::Store(s) => {
+                    out.push(i);
+                    blocked.push(s.addr.cache_line());
+                }
+                SbEntry::Clflush { addr, .. } => {
+                    let line = addr.cache_line();
+                    // Only clwbs are ahead of it.
+                    if self.entries.iter().take(i).all(|e| e.line() != Some(line)) {
+                        out.push(i);
+                    }
+                    blocked.push(line);
+                }
+                SbEntry::Sfence { .. } => {
+                    if i == 0 {
+                        out.push(i);
+                    }
+                    return;
                 }
             }
-            out.push(i);
+            break;
         }
-        out
-    }
-
-    /// Number of entries that may legally exit the buffer next: the length
-    /// of [`evictable_positions`](StoreBuffer::evictable_positions),
-    /// without building it.
-    pub fn evictable_count(&self) -> usize {
-        (0..self.entries.len())
-            .filter(|&i| self.is_evictable(i))
-            .count()
-    }
-
-    /// The `n`-th (0-based) entry of
-    /// [`evictable_positions`](StoreBuffer::evictable_positions), without
-    /// building it; `None` if fewer than `n + 1` entries may evict.
-    pub fn nth_evictable(&self, n: usize) -> Option<usize> {
-        (0..self.entries.len())
-            .filter(|&i| self.is_evictable(i))
-            .nth(n)
-    }
-
-    /// Whether the entry at `i` may overtake every entry ahead of it.
-    fn is_evictable(&self, i: usize) -> bool {
-        let cand = &self.entries[i];
-        self.entries
-            .iter()
-            .take(i)
-            .all(|earlier| earlier.may_be_overtaken_by(cand))
+        // Past the first non-clwb entry only clwbs may exit.
+        for (i, entry) in entries {
+            if clwbs_left == 0 {
+                return;
+            }
+            match entry {
+                SbEntry::Clwb { addr, .. } => {
+                    clwbs_left -= 1;
+                    if !blocked.contains(&addr.cache_line()) {
+                        out.push(i);
+                    }
+                }
+                SbEntry::Store(SbStore { addr, .. }) | SbEntry::Clflush { addr, .. } => {
+                    let line = addr.cache_line();
+                    if blocked.last() != Some(&line) {
+                        blocked.push(line);
+                    }
+                }
+                SbEntry::Sfence { .. } => return,
+            }
+        }
     }
 
     /// Removes and returns the entry at `position`.
@@ -240,12 +266,15 @@ impl StoreBuffer {
     /// # Panics
     ///
     /// Panics if `position` is out of range. Callers should pass a position
-    /// from [`evictable_positions`](StoreBuffer::evictable_positions); the
-    /// buffer does not re-check legality.
+    /// from [`evictable_into`](StoreBuffer::evictable_into); the buffer does
+    /// not re-check legality.
     pub fn evict(&mut self, position: usize) -> SbEntry {
-        self.entries_mut()
+        let entry = self
+            .entries_mut()
             .remove(position)
-            .expect("eviction position out of range")
+            .expect("eviction position out of range");
+        self.clwbs -= usize::from(matches!(entry, SbEntry::Clwb { .. }));
+        entry
     }
 
     /// Removes and returns the head entry, or `None` if empty.
@@ -256,7 +285,9 @@ impl StoreBuffer {
         if self.entries.is_empty() {
             return None;
         }
-        self.entries_mut().pop_front()
+        let entry = self.entries_mut().pop_front();
+        self.clwbs -= usize::from(matches!(entry, Some(SbEntry::Clwb { .. })));
+        entry
     }
 
     /// Iterates over buffered entries in program order.
@@ -296,6 +327,7 @@ impl StoreBuffer {
 
     /// Discards all entries (crash: buffered entries never took effect).
     pub fn clear(&mut self) {
+        self.clwbs = 0;
         match Arc::get_mut(&mut self.entries) {
             Some(q) => q.clear(),
             // Shared with a fork: detach without copying the old contents.
@@ -328,6 +360,7 @@ impl Forkable for StoreBuffer {
     fn fork(&self) -> Self {
         StoreBuffer {
             entries: Arc::clone(&self.entries),
+            clwbs: self.clwbs,
             cow_clones: 0,
             cow_bytes: 0,
         }
@@ -441,6 +474,12 @@ impl Forkable for FlushBuffer {
 mod tests {
     use super::*;
 
+    fn evictable(sb: &StoreBuffer) -> Vec<usize> {
+        let mut out = Vec::new();
+        sb.evictable_into(&mut out, &mut Vec::new());
+        out
+    }
+
     fn store(addr: u64, len: u64, id: u64) -> SbEntry {
         SbEntry::Store(SbStore {
             addr: Addr(addr),
@@ -454,9 +493,9 @@ mod tests {
         let mut sb = StoreBuffer::new();
         sb.push(store(0, 8, 1));
         sb.push(store(8, 8, 2));
-        assert_eq!(sb.evictable_positions(), vec![0]);
+        assert_eq!(evictable(&sb), vec![0]);
         assert_eq!(sb.evict_head().unwrap().id(), 1);
-        assert_eq!(sb.evictable_positions(), vec![0]);
+        assert_eq!(evictable(&sb), vec![0]);
     }
 
     #[test]
@@ -467,7 +506,7 @@ mod tests {
             addr: Addr(128),
             id: 2,
         });
-        assert_eq!(sb.evictable_positions(), vec![0, 1]);
+        assert_eq!(evictable(&sb), vec![0, 1]);
 
         let mut sb = StoreBuffer::new();
         sb.push(store(0, 8, 1));
@@ -475,7 +514,7 @@ mod tests {
             addr: Addr(8), // same line as the store
             id: 2,
         });
-        assert_eq!(sb.evictable_positions(), vec![0]);
+        assert_eq!(evictable(&sb), vec![0]);
     }
 
     #[test]
@@ -486,7 +525,7 @@ mod tests {
             addr: Addr(512),
             id: 2,
         });
-        assert_eq!(sb.evictable_positions(), vec![0]);
+        assert_eq!(evictable(&sb), vec![0]);
     }
 
     #[test]
@@ -498,7 +537,7 @@ mod tests {
             id: 2,
         });
         // sfence → clfopt is preserved, so the clwb may not exit first.
-        assert_eq!(sb.evictable_positions(), vec![0]);
+        assert_eq!(evictable(&sb), vec![0]);
     }
 
     #[test]
@@ -511,7 +550,7 @@ mod tests {
             id: 1,
         });
         sb.push(store(512, 8, 2));
-        assert_eq!(sb.evictable_positions(), vec![0, 1]);
+        assert_eq!(evictable(&sb), vec![0, 1]);
     }
 
     #[test]
@@ -525,7 +564,7 @@ mod tests {
             addr: Addr(512),
             id: 2,
         });
-        assert_eq!(sb.evictable_positions(), vec![0, 1]);
+        assert_eq!(evictable(&sb), vec![0, 1]);
     }
 
     #[test]
@@ -540,7 +579,7 @@ mod tests {
             id: 2,
         });
         // clf → clfopt same line: preserved.
-        assert_eq!(sb.evictable_positions(), vec![0]);
+        assert_eq!(evictable(&sb), vec![0]);
         let mut sb = StoreBuffer::new();
         sb.push(SbEntry::Clflush {
             addr: Addr(0),
@@ -550,7 +589,7 @@ mod tests {
             addr: Addr(512),
             id: 2,
         });
-        assert_eq!(sb.evictable_positions(), vec![0, 1]);
+        assert_eq!(evictable(&sb), vec![0, 1]);
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Property-based tests for store-buffer legality and bypassing.
+//!
+//! `evictable_positions` below is the definitional eviction oracle, written
+//! straight from Table 1: an entry may exit iff it may overtake every entry
+//! ahead of it. It is quadratic on purpose; `StoreBuffer::evictable_into`
+//! is the one-pass version the engine uses, and must agree with it.
 
 use pmem::Addr;
 use proptest::prelude::*;
@@ -19,6 +24,20 @@ fn arb_entry() -> impl Strategy<Value = GenEntry> {
         (0u64..256).prop_map(|addr| GenEntry::Clwb { addr }),
         Just(GenEntry::Sfence),
     ]
+}
+
+fn evictable_positions(sb: &StoreBuffer) -> Vec<usize> {
+    let entries: Vec<&SbEntry> = sb.iter().collect();
+    (0..entries.len())
+        .filter(|&i| {
+            entries[..i].iter().all(|earlier| {
+                // Table 1 has no CL cell involving sfence, the one entry
+                // without a line, so its `same_line` value is irrelevant.
+                let same_line = earlier.line() == entries[i].line();
+                ordering_constraint(earlier.kind(), entries[i].kind()).allows_reorder(same_line)
+            })
+        })
+        .collect()
 }
 
 fn build(entries: &[GenEntry]) -> StoreBuffer {
@@ -49,14 +68,14 @@ proptest! {
     #[test]
     fn head_is_always_evictable(entries in proptest::collection::vec(arb_entry(), 1..12)) {
         let sb = build(&entries);
-        let positions = sb.evictable_positions();
+        let positions = evictable_positions(&sb);
         prop_assert!(positions.contains(&0));
     }
 
     #[test]
     fn evictable_positions_are_sorted_and_unique(entries in proptest::collection::vec(arb_entry(), 0..12)) {
         let sb = build(&entries);
-        let positions = sb.evictable_positions();
+        let positions = evictable_positions(&sb);
         for w in positions.windows(2) {
             prop_assert!(w[0] < w[1]);
         }
@@ -73,7 +92,7 @@ proptest! {
         // if no store precedes it.
         let sb = build(&entries);
         let first_store = sb.iter().position(|e| matches!(e, SbEntry::Store(_)));
-        for &p in &sb.evictable_positions() {
+        for &p in &evictable_positions(&sb) {
             let entry: Vec<_> = sb.iter().collect();
             if matches!(entry[p], SbEntry::Store(_)) {
                 prop_assert_eq!(Some(p), first_store, "store {} overtook an earlier store", p);
@@ -136,7 +155,7 @@ proptest! {
         pick in 0usize..12,
     ) {
         let mut sb = build(&entries);
-        let positions = sb.evictable_positions();
+        let positions = evictable_positions(&sb);
         let p = positions[pick % positions.len()];
         let before: Vec<u64> = sb.iter().map(SbEntry::id).collect();
         let evicted = sb.evict(p);
@@ -148,15 +167,65 @@ proptest! {
     }
 
     #[test]
-    fn count_and_nth_helpers_agree_with_evictable_positions(
-        entries in proptest::collection::vec(arb_entry(), 0..12),
+    fn one_pass_pick_agrees_with_evictable_positions(
+        entries in proptest::collection::vec(arb_entry(), 0..64),
+        picks in proptest::collection::vec(0usize..64, 0..64),
     ) {
-        let sb = build(&entries);
-        let positions = sb.evictable_positions();
-        prop_assert_eq!(sb.evictable_count(), positions.len());
-        for (n, &p) in positions.iter().enumerate() {
-            prop_assert_eq!(sb.nth_evictable(n), Some(p));
+        // Compare after each eviction too, so the clwb count the pass
+        // stops on is checked as the buffer changes, and reuse the scratch
+        // across calls the way the engine does.
+        let mut sb = build(&entries);
+        let (mut out, mut blocked) = (Vec::new(), Vec::new());
+        let mut picks = picks.into_iter();
+        loop {
+            sb.evictable_into(&mut out, &mut blocked);
+            let oracle = evictable_positions(&sb);
+            prop_assert_eq!(&out, &oracle);
+            match picks.next() {
+                Some(pick) if !oracle.is_empty() => sb.evict(oracle[pick % oracle.len()]),
+                _ => break,
+            };
         }
-        prop_assert_eq!(sb.nth_evictable(positions.len()), None);
+    }
+}
+
+/// Pool formatting in miniature: a `memset` of 256 eight-byte stores over
+/// 32 lines, one `clwb` per line, then an `sfence`. Evicting it to empty
+/// with seeded picks must choose the same position the oracle's list
+/// gives at every step.
+#[test]
+fn pool_format_buffer_drains_like_the_oracle() {
+    for seed in 0..8u64 {
+        let mut sb = StoreBuffer::new();
+        let mut id = 0;
+        let mut next_id = || {
+            id += 1;
+            id
+        };
+        for i in 0..256u64 {
+            sb.push(SbEntry::Store(SbStore {
+                addr: Addr(i * 8),
+                len: 8,
+                id: next_id(),
+            }));
+        }
+        for line in 0..32u64 {
+            sb.push(SbEntry::Clwb {
+                addr: Addr(line * 64),
+                id: next_id(),
+            });
+        }
+        sb.push(SbEntry::Sfence { id: next_id() });
+        let (mut out, mut blocked) = (Vec::new(), Vec::new());
+        let mut step = 0u64;
+        while !sb.is_empty() {
+            sb.evictable_into(&mut out, &mut blocked);
+            let oracle = evictable_positions(&sb);
+            assert_eq!(out, oracle, "seed {seed}, step {step}");
+            let draw = pmem::mix64(seed << 32 | step) as usize;
+            sb.evict(out[draw % out.len()]);
+            step += 1;
+        }
+        assert_eq!(step, 256 + 32 + 1);
     }
 }
