@@ -67,8 +67,9 @@ pub fn common_args(switches: &[&str], valued: &[&str]) -> CommonArgs {
         })
 }
 
-/// Parses `flag`'s value, naming the flag in the error.
-fn value<T>(flag: &str, v: Option<String>) -> Result<T, String>
+/// Parses `flag`'s value, naming the flag in the error: `{flag} needs a
+/// value` when it is missing, `bad {flag}: ...` when it does not parse.
+pub fn value<T>(flag: &str, v: Option<String>) -> Result<T, String>
 where
     T: FromStr,
     T::Err: Display,

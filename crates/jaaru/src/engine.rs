@@ -402,7 +402,6 @@ impl Engine {
         let start = Instant::now();
         let workers = config.resolved_workers();
         let mut acc = RunAccumulator::new(config.trace);
-        let mut queue_depth = obs::Histogram::new();
         let mut cartography = obs::Cartography::default();
         let crash_points;
 
@@ -443,7 +442,6 @@ impl Engine {
                 // One crash target per recorded point, in target order.
                 let targets: Vec<(usize, usize)> =
                     log.records.iter().map(|r| (r.phase, r.point)).collect();
-                Self::sample_queue_depth(&mut queue_depth, targets.len());
                 tel.add_points_total(targets.len() as u64);
                 cartography = Self::build_cartography(&profile_points, &log);
                 // Resume from snapshots when the profiling run captured a
@@ -525,7 +523,6 @@ impl Engine {
                         random(seed_e, target)
                     })
                     .collect();
-                Self::sample_queue_depth(&mut queue_depth, specs.len());
                 Self::absorb_batch(program, specs, sink_factory, config, tel, &mut acc, false);
             }
         }
@@ -540,29 +537,8 @@ impl Engine {
             fork,
             prune,
             gc,
-            mut trace,
+            trace,
         } = acc;
-        if let Some(t) = trace.as_mut() {
-            // Coordinator lane: one Merge-phase span whose virtual clock
-            // ticks once per merged run — timing in "runs", not wall time.
-            let mut coord = obs::TraceBuf::new();
-            let merge_start = coord.now();
-            for _ in 0..executions {
-                coord.tick();
-            }
-            coord.span_since(
-                obs::Phase::Merge,
-                "merge reports",
-                merge_start,
-                vec![
-                    ("runs", executions as u64),
-                    ("reports", races.reports.len() as u64),
-                    ("dedup_hits", races.dedup_hits),
-                ],
-            );
-            t.set_coordinator(coord);
-        }
-
         let elapsed = start.elapsed();
         tel.add_total(elapsed);
         let dedup_hits = races.dedup_hits;
@@ -594,7 +570,6 @@ impl Engine {
             fork,
             prune,
             gc,
-            queue_depth,
             trace,
         )
     }
@@ -825,17 +800,6 @@ impl Engine {
             Box::new(SpanTraceSink::new(sink))
         } else {
             sink
-        }
-    }
-
-    /// Records work-queue occupancy for a batch of `n` enqueued runs.
-    ///
-    /// Sampled at *enqueue* time — after item `i` enters, the queue holds
-    /// `i + 1` items — because dequeue-side occupancy depends on worker
-    /// timing and would break the worker-count invariance of metrics.
-    fn sample_queue_depth(hist: &mut obs::Histogram, n: usize) {
-        for depth in 1..=n {
-            hist.record(depth as u64);
         }
     }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use obs::{Histogram, MetricsRegistry, RunTrace};
+use obs::{MetricsRegistry, RunTrace};
 use pmem::Addr;
 use px86::Atomicity;
 use vclock::{Clock, ThreadId, VectorClock};
@@ -320,7 +320,6 @@ pub struct RunReport {
     prune: PruneStats,
     gc: GcStats,
     dedup_hits: u64,
-    queue_depth: Histogram,
     trace: Option<RunTrace>,
 }
 
@@ -338,7 +337,6 @@ impl RunReport {
         fork: ForkStats,
         prune: PruneStats,
         gc: GcStats,
-        queue_depth: Histogram,
         trace: Option<RunTrace>,
     ) -> Self {
         RunReport {
@@ -353,7 +351,6 @@ impl RunReport {
             prune,
             gc,
             dedup_hits,
-            queue_depth,
             trace,
         }
     }
@@ -429,9 +426,9 @@ impl RunReport {
 
     /// The run's metrics registry: every [`ExecStats`] counter under its
     /// canonical [`obs::names`] key, engine-level counters (executions,
-    /// crash points, dedup hits, surviving reports), the enqueue-side
-    /// work-queue occupancy histogram, and — when tracing was on — the
-    /// trace's own event/span counters.
+    /// crash points, dedup hits, surviving reports), and — when tracing
+    /// was on — the trace's event and span totals, read from the
+    /// [`RunTrace`] itself.
     ///
     /// Everything here is derived from deterministic inputs, so the
     /// registry (and its JSON export) is identical at every worker count.
@@ -456,11 +453,9 @@ impl RunReport {
         m.add(obs::names::ENGINE_CRASH_POINTS, self.crash_points as u64);
         m.add(obs::names::ENGINE_DEDUP_HITS, self.dedup_hits);
         m.add(obs::names::ENGINE_REPORTS, self.races.len() as u64);
-        if self.queue_depth.count() > 0 {
-            m.insert_histogram(obs::names::ENGINE_QUEUE_DEPTH, &self.queue_depth);
-        }
         if let Some(trace) = &self.trace {
-            m.merge(trace.totals());
+            m.add(obs::names::TRACE_EVENTS, trace.event_count());
+            m.add(obs::names::TRACE_SPANS, trace.span_count() as u64);
         }
         m
     }
@@ -545,7 +540,6 @@ mod tests {
             ForkStats::default(),
             PruneStats::default(),
             GcStats::default(),
-            Histogram::new(),
             None,
         );
         assert_eq!(rr.race_labels(), vec!["a", "c"]);

@@ -372,14 +372,7 @@ impl<S: EventSink> EventSink for SpanTraceSink<S> {
 
     fn drain_trace(&mut self) -> Option<obs::TraceBuf> {
         self.close_exec();
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.counters.add(obs::names::TRACE_EVENTS, buf.events());
-        buf.counters
-            .add(obs::names::TRACE_SPANS, buf.spans.len() as u64);
-        if let Some(inner) = self.inner.drain_trace() {
-            buf.absorb(inner);
-        }
-        Some(buf)
+        Some(std::mem::take(&mut self.buf))
     }
 
     fn fork_sink(&self) -> Option<Box<dyn EventSink>> {

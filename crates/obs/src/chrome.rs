@@ -21,10 +21,14 @@
 use std::io;
 
 use crate::json::Json;
-use crate::span::{RunTrace, COORDINATOR_LANE};
+use crate::span::RunTrace;
 
 /// The `pid` every event carries (one logical process per engine run).
 const PID: u64 = 1;
+
+/// The `tid` of the process-name metadata event. Run `i` of the trace
+/// renders on lane (`tid`) `i + 1`.
+const PROCESS_TID: u64 = 0;
 
 /// Renders `trace` as a complete Chrome trace-event JSON document in
 /// memory. Convenience wrapper over [`write_chrome_json`].
@@ -57,18 +61,14 @@ pub fn write_chrome_json<W: io::Write>(trace: &RunTrace, out: &mut W) -> io::Res
     }
     emit!(metadata(
         "process_name",
-        COORDINATOR_LANE,
+        PROCESS_TID,
         ("name", Json::from("yashme exploration")),
     ));
-    for (lane, _) in trace.lanes() {
-        let name = if *lane == COORDINATOR_LANE {
-            "coordinator".to_owned()
-        } else {
-            format!("run {}", lane - 1)
-        };
-        emit!(metadata("thread_name", *lane, ("name", Json::from(name))));
+    for run in 0..trace.runs() {
+        let name = Json::from(format!("run {run}"));
+        emit!(metadata("thread_name", run as u64 + 1, ("name", name)));
     }
-    for (lane, buf) in trace.lanes() {
+    for (lane, buf) in (1u64..).zip(trace.lanes()) {
         // Deterministic per-lane order even if recording interleaved spans
         // and instants: sort each kind by (ts, name), spans first.
         let mut spans: Vec<_> = buf.spans.iter().collect();
@@ -81,7 +81,7 @@ pub fn write_chrome_json<W: io::Write>(trace: &RunTrace, out: &mut W) -> io::Res
                 ("ts", Json::U64(span.start)),
                 ("dur", Json::U64(span.dur)),
                 ("pid", Json::U64(PID)),
-                ("tid", Json::U64(*lane)),
+                ("tid", Json::U64(lane)),
                 ("args", args_obj(&span.args)),
             ]));
         }
@@ -95,7 +95,7 @@ pub fn write_chrome_json<W: io::Write>(trace: &RunTrace, out: &mut W) -> io::Res
                 ("ts", Json::U64(inst.ts)),
                 ("s", Json::from("t")),
                 ("pid", Json::U64(PID)),
-                ("tid", Json::U64(*lane)),
+                ("tid", Json::U64(lane)),
                 ("args", args_obj(&inst.args)),
             ]));
         }
@@ -146,10 +146,6 @@ mod tests {
         run.instant(Phase::CrashInjection, "crash", vec![]);
         let mut trace = RunTrace::new();
         trace.push_run(run);
-        let mut coord = TraceBuf::new();
-        coord.tick();
-        coord.span_since(Phase::Merge, "merge", 0, vec![("reports", 1)]);
-        trace.set_coordinator(coord);
         trace
     }
 
@@ -159,11 +155,9 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
         assert!(json.contains("\"thread_name\""), "{json}");
         assert!(json.contains("\"run 0\""), "{json}");
-        assert!(json.contains("\"coordinator\""), "{json}");
         assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"ph\":\"i\""), "{json}");
         assert!(json.contains("\"cat\":\"pre-crash-exec\""), "{json}");
-        assert!(json.contains("\"cat\":\"merge\""), "{json}");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * [`RunTrace`] — buffers from many runs merged **in run order** onto one
 //!   lane per run. The merged trace is byte-identical however the runs were
 //!   distributed over a worker pool, the same discipline the engine uses
-//!   for report merging.
-//! * [`MetricsRegistry`] — named counters and power-of-two [`Histogram`]s
-//!   with deterministic (sorted-key) export and merge.
+//!   for report merging. Its run, span and event totals are computed from
+//!   the lanes alone; nothing else keeps a copy.
+//! * [`MetricsRegistry`] — named counters with deterministic (sorted-key)
+//!   export.
 //! * [`chrome`] — export of a [`RunTrace`] as Chrome trace-event JSON,
 //!   loadable in Perfetto / `chrome://tracing`.
 //! * [`json`] — a minimal stable-field-order JSON writer (the workspace's
@@ -38,7 +39,8 @@
 //! 2. Lanes are per logical *run* (crash target), not per OS worker: a
 //!    worker pool assigns runs to threads nondeterministically, so a
 //!    per-worker lane split would change with `--workers`. Per-run lanes
-//!    make the trace a pure function of the program.
+//!    make the trace a pure function of the program. Run `i` is lane
+//!    `i + 1`; tid 0 carries only the process name.
 //! 3. Merges happen in run order; exports sort events by
 //!    `(lane, start, name)` and counters by name.
 
@@ -55,7 +57,7 @@ pub use coverage::{
     SiteStats, SiteTable, Verdict,
 };
 pub use json::Json;
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use span::{Phase, RunTrace, Span, SpanInstant, TraceBuf};
 pub use telemetry::{
     start_reporter, Reporter, ReporterConfig, Telemetry, TelemetrySample, WallPhase, WorkerStat,
@@ -94,10 +96,8 @@ pub mod names {
     pub const ENGINE_DEDUP_HITS: &str = "engine.dedup_hits";
     /// De-duplicated reports that survived the merge.
     pub const ENGINE_REPORTS: &str = "engine.reports";
-    /// Work-queue occupancy sampled at enqueue time (see the engine docs:
-    /// dequeue-side occupancy would depend on worker timing).
-    pub const ENGINE_QUEUE_DEPTH: &str = "engine.queue_depth";
-    /// Engine events delivered to traced sinks (virtual-clock ticks).
+    /// Engine events delivered to traced sinks (virtual-clock ticks),
+    /// summed over every run lane.
     pub const TRACE_EVENTS: &str = "trace.events";
     /// Spans recorded across all run lanes.
     pub const TRACE_SPANS: &str = "trace.spans";
@@ -127,7 +127,6 @@ mod tests {
             super::names::ENGINE_CRASH_POINTS,
             super::names::ENGINE_DEDUP_HITS,
             super::names::ENGINE_REPORTS,
-            super::names::ENGINE_QUEUE_DEPTH,
             super::names::TRACE_EVENTS,
             super::names::TRACE_SPANS,
             super::names::DETECTOR_FLUSHMAP_LIVE,

@@ -1,91 +1,16 @@
-//! Counters and histograms with deterministic merge and export.
+//! Named counters with deterministic export.
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
 
-/// A power-of-two-bucketed histogram of `u64` samples.
+/// A registry of named counters.
 ///
-/// Bucket `i` counts samples `v` with `bit_len(v) == i`, i.e. bucket 0 is
-/// exactly `{0}`, bucket 1 is `{1}`, bucket 2 is `[2, 4)`, bucket 3 is
-/// `[4, 8)`, and so on. Power-of-two buckets keep merge and export exact
-/// and deterministic — no floating point anywhere.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let bucket = (u64::BITS - value.leading_zeros()) as usize;
-        if bucket >= self.buckets.len() {
-            self.buckets.resize(bucket + 1, 0);
-        }
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Adds every sample of `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample seen (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Renders as a JSON object with stable fields.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", Json::U64(self.count)),
-            ("sum", Json::U64(self.sum)),
-            ("max", Json::U64(self.max)),
-            (
-                "buckets",
-                Json::arr(self.buckets.iter().map(|&b| Json::U64(b))),
-            ),
-        ])
-    }
-}
-
-/// A registry of named counters and histograms.
-///
-/// Keys are sorted (`BTreeMap`), so iteration, merge, and export order are
+/// Keys are sorted (`BTreeMap`), so iteration and export order are
 /// deterministic. Canonical key strings live in [`crate::names`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -99,29 +24,9 @@ impl MetricsRegistry {
         *self.counters.entry(name).or_insert(0) += n;
     }
 
-    /// Increments the named counter by 1.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a sample into the named histogram (creating it empty).
-    pub fn record(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
-    }
-
-    /// The named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Merges an externally built histogram into the named slot.
-    pub fn insert_histogram(&mut self, name: &'static str, hist: &Histogram) {
-        self.histograms.entry(name).or_default().merge(hist);
     }
 
     /// Counters in sorted-name order.
@@ -129,49 +34,18 @@ impl MetricsRegistry {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Histograms in sorted-name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Adds every counter and histogram of `other` into `self`.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (&name, &value) in &other.counters {
-            self.add(name, value);
-        }
-        for (&name, hist) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(hist);
-        }
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Renders as a JSON object: `{"counters": {...}, "histograms": {...}}`
-    /// with keys in sorted order — byte-identical for equal contents.
+    /// Renders as a JSON object: `{"counters": {...}}` with keys in sorted
+    /// order — byte-identical for equal contents.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "counters",
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(&k, &v)| (k.to_owned(), Json::U64(v)))
-                        .collect(),
-                ),
+        Json::obj([(
+            "counters",
+            Json::Obj(
+                self.counters
+                    .iter()
+                    .map(|(&k, &v)| (k.to_owned(), Json::U64(v)))
+                    .collect(),
             ),
-            (
-                "histograms",
-                Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(&k, h)| (k.to_owned(), h.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
+        )])
     }
 }
 
@@ -180,32 +54,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_by_bit_length() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 7, 8] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.sum(), 25);
-        assert_eq!(h.max(), 8);
-        // buckets: [0]→1, [1]→1, [2,3]→2, [4..8)→2, [8..16)→1
-        let json = h.to_json().render();
-        assert!(json.contains("\"buckets\":[1,1,2,2,1]"), "{json}");
-    }
-
-    #[test]
-    fn merge_is_additive() {
-        let mut a = MetricsRegistry::new();
-        a.add("x", 2);
-        a.record("h", 4);
-        let mut b = MetricsRegistry::new();
-        b.add("x", 3);
-        b.add("y", 1);
-        b.record("h", 4);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 5);
-        assert_eq!(a.counter("y"), 1);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
+    fn add_accumulates_per_name() {
+        let mut m = MetricsRegistry::new();
+        m.add("x", 2);
+        m.add("x", 3);
+        m.add("y", 0);
+        assert_eq!(m.counter("x"), 5);
+        assert_eq!(m.counter("y"), 0);
+        assert_eq!(m.counter("never"), 0);
+        assert_eq!(m.to_json().render(), r#"{"counters":{"x":5,"y":0}}"#);
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! each run its own lane. That merge order is what makes the aggregate
 //! trace byte-identical at every `--workers` count.
 
-use crate::metrics::MetricsRegistry;
-
 /// The engine phase a span or instant belongs to. Names are stable — they
 /// appear in Chrome trace categories and in DESIGN.md's span taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -26,8 +24,6 @@ pub enum Phase {
     PostCrashExec,
     /// Detector work: race-checking the post-crash reads.
     Detection,
-    /// Coordinator-side merging of per-run reports and traces.
-    Merge,
 }
 
 impl Phase {
@@ -38,7 +34,6 @@ impl Phase {
             Phase::CrashInjection => "crash-injection",
             Phase::PostCrashExec => "post-crash-exec",
             Phase::Detection => "detection",
-            Phase::Merge => "merge",
         }
     }
 }
@@ -77,8 +72,8 @@ pub struct SpanInstant {
     pub args: Vec<(&'static str, u64)>,
 }
 
-/// One run's trace: spans, instants, counters, and the virtual clock that
-/// stamps them. Owned by a single thread for its whole life — recording is
+/// One run's trace: spans, instants, and the virtual clock that stamps
+/// them. Owned by a single thread for its whole life — recording is
 /// plain `Vec::push`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TraceBuf {
@@ -87,8 +82,6 @@ pub struct TraceBuf {
     pub spans: Vec<Span>,
     /// Instant events in recording order.
     pub instants: Vec<SpanInstant>,
-    /// Counters and histograms local to this run.
-    pub counters: MetricsRegistry,
 }
 
 impl TraceBuf {
@@ -140,15 +133,6 @@ impl TraceBuf {
         });
     }
 
-    /// Appends another buffer's records (used by tee'd sinks). Spans keep
-    /// their own timelines; counters merge additively.
-    pub fn absorb(&mut self, other: TraceBuf) {
-        self.now = self.now.max(other.now);
-        self.spans.extend(other.spans);
-        self.instants.extend(other.instants);
-        self.counters.merge(&other.counters);
-    }
-
     /// Total events witnessed (the final virtual time).
     pub fn events(&self) -> u64 {
         self.now
@@ -156,17 +140,16 @@ impl TraceBuf {
 }
 
 /// The merged trace of an engine invocation: one lane per run, in run
-/// order, plus a coordinator lane (lane 0) for merge activity.
+/// order.
+///
+/// Its [`runs`](Self::runs), [`span_count`](Self::span_count) and
+/// [`event_count`](Self::event_count) are the only computation of the
+/// trace's totals: the metrics registry and the Chrome export both read
+/// them from here.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RunTrace {
-    /// `(lane, buffer)` pairs; lane 0 is the coordinator, runs get 1..N.
-    lanes: Vec<(u64, TraceBuf)>,
-    /// Aggregate counters over every lane.
-    totals: MetricsRegistry,
+    runs: Vec<TraceBuf>,
 }
-
-/// Lane id reserved for the engine coordinator (merge spans).
-pub const COORDINATOR_LANE: u64 = 0;
 
 impl RunTrace {
     /// Creates an empty merged trace.
@@ -174,53 +157,30 @@ impl RunTrace {
         RunTrace::default()
     }
 
-    /// Appends the next run's buffer, assigning it the next lane (1-based;
-    /// lane 0 is the coordinator). Call in run order — lane assignment is
+    /// Appends the next run's buffer. Call in run order — lane order is
     /// what encodes the deterministic merge.
-    pub fn push_run(&mut self, buf: TraceBuf) -> u64 {
-        let lane = self
-            .lanes
-            .iter()
-            .map(|(l, _)| *l)
-            .max()
-            .map_or(1, |l| l + 1);
-        self.totals.merge(&buf.counters);
-        self.lanes.push((lane, buf));
-        lane
+    pub fn push_run(&mut self, buf: TraceBuf) {
+        self.runs.push(buf);
     }
 
-    /// Sets the coordinator lane's buffer (merge spans, queue instants).
-    pub fn set_coordinator(&mut self, buf: TraceBuf) {
-        self.totals.merge(&buf.counters);
-        self.lanes.insert(0, (COORDINATOR_LANE, buf));
+    /// Every run's buffer in run order, one per lane.
+    pub fn lanes(&self) -> &[TraceBuf] {
+        &self.runs
     }
 
-    /// All lanes in `(lane, buffer)` form, coordinator first.
-    pub fn lanes(&self) -> &[(u64, TraceBuf)] {
-        &self.lanes
-    }
-
-    /// Counters summed over every lane.
-    pub fn totals(&self) -> &MetricsRegistry {
-        &self.totals
-    }
-
-    /// Number of run lanes (excluding the coordinator).
+    /// Number of run lanes.
     pub fn runs(&self) -> usize {
-        self.lanes
-            .iter()
-            .filter(|(l, _)| *l != COORDINATOR_LANE)
-            .count()
+        self.runs.len()
     }
 
     /// Total spans across every lane.
     pub fn span_count(&self) -> usize {
-        self.lanes.iter().map(|(_, b)| b.spans.len()).sum()
+        self.runs.iter().map(|b| b.spans.len()).sum()
     }
 
     /// Total virtual events across every lane.
     pub fn event_count(&self) -> u64 {
-        self.lanes.iter().map(|(_, b)| b.events()).sum()
+        self.runs.iter().map(TraceBuf::events).sum()
     }
 }
 
@@ -250,26 +210,17 @@ mod tests {
     #[test]
     fn run_order_assigns_lanes_deterministically() {
         let mut trace = RunTrace::new();
-        assert_eq!(trace.push_run(buf_with("a", 1)), 1);
-        assert_eq!(trace.push_run(buf_with("b", 2)), 2);
-        trace.set_coordinator(TraceBuf::new());
-        let lanes: Vec<u64> = trace.lanes().iter().map(|(l, _)| *l).collect();
-        assert_eq!(lanes, vec![0, 1, 2]);
+        trace.push_run(buf_with("a", 1));
+        trace.push_run(buf_with("b", 2));
+        let names: Vec<&str> = trace
+            .lanes()
+            .iter()
+            .map(|b| b.spans[0].name.as_str())
+            .collect();
+        assert_eq!(names, ["a", "b"]);
         assert_eq!(trace.runs(), 2);
         assert_eq!(trace.span_count(), 2);
         assert_eq!(trace.event_count(), 3);
-    }
-
-    #[test]
-    fn absorb_concatenates_and_merges_counters() {
-        let mut a = buf_with("a", 2);
-        a.counters.add("x", 1);
-        let mut b = buf_with("b", 5);
-        b.counters.add("x", 2);
-        a.absorb(b);
-        assert_eq!(a.spans.len(), 2);
-        assert_eq!(a.events(), 5);
-        assert_eq!(a.counters.counter("x"), 3);
     }
 
     #[test]

@@ -14,11 +14,6 @@ pub struct YashmeConfig {
     /// before the crash counts, so races are only found when the crash
     /// physically landed in the store→flush window.
     pub prefix_expansion: bool,
-    /// Report races whose observing load sits in a checksum-validation
-    /// scope as [`ReportKind::BenignChecksum`](jaaru::ReportKind) instead of
-    /// suppressing them ("although these are still true persistency races by
-    /// definition", §7.5).
-    pub report_benign: bool,
     /// eADR mode (§7.5): on eADR platforms the cache is inside the
     /// persistence domain, so a store is fully persistent once it leaves the
     /// store buffer. A race then additionally requires that *no* consistent
@@ -50,7 +45,6 @@ impl YashmeConfig {
     pub fn new() -> Self {
         YashmeConfig {
             prefix_expansion: true,
-            report_benign: true,
             eadr: false,
             suppressed_labels: &[],
         }
@@ -95,7 +89,6 @@ mod tests {
     fn default_enables_prefix_expansion() {
         assert!(YashmeConfig::default().prefix_expansion);
         assert!(!YashmeConfig::baseline().prefix_expansion);
-        assert!(YashmeConfig::default().report_benign);
         assert!(!YashmeConfig::default().eadr);
     }
 

@@ -194,8 +194,10 @@ impl YashmeDetector {
                 return;
             }
         }
-        // Persistency race.
-        let kind = if load.validated && self.config.report_benign {
+        // Persistency race. A load inside a checksum-validation scope still
+        // observed a true race ("although these are still true persistency
+        // races by definition", §7.5); it is reported apart as benign.
+        let kind = if load.validated {
             ReportKind::BenignChecksum
         } else {
             ReportKind::PersistencyRace

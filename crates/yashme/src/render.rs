@@ -67,7 +67,7 @@ pub fn render_summary(report: &RunReport) -> String {
 
 /// Renders every metric in the run's registry under its canonical
 /// [`jaaru::obs::names`] key: the operation counters, the load-resolution
-/// breakdown, the engine counters and histograms.
+/// breakdown and the engine counters.
 ///
 /// The dump reads the *same* [`RunReport::metrics`] source as the
 /// `--metrics-out` export, so the two can never drift. Nothing here
@@ -78,16 +78,6 @@ pub fn render_stats(report: &RunReport) -> String {
     writeln!(out, "metrics:").expect("write to string");
     for (name, value) in m.counters() {
         writeln!(out, "  {name} = {value}").expect("write to string");
-    }
-    for (name, h) in m.histograms() {
-        writeln!(
-            out,
-            "  {name}: count={} sum={} max={}",
-            h.count(),
-            h.sum(),
-            h.max()
-        )
-        .expect("write to string");
     }
     out
 }

@@ -53,7 +53,6 @@ metrics:
   ops.loads = 6
   ops.stores_committed = 6
   ops.stores_executed = 6
-  engine.queue_depth: count=2 sum=3 max=2
 ";
     assert_eq!(stats, golden, "actual:\n{stats}");
 }
@@ -95,7 +94,7 @@ fn json_document_matches_snapshot() {
         r#"{"benchmark":"golden","races":[{"kind":"persistency-race","label":"field.a","addr":"0x1000","store_exec":0,"load_exec":1,"store_thread":"T0","detail":"non-atomic 8-byte store could be torn or invented by the compiler; no consistent prefix of execution 0 flushes it before the post-crash load at 0x1000 (execution 1)","provenance":{"store_cv":"[T0:2]","store_len":8,"store_atomicity":"plain","ineffective_flushes":[],"cv_pre":"[]","load_thread":"T1","load_addr":"0x1000","load_len":8,"load_label":"","validated":false}},"#,
         r#"{"kind":"persistency-race","label":"field.b","addr":"0x1040","store_exec":0,"load_exec":1,"store_thread":"T0","detail":"non-atomic 8-byte store could be torn or invented by the compiler; no consistent prefix of execution 0 flushes it before the post-crash load at 0x1040 (execution 1)","provenance":{"store_cv":"[T0:3]","store_len":8,"store_atomicity":"plain","ineffective_flushes":[{"thread":"T0","clock":4}],"cv_pre":"[T0:2]","load_thread":"T1","load_addr":"0x1040","load_len":8,"load_label":"","validated":false}}],"#,
         r#""race_labels":["field.a","field.b"],"executions":3,"crash_points":2,"post_crash_panics":[],"dedup_hits":4,"#,
-        r#""metrics":{"counters":{"engine.crash_points":2,"engine.dedup_hits":4,"engine.executions":3,"engine.reports":2,"load.bytes_from_bypass":0,"load.bytes_from_cache":0,"load.bytes_from_image":48,"load.candidate_stores_scanned":4,"ops.cas":0,"ops.crashes":6,"ops.fences":1,"ops.flushes":2,"ops.loads":6,"ops.stores_committed":6,"ops.stores_executed":6},"histograms":{"engine.queue_depth":{"count":2,"sum":3,"max":2,"buckets":[0,1,1]}}}}"#,
+        r#""metrics":{"counters":{"engine.crash_points":2,"engine.dedup_hits":4,"engine.executions":3,"engine.reports":2,"load.bytes_from_bypass":0,"load.bytes_from_cache":0,"load.bytes_from_image":48,"load.candidate_stores_scanned":4,"ops.cas":0,"ops.crashes":6,"ops.fences":1,"ops.flushes":2,"ops.loads":6,"ops.stores_committed":6,"ops.stores_executed":6}}}"#,
     );
     assert_eq!(doc, golden, "actual:\n{doc}");
 }

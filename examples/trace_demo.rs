@@ -33,11 +33,11 @@ fn main() {
         &EngineConfig::default().with_trace(true),
     );
 
-    // One lane per simulated run (lane 0 merges them); timestamps are
-    // virtual-clock ticks, one per engine event.
+    // One lane per simulated run, in run order (run i is lane i + 1);
+    // timestamps are virtual-clock ticks, one per engine event.
     let trace = report.trace().expect("tracing was on");
     println!("=== execution trace ===");
-    for (lane, buf) in trace.lanes() {
+    for (lane, buf) in (1..).zip(trace.lanes()) {
         for span in &buf.spans {
             println!(
                 "lane {lane} [{:>4}+{:<3}] {:<16} {}",

@@ -15,6 +15,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use bench::cli::value;
 use bench::{evaluation_suite, SuiteEntry};
 use jaaru::obs::telemetry::{start_reporter, ReporterConfig, Telemetry};
 use jaaru::obs::Json;
@@ -100,85 +101,33 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         engine: common.engine,
         ..Options::default()
     };
-    let mut it = common.rest.iter();
+    let mut it = common.rest.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--list" => opts.list = true,
             "--all" => opts.all = true,
-            "--benchmark" | "-b" => {
-                opts.benchmark = Some(
-                    it.next()
-                        .ok_or_else(|| "--benchmark needs a name".to_owned())?
-                        .clone(),
-                )
-            }
+            "--benchmark" | "-b" => opts.benchmark = Some(value(&arg, it.next())?),
             "--mode" => {
-                opts.mode = match it
-                    .next()
-                    .ok_or_else(|| "--mode needs a value".to_owned())?
-                    .as_str()
-                {
+                opts.mode = match value::<String>(&arg, it.next())?.as_str() {
                     "model-check" => Mode::ModelCheck,
                     "random" => Mode::Random,
                     other => return Err(format!("unknown mode {other:?}")),
                 }
             }
-            "--executions" | "-n" => {
-                opts.executions = it
-                    .next()
-                    .ok_or_else(|| "--executions needs a number".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("bad --executions: {e}"))?
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .ok_or_else(|| "--seed needs a number".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
+            "--executions" | "-n" => opts.executions = value(&arg, it.next())?,
+            "--seed" => opts.seed = value(&arg, it.next())?,
             "--baseline" => opts.baseline = true,
             "--eadr" => opts.eadr = true,
             "--details" => opts.details = true,
             "--explain" => opts.explain = true,
             "--json" => opts.json = true,
-            "--trace-out" => {
-                opts.trace_out = Some(
-                    it.next()
-                        .ok_or_else(|| "--trace-out needs a path".to_owned())?
-                        .clone(),
-                )
-            }
-            "--metrics-out" => {
-                opts.metrics_out = Some(
-                    it.next()
-                        .ok_or_else(|| "--metrics-out needs a path".to_owned())?
-                        .clone(),
-                )
-            }
+            "--trace-out" => opts.trace_out = Some(value(&arg, it.next())?),
+            "--metrics-out" => opts.metrics_out = Some(value(&arg, it.next())?),
             "--coverage" => opts.coverage = true,
-            "--coverage-out" => {
-                opts.coverage_out = Some(
-                    it.next()
-                        .ok_or_else(|| "--coverage-out needs a path".to_owned())?
-                        .clone(),
-                )
-            }
+            "--coverage-out" => opts.coverage_out = Some(value(&arg, it.next())?),
             "--progress" => opts.progress = true,
-            "--telemetry-out" => {
-                opts.telemetry_out = Some(
-                    it.next()
-                        .ok_or_else(|| "--telemetry-out needs a path".to_owned())?
-                        .clone(),
-                )
-            }
-            "--prom-out" => {
-                opts.prom_out = Some(
-                    it.next()
-                        .ok_or_else(|| "--prom-out needs a path".to_owned())?
-                        .clone(),
-                )
-            }
+            "--telemetry-out" => opts.telemetry_out = Some(value(&arg, it.next())?),
+            "--prom-out" => opts.prom_out = Some(value(&arg, it.next())?),
             "--profile" => opts.profile = true,
             "--help" | "-h" => return Err(usage().to_owned()),
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),

@@ -1,6 +1,6 @@
 //! The `yashme` binary's stderr: one message for an output path it cannot
-//! write or an argument it does not know, and nothing at all on a normal
-//! run.
+//! write, an argument it does not know or a flag value that is missing or
+//! malformed, and nothing at all on a normal run.
 
 use std::process::Command;
 
@@ -57,5 +57,39 @@ fn retired_and_misspelled_flags_exit_2() {
             "{flag}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{flag}: ran before rejecting");
+    }
+}
+
+#[test]
+fn valued_flags_given_last_exit_2_with_one_line() {
+    for flag in [
+        "--benchmark",
+        "--mode",
+        "--executions",
+        "--seed",
+        "--trace-out",
+        "--metrics-out",
+        "--coverage-out",
+        "--telemetry-out",
+        "--prom-out",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_yashme"))
+            .args(["--all", flag])
+            .output()
+            .expect("run yashme");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert_eq!(stderr, format!("{flag} needs a value\n"), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}: ran before rejecting");
+    }
+    for flag in ["--executions", "--seed"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_yashme"))
+            .args(["--all", flag, "many"])
+            .output()
+            .expect("run yashme");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.starts_with(&format!("bad {flag}: ")), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
     }
 }
