@@ -14,7 +14,9 @@ use std::time::Instant;
 
 use compiler_model::{CompilerConfig, StoreChunk};
 use obs::telemetry::{Telemetry, WallPhase};
-use pmem::{Addr, CacheLineId, FastMap, FastSet, Forkable, PmAllocator, PmImage, ProvenanceMap};
+use pmem::{
+    Addr, CacheLineId, FastMap, FastSet, Forkable, PmAllocator, PmImage, ProvLine, ProvenanceMap,
+};
 use px86::{Atomicity, FbEntry, FlushBuffer, SbEntry, SbStore, StoreBuffer};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -278,6 +280,8 @@ pub struct MemState {
     /// Scratch for [`MemState::evictable`]: the positions it returns and
     /// the lines `StoreBuffer::evictable_into` tracks.
     evict_scratch: (Vec<usize>, Vec<CacheLineId>),
+    /// Scratch for a fence's flush-buffer drain, reused across fences.
+    fb_scratch: Vec<FbEntry>,
     /// The persistent-heap allocator (survives crashes; see crate docs).
     pub alloc: PmAllocator,
     /// Operation counters.
@@ -319,8 +323,8 @@ impl Forkable for MemState {
     /// Line slabs and buffer queues are shared copy-on-write; per-event
     /// bookkeeping (the event table, flush map, vector clocks, line orders)
     /// is cloned outright — it is proportional to the events executed so
-    /// far, not to the bytes of simulated PM. The bypass and eviction
-    /// scratch buffers are transient and start empty in the fork.
+    /// far, not to the bytes of simulated PM. The bypass, eviction
+    /// and fence scratch buffers are transient and start empty in the fork.
     fn fork(&self) -> Self {
         MemState {
             compiler: self.compiler,
@@ -339,6 +343,7 @@ impl Forkable for MemState {
             image_prov: self.image_prov.fork(),
             bypass_scratch: Vec::new(),
             evict_scratch: Default::default(),
+            fb_scratch: Vec::new(),
             alloc: self.alloc.clone(),
             stats: self.stats,
             cov: self.cov.clone(),
@@ -481,6 +486,7 @@ impl MemState {
             image_prov: ProvenanceMap::new(),
             bypass_scratch: Vec::new(),
             evict_scratch: Default::default(),
+            fb_scratch: Vec::new(),
             alloc: PmAllocator::new(Addr::BASE + ROOT_REGION_BYTES, heap_bytes),
             stats: ExecStats::default(),
             cov: SiteTable::default(),
@@ -979,11 +985,14 @@ impl MemState {
         thread: ThreadId,
         fence_cv: &VectorClock,
     ) -> usize {
-        let mut drained = 0usize;
-        for fb in self.fbs[thread.as_usize()].take_all() {
-            drained += 1;
+        let mut pending = std::mem::take(&mut self.fb_scratch);
+        self.fbs[thread.as_usize()].drain_into(&mut pending);
+        for fb in &pending {
             let line = fb.addr.cache_line();
-            let mark = self.clwb_marks.remove(&fb.id).unwrap_or(0);
+            let mark = self
+                .clwb_marks
+                .remove(&fb.id)
+                .expect("buffered clwb has a mark");
             let prev = self.raise_floor(line, mark);
             // Same rule as clflush commit: only an actual floor raise
             // changes the crash state.
@@ -1002,6 +1011,9 @@ impl MemState {
             let line_stores = line_store_refs(&self.events, &self.cur.store_map, line);
             sink.on_clwb_fenced(&clwb, fence_cv, &line_stores);
         }
+        let drained = pending.len();
+        pending.clear();
+        self.fb_scratch = pending;
         drained
     }
 
@@ -1525,21 +1537,37 @@ impl MemState {
 }
 
 /// The most recent committed store for each byte of `line`, de-duplicated in
-/// byte order: one slab lookup, then a dense scan.
+/// first-appearance byte order (not id order: a later store may sit at a
+/// lower offset). One slab lookup, then a dense scan that checks membership
+/// only where the id changes between adjacent bytes.
 fn line_store_refs<'a>(
     events: &'a EventTable,
     store_map: &ProvenanceMap,
     line: CacheLineId,
 ) -> Vec<&'a StoreEvent> {
-    let mut seen = OrderedIdSet::default();
-    if let Some(slab) = store_map.line(line) {
-        for &id in slab.iter() {
-            if id != 0 {
-                seen.insert(id);
+    let Some(slab) = store_map.line(line) else {
+        return Vec::new();
+    };
+    let (ids, n) = distinct_slab_ids(slab);
+    ids[..n].iter().map(|&id| events.get(id)).collect()
+}
+
+/// The distinct nonzero ids of `slab` in first-appearance order, as a stack
+/// array and its used length.
+fn distinct_slab_ids(slab: &ProvLine) -> (ProvLine, usize) {
+    let mut ids: ProvLine = [0; pmem::CACHE_LINE_SIZE as usize];
+    let mut n = 0;
+    let mut last = 0;
+    for &id in slab {
+        if id != last {
+            last = id;
+            if id != 0 && !ids[..n].contains(&id) {
+                ids[n] = id;
+                n += 1;
             }
         }
     }
-    seen.iter().map(|id| events.get(*id)).collect()
+    (ids, n)
 }
 
 /// Above this size, membership checks spill from a linear scan into a hash
@@ -1951,6 +1979,165 @@ mod tests {
         assert_eq!(m.fences.len(), 1);
         m.crash(PersistencePolicy::FullCache, &mut rng());
         assert!(m.fences.is_empty(), "forks after the crash would clone it");
+    }
+
+    /// The per-byte walk `line_store_refs` replaced: every nonzero byte
+    /// goes through `OrderedIdSet::insert`. Kept as the order reference.
+    fn per_byte_line_ids(slab: &ProvLine) -> Vec<EventId> {
+        let mut seen = OrderedIdSet::default();
+        for &id in slab {
+            if id != 0 {
+                seen.insert(id);
+            }
+        }
+        seen.into_vec()
+    }
+
+    /// The ids `line_store_refs` returns for a line holding `slab`.
+    fn line_store_ids(slab: &ProvLine) -> Vec<EventId> {
+        let line = Addr(0x1000).cache_line();
+        let mut prov = ProvenanceMap::new();
+        *prov.line_mut(line) = *slab;
+        let mut events = EventTable::default();
+        for &id in slab.iter().filter(|&&id| id != 0) {
+            events.insert(
+                id,
+                StoreEvent {
+                    id,
+                    exec: 0,
+                    thread: ThreadId::MAIN,
+                    cv: VectorClock::new(),
+                    clock: 0,
+                    atomicity: Atomicity::Plain,
+                    addr: line.base(),
+                    bytes: [0u8][..].into(),
+                    invented: false,
+                    label: "",
+                    seq: None,
+                },
+            );
+        }
+        let refs = line_store_refs(&events, &prov, line);
+        refs.iter().map(|s| s.id).collect()
+    }
+
+    /// A slab built the way commits build one: byte ranges overwritten by
+    /// stores whose ids arrive in no particular order.
+    fn slab_from_writes(writes: &[(u64, u64, EventId)]) -> ProvLine {
+        let mut slab = [0; pmem::CACHE_LINE_SIZE as usize];
+        for &(off, len, id) in writes {
+            let end = (off + len).min(pmem::CACHE_LINE_SIZE) as usize;
+            slab[off as usize..end].fill(id);
+        }
+        slab
+    }
+
+    #[test]
+    fn line_store_refs_keeps_first_appearance_order_past_the_spill_threshold() {
+        // 64 distinct ids, descending with the offset: four times the
+        // linear-dedup threshold, and the reverse of id order.
+        let mut slab = [0; pmem::CACHE_LINE_SIZE as usize];
+        for (off, id) in slab.iter_mut().enumerate() {
+            *id = 100 - off as EventId;
+        }
+        assert_eq!(line_store_ids(&slab), per_byte_line_ids(&slab));
+        assert_eq!(line_store_ids(&slab)[..3], [100, 99, 98]);
+        assert!(line_store_ids(&[0; pmem::CACHE_LINE_SIZE as usize]).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn line_store_refs_matches_the_per_byte_walk_on_random_slabs(
+            bytes in proptest::collection::vec(
+                proptest::prop_oneof![1 => 0u64..1, 3 => 1u64..48],
+                64,
+            ),
+        ) {
+            let slab: ProvLine = bytes.try_into().expect("64 bytes");
+            proptest::prop_assert_eq!(line_store_ids(&slab), per_byte_line_ids(&slab));
+        }
+
+        #[test]
+        fn line_store_refs_matches_the_per_byte_walk_on_committed_runs(
+            writes in proptest::collection::vec((0u64..64, 1u64..=16, 1u64..200), 0..28),
+        ) {
+            let slab = slab_from_writes(&writes);
+            proptest::prop_assert_eq!(line_store_ids(&slab), per_byte_line_ids(&slab));
+        }
+    }
+
+    /// Records the line-store ids each flush callback receives, in order.
+    #[derive(Default)]
+    struct LineStoresSink {
+        clflush: Vec<Vec<EventId>>,
+        clwb: Vec<Vec<EventId>>,
+    }
+
+    impl EventSink for LineStoresSink {
+        fn on_clflush_committed(&mut self, _: &FlushEvent, line_stores: &[&StoreEvent]) {
+            self.clflush
+                .push(line_stores.iter().map(|s| s.id).collect());
+        }
+
+        fn on_clwb_fenced(&mut self, _: &FlushEvent, _: &VectorClock, line_stores: &[&StoreEvent]) {
+            self.clwb.push(line_stores.iter().map(|s| s.id).collect());
+        }
+    }
+
+    #[test]
+    fn flushes_hand_the_sink_line_stores_in_byte_order_not_id_order() {
+        let mut m = mem();
+        let mut sink = LineStoresSink::default();
+        let t = m.register_thread(None);
+        let base = Addr(0x1000);
+        // Eight stores written back to front: ids descend with the offset.
+        for slot in (0..8u64).rev() {
+            let bytes = (slot + 1).to_le_bytes();
+            m.exec_store(&mut sink, t, base + slot * 8, &bytes, Atomicity::Plain, "s");
+        }
+        m.drain_sb(&mut sink, t);
+        let by_offset = |m: &MemState| -> Vec<EventId> {
+            (0..8u64)
+                .map(|slot| m.store_map_at(base + slot * 8).expect("committed"))
+                .collect()
+        };
+        let descending = by_offset(&m);
+        assert!(descending.windows(2).all(|w| w[0] > w[1]), "{descending:?}");
+        m.exec_clflush(t, base, "f");
+        m.drain_sb(&mut sink, t);
+        m.exec_clwb(t, base, "w");
+        m.exec_mfence(&mut sink, t, "m");
+        // Overwriting one middle slot puts the newest id at offset 24: the
+        // order is now neither ascending nor descending.
+        m.exec_store(
+            &mut sink,
+            t,
+            base + 24,
+            &9u64.to_le_bytes(),
+            Atomicity::Plain,
+            "s",
+        );
+        m.exec_clwb(t, base, "w");
+        m.exec_mfence(&mut sink, t, "m");
+        let mixed = by_offset(&m);
+        assert_eq!(mixed[3], *mixed.iter().max().unwrap());
+        assert_eq!(sink.clflush, vec![descending.clone()]);
+        assert_eq!(sink.clwb, vec![descending, mixed]);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffered clwb has a mark")]
+    fn a_fenced_clwb_without_a_mark_panics_instead_of_under_persisting() {
+        let mut m = mem();
+        let mut sink = NullSink;
+        let t = m.register_thread(None);
+        m.fbs[t.as_usize()].push(FbEntry {
+            addr: Addr(0x1000),
+            id: 99,
+        });
+        m.exec_mfence(&mut sink, t, "m");
     }
 
     #[test]

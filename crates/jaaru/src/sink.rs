@@ -36,13 +36,21 @@ pub trait EventSink: Send {
 
     /// A `clflush` exited the store buffer and flushed its line.
     /// `Evict_SB(clflush)` in Fig. 8. `line_stores` holds the most recent
-    /// committed store to each address of the flushed cache line.
+    /// committed store to each address of the flushed cache line, each
+    /// store once, in first-appearance byte order: the store covering the
+    /// line's lowest written byte comes first. That is not id order (a
+    /// later store may sit at a lower offset). The order is part of the
+    /// contract: the Yashme detector folds flush records into its
+    /// [`fingerprint_token`](EventSink::fingerprint_token) in this order.
     fn on_clflush_committed(&mut self, flush: &FlushEvent, line_stores: &[&StoreEvent]) {
         let _ = (flush, line_stores);
     }
 
     /// A `clwb` previously evicted into the flush buffer was made persistent
-    /// by a fence in its thread. `Evict_FB` in Fig. 8.
+    /// by a fence in its thread. `Evict_FB` in Fig. 8. `line_stores` is
+    /// built and ordered exactly as for
+    /// [`on_clflush_committed`](EventSink::on_clflush_committed), at the
+    /// moment the fence retires the `clwb`.
     fn on_clwb_fenced(
         &mut self,
         clwb: &FlushEvent,

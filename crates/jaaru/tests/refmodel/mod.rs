@@ -277,7 +277,9 @@ impl RefMemState {
     }
 
     fn fence_fb(&mut self, thread: ThreadId) {
-        for fb in self.fbs[thread.as_usize()].take_all() {
+        let mut pending = Vec::new();
+        self.fbs[thread.as_usize()].drain_into(&mut pending);
+        for fb in pending {
             let line = fb.addr.cache_line();
             let mark = self.clwb_marks.remove(&fb.id).unwrap_or(0);
             let floor = self.cur.persisted_upto.entry(line).or_insert(0);

@@ -404,18 +404,19 @@ impl FlushBuffer {
         Arc::make_mut(&mut self.pending).push(entry);
     }
 
-    /// Takes every pending entry (fence executed).
-    pub fn take_all(&mut self) -> Vec<FbEntry> {
+    /// Moves every pending entry, in order, onto the end of `out` (fence
+    /// executed). An unshared queue keeps its capacity, so the next `clwb`
+    /// does not reallocate; `out` can be a caller's reused scratch vector.
+    pub fn drain_into(&mut self, out: &mut Vec<FbEntry>) {
         match Arc::get_mut(&mut self.pending) {
-            Some(v) => std::mem::take(v),
+            Some(v) => out.append(v),
             // Shared with a fork: the fork keeps the old queue; this side
-            // takes a copy and detaches.
+            // copies it out and detaches.
             None => {
                 self.cow_clones += 1;
                 self.cow_bytes += (self.pending.len() * size_of::<FbEntry>()) as u64;
-                let taken = (*self.pending).clone();
+                out.extend_from_slice(&self.pending);
                 self.pending = Arc::default();
-                taken
             }
         }
     }
@@ -632,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_buffer_take_all_empties() {
+    fn flush_buffer_drain_into_empties_in_order_and_keeps_capacity() {
         let mut fb = FlushBuffer::new();
         fb.push(FbEntry {
             addr: Addr(0),
@@ -642,10 +643,14 @@ mod tests {
             addr: Addr(64),
             id: 2,
         });
-        let taken = fb.take_all();
-        assert_eq!(taken.len(), 2);
+        let capacity = fb.pending.capacity();
+        let mut taken = Vec::new();
+        fb.drain_into(&mut taken);
+        assert_eq!(taken.iter().map(|e| e.id).collect::<Vec<_>>(), [1, 2]);
         assert!(fb.is_empty());
-        assert!(fb.take_all().is_empty());
+        assert_eq!(fb.pending.capacity(), capacity, "queue keeps its storage");
+        fb.drain_into(&mut taken);
+        assert_eq!(taken.len(), 2, "an empty drain appends nothing");
     }
 
     #[test]
@@ -670,7 +675,8 @@ mod tests {
             id: 1,
         });
         let mut fchild = fb.fork();
-        let taken = fchild.take_all();
+        let mut taken = Vec::new();
+        fchild.drain_into(&mut taken);
         assert_eq!(taken.len(), 1);
         assert_eq!(fchild.cow_clones(), 1);
         assert_eq!(fb.len(), 1, "parent keeps its pending clwb");
@@ -695,7 +701,7 @@ mod tests {
             addr: Addr(0),
             id: 1,
         });
-        fb.take_all();
+        fb.drain_into(&mut Vec::new());
         assert_eq!(fb.cow_clones(), 0);
     }
 

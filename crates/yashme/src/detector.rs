@@ -17,6 +17,41 @@ struct FlushRecord {
     clock: Clock,
 }
 
+/// One `flushmap` entry: every record of one store, in push order. An entry
+/// exists only once a first record is pushed, so it is never empty; most
+/// stores only ever get that one record, which is kept inline. Only a second
+/// record (a later flush the first does not already cover, e.g. from another
+/// thread) moves the entry onto the heap.
+#[derive(Clone)]
+enum FlushRecords {
+    One(FlushRecord),
+    Many(Vec<FlushRecord>),
+}
+
+/// Prints the plain list of records, whichever variant holds them.
+impl std::fmt::Debug for FlushRecords {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl FlushRecords {
+    /// The records in push order.
+    fn as_slice(&self) -> &[FlushRecord] {
+        match self {
+            FlushRecords::One(r) => std::slice::from_ref(r),
+            FlushRecords::Many(v) => v,
+        }
+    }
+
+    fn push(&mut self, record: FlushRecord) {
+        match self {
+            FlushRecords::One(first) => *self = FlushRecords::Many(vec![*first, record]),
+            FlushRecords::Many(v) => v.push(record),
+        }
+    }
+}
+
 /// Typical number of distinct stores a run's `flushmap` tracks; sizing the
 /// map up front keeps the hot `record_flush` path from rehashing.
 const FLUSHMAP_CAPACITY: usize = 64;
@@ -29,7 +64,7 @@ struct ExecDetState {
     /// `flushmap`: store → flushes that happen-after it. A store with an
     /// *effective* record is persisted; effectiveness depends on the mode
     /// (prefix: the record must lie inside `CVpre`; baseline: any record).
-    flushmap: FastMap<EventId, Vec<FlushRecord>>,
+    flushmap: FastMap<EventId, FlushRecords>,
     /// `lastflush`: cache line → clock-vector lower bound for when the line
     /// was written back, raised by post-crash reads of atomic stores.
     lastflush: FastMap<CacheLineId, VectorClock>,
@@ -127,26 +162,30 @@ impl YashmeDetector {
             if store.clock > hb_cv.get(store.thread) {
                 continue;
             }
-            let records = match state.flushmap.entry(store.id) {
-                Entry::Occupied(e) => e.into_mut(),
+            match state.flushmap.entry(store.id) {
+                Entry::Occupied(e) => {
+                    let records = e.into_mut();
+                    // Condition (2): no recorded flush already happens
+                    // before the point that makes this one effective.
+                    let already = records
+                        .as_slice()
+                        .iter()
+                        .any(|r| r.clock <= effective_cv.get(r.thread));
+                    if already {
+                        continue;
+                    }
+                    records.push(flush_record);
+                }
                 Entry::Vacant(v) => {
                     self.flushmap_live += 1;
                     self.flushmap_peak = self.flushmap_peak.max(self.flushmap_live);
-                    v.insert(Vec::new())
+                    v.insert(FlushRecords::One(flush_record));
                 }
-            };
-            // Condition (2): no recorded flush already happens before the
-            // point that makes this one effective.
-            let already = records
-                .iter()
-                .any(|r| r.clock <= effective_cv.get(r.thread));
-            if !already {
-                records.push(flush_record);
-                self.token.absorb(2);
-                self.token.absorb(store.id);
-                self.token.absorb(flush_record.thread.as_usize() as u64);
-                self.token.absorb(flush_record.clock);
             }
+            self.token.absorb(2);
+            self.token.absorb(store.id);
+            self.token.absorb(flush_record.thread.as_usize() as u64);
+            self.token.absorb(flush_record.clock);
         }
     }
 
@@ -182,14 +221,13 @@ impl YashmeDetector {
             return;
         }
         // Conditions (3)/(4): an effective flush happens-after the store.
+        // Entries are never empty, so in baseline mode any entry suffices.
         if let Some(records) = state.flushmap.get(&store.id) {
-            let flushed = if prefix {
-                records
+            let flushed = !prefix
+                || records
+                    .as_slice()
                     .iter()
-                    .any(|r| r.clock <= state.cv_pre.get(r.thread))
-            } else {
-                !records.is_empty()
-            };
+                    .any(|r| r.clock <= state.cv_pre.get(r.thread));
             if flushed {
                 return;
             }
@@ -229,7 +267,13 @@ impl YashmeDetector {
             ineffective_flushes: state
                 .flushmap
                 .get(&store.id)
-                .map(|records| records.iter().map(|r| (r.thread, r.clock)).collect())
+                .map(|records| {
+                    records
+                        .as_slice()
+                        .iter()
+                        .map(|r| (r.thread, r.clock))
+                        .collect()
+                })
                 .unwrap_or_default(),
             cv_pre: state.cv_pre.clone(),
             load_thread: load.thread,
