@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use obs::telemetry::{Telemetry, WallPhase, WorkerStat};
+use obs::telemetry::{Count, Telemetry, WallPhase, WorkerStat};
 use pmem::{FastMap, FastSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -432,7 +432,7 @@ impl Engine {
                         tel,
                     )
                 };
-                tel.execution_done();
+                tel.add(Count::Executions, 1);
                 crash_points = profile.points.iter().sum();
                 let profile_points = profile.points.clone();
                 let profile_events = profile.stats.events();
@@ -442,7 +442,7 @@ impl Engine {
                 // One crash target per recorded point, in target order.
                 let targets: Vec<(usize, usize)> =
                     log.records.iter().map(|r| (r.phase, r.point)).collect();
-                tel.add_points_total(targets.len() as u64);
+                tel.add(Count::CrashPointsTotal, targets.len() as u64);
                 cartography = Self::build_cartography(&profile_points, &log);
                 // Resume from snapshots when the profiling run captured a
                 // usable set — one per class, or one per point; otherwise
@@ -501,7 +501,7 @@ impl Engine {
                         tel,
                     )
                 };
-                tel.execution_done();
+                tel.add(Count::Executions, 1);
                 crash_points = profile.points.iter().sum();
                 let est = profile.points.first().copied().unwrap_or(0);
                 acc.absorb_run(profile);
@@ -689,9 +689,9 @@ impl Engine {
             Self::fan_out(snaps, Some(&costs), workers, tel, |snap| {
                 let run = Self::resume_run(program, snap, profile_points);
                 // Every physically resumed suffix completes one crash point.
-                tel.suffix_resumed();
-                tel.add_points_done(1);
-                tel.execution_done();
+                tel.add(Count::SuffixesResumed, 1);
+                tel.add(Count::CrashPointsDone, 1);
+                tel.add(Count::Executions, 1);
                 run
             })
         };
@@ -727,8 +727,8 @@ impl Engine {
                 // `EveryPoint` each member was resumed (and counted) above.
                 acc.prune.suffixes_skipped += members.len() as u64;
                 acc.prune.events_attributed += rep.fork.suffix_events * members.len() as u64;
-                tel.add_points_done(members.len() as u64);
-                tel.add_pruned(members.len() as u64);
+                tel.add(Count::CrashPointsDone, members.len() as u64);
+                tel.add(Count::SuffixesPruned, members.len() as u64);
                 synthesized
             };
             acc.absorb_run(rep);
@@ -924,7 +924,7 @@ impl Engine {
                 tel,
             )
         };
-        tel.execution_done();
+        tel.add(Count::Executions, 1);
         tel.add_total(start.elapsed());
         run
     }
@@ -970,10 +970,8 @@ impl Engine {
         Self::fan_out(specs, None, config.resolved_workers(), tel, |spec| {
             let sink = Self::make_sink(sink_factory, config);
             let (run, log, _) = Self::run_inner(program, &spec, sink, None, config, tel);
-            tel.execution_done();
-            if count_points {
-                tel.add_points_done(1);
-            }
+            tel.add(Count::Executions, 1);
+            tel.add(Count::CrashPointsDone, u64::from(count_points));
             (run, log)
         })
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use compiler_model::{CompilerConfig, StoreChunk};
-use obs::telemetry::{Telemetry, WallPhase};
+use obs::telemetry::{Count, Telemetry, WallPhase};
 use pmem::{
     Addr, CacheLineId, FastMap, FastSet, Forkable, PmAllocator, PmImage, ProvLine, ProvenanceMap,
 };
@@ -325,10 +325,16 @@ impl Forkable for MemState {
     /// is cloned outright — it is proportional to the events executed so
     /// far, not to the bytes of simulated PM. The bypass, eviction
     /// and fence scratch buffers are transient and start empty in the fork.
+    /// GC work counters (passes, retirements, reused slots) start at zero:
+    /// the prefix's GC work is the capturing run's, and counting it again
+    /// in every resumed suffix would double-count it.
     fn fork(&self) -> Self {
         MemState {
             compiler: self.compiler,
-            events: self.events.clone(),
+            events: EventTable {
+                reused: 0,
+                ..self.events.clone()
+            },
             flushes: self.flushes.clone(),
             next_event: self.next_event,
             next_seq: self.next_seq,
@@ -349,7 +355,7 @@ impl Forkable for MemState {
             cov: self.cov.clone(),
             gc_every: self.gc_every,
             commits_since_gc: self.commits_since_gc,
-            gc: self.gc,
+            gc: crate::report::GcStats::default(),
             fp: self.fp,
             tel: self.tel.clone(),
             // The fork starts its publish watermark at the prefix's event
@@ -520,8 +526,8 @@ impl MemState {
         if let Some(tel) = &self.tel {
             let now = self.stats.events();
             if now.wrapping_sub(self.tel_published) >= BATCH {
-                tel.add_events(now - self.tel_published);
-                tel.set_live_slots(self.events.len() as u64);
+                tel.add(Count::Events, now - self.tel_published);
+                tel.set(Count::LiveSlots, self.events.len() as u64);
                 self.tel_published = now;
             }
         }
@@ -532,11 +538,9 @@ impl MemState {
     pub(crate) fn tel_flush(&mut self) {
         if let Some(tel) = &self.tel {
             let now = self.stats.events();
-            if now > self.tel_published {
-                tel.add_events(now - self.tel_published);
-                self.tel_published = now;
-            }
-            tel.set_live_slots(self.events.len() as u64);
+            tel.add(Count::Events, now - self.tel_published);
+            tel.set(Count::LiveSlots, self.events.len() as u64);
+            self.tel_published = now;
         }
     }
 
@@ -1133,7 +1137,7 @@ impl MemState {
             let t0 = Instant::now();
             self.run_gc_inner(sink);
             tel.add_phase(WallPhase::GcPass, t0.elapsed());
-            tel.set_live_slots(self.events.len() as u64);
+            tel.set(Count::LiveSlots, self.events.len() as u64);
         } else {
             self.run_gc_inner(sink);
         }

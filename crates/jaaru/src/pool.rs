@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use obs::telemetry::{Telemetry, WorkerStat};
+use obs::telemetry::{Count, Telemetry, WorkerStat};
 
 /// The per-chunk stall of [`set_stall_ms`], initialised from
 /// `YASHME_SCHED_STALL_MS` on first use.
@@ -116,7 +116,8 @@ where
     debug_assert!(costs.is_none_or(|c| c.len() == n));
     let ranges = chunk_ranges(costs, n, workers.min(n).max(1));
     let executors = workers.min(ranges.len()).max(1);
-    tel.add_sched_batch(n as u64, ranges.len() as u64);
+    tel.add(Count::SchedJobs, n as u64);
+    tel.add(Count::SchedBatches, ranges.len() as u64);
 
     // The cursor hands out each chunk index once; its chunk is then taken
     // out of its (uncontended) slot. The cursor publishes no data (the

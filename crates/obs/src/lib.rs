@@ -60,7 +60,8 @@ pub use json::Json;
 pub use metrics::MetricsRegistry;
 pub use span::{Phase, RunTrace, Span, SpanInstant, TraceBuf};
 pub use telemetry::{
-    start_reporter, Reporter, ReporterConfig, Telemetry, TelemetrySample, WallPhase, WorkerStat,
+    start_reporter, Count, Reporter, ReporterConfig, Telemetry, TelemetrySample, WallPhase,
+    WorkerStat,
 };
 
 /// Canonical metric names, shared by the engine's registry and the

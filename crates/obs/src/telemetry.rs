@@ -5,7 +5,7 @@
 //! byte-identical at every worker count and with every physical strategy
 //! (fork, pruning, GC) toggled. This module is the opposite plane: **real
 //! time** for humans and dashboards — phase timers, worker utilization,
-//! progress counters, throughput time series — and therefore inherently
+//! progress counts, throughput time series — and therefore inherently
 //! nondeterministic.
 //!
 //! The contract that keeps the two planes apart:
@@ -21,9 +21,17 @@
 //! 3. A disabled [`Telemetry`] (the default everywhere) is a handful of
 //!    untaken branches — no timestamps, no locks, no allocation.
 //!
+//! This plane owns *time* (phase wall time, the run's wall total, executor
+//! busy/idle) and the fan-out's scheduling facts. Its other [`Count`]s are
+//! live progress: each one's final value is an exact expression over the
+//! report's own counters (`telemetry_counts.rs` in the bench crate pins
+//! every identity), so they are physical work counts, not a second owner.
+//!
 //! [`Telemetry`] is shared by `Arc`: the coordinator, every pool worker,
-//! and the background [`Reporter`] thread update and sample it through
-//! atomics. Phase attribution is two-layer: the *top-level* phases
+//! and the background [`Reporter`] thread update it through atomics. Every
+//! rendering — heartbeat, JSONL, Prometheus, `--profile` — reads one
+//! [`TelemetrySample`], and JSONL and Prometheus walk the one count table.
+//! Phase attribution is two-layer: the *top-level* phases
 //! ([`WallPhase::top_level`]) are disjoint segments of the coordinator's
 //! own timeline and sum to ≈100% of a run's wall time ([`Telemetry::
 //! coverage`]); nested phases (snapshot capture, GC passes) time work that
@@ -32,13 +40,15 @@
 
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
 
-/// A named wall-clock phase of the exploration engine.
+/// A named wall-clock phase of the exploration engine. Declaration order
+/// is the order of every rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WallPhase {
     /// The profiling run: the deterministic pre-crash schedule that counts
@@ -87,25 +97,52 @@ impl WallPhase {
     pub fn top_level(self) -> bool {
         !matches!(self, WallPhase::SnapshotCapture | WallPhase::GcPass)
     }
-
-    fn index(self) -> usize {
-        match self {
-            WallPhase::ProfileRun => 0,
-            WallPhase::SuffixResume => 1,
-            WallPhase::FullRun => 2,
-            WallPhase::Merge => 3,
-            WallPhase::SnapshotCapture => 4,
-            WallPhase::GcPass => 5,
-        }
-    }
 }
 
-/// Per-phase accumulator: total nanoseconds and occurrence count.
-#[derive(Debug, Default)]
-struct PhaseSlot {
-    nanos: AtomicU64,
-    count: AtomicU64,
+/// A count of the telemetry plane. Declaration order indexes [`COUNTS`]
+/// and is the order of the JSONL keys and Prometheus families.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Count {
+    /// Simulated events executed (a resumed suffix's inherited prefix and
+    /// an attributed crash point execute none).
+    Events,
+    /// Simulated executions physically run.
+    Executions,
+    /// Crash points completed: resumed, re-executed, or attributed.
+    CrashPointsDone,
+    /// Crash points discovered by profiling (0 in random mode).
+    CrashPointsTotal,
+    /// Post-crash suffixes resumed from snapshots.
+    SuffixesResumed,
+    /// Crash points answered by class attribution instead of execution.
+    SuffixesPruned,
+    /// Live event-table slots (a gauge: the last published value).
+    LiveSlots,
+    /// Jobs fanned out over parallel executors.
+    SchedJobs,
+    /// Cost-bucketed chunks those jobs were grouped into.
+    SchedBatches,
 }
+
+impl Count {
+    /// Number of counts.
+    pub const N: usize = Count::SchedBatches as usize + 1;
+}
+
+/// The count table, in [`Count`] order: JSONL key, then the Prometheus
+/// family's name, type and help text.
+#[rustfmt::skip]
+const COUNTS: [(&str, &str, &str, &str); Count::N] = [
+    ("events", "yashme_events_total", "counter", "Simulated events executed."),
+    ("executions", "yashme_executions_total", "counter", "Simulated executions completed."),
+    ("crash_points_done", "yashme_crash_points_done_total", "counter", "Crash points completed."),
+    ("crash_points_total", "yashme_crash_points", "gauge", "Crash points discovered by profiling."),
+    ("suffixes_resumed", "yashme_suffixes_resumed_total", "counter", "Post-crash suffixes resumed from snapshots."),
+    ("suffixes_pruned", "yashme_suffixes_pruned_total", "counter", "Crash points answered by equivalence-class attribution."),
+    ("live_slots", "yashme_live_slots", "gauge", "Live event-table slots (last published)."),
+    ("sched_jobs", "yashme_sched_jobs_total", "counter", "Jobs fanned out over parallel executors."),
+    ("sched_batches", "yashme_sched_batches_total", "counter", "Cost-bucketed chunks those jobs were grouped into."),
+];
 
 /// Busy/idle accounting of one executor slot, summed over every fan-out.
 ///
@@ -123,7 +160,7 @@ pub struct WorkerStat {
     pub jobs: u64,
 }
 
-/// Counters of the parallel fan-out.
+/// Counts of the parallel fan-out.
 ///
 /// `jobs` and `batches` are deterministic functions of the engine
 /// configuration (chunking derives from profile-run cost estimates), but
@@ -131,43 +168,31 @@ pub struct WorkerStat {
 /// in the deterministic metrics registry or `--json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
-    /// Individual jobs fanned out in parallel (one per crash-point suffix,
-    /// run spec, …).
+    /// [`Count::SchedJobs`].
     pub jobs: u64,
-    /// Cost-bucketed chunks those jobs were grouped into.
+    /// [`Count::SchedBatches`].
     pub batches: u64,
     /// Always 0: executors claim chunks from one shared cursor, nothing is
     /// stolen. Kept for the benchmark's `pool.steals` column.
     pub steals: u64,
 }
 
-/// One telemetry sample: the counters at an instant.
+/// The whole plane at one instant; every rendering reads one of these.
 #[derive(Debug, Clone)]
 pub struct TelemetrySample {
     /// Offset from telemetry start.
     pub at: Duration,
-    /// Simulated events published so far (all runs, all workers).
-    pub events: u64,
-    /// Instantaneous event rate since the previous sample (events per
-    /// second; total-average when this is the first sample).
+    /// Every count, indexed by [`Count`].
+    pub counts: [u64; Count::N],
+    /// `(nanos, occurrences)` per phase, in [`WallPhase::ALL`] order.
+    pub phases: [(u64, u64); 6],
+    /// Total engine wall time in nanoseconds (sum over engine runs).
+    pub total_nanos: u64,
+    /// Busy/idle stats, one per executor slot.
+    pub workers: Vec<WorkerStat>,
+    /// Event rate since the previous recorded sample (total average when
+    /// there is none), in events per second.
     pub events_per_s: u64,
-    /// Crash points completed (resumed, re-executed, or attributed).
-    pub crash_points_done: u64,
-    /// Crash points discovered by profiling (0 until profiling finishes,
-    /// and in modes without systematic crash points).
-    pub crash_points_total: u64,
-    /// Post-crash suffixes physically resumed from snapshots.
-    pub suffixes_resumed: u64,
-    /// Crash points answered by class attribution instead of execution.
-    pub suffixes_pruned: u64,
-    /// Live event-table slots (gauge; last published value).
-    pub live_slots: u64,
-    /// Streaming-GC mark-sweep passes completed.
-    pub gc_passes: u64,
-    /// Simulated executions completed.
-    pub executions: u64,
-    /// Naive remaining-time estimate from crash-point progress.
-    pub eta: Option<Duration>,
 }
 
 /// The previous recorded sample's position, for rate computation.
@@ -178,34 +203,18 @@ struct Cursor {
 }
 
 /// The wall-clock telemetry plane. See the module docs for the contract.
+#[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
     start: Instant,
-    phases: [PhaseSlot; 6],
+    counts: [AtomicU64; Count::N],
+    /// `(nanos, occurrences)` per phase, in [`WallPhase::ALL`] order.
+    phases: [[AtomicU64; 2]; 6],
     /// Total engine wall time (sum over engine runs), set by the engine at
     /// the end of each run; the denominator of [`Telemetry::coverage`].
     total_nanos: AtomicU64,
-    events: AtomicU64,
-    executions: AtomicU64,
-    crash_points_total: AtomicU64,
-    crash_points_done: AtomicU64,
-    suffixes_resumed: AtomicU64,
-    suffixes_pruned: AtomicU64,
-    live_slots: AtomicU64,
-    sched_jobs: AtomicU64,
-    sched_batches: AtomicU64,
     workers: Mutex<Vec<WorkerStat>>,
     cursor: Mutex<Cursor>,
-}
-
-impl std::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("enabled", &self.enabled)
-            .field("events", &self.events.load(Ordering::Relaxed))
-            .field("executions", &self.executions.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 impl Default for Telemetry {
@@ -229,18 +238,10 @@ impl Telemetry {
         Telemetry {
             enabled,
             start: Instant::now(),
+            counts: Default::default(),
             phases: Default::default(),
             total_nanos: AtomicU64::new(0),
-            events: AtomicU64::new(0),
-            executions: AtomicU64::new(0),
-            crash_points_total: AtomicU64::new(0),
-            crash_points_done: AtomicU64::new(0),
-            suffixes_resumed: AtomicU64::new(0),
-            suffixes_pruned: AtomicU64::new(0),
-            live_slots: AtomicU64::new(0),
-            sched_jobs: AtomicU64::new(0),
-            sched_batches: AtomicU64::new(0),
-            workers: Mutex::new(Vec::new()),
+            workers: Mutex::default(),
             cursor: Mutex::default(),
         }
     }
@@ -261,6 +262,22 @@ impl Telemetry {
     // Recording (engine side).
     // ------------------------------------------------------------------
 
+    /// Adds `n` to `count`.
+    #[inline]
+    pub fn add(&self, count: Count, n: u64) {
+        if self.enabled {
+            self.counts[count as usize].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Sets the gauge `count` to `n`.
+    #[inline]
+    pub fn set(&self, count: Count, n: u64) {
+        if self.enabled {
+            self.counts[count as usize].store(n, Ordering::Relaxed);
+        }
+    }
+
     /// Starts timing `phase`; the elapsed time is attributed when the
     /// returned guard drops. Free when disabled.
     pub fn time(&self, phase: WallPhase) -> PhaseTimer<'_> {
@@ -273,13 +290,11 @@ impl Telemetry {
 
     /// Attributes `elapsed` to `phase` directly (one occurrence).
     pub fn add_phase(&self, phase: WallPhase, elapsed: Duration) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            let [nanos, count] = &self.phases[phase as usize];
+            nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+            count.fetch_add(1, Ordering::Relaxed);
         }
-        let slot = &self.phases[phase.index()];
-        slot.nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        slot.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds one engine run's wall time to the coverage denominator.
@@ -287,56 +302,6 @@ impl Telemetry {
         if self.enabled {
             self.total_nanos
                 .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes `n` freshly executed simulated events.
-    pub fn add_events(&self, n: u64) {
-        if self.enabled && n > 0 {
-            self.events.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one completed simulated execution.
-    pub fn execution_done(&self) {
-        if self.enabled {
-            self.executions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `n` crash points to the progress denominator (profiling done).
-    pub fn add_points_total(&self, n: u64) {
-        if self.enabled {
-            self.crash_points_total.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Marks `n` crash points completed (resumed, re-executed, or
-    /// attributed).
-    pub fn add_points_done(&self, n: u64) {
-        if self.enabled {
-            self.crash_points_done.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one post-crash suffix physically resumed from a snapshot.
-    pub fn suffix_resumed(&self) {
-        if self.enabled {
-            self.suffixes_resumed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` crash points answered by equivalence-class attribution.
-    pub fn add_pruned(&self, n: u64) {
-        if self.enabled && n > 0 {
-            self.suffixes_pruned.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Updates the live event-table slot gauge.
-    pub fn set_live_slots(&self, n: u64) {
-        if self.enabled {
-            self.live_slots.store(n, Ordering::Relaxed);
         }
     }
 
@@ -355,83 +320,15 @@ impl Telemetry {
         }
     }
 
-    /// Records one parallel fan-out: `jobs` items bucketed into `chunks`
-    /// cost-balanced chunks.
-    pub fn add_sched_batch(&self, jobs: u64, chunks: u64) {
-        if self.enabled {
-            self.sched_jobs.fetch_add(jobs, Ordering::Relaxed);
-            self.sched_batches.fetch_add(chunks, Ordering::Relaxed);
-        }
-    }
-
-    /// The fan-out counters recorded so far.
-    pub fn sched_counters(&self) -> SchedCounters {
-        SchedCounters {
-            jobs: self.sched_jobs.load(Ordering::Relaxed),
-            batches: self.sched_batches.load(Ordering::Relaxed),
-            steals: 0,
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Sampling and export (reporter / front-end side).
+    // Sampling (reporter / front-end side).
     // ------------------------------------------------------------------
 
-    fn phase_nanos(&self, phase: WallPhase) -> u64 {
-        self.phases[phase.index()].nanos.load(Ordering::Relaxed)
-    }
-
-    fn phase_count(&self, phase: WallPhase) -> u64 {
-        self.phases[phase.index()].count.load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of the counters right now, with the event rate computed
+    /// A sample of the plane right now, with the event rate computed
     /// against the previous recorded sample. Does not move the cursor.
     pub fn sample(&self) -> TelemetrySample {
         let cursor = self.cursor.lock().expect("telemetry cursor");
         self.sample_against(&cursor)
-    }
-
-    fn sample_against(&self, cursor: &Cursor) -> TelemetrySample {
-        let at = self.start.elapsed();
-        let events = self.events.load(Ordering::Relaxed);
-        let delta_e = events.saturating_sub(cursor.last_events);
-        let delta_t = at.saturating_sub(cursor.last_at);
-        let window = if cursor.last_at.is_zero() {
-            at
-        } else {
-            delta_t
-        };
-        let window_events = if cursor.last_at.is_zero() {
-            events
-        } else {
-            delta_e
-        };
-        let events_per_s = if window.as_nanos() == 0 {
-            0
-        } else {
-            ((window_events as u128 * 1_000_000_000) / window.as_nanos()) as u64
-        };
-        let done = self.crash_points_done.load(Ordering::Relaxed);
-        let total = self.crash_points_total.load(Ordering::Relaxed);
-        let eta = (done > 0 && total > done).then(|| {
-            Duration::from_nanos(
-                ((at.as_nanos() * u128::from(total - done)) / u128::from(done)) as u64,
-            )
-        });
-        TelemetrySample {
-            at,
-            events,
-            events_per_s,
-            crash_points_done: done,
-            crash_points_total: total,
-            suffixes_resumed: self.suffixes_resumed.load(Ordering::Relaxed),
-            suffixes_pruned: self.suffixes_pruned.load(Ordering::Relaxed),
-            live_slots: self.live_slots.load(Ordering::Relaxed),
-            gc_passes: self.phase_count(WallPhase::GcPass),
-            executions: self.executions.load(Ordering::Relaxed),
-            eta,
-        }
     }
 
     /// Takes a sample and moves the cursor to it, so the next sample's
@@ -439,9 +336,35 @@ impl Telemetry {
     pub fn sample_and_record(&self) -> TelemetrySample {
         let mut cursor = self.cursor.lock().expect("telemetry cursor");
         let sample = self.sample_against(&cursor);
-        cursor.last_events = sample.events;
+        cursor.last_events = sample.count(Count::Events);
         cursor.last_at = sample.at;
         sample
+    }
+
+    fn sample_against(&self, cursor: &Cursor) -> TelemetrySample {
+        let at = self.start.elapsed();
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let counts = self.counts.each_ref().map(load);
+        let events = counts[Count::Events as usize];
+        let (window, window_events) = if cursor.last_at.is_zero() {
+            (at, events)
+        } else {
+            (
+                at.saturating_sub(cursor.last_at),
+                events.saturating_sub(cursor.last_events),
+            )
+        };
+        TelemetrySample {
+            at,
+            counts,
+            phases: self.phases.each_ref().map(|[n, c]| (load(n), load(c))),
+            total_nanos: load(&self.total_nanos),
+            workers: self.worker_stats(),
+            events_per_s: match window.as_nanos() {
+                0 => 0,
+                w => (u128::from(window_events) * 1_000_000_000 / w) as u64,
+            },
+        }
     }
 
     /// The recorded busy/idle stats, one per executor slot.
@@ -449,183 +372,183 @@ impl Telemetry {
         self.workers.lock().expect("worker stats").clone()
     }
 
+    /// The fan-out counts recorded so far.
+    pub fn sched_counters(&self) -> SchedCounters {
+        let load = |c: Count| self.counts[c as usize].load(Ordering::Relaxed);
+        SchedCounters {
+            jobs: load(Count::SchedJobs),
+            batches: load(Count::SchedBatches),
+            steals: 0,
+        }
+    }
+
+    /// [`TelemetrySample::coverage`] of a sample taken now.
+    pub fn coverage(&self) -> f64 {
+        self.sample().coverage()
+    }
+
+    /// [`TelemetrySample::to_prometheus`] of a sample taken now.
+    pub fn to_prometheus(&self) -> String {
+        self.sample().to_prometheus()
+    }
+
+    /// [`TelemetrySample::render_profile`] of a sample taken now.
+    pub fn render_profile(&self) -> String {
+        self.sample().render_profile()
+    }
+}
+
+impl TelemetrySample {
+    /// The value of `count`.
+    pub fn count(&self, count: Count) -> u64 {
+        self.counts[count as usize]
+    }
+
+    /// `(nanos, occurrences)` of `phase`.
+    pub fn phase(&self, phase: WallPhase) -> (u64, u64) {
+        self.phases[phase as usize]
+    }
+
+    /// Naive remaining-time estimate from crash-point progress.
+    pub fn eta(&self) -> Option<Duration> {
+        let done = self.count(Count::CrashPointsDone);
+        let total = self.count(Count::CrashPointsTotal);
+        (done > 0 && total > done).then(|| {
+            let nanos = self.at.as_nanos() * u128::from(total - done) / u128::from(done);
+            Duration::from_nanos(nanos as u64)
+        })
+    }
+
+    fn covered_nanos(&self) -> u64 {
+        WallPhase::ALL
+            .iter()
+            .filter(|p| p.top_level())
+            .map(|&p| self.phase(p).0)
+            .sum()
+    }
+
     /// Fraction of total engine wall time attributed to top-level phases
     /// (`0.0` when no run has finished).
     pub fn coverage(&self) -> f64 {
-        let total = self.total_nanos.load(Ordering::Relaxed);
-        if total == 0 {
-            return 0.0;
+        match self.total_nanos {
+            0 => 0.0,
+            total => self.covered_nanos() as f64 / total as f64,
         }
-        let covered: u64 = WallPhase::ALL
-            .iter()
-            .filter(|p| p.top_level())
-            .map(|&p| self.phase_nanos(p))
-            .sum();
-        covered as f64 / total as f64
     }
 
     /// One stderr heartbeat line, e.g.
     /// `[yashme] 12.3s | 42/160 crash points | 963 pruned | 528103 ev/s | ETA 8.2s`.
-    pub fn heartbeat_line(&self, label: &str, s: &TelemetrySample) -> String {
-        let mut line = format!("[{label}] {:.1?}", s.at);
-        if s.crash_points_total > 0 {
-            let _ = write!(
-                line,
-                " | {}/{} crash points",
-                s.crash_points_done, s.crash_points_total
-            );
+    pub fn heartbeat_line(&self, label: &str) -> String {
+        let mut line = format!("[{label}] {:.1?}", self.at);
+        let total = self.count(Count::CrashPointsTotal);
+        if total > 0 {
+            let done = self.count(Count::CrashPointsDone);
+            let _ = write!(line, " | {done}/{total} crash points");
         }
-        if s.suffixes_pruned > 0 {
-            let _ = write!(line, " | {} pruned", s.suffixes_pruned);
+        for (count, what) in [
+            (Count::SuffixesPruned, "pruned"),
+            (Count::SuffixesResumed, "resumed"),
+        ] {
+            if self.count(count) > 0 {
+                let _ = write!(line, " | {} {what}", self.count(count));
+            }
         }
-        if s.suffixes_resumed > 0 {
-            let _ = write!(line, " | {} resumed", s.suffixes_resumed);
+        let _ = write!(line, " | {} ev/s", self.events_per_s);
+        if self.count(Count::LiveSlots) > 0 {
+            let _ = write!(line, " | {} live slots", self.count(Count::LiveSlots));
         }
-        let _ = write!(line, " | {} ev/s", s.events_per_s);
-        if s.live_slots > 0 {
-            let _ = write!(line, " | {} live slots", s.live_slots);
-        }
-        if let Some(eta) = s.eta {
+        if let Some(eta) = self.eta() {
             let _ = write!(line, " | ETA {eta:.1?}");
         }
         line
     }
 
-    /// One JSONL snapshot document (no trailing newline). All values are
-    /// integers: the virtual-plane JSON writer has no floats, and this
-    /// plane follows the same discipline for easy diffing.
-    pub fn jsonl_line(&self, s: &TelemetrySample) -> String {
-        Json::obj([
-            ("t_ms", Json::from(s.at.as_millis() as u64)),
-            ("events", Json::from(s.events)),
-            ("events_per_s", Json::from(s.events_per_s)),
-            ("crash_points_done", Json::from(s.crash_points_done)),
-            ("crash_points_total", Json::from(s.crash_points_total)),
-            ("suffixes_resumed", Json::from(s.suffixes_resumed)),
-            ("suffixes_pruned", Json::from(s.suffixes_pruned)),
-            ("live_slots", Json::from(s.live_slots)),
-            ("gc_passes", Json::from(s.gc_passes)),
-            ("executions", Json::from(s.executions)),
-            (
-                "eta_ms",
-                s.eta
-                    .map_or(Json::Null, |d| Json::from(d.as_millis() as u64)),
-            ),
-        ])
+    /// One JSONL snapshot document (no trailing newline): `t_ms`, every
+    /// count under its table key, then `events_per_s`, `gc_passes` and
+    /// `eta_ms`. All values are integers (or `null`), like the
+    /// virtual-plane JSON writer.
+    pub fn jsonl_line(&self) -> String {
+        let ms = |d: Duration| Json::from(d.as_millis() as u64);
+        let counts = COUNTS.iter().zip(self.counts).map(|(c, v)| (c.0, v.into()));
+        let tail = [
+            ("events_per_s", self.events_per_s.into()),
+            ("gc_passes", self.phase(WallPhase::GcPass).1.into()),
+            ("eta_ms", self.eta().map_or(Json::Null, ms)),
+        ];
+        Json::obj(
+            [("t_ms", ms(self.at))]
+                .into_iter()
+                .chain(counts)
+                .chain(tail),
+        )
         .render()
     }
 
-    /// Prometheus text-format exposition of the final counters.
+    /// Prometheus text-format exposition: per-phase seconds and
+    /// occurrences, every count family, the wall total, and per-executor
+    /// busy/idle seconds.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let secs = |n: u64| n as f64 / 1e9;
-        out.push_str("# HELP yashme_phase_seconds_total Wall-clock seconds attributed to each engine phase.\n");
-        out.push_str("# TYPE yashme_phase_seconds_total counter\n");
-        for phase in WallPhase::ALL {
-            let _ = writeln!(
-                out,
-                "yashme_phase_seconds_total{{phase=\"{}\"}} {:.6}",
-                phase.name(),
-                secs(self.phase_nanos(phase))
-            );
-        }
-        out.push_str("# HELP yashme_phase_count_total Occurrences of each engine phase.\n");
-        out.push_str("# TYPE yashme_phase_count_total counter\n");
-        for phase in WallPhase::ALL {
-            let _ = writeln!(
-                out,
-                "yashme_phase_count_total{{phase=\"{}\"}} {}",
-                phase.name(),
-                self.phase_count(phase)
-            );
-        }
-        let counters: [(&str, &str, u64); 6] = [
+        type Series = Vec<(String, String)>;
+        let secs = |n: u64| format!("{:.6}", n as f64 / 1e9);
+        let one = |value: String| vec![(String::new(), value)];
+        let by_phase = |value: &dyn Fn((u64, u64)) -> String| -> Series {
+            let series =
+                |p: WallPhase| (format!("{{phase=\"{}\"}}", p.name()), value(self.phase(p)));
+            WallPhase::ALL.into_iter().map(series).collect()
+        };
+        let by_worker = |value: fn(&WorkerStat) -> Duration| -> Series {
+            let series = |(i, w)| {
+                (
+                    format!("{{worker=\"{i}\"}}"),
+                    secs(value(w).as_nanos() as u64),
+                )
+            };
+            self.workers.iter().enumerate().map(series).collect()
+        };
+        let mut families = vec![
             (
-                "yashme_events_total",
-                "Simulated events executed.",
-                self.events.load(Ordering::Relaxed),
+                "yashme_phase_seconds_total",
+                "counter",
+                "Wall-clock seconds attributed to each engine phase.",
+                by_phase(&|(nanos, _)| secs(nanos)),
             ),
             (
-                "yashme_executions_total",
-                "Simulated executions completed.",
-                self.executions.load(Ordering::Relaxed),
-            ),
-            (
-                "yashme_crash_points_done_total",
-                "Crash points completed.",
-                self.crash_points_done.load(Ordering::Relaxed),
-            ),
-            (
-                "yashme_suffixes_resumed_total",
-                "Post-crash suffixes resumed from snapshots.",
-                self.suffixes_resumed.load(Ordering::Relaxed),
-            ),
-            (
-                "yashme_suffixes_pruned_total",
-                "Crash points answered by equivalence-class attribution.",
-                self.suffixes_pruned.load(Ordering::Relaxed),
-            ),
-            (
-                "yashme_wall_seconds_total",
-                "Engine run wall seconds.",
-                0, // rendered separately below as a float
+                "yashme_phase_count_total",
+                "counter",
+                "Occurrences of each engine phase.",
+                by_phase(&|(_, count)| count.to_string()),
             ),
         ];
-        for (name, help, value) in &counters[..5] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        let (name, help, _) = counters[5];
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(
-            out,
-            "{name} {:.6}",
-            secs(self.total_nanos.load(Ordering::Relaxed))
+        let counts = COUNTS.iter().zip(self.counts);
+        families.extend(
+            counts.map(|(&(_, name, kind, help), v)| (name, kind, help, one(v.to_string()))),
         );
-        out.push_str("# HELP yashme_crash_points Crash points discovered by profiling.\n");
-        out.push_str("# TYPE yashme_crash_points gauge\n");
-        let _ = writeln!(
-            out,
-            "yashme_crash_points {}",
-            self.crash_points_total.load(Ordering::Relaxed)
-        );
-        out.push_str("# HELP yashme_live_slots Live event-table slots (last published).\n");
-        out.push_str("# TYPE yashme_live_slots gauge\n");
-        let _ = writeln!(
-            out,
-            "yashme_live_slots {}",
-            self.live_slots.load(Ordering::Relaxed)
-        );
-        let sched = self.sched_counters();
-        out.push_str("# HELP yashme_sched_jobs_total Jobs fanned out over parallel executors.\n");
-        out.push_str("# TYPE yashme_sched_jobs_total counter\n");
-        let _ = writeln!(out, "yashme_sched_jobs_total {}", sched.jobs);
-        out.push_str(
-            "# HELP yashme_sched_batches_total Cost-bucketed chunks those jobs were grouped into.\n",
-        );
-        out.push_str("# TYPE yashme_sched_batches_total counter\n");
-        let _ = writeln!(out, "yashme_sched_batches_total {}", sched.batches);
-        out.push_str(
-            "# HELP yashme_worker_busy_seconds_total Seconds each executor slot spent in jobs.\n",
-        );
-        out.push_str("# TYPE yashme_worker_busy_seconds_total counter\n");
-        out.push_str(
-            "# HELP yashme_worker_idle_seconds_total Seconds each executor slot spent out of work.\n",
-        );
-        out.push_str("# TYPE yashme_worker_idle_seconds_total counter\n");
-        for (i, w) in self.worker_stats().iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "yashme_worker_busy_seconds_total{{worker=\"{i}\"}} {:.6}",
-                w.busy.as_secs_f64()
-            );
-            let _ = writeln!(
-                out,
-                "yashme_worker_idle_seconds_total{{worker=\"{i}\"}} {:.6}",
-                w.idle.as_secs_f64()
-            );
+        families.extend([
+            (
+                "yashme_wall_seconds_total",
+                "counter",
+                "Engine run wall seconds.",
+                one(secs(self.total_nanos)),
+            ),
+            (
+                "yashme_worker_busy_seconds_total",
+                "counter",
+                "Seconds each executor slot spent in jobs.",
+                by_worker(|w| w.busy),
+            ),
+            (
+                "yashme_worker_idle_seconds_total",
+                "counter",
+                "Seconds each executor slot spent out of work.",
+                by_worker(|w| w.idle),
+            ),
+        ]);
+        let mut out = String::new();
+        for (name, kind, help, series) in families {
+            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+            for (labels, value) in series {
+                let _ = writeln!(out, "{name}{labels} {value}");
+            }
         }
         out
     }
@@ -633,13 +556,10 @@ impl Telemetry {
     /// The post-run self-profile tree (for `--profile`), rendered in the
     /// same indent style as `--details`.
     pub fn render_profile(&self) -> String {
-        let total = self.total_nanos.load(Ordering::Relaxed);
-        let pct = |n: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                100.0 * n as f64 / total as f64
-            }
+        let total = self.total_nanos;
+        let pct = |n: u64| match total {
+            0 => 0.0,
+            t => 100.0 * n as f64 / t as f64,
         };
         let dur = |n: u64| format!("{:.3?}", Duration::from_nanos(n));
         let mut out = String::from("self-profile (wall clock):\n");
@@ -648,77 +568,59 @@ impl Telemetry {
             "  {:<20} {:>12} {:>7} {:>9}",
             "phase", "wall", "share", "count"
         );
-        let mut covered = 0u64;
-        for phase in WallPhase::ALL.iter().filter(|p| p.top_level()) {
-            let nanos = self.phase_nanos(*phase);
-            let count = self.phase_count(*phase);
-            if count == 0 {
-                continue;
-            }
-            covered += nanos;
+        // Nested rows indent two more columns inside the same field widths.
+        let row = |out: &mut String, indent: usize, p: WallPhase| {
+            let (nanos, count) = self.phase(p);
+            let (name, wall, share) = (p.name(), dur(nanos), pct(nanos));
+            let width = 22 - indent;
             let _ = writeln!(
                 out,
-                "  {:<20} {:>12} {:>6.1}% {:>9}",
-                phase.name(),
-                dur(nanos),
-                pct(nanos),
-                count
+                "{:indent$}{name:<width$} {wall:>12} {share:>6.1}% {count:>9}",
+                ""
             );
+        };
+        let (top, nested): (Vec<WallPhase>, Vec<WallPhase>) = WallPhase::ALL
+            .into_iter()
+            .filter(|&p| self.phase(p).1 > 0)
+            .partition(|p| p.top_level());
+        for p in top {
+            row(&mut out, 2, p);
         }
-        let unattributed = total.saturating_sub(covered);
+        let unattributed = total.saturating_sub(self.covered_nanos());
         let _ = writeln!(
             out,
-            "  {:<20} {:>12} {:>6.1}%",
+            "  {:<20} {:>12} {:>6.1}%\n  {:<20} {:>12}  (coverage {:.1}%)",
             "unattributed",
             dur(unattributed),
-            pct(unattributed)
-        );
-        let _ = writeln!(
-            out,
-            "  {:<20} {:>12}  (coverage {:.1}%)",
+            pct(unattributed),
             "total",
             dur(total),
             100.0 * self.coverage()
         );
-        let nested: Vec<WallPhase> = WallPhase::ALL
-            .iter()
-            .copied()
-            .filter(|p| !p.top_level() && self.phase_count(*p) > 0)
-            .collect();
         if !nested.is_empty() {
             out.push_str("  nested (inside the phases above):\n");
-            for phase in nested {
-                let _ = writeln!(
-                    out,
-                    "    {:<18} {:>12} {:>6.1}% {:>9}",
-                    phase.name(),
-                    dur(self.phase_nanos(phase)),
-                    pct(self.phase_nanos(phase)),
-                    self.phase_count(phase)
-                );
-            }
         }
-        let workers = self.worker_stats();
-        if !workers.is_empty() {
-            let busy: Duration = workers.iter().map(|w| w.busy).sum();
-            let idle: Duration = workers.iter().map(|w| w.idle).sum();
-            let jobs: u64 = workers.iter().map(|w| w.jobs).sum();
-            let occupied = busy.as_secs_f64() + idle.as_secs_f64();
+        for p in nested {
+            row(&mut out, 4, p);
+        }
+        if !self.workers.is_empty() {
+            let busy: Duration = self.workers.iter().map(|w| w.busy).sum();
+            let idle: Duration = self.workers.iter().map(|w| w.idle).sum();
+            let jobs: u64 = self.workers.iter().map(|w| w.jobs).sum();
+            let occupied = (busy + idle).as_secs_f64();
             let util = if occupied == 0.0 {
                 0.0
             } else {
                 100.0 * busy.as_secs_f64() / occupied
             };
-            let chunks = match self.sched_counters().batches {
+            let chunks = match self.count(Count::SchedBatches) {
                 0 => String::new(),
                 c => format!(" in {c} chunk(s)"),
             };
             let _ = writeln!(
                 out,
-                "  workers: {} thread(s), {jobs} job(s){chunks}; busy {:.3?}, idle {:.3?} ({util:.1}% busy)",
-                workers.len(),
-                busy,
-                idle
+                "  workers: {} thread(s), {jobs} job(s){chunks}; busy {busy:.3?}, idle {idle:.3?} ({util:.1}% busy)",
+                self.workers.len(),
             );
         }
         out
@@ -766,24 +668,19 @@ impl Default for ReporterConfig {
     }
 }
 
-/// Handle for the background sampling thread; stops and joins on drop,
-/// emitting one final sample so short runs still produce output.
+/// Handle for the background sampling thread. Dropping it ends the
+/// thread's wait at once (the channel disconnects), and the thread emits
+/// one final sample, so short runs still produce output, before it is
+/// joined.
+#[derive(Debug)]
 pub struct Reporter {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Reporter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Reporter")
-            .field("running", &self.handle.is_some())
-            .finish()
-    }
 }
 
 impl Drop for Reporter {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -791,46 +688,42 @@ impl Drop for Reporter {
 }
 
 /// Spawns the periodic sampling thread: every `interval` it takes a
-/// sample and emits the configured outputs (stderr
-/// heartbeat, JSONL line). Returns an inert handle when `tel` is disabled.
+/// sample and emits the configured outputs (stderr heartbeat, JSONL
+/// line). Returns an inert handle, with no thread, when `tel` is disabled
+/// or no output is configured.
 pub fn start_reporter(tel: &Arc<Telemetry>, config: ReporterConfig) -> Reporter {
-    let stop = Arc::new(AtomicBool::new(false));
-    if !tel.enabled() {
-        return Reporter { stop, handle: None };
+    if !tel.enabled() || !(config.progress || config.jsonl.is_some()) {
+        return Reporter {
+            stop: None,
+            handle: None,
+        };
     }
     let tel = Arc::clone(tel);
-    let flag = Arc::clone(&stop);
+    let (stop, stopped) = mpsc::channel::<()>();
     let handle = std::thread::Builder::new()
         .name("yashme-telemetry".to_owned())
         .spawn(move || {
             let mut jsonl = config.jsonl.map(std::io::BufWriter::new);
-            let mut emit = |tel: &Telemetry| {
+            loop {
+                // Only a timeout keeps sampling; a disconnect is the
+                // shutdown, which still emits the finished counts.
+                let last = stopped.recv_timeout(config.interval) != Err(RecvTimeoutError::Timeout);
                 let sample = tel.sample_and_record();
                 if config.progress {
-                    eprintln!("{}", tel.heartbeat_line(&config.label, &sample));
+                    eprintln!("{}", sample.heartbeat_line(&config.label));
                 }
                 if let Some(out) = jsonl.as_mut() {
-                    let _ = writeln!(out, "{}", tel.jsonl_line(&sample));
+                    let _ = writeln!(out, "{}", sample.jsonl_line());
                     let _ = out.flush();
                 }
-            };
-            let tick = Duration::from_millis(25).min(config.interval);
-            let mut since_emit = Duration::ZERO;
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(tick);
-                since_emit += tick;
-                if since_emit >= config.interval {
-                    since_emit = Duration::ZERO;
-                    emit(&tel);
+                if last {
+                    break;
                 }
             }
-            // Final sample on shutdown: short runs get at least one line,
-            // and the series always ends with the finished counters.
-            emit(&tel);
         })
         .expect("spawn telemetry reporter");
     Reporter {
-        stop,
+        stop: Some(stop),
         handle: Some(handle),
     }
 }
@@ -843,15 +736,32 @@ mod tests {
     fn disabled_telemetry_records_nothing() {
         let tel = Telemetry::disabled();
         tel.add_phase(WallPhase::ProfileRun, Duration::from_secs(1));
-        tel.add_events(10);
+        tel.add(Count::Events, 10);
+        tel.set(Count::LiveSlots, 3);
         tel.add_total(Duration::from_secs(1));
         {
             let _t = tel.time(WallPhase::Merge);
         }
         let s = tel.sample();
-        assert_eq!(s.events, 0);
+        assert_eq!(s.counts, [0; Count::N]);
+        assert_eq!(s.phases, [(0, 0); 6]);
         assert_eq!(tel.coverage(), 0.0);
-        assert_eq!(tel.phase_nanos(WallPhase::ProfileRun), 0);
+    }
+
+    #[test]
+    fn counts_add_and_gauges_set() {
+        let tel = Telemetry::new();
+        tel.add(Count::Executions, 2);
+        tel.add(Count::Executions, 3);
+        tel.set(Count::LiveSlots, 9);
+        tel.set(Count::LiveSlots, 4);
+        tel.add(Count::SchedJobs, 14);
+        tel.add(Count::SchedBatches, 5);
+        let s = tel.sample();
+        assert_eq!(s.count(Count::Executions), 5);
+        assert_eq!(s.count(Count::LiveSlots), 4);
+        let sched = tel.sched_counters();
+        assert_eq!((sched.jobs, sched.batches, sched.steals), (14, 5, 0));
     }
 
     #[test]
@@ -868,19 +778,19 @@ mod tests {
     #[test]
     fn sample_rates_use_the_previous_recorded_sample() {
         let tel = Telemetry::new();
-        tel.add_events(1000);
+        tel.add(Count::Events, 1000);
         let first = tel.sample_and_record();
-        assert_eq!(first.events, 1000);
-        tel.add_events(500);
+        assert_eq!(first.count(Count::Events), 1000);
+        tel.add(Count::Events, 500);
         let peek = tel.sample();
-        assert_eq!(peek.events, 1500);
+        assert_eq!(peek.count(Count::Events), 1500);
         assert_eq!(
             tel.cursor.lock().unwrap().last_events,
             1000,
             "a plain sample leaves the cursor where it was"
         );
         let second = tel.sample_and_record();
-        assert_eq!(second.events, 1500);
+        assert_eq!(second.count(Count::Events), 1500);
         let cursor = tel.cursor.lock().unwrap();
         assert_eq!((cursor.last_events, cursor.last_at), (1500, second.at));
     }
@@ -888,20 +798,20 @@ mod tests {
     #[test]
     fn eta_needs_progress_and_remaining_work() {
         let tel = Telemetry::new();
-        assert!(tel.sample().eta.is_none());
-        tel.add_points_total(10);
-        assert!(tel.sample().eta.is_none(), "no points done yet");
-        tel.add_points_done(4);
-        assert!(tel.sample().eta.is_some());
-        tel.add_points_done(6);
-        assert!(tel.sample().eta.is_none(), "finished");
+        assert!(tel.sample().eta().is_none());
+        tel.add(Count::CrashPointsTotal, 10);
+        assert!(tel.sample().eta().is_none(), "no points done yet");
+        tel.add(Count::CrashPointsDone, 4);
+        assert!(tel.sample().eta().is_some());
+        tel.add(Count::CrashPointsDone, 6);
+        assert!(tel.sample().eta().is_none(), "finished");
     }
 
     #[test]
     fn jsonl_line_is_one_object_with_stable_keys() {
         let tel = Telemetry::new();
-        tel.add_events(42);
-        let line = tel.jsonl_line(&tel.sample());
+        tel.add(Count::Events, 42);
+        let line = tel.sample().jsonl_line();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(!line.contains('\n'));
         for key in [
@@ -915,38 +825,55 @@ mod tests {
             "live_slots",
             "gc_passes",
             "executions",
+            "sched_jobs",
+            "sched_batches",
             "eta_ms",
         ] {
             assert!(line.contains(&format!("\"{key}\":")), "missing {key}");
         }
+        assert!(line.contains("\"events\":42,"), "{line}");
     }
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
         let tel = Telemetry::new();
         tel.add_phase(WallPhase::ProfileRun, Duration::from_millis(5));
-        tel.add_events(100);
-        tel.record_worker(
-            0,
-            WorkerStat {
-                busy: Duration::from_millis(3),
-                idle: Duration::from_millis(1),
-                jobs: 2,
-            },
-        );
-        for line in tel.to_prometheus().lines() {
+        tel.add(Count::Events, 100);
+        for slot in [0, 1] {
+            tel.record_worker(
+                slot,
+                WorkerStat {
+                    busy: Duration::from_millis(3),
+                    idle: Duration::from_millis(1),
+                    jobs: 2,
+                },
+            );
+        }
+        let prom = tel.to_prometheus();
+        let mut family = "";
+        for line in prom.lines() {
             assert!(!line.is_empty());
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                family = rest.split(' ').next().unwrap();
+                continue;
+            }
             if line.starts_with('#') {
-                assert!(line.starts_with("# HELP ") || line.starts_with("# TYPE "));
+                assert!(line.starts_with("# HELP "));
                 continue;
             }
             let (name, value) = line.rsplit_once(' ').expect("metric line");
             assert!(
-                name.chars().next().unwrap().is_ascii_lowercase(),
-                "bad name {name:?}"
+                name.split('{').next() == Some(family),
+                "{name:?} outside its family {family:?}"
             );
             assert!(value.parse::<f64>().is_ok(), "bad value {value:?}");
         }
+        for (_, name, _, _) in COUNTS {
+            assert!(prom.contains(&format!("\n{name} ")), "missing {name}");
+        }
+        assert!(prom.contains("\nyashme_events_total 100\n"), "{prom}");
+        assert!(prom.contains("yashme_phase_count_total{phase=\"profile-run\"} 1\n"));
+        assert!(prom.contains("yashme_worker_idle_seconds_total{worker=\"1\"} 0.001000\n"));
     }
 
     #[test]
@@ -966,7 +893,8 @@ mod tests {
                 },
             );
         }
-        tel.add_sched_batch(14, 5);
+        tel.add(Count::SchedJobs, 14);
+        tel.add(Count::SchedBatches, 5);
         let tree = tel.render_profile();
         assert!(tree.contains("profile-run"));
         assert!(tree.contains("merge"));
@@ -1001,9 +929,9 @@ mod tests {
     }
 
     #[test]
-    fn reporter_emits_a_final_sample_on_drop() {
+    fn reporter_emits_a_final_sample_on_drop_without_waiting_out_the_interval() {
         let tel = Arc::new(Telemetry::new());
-        tel.add_events(10);
+        tel.add(Count::Events, 10);
         let out = Lines::default();
         let reporter = start_reporter(
             &tel,
@@ -1013,7 +941,12 @@ mod tests {
                 ..ReporterConfig::default()
             },
         );
+        let t0 = Instant::now();
         drop(reporter);
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "drop waited out the interval"
+        );
         let text = out.text();
         assert_eq!(text.lines().count(), 1, "one final sample: {text:?}");
         assert!(text.contains("\"events\":10,"), "{text:?}");
@@ -1021,18 +954,19 @@ mod tests {
     }
 
     #[test]
-    fn disabled_reporter_spawns_no_thread() {
-        let tel = Arc::new(Telemetry::disabled());
+    fn reporter_spawns_no_thread_when_disabled_or_without_outputs() {
         let out = Lines::default();
-        let reporter = start_reporter(
-            &tel,
+        let disabled = start_reporter(
+            &Arc::new(Telemetry::disabled()),
             ReporterConfig {
                 jsonl: Some(Box::new(out.clone())),
                 ..ReporterConfig::default()
             },
         );
-        assert!(reporter.handle.is_none());
-        drop(reporter);
+        let silent = start_reporter(&Arc::new(Telemetry::new()), ReporterConfig::default());
+        for reporter in [disabled, silent] {
+            assert!(reporter.handle.is_none() && reporter.stop.is_none());
+        }
         assert!(out.text().is_empty());
     }
 }

@@ -58,10 +58,10 @@ fn provenance_json(p: &RaceProvenance) -> Json {
 }
 
 /// Renders a whole run for one benchmark. Fields, in order: `benchmark`,
-/// `races`, `race_labels`, `executions`, `crash_points`,
-/// `post_crash_panics`, `dedup_hits`, `metrics`, and — only when
-/// `include_elapsed` — `elapsed_us` last, so deterministic prefixes stay
-/// comparable.
+/// `races`, `race_labels`, `post_crash_panics`, `metrics` (whose
+/// `engine.*` counters carry the execution, crash-point and dedup counts),
+/// and — only when `include_elapsed` — `elapsed_us` last, so deterministic
+/// prefixes stay comparable.
 pub fn run_json(benchmark: &str, report: &RunReport, include_elapsed: bool) -> Json {
     let mut fields = vec![
         ("benchmark".to_owned(), Json::from(benchmark)),
@@ -73,8 +73,6 @@ pub fn run_json(benchmark: &str, report: &RunReport, include_elapsed: bool) -> J
             "race_labels".to_owned(),
             Json::arr(report.race_labels().into_iter().map(Json::from)),
         ),
-        ("executions".to_owned(), Json::from(report.executions())),
-        ("crash_points".to_owned(), Json::from(report.crash_points())),
         (
             "post_crash_panics".to_owned(),
             Json::arr(
@@ -84,7 +82,6 @@ pub fn run_json(benchmark: &str, report: &RunReport, include_elapsed: bool) -> J
                     .map(|p| Json::from(p.as_str())),
             ),
         ),
-        ("dedup_hits".to_owned(), Json::from(report.dedup_hits())),
         ("metrics".to_owned(), report.metrics().to_json()),
     ];
     if include_elapsed {
@@ -158,10 +155,7 @@ mod tests {
             "\"benchmark\"",
             "\"races\"",
             "\"race_labels\"",
-            "\"executions\"",
-            "\"crash_points\"",
             "\"post_crash_panics\"",
-            "\"dedup_hits\"",
             "\"metrics\"",
         ];
         let mut last = 0;
@@ -171,6 +165,12 @@ mod tests {
             last = at;
         }
         assert!(!doc.contains("elapsed_us"));
+        for dropped in ["\"executions\"", "\"crash_points\"", "\"dedup_hits\""] {
+            assert!(
+                !doc.contains(dropped),
+                "{dropped} repeats a metrics counter"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! yashme --all --json
 //! ```
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -159,8 +160,42 @@ fn config_of(opts: &Options) -> YashmeConfig {
     cfg
 }
 
-fn write_file(path: &str, contents: &str, what: &str) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("writing {what} to {path}: {e}"))
+/// An output file created before any benchmark runs, so an unwritable
+/// destination fails fast instead of after the whole suite.
+struct Output {
+    file: std::fs::File,
+    path: String,
+    what: &'static str,
+}
+
+impl Output {
+    fn create(path: &Option<String>, what: &'static str) -> Result<Option<Output>, String> {
+        let Some(path) = path else { return Ok(None) };
+        match std::fs::File::create(path) {
+            Ok(file) => Ok(Some(Output {
+                file,
+                path: path.clone(),
+                what,
+            })),
+            Err(e) => Err(format!("writing {what} to {path}: {e}")),
+        }
+    }
+
+    /// Streams the document through `render` (soak traces run to millions
+    /// of events, so nothing is assembled in memory first).
+    fn write_with(
+        self,
+        render: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+    ) -> Result<(), String> {
+        let mut out = std::io::BufWriter::new(self.file);
+        render(&mut out)
+            .and_then(|()| out.flush())
+            .map_err(|e| format!("writing {} to {}: {e}", self.what, self.path))
+    }
+
+    fn write(self, contents: &str) -> Result<(), String> {
+        self.write_with(|out| out.write_all(contents.as_bytes()))
+    }
 }
 
 /// Suite-level coverage accumulator for `--coverage-out`: per-benchmark
@@ -178,6 +213,8 @@ fn run_one(
     tel: &Arc<Telemetry>,
     docs: &mut Vec<Json>,
     cov: &mut Option<CoverageAccum>,
+    trace_out: Option<Output>,
+    metrics_out: Option<Output>,
 ) -> Result<usize, String> {
     let program = (entry.program)();
     let mode = match (opts.mode, entry.mode) {
@@ -228,24 +265,16 @@ fn run_one(
         cov.aggregate.absorb_suite(report.coverage());
         cov.docs.push(json::coverage_doc(entry.name, &report));
     }
-    if let Some(path) = &opts.trace_out {
+    if let Some(out) = trace_out {
         let trace = report
             .trace()
             .ok_or_else(|| "engine produced no trace".to_owned())?;
-        // Chunked export: the document streams to disk event-by-event
-        // instead of being assembled as one in-memory string (soak traces
-        // run to millions of events).
-        let err = |e: std::io::Error| format!("writing chrome trace to {path}: {e}");
-        let file = std::fs::File::create(path).map_err(err)?;
-        let mut out = std::io::BufWriter::new(file);
-        jaaru::obs::write_chrome_json(trace, &mut out).map_err(err)?;
-        use std::io::Write as _;
-        out.flush().map_err(err)?;
+        out.write_with(|w| jaaru::obs::write_chrome_json(trace, w))?;
     }
-    if let Some(path) = &opts.metrics_out {
+    if let Some(out) = metrics_out {
         let mut doc = report.metrics().to_json().render();
         doc.push('\n');
-        write_file(path, &doc, "metrics")?;
+        out.write(&doc)?;
     }
     Ok(report.race_labels().len())
 }
@@ -290,30 +319,44 @@ fn main() -> ExitCode {
     } else {
         Arc::clone(Telemetry::off())
     };
-    // Opened here, before any benchmark runs, so an unwritable path fails
-    // fast like the other output flags.
-    let jsonl = match &opts.telemetry_out {
-        Some(path) => match std::fs::File::create(path) {
-            Ok(file) => Some(Box::new(file) as Box<dyn std::io::Write + Send>),
-            Err(e) => {
-                eprintln!("writing telemetry to {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
+    let opened = Output::create(&opts.telemetry_out, "telemetry").and_then(|jsonl| {
+        Ok((
+            jsonl,
+            Output::create(&opts.prom_out, "prometheus metrics")?,
+            Output::create(&opts.coverage_out, "coverage")?,
+            Output::create(&opts.trace_out, "chrome trace")?,
+            Output::create(&opts.metrics_out, "metrics")?,
+        ))
+    });
+    let (jsonl, prom_out, coverage_out, mut trace_out, mut metrics_out) = match opened {
+        Ok(outputs) => outputs,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
+        }
     };
     let reporter = start_reporter(
         &tel,
         ReporterConfig {
             progress: opts.progress,
-            jsonl,
+            jsonl: jsonl.map(|o| Box::new(o.file) as Box<dyn std::io::Write + Send>),
             ..ReporterConfig::default()
         },
     );
     let mut total = 0;
     let mut docs = Vec::new();
     let mut cov = opts.coverage_out.as_ref().map(|_| CoverageAccum::default());
-    let mut run = |e: &SuiteEntry| match run_one(e, &opts, &tel, &mut docs, &mut cov) {
+    // The trace and metrics files need a single benchmark (the parser
+    // enforces it), so the one run takes them.
+    let mut run = |e: &SuiteEntry| match run_one(
+        e,
+        &opts,
+        &tel,
+        &mut docs,
+        &mut cov,
+        trace_out.take(),
+        metrics_out.take(),
+    ) {
         Ok(n) => {
             total += n;
             true
@@ -345,8 +388,8 @@ fn main() -> ExitCode {
     // Stop the reporter (it emits one final sample) before rendering the
     // post-run telemetry artifacts.
     drop(reporter);
-    if let Some(path) = &opts.prom_out {
-        if let Err(msg) = write_file(path, &tel.to_prometheus(), "prometheus metrics") {
+    if let Some(out) = prom_out {
+        if let Err(msg) = out.write(&tel.to_prometheus()) {
             eprintln!("{msg}");
             return ExitCode::from(2);
         }
@@ -354,9 +397,9 @@ fn main() -> ExitCode {
     if opts.profile {
         eprint!("{}", tel.render_profile());
     }
-    if let (Some(path), Some(cov)) = (&opts.coverage_out, cov) {
+    if let (Some(out), Some(cov)) = (coverage_out, cov) {
         let doc = json::coverage_suite_json("yashme", &cov.aggregate, cov.docs);
-        if let Err(msg) = write_file(path, &format!("{}\n", doc.render()), "coverage") {
+        if let Err(msg) = out.write(&format!("{}\n", doc.render())) {
             eprintln!("{msg}");
             return ExitCode::from(2);
         }

@@ -8,22 +8,36 @@ use std::process::Command;
 fn unwritable_output_paths_exit_2_with_one_message() {
     let missing_dir = std::env::temp_dir().join(format!("yashme-missing-{}", std::process::id()));
     let path = missing_dir.join("out");
-    for (flag, what) in [
-        ("--telemetry-out", "telemetry"),
-        ("--prom-out", "prometheus metrics"),
+    // A writable telemetry file alongside: the reporter writes its final
+    // sample there once the runs end, so it stays empty only if no run
+    // started before the unwritable path was rejected.
+    let jsonl = std::env::temp_dir().join(format!("yashme-cli-{}.jsonl", std::process::id()));
+    let (suite, one) = (&["--all", "--json"][..], &["-b", "CCEH"][..]);
+    for (scope, flag, what) in [
+        (suite, "--telemetry-out", "telemetry"),
+        (suite, "--prom-out", "prometheus metrics"),
+        (suite, "--coverage-out", "coverage"),
+        (one, "--trace-out", "chrome trace"),
+        (one, "--metrics-out", "metrics"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_yashme"))
-            .args(["-b", "CCEH", flag])
-            .arg(&path)
-            .output()
-            .expect("run yashme");
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_yashme"));
+        cmd.args(scope).arg(flag).arg(&path);
+        if flag != "--telemetry-out" {
+            cmd.arg("--telemetry-out").arg(&jsonl);
+        }
+        let out = cmd.output().expect("run yashme");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
         assert!(
-            stderr.contains(&format!("writing {what} to {}: ", path.display())),
+            stderr.starts_with(&format!("writing {what} to {}: ", path.display())),
             "{flag}: {stderr}"
         );
+        assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag}: printed a report");
+        let written = std::fs::read_to_string(&jsonl).unwrap_or_default();
+        assert!(written.is_empty(), "{flag}: a run started: {written:?}");
+        let _ = std::fs::remove_file(&jsonl);
     }
     assert!(!missing_dir.exists());
 }
