@@ -23,71 +23,23 @@ fn programs() -> Vec<SuiteEntry> {
     suite
 }
 
+/// One counter block as a JSON object keyed by field name.
+fn block_json(counters: impl IntoIterator<Item = (&'static str, &'static str, u64)>) -> Json {
+    Json::obj(counters.into_iter().map(|(field, _, v)| (field, v.into())))
+}
+
 /// One program's work counts as a stable-field-order JSON object.
 fn work_json(entry: &SuiteEntry) -> Json {
     let report = bug_finding_run(entry, &EngineConfig::sequential());
-    let s = report.stats();
-    let f = report.fork_stats();
-    let p = report.prune_stats();
-    let g = report.gc_stats();
     Json::obj([
         ("program", entry.name.into()),
         ("executions", (report.executions() as u64).into()),
         ("crash_points", (report.crash_points() as u64).into()),
         ("dedup_hits", report.dedup_hits().into()),
-        (
-            "stats",
-            Json::obj([
-                ("stores_executed", s.stores_executed.into()),
-                ("stores_committed", s.stores_committed.into()),
-                ("loads", s.loads.into()),
-                ("flushes", s.flushes.into()),
-                ("fences", s.fences.into()),
-                ("cas_ops", s.cas_ops.into()),
-                ("crashes", s.crashes.into()),
-                ("bytes_from_bypass", s.bytes_from_bypass.into()),
-                ("bytes_from_cache", s.bytes_from_cache.into()),
-                ("bytes_from_image", s.bytes_from_image.into()),
-                (
-                    "candidate_stores_scanned",
-                    s.candidate_stores_scanned.into(),
-                ),
-            ]),
-        ),
-        (
-            "fork",
-            Json::obj([
-                ("snapshots", f.snapshots.into()),
-                ("resumed_runs", f.resumed_runs.into()),
-                ("cow_clones", f.cow_clones.into()),
-                ("cow_bytes", f.cow_bytes.into()),
-                ("prefix_events_skipped", f.prefix_events_skipped.into()),
-                ("suffix_events", f.suffix_events.into()),
-            ]),
-        ),
-        (
-            "prune",
-            Json::obj([
-                ("classes", p.classes.into()),
-                ("representatives", p.representatives.into()),
-                ("suffixes_skipped", p.suffixes_skipped.into()),
-                ("events_attributed", p.events_attributed.into()),
-            ]),
-        ),
-        (
-            "gc",
-            Json::obj([
-                ("passes", g.passes.into()),
-                ("events_retired", g.events_retired.into()),
-                ("flushes_retired", g.flushes_retired.into()),
-                ("line_entries_retired", g.line_entries_retired.into()),
-                ("live_events", g.live_events.into()),
-                ("peak_live_events", g.peak_live_events.into()),
-                ("slots_reused", g.slots_reused.into()),
-                ("flushmap_live", g.flushmap_live.into()),
-                ("flushmap_peak", g.flushmap_peak.into()),
-            ]),
-        ),
+        ("stats", block_json(report.stats().counters())),
+        ("fork", block_json(report.fork_stats().counters())),
+        ("prune", block_json(report.prune_stats().counters())),
+        ("gc", block_json(report.gc_stats().counters())),
     ])
 }
 

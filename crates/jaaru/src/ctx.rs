@@ -245,11 +245,6 @@ impl Ctx {
         self.clwb_labeled(addr, "");
     }
 
-    /// [`Ctx::clflushopt`] with an explicit site label.
-    pub fn clflushopt_labeled(&mut self, addr: Addr, label: Label) {
-        self.clwb_labeled(addr, label);
-    }
-
     /// `sfence`. A crash point.
     pub fn sfence(&mut self) {
         self.sfence_labeled("");

@@ -1121,13 +1121,7 @@ impl Engine {
             let mut gc = GcStats::default();
             if core.mem.gc_enabled() {
                 gc = core.mem.gc_stats();
-                for (name, value) in core.sink.live_gauges() {
-                    if name == obs::names::DETECTOR_FLUSHMAP_LIVE {
-                        gc.flushmap_live = gc.flushmap_live.max(value);
-                    } else if name == obs::names::DETECTOR_FLUSHMAP_PEAK {
-                        gc.flushmap_peak = gc.flushmap_peak.max(value);
-                    }
-                }
+                gc.fold_gauges(&core.sink.live_gauges());
             }
             (
                 SingleRun {

@@ -377,87 +377,47 @@ impl std::fmt::Debug for MemState {
     }
 }
 
-/// Counters of simulated operations, for observability and tests.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Instruction-level store events created (post-lowering chunks).
-    pub stores_executed: u64,
-    /// Store events that took effect on the cache.
-    pub stores_committed: u64,
-    /// Loads performed.
-    pub loads: u64,
-    /// `clflush`/`clwb` instructions executed.
-    pub flushes: u64,
-    /// `sfence`/`mfence` instructions executed.
-    pub fences: u64,
-    /// Locked CAS operations executed.
-    pub cas_ops: u64,
-    /// Crashes (executions pushed on the stack).
-    pub crashes: u64,
-    /// Load bytes served by store-buffer bypass.
-    pub bytes_from_bypass: u64,
-    /// Load bytes served by the current execution's cache.
-    pub bytes_from_cache: u64,
-    /// Load bytes served by the persistent image.
-    pub bytes_from_image: u64,
-    /// Prior-execution candidate stores scanned during load resolution.
-    pub candidate_stores_scanned: u64,
+obs::counter_block! {
+    /// Counters of simulated operations, for observability and tests. The
+    /// `ops.*` counters are the simulated events ([`ExecStats::events`]);
+    /// the `load.*` counters break down load resolution.
+    pub struct ExecStats {
+        /// Instruction-level store events created (post-lowering chunks).
+        stores_executed: sum "ops.stores_executed",
+        /// Store events that took effect on the cache.
+        stores_committed: sum "ops.stores_committed",
+        /// Loads performed.
+        loads: sum "ops.loads",
+        /// `clflush`/`clwb` instructions executed.
+        flushes: sum "ops.flushes",
+        /// `sfence`/`mfence` instructions executed.
+        fences: sum "ops.fences",
+        /// Locked CAS operations executed.
+        cas_ops: sum "ops.cas",
+        /// Crashes (executions pushed on the stack).
+        crashes: sum "ops.crashes",
+        /// Load bytes served by store-buffer bypass.
+        bytes_from_bypass: sum "load.bytes_from_bypass",
+        /// Load bytes served by the current execution's cache.
+        bytes_from_cache: sum "load.bytes_from_cache",
+        /// Load bytes served by the persistent image.
+        bytes_from_image: sum "load.bytes_from_image",
+        /// Prior-execution candidate stores scanned during load resolution.
+        candidate_stores_scanned: sum "load.candidate_stores_scanned",
+    }
 }
 
 impl ExecStats {
-    /// Adds every counter of `other` into `self` (for aggregating the stats
-    /// of many simulated runs).
-    pub fn absorb(&mut self, other: &ExecStats) {
-        self.stores_executed += other.stores_executed;
-        self.stores_committed += other.stores_committed;
-        self.loads += other.loads;
-        self.flushes += other.flushes;
-        self.fences += other.fences;
-        self.cas_ops += other.cas_ops;
-        self.crashes += other.crashes;
-        self.bytes_from_bypass += other.bytes_from_bypass;
-        self.bytes_from_cache += other.bytes_from_cache;
-        self.bytes_from_image += other.bytes_from_image;
-        self.candidate_stores_scanned += other.candidate_stores_scanned;
-    }
-
-    /// Exact per-field difference `self - earlier`. Every counter is
-    /// monotonically non-decreasing over a run, so subtracting an earlier
-    /// reading of the same stats block is always well-defined; the engine
-    /// uses this to attribute a representative suffix's work to the other
-    /// members of its crash-state equivalence class.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if any field of `earlier` exceeds `self`'s.
-    pub fn minus(&self, earlier: &ExecStats) -> ExecStats {
-        ExecStats {
-            stores_executed: self.stores_executed - earlier.stores_executed,
-            stores_committed: self.stores_committed - earlier.stores_committed,
-            loads: self.loads - earlier.loads,
-            flushes: self.flushes - earlier.flushes,
-            fences: self.fences - earlier.fences,
-            cas_ops: self.cas_ops - earlier.cas_ops,
-            crashes: self.crashes - earlier.crashes,
-            bytes_from_bypass: self.bytes_from_bypass - earlier.bytes_from_bypass,
-            bytes_from_cache: self.bytes_from_cache - earlier.bytes_from_cache,
-            bytes_from_image: self.bytes_from_image - earlier.bytes_from_image,
-            candidate_stores_scanned: self.candidate_stores_scanned
-                - earlier.candidate_stores_scanned,
-        }
-    }
-
-    /// Total simulated events (instructions plus commits) counted by this
-    /// stats block — the work measure used to compare fork mode against full
-    /// replay.
+    /// Total simulated events (instructions plus commits): the sum of the
+    /// `ops.*` counters — the work measure used to compare fork mode
+    /// against full replay.
+    #[inline]
     pub fn events(&self) -> u64 {
-        self.stores_executed
-            + self.stores_committed
-            + self.loads
-            + self.flushes
-            + self.fences
-            + self.cas_ops
-            + self.crashes
+        self.counters()
+            .into_iter()
+            .filter(|(_, metric, _)| metric.starts_with("ops."))
+            .map(|(_, _, n)| n)
+            .sum()
     }
 }
 

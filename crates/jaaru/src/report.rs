@@ -181,128 +181,100 @@ impl fmt::Display for RaceReport {
     }
 }
 
-/// Counters describing the checkpoint/fork exploration of a run: how many
-/// snapshots were taken, how many runs resumed from one, the copy-on-write
-/// traffic those runs caused, and how much simulated work the fork skipped.
-///
-/// Kept apart from [`ExecStats`] — and out of [`RunReport::metrics`] — on
-/// purpose: fork counters describe the *physical* execution strategy, which
-/// differs between fork mode and full re-execution (and, for COW counts,
-/// between worker counts, since whichever side of a shared slab mutates
-/// first pays the clone). The logical [`RunReport`] must stay byte-identical
-/// across all of those, so the physical counters live here and surface
-/// through [`RunReport::fork_stats`] only.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ForkStats {
-    /// Snapshots captured by the profiling run (0 when fork mode is off or
-    /// fell back to full re-execution).
-    pub snapshots: u64,
-    /// Runs resumed from a snapshot instead of re-executing the prefix.
-    pub resumed_runs: u64,
-    /// Copy-on-write clones of shared line slabs / buffer queues.
-    pub cow_clones: u64,
-    /// Bytes copied by those clones.
-    pub cow_bytes: u64,
-    /// Simulated events that resumed runs did *not* re-execute (the summed
-    /// prefix work fork mode saved).
-    pub prefix_events_skipped: u64,
-    /// Simulated events resumed runs actually executed past their snapshot.
-    pub suffix_events: u64,
-}
-
-impl ForkStats {
-    /// Adds every counter of `other` into `self`.
-    pub fn absorb(&mut self, other: &ForkStats) {
-        self.snapshots += other.snapshots;
-        self.resumed_runs += other.resumed_runs;
-        self.cow_clones += other.cow_clones;
-        self.cow_bytes += other.cow_bytes;
-        self.prefix_events_skipped += other.prefix_events_skipped;
-        self.suffix_events += other.suffix_events;
+obs::counter_block! {
+    /// Counters describing the checkpoint/fork exploration of a run: how
+    /// many snapshots were taken, how many runs resumed from one, the
+    /// copy-on-write traffic those runs caused, and how much simulated work
+    /// the fork skipped.
+    ///
+    /// Kept out of [`RunReport::metrics`] and `--json`, like every
+    /// physical-strategy block: they differ between fork mode and full
+    /// re-execution (and, for COW counts, between worker counts, since
+    /// whichever side of a shared slab mutates first pays the clone), while
+    /// the logical [`RunReport`] stays byte-identical across all of those.
+    pub struct ForkStats {
+        /// Snapshots captured by the profiling run (0 when fork mode is off
+        /// or fell back to full re-execution).
+        snapshots: sum "fork.snapshots",
+        /// Runs resumed from a snapshot instead of re-executing the prefix.
+        resumed_runs: sum "fork.resumed_runs",
+        /// Copy-on-write clones of shared line slabs / buffer queues.
+        cow_clones: sum "fork.cow_clones",
+        /// Bytes copied by those clones.
+        cow_bytes: sum "fork.cow_bytes",
+        /// Simulated events that resumed runs did *not* re-execute (the
+        /// summed prefix work fork mode saved).
+        prefix_events_skipped: sum "fork.prefix_events_skipped",
+        /// Simulated events resumed runs actually executed past their
+        /// snapshot.
+        suffix_events: sum "fork.suffix_events",
     }
 }
 
-/// Counters describing crash-state equivalence pruning: how crash points
-/// grouped into classes, how many representative suffixes actually ran, and
-/// how much attributed (not executed) work the skipped members represent.
-///
-/// Physical-strategy counters like [`ForkStats`]: excluded from
-/// [`RunReport::metrics`] and the JSON surface, because they legitimately
-/// differ between pruned and exhaustive exploration while the logical
-/// report must stay byte-identical. Surfaced through
-/// [`RunReport::prune_stats`] only.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PruneStats {
-    /// Distinct `(phase, fingerprint)` equivalence classes among the crash
-    /// points of the profiling run (0 when pruning was off or inactive).
-    pub classes: u64,
-    /// Representative suffixes actually resumed — one per class.
-    pub representatives: u64,
-    /// Class members whose suffix was *not* executed; their results were
-    /// attributed from the representative.
-    pub suffixes_skipped: u64,
-    /// Simulated suffix events credited to skipped members without being
-    /// executed (the work pruning saved on top of fork mode).
-    pub events_attributed: u64,
-}
-
-impl PruneStats {
-    /// Adds every counter of `other` into `self`.
-    pub fn absorb(&mut self, other: &PruneStats) {
-        self.classes += other.classes;
-        self.representatives += other.representatives;
-        self.suffixes_skipped += other.suffixes_skipped;
-        self.events_attributed += other.events_attributed;
+obs::counter_block! {
+    /// Counters describing crash-state equivalence pruning: how crash
+    /// points grouped into classes, how many representative suffixes
+    /// actually ran, and how much attributed (not executed) work the
+    /// skipped members represent. Physical-strategy counters like
+    /// [`ForkStats`], surfaced through [`RunReport::prune_stats`] only.
+    pub struct PruneStats {
+        /// Distinct `(phase, fingerprint)` equivalence classes among the
+        /// crash points of the profiling run (0 when pruning was off or
+        /// inactive).
+        classes: sum "prune.classes",
+        /// Representative suffixes actually resumed — one per class.
+        representatives: sum "prune.representatives",
+        /// Class members whose suffix was *not* executed; their results
+        /// were attributed from the representative.
+        suffixes_skipped: sum "prune.suffixes_skipped",
+        /// Simulated suffix events credited to skipped members without
+        /// being executed (the work pruning saved on top of fork mode).
+        events_attributed: sum "prune.events_attributed",
     }
 }
 
-/// Counters and gauges describing streaming GC: how much history was
-/// retired, and how big the live state actually stayed.
-///
-/// Physical-strategy counters like [`ForkStats`] / [`PruneStats`]: excluded
-/// from [`RunReport::metrics`] and the JSON surface, because they
-/// legitimately differ between streaming and unbounded runs (and across
-/// worker counts) while the logical report must stay byte-identical.
-/// Surfaced through [`RunReport::gc_stats`] only. All zeros when GC was off.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct GcStats {
-    /// Mark-sweep passes run.
-    pub passes: u64,
-    /// Store events retired (table slot freed for reuse).
-    pub events_retired: u64,
-    /// Flush events dropped after their single read (plus buffer casualties
-    /// cleared at crashes).
-    pub flushes_retired: u64,
-    /// Committed-store log entries drained into the image as the
-    /// persistence floor rose.
-    pub line_entries_retired: u64,
-    /// Store events resident at the end of the run.
-    pub live_events: u64,
-    /// High-water mark of resident store events — the bounded-memory
-    /// headline number.
-    pub peak_live_events: u64,
-    /// Event-table slots handed out again after retirement.
-    pub slots_reused: u64,
-    /// Detector flushmap entries resident at the end of the run.
-    pub flushmap_live: u64,
-    /// High-water mark of detector flushmap entries.
-    pub flushmap_peak: u64,
+obs::counter_block! {
+    /// Counters and gauges describing streaming GC: how much history was
+    /// retired, and how big the live state actually stayed.
+    /// Physical-strategy counters like [`ForkStats`], surfaced through
+    /// [`RunReport::gc_stats`] only; all zeros when GC was off. Residency
+    /// gauges merge by maximum: each parallel run has its own live set, and
+    /// the honest aggregate of "how big did it get" is the worst run.
+    pub struct GcStats {
+        /// Mark-sweep passes run.
+        passes: sum "gc.passes",
+        /// Store events retired (table slot freed for reuse).
+        events_retired: sum "gc.events_retired",
+        /// Flush events dropped after their single read (plus buffer
+        /// casualties cleared at crashes).
+        flushes_retired: sum "gc.flushes_retired",
+        /// Committed-store log entries drained into the image as the
+        /// persistence floor rose.
+        line_entries_retired: sum "gc.line_entries_retired",
+        /// Store events resident at the end of the run.
+        live_events: max "gc.live_events",
+        /// High-water mark of resident store events — the bounded-memory
+        /// headline number.
+        peak_live_events: max "gc.peak_live_events",
+        /// Event-table slots handed out again after retirement.
+        slots_reused: sum "gc.slots_reused",
+        /// Detector flushmap entries resident at the end of the run.
+        flushmap_live: max "gc.flushmap_live",
+        /// High-water mark of detector flushmap entries.
+        flushmap_peak: max "gc.flushmap_peak",
+    }
 }
 
 impl GcStats {
-    /// Merges `other` into `self`: work counters add, residency gauges take
-    /// the maximum (each parallel run has its own live set; the honest
-    /// aggregate of "how big did it get" is the worst run).
-    pub fn absorb(&mut self, other: &GcStats) {
-        self.passes += other.passes;
-        self.events_retired += other.events_retired;
-        self.flushes_retired += other.flushes_retired;
-        self.line_entries_retired += other.line_entries_retired;
-        self.slots_reused += other.slots_reused;
-        self.live_events = self.live_events.max(other.live_events);
-        self.peak_live_events = self.peak_live_events.max(other.peak_live_events);
-        self.flushmap_live = self.flushmap_live.max(other.flushmap_live);
-        self.flushmap_peak = self.flushmap_peak.max(other.flushmap_peak);
+    /// Folds a sink's live-state gauges (`(metric name, value)` pairs from
+    /// [`EventSink::live_gauges`](crate::EventSink::live_gauges)) into the
+    /// fields of the same metric name. Panics on a name no field has.
+    pub(crate) fn fold_gauges(&mut self, gauges: &[(&'static str, u64)]) {
+        for &(name, value) in gauges {
+            let reading = GcStats::from_metric(name, value)
+                .unwrap_or_else(|| panic!("unknown live gauge `{name}`"));
+            self.absorb(&reading);
+        }
     }
 }
 
@@ -434,21 +406,9 @@ impl RunReport {
     /// registry (and its JSON export) is identical at every worker count.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
-        let s = &self.stats;
-        m.add(obs::names::OPS_STORES_EXECUTED, s.stores_executed);
-        m.add(obs::names::OPS_STORES_COMMITTED, s.stores_committed);
-        m.add(obs::names::OPS_LOADS, s.loads);
-        m.add(obs::names::OPS_FLUSHES, s.flushes);
-        m.add(obs::names::OPS_FENCES, s.fences);
-        m.add(obs::names::OPS_CAS, s.cas_ops);
-        m.add(obs::names::OPS_CRASHES, s.crashes);
-        m.add(obs::names::LOAD_BYTES_FROM_BYPASS, s.bytes_from_bypass);
-        m.add(obs::names::LOAD_BYTES_FROM_CACHE, s.bytes_from_cache);
-        m.add(obs::names::LOAD_BYTES_FROM_IMAGE, s.bytes_from_image);
-        m.add(
-            obs::names::LOAD_CANDIDATE_STORES_SCANNED,
-            s.candidate_stores_scanned,
-        );
+        for (_, name, value) in self.stats.counters() {
+            m.add(name, value);
+        }
         m.add(obs::names::ENGINE_EXECUTIONS, self.executions as u64);
         m.add(obs::names::ENGINE_CRASH_POINTS, self.crash_points as u64);
         m.add(obs::names::ENGINE_DEDUP_HITS, self.dedup_hits);
@@ -461,29 +421,16 @@ impl RunReport {
     }
 
     /// Physical-strategy counters from checkpoint/fork exploration.
-    ///
-    /// Deliberately *not* part of [`metrics`](Self::metrics) or the JSON
-    /// report: these describe how the answer was computed (snapshots taken,
-    /// COW lines cloned, prefix events skipped), not what the answer is, and
-    /// they legitimately differ between fork mode and full re-execution and
-    /// across worker counts. All zeros when fork mode is off or unsupported.
     pub fn fork_stats(&self) -> &ForkStats {
         &self.fork
     }
 
     /// Physical-strategy counters from crash-state equivalence pruning.
-    /// Like [`fork_stats`](Self::fork_stats), deliberately outside
-    /// [`metrics`](Self::metrics) and the JSON report. All zeros when
-    /// pruning was off, unsupported, or found no redundancy to exploit.
     pub fn prune_stats(&self) -> &PruneStats {
         &self.prune
     }
 
-    /// Streaming-GC counters and live-state gauges. Like
-    /// [`fork_stats`](Self::fork_stats), deliberately outside
-    /// [`metrics`](Self::metrics) and the JSON report: memory residency is a
-    /// physical property of the execution strategy, not of the answer. All
-    /// zeros when GC was off.
+    /// Physical-strategy streaming-GC counters and live-state gauges.
     pub fn gc_stats(&self) -> &GcStats {
         &self.gc
     }
@@ -512,6 +459,69 @@ mod tests {
 
     fn report(kind: ReportKind, label: Label) -> RaceReport {
         RaceReport::new(kind, label, Addr(0x10), 0, 1, ThreadId::MAIN, "detail")
+    }
+
+    #[test]
+    fn metric_names_are_unique() {
+        use obs::names::*;
+        let mut names = vec![
+            ENGINE_EXECUTIONS,
+            ENGINE_CRASH_POINTS,
+            ENGINE_DEDUP_HITS,
+            ENGINE_REPORTS,
+            TRACE_EVENTS,
+            TRACE_SPANS,
+        ];
+        let blocks: [Vec<_>; 4] = [
+            ExecStats::default().counters().into_iter().collect(),
+            ForkStats::default().counters().into_iter().collect(),
+            PruneStats::default().counters().into_iter().collect(),
+            GcStats::default().counters().into_iter().collect(),
+        ];
+        names.extend(blocks.iter().flatten().map(|c| c.1));
+        let set: std::collections::BTreeSet<_> = names.iter().collect();
+        assert_eq!(set.len(), names.len(), "{names:?}");
+    }
+
+    #[test]
+    fn live_gauges_fold_by_maximum_under_their_own_names() {
+        let mut gc = GcStats {
+            passes: 3,
+            flushmap_peak: 9,
+            ..GcStats::default()
+        };
+        gc.fold_gauges(&[("gc.flushmap_live", 4), ("gc.flushmap_peak", 7)]);
+        let expected = GcStats {
+            passes: 3,
+            flushmap_live: 4,
+            flushmap_peak: 9,
+            ..GcStats::default()
+        };
+        assert_eq!(gc, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown live gauge `detector.flushmap_live`")]
+    fn an_unknown_live_gauge_panics_naming_it() {
+        GcStats::default().fold_gauges(&[("detector.flushmap_live", 1)]);
+    }
+
+    #[test]
+    fn events_are_the_ops_counters() {
+        let s = ExecStats {
+            stores_executed: 1,
+            stores_committed: 2,
+            loads: 4,
+            flushes: 8,
+            fences: 16,
+            cas_ops: 32,
+            crashes: 64,
+            bytes_from_bypass: 1000,
+            bytes_from_cache: 1000,
+            bytes_from_image: 1000,
+            candidate_stores_scanned: 1000,
+        };
+        assert_eq!(s.events(), 127);
     }
 
     #[test]

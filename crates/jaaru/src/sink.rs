@@ -103,9 +103,11 @@ pub trait EventSink: Send {
 
     /// Live-state gauges (`(metric name, value)` pairs) describing this
     /// sink's resident memory — e.g. the detector's flushmap occupancy.
-    /// Collected by the engine at the end of a run into
-    /// [`GcStats`](crate::report::GcStats); like retirement itself, gauges
-    /// are physical observability and never part of the logical report.
+    /// Collected by the engine at the end of a run into the
+    /// [`GcStats`](crate::report::GcStats) field of the same metric name
+    /// (`gc.flushmap_live`, `gc.flushmap_peak`); a name no field has
+    /// panics. Like retirement itself, gauges are physical observability
+    /// and never part of the logical report.
     fn live_gauges(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
     }

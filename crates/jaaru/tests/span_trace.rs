@@ -41,7 +41,7 @@ fn tracing_off_allocates_no_trace() {
     );
     assert!(report.trace().is_none());
     // Metrics still work without a trace.
-    assert!(report.metrics().counter(obs::names::OPS_LOADS) > 0);
+    assert!(report.metrics().counter("ops.loads") > 0);
 }
 
 #[test]

@@ -54,64 +54,36 @@ impl SiteKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteId(pub u32);
 
-/// Per-site counters. All fields are monotone event counts on the virtual
-/// clock; which fields a site uses depends on its [`SiteKind`]:
-///
-/// - stores: `executed` / `committed` / `persisted` (line-chunk granular);
-/// - flushes: `executed` / `effective` (raised a persisted-line floor) /
-///   `redundant` (committed without changing any persisted prefix) —
-///   `executed - effective - redundant` is the *ineffective* residue,
-///   flushes that executed but never committed before a crash cut them;
-/// - fences: `executed` / `draining` (retired at least one buffered entry)
-///   / `empty`;
-/// - loads: `executed` / `pre_crash` (observed at least one byte of
-///   pre-crash provenance, i.e. ran against a recovered image).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SiteStats {
-    /// Ops executed at this site (store chunks, flush ops, fences, loads).
-    pub executed: u64,
-    /// Store chunks globally committed (drained from every store buffer).
-    pub committed: u64,
-    /// Store chunks that reached the persisted prefix of their line.
-    pub persisted: u64,
-    /// Flush commits that raised a persisted-line floor.
-    pub effective: u64,
-    /// Flush commits that changed no persisted prefix.
-    pub redundant: u64,
-    /// Fences that retired at least one buffered entry.
-    pub draining: u64,
-    /// Fences that found every buffer already empty.
-    pub empty: u64,
-    /// Loads that observed pre-crash state through the recovered image.
-    pub pre_crash: u64,
-}
-
-impl SiteStats {
-    /// Adds `other` into `self`, field-wise.
-    pub fn absorb(&mut self, other: &SiteStats) {
-        self.executed += other.executed;
-        self.committed += other.committed;
-        self.persisted += other.persisted;
-        self.effective += other.effective;
-        self.redundant += other.redundant;
-        self.draining += other.draining;
-        self.empty += other.empty;
-        self.pre_crash += other.pre_crash;
-    }
-
-    /// Field-wise difference `self - earlier`; counters are monotone, so a
-    /// later snapshot always dominates an earlier one of the same run.
-    pub fn minus(&self, earlier: &SiteStats) -> SiteStats {
-        SiteStats {
-            executed: self.executed - earlier.executed,
-            committed: self.committed - earlier.committed,
-            persisted: self.persisted - earlier.persisted,
-            effective: self.effective - earlier.effective,
-            redundant: self.redundant - earlier.redundant,
-            draining: self.draining - earlier.draining,
-            empty: self.empty - earlier.empty,
-            pre_crash: self.pre_crash - earlier.pre_crash,
-        }
+crate::counter_block! {
+    /// Per-site counters. All fields are monotone event counts on the virtual
+    /// clock; which fields a site uses depends on its [`SiteKind`]:
+    ///
+    /// - stores: `executed` / `committed` / `persisted` (line-chunk granular);
+    /// - flushes: `executed` / `effective` (raised a persisted-line floor) /
+    ///   `redundant` (committed without changing any persisted prefix) —
+    ///   `executed - effective - redundant` is the *ineffective* residue,
+    ///   flushes that executed but never committed before a crash cut them;
+    /// - fences: `executed` / `draining` (retired at least one buffered entry)
+    ///   / `empty`;
+    /// - loads: `executed` / `pre_crash` (observed at least one byte of
+    ///   pre-crash provenance, i.e. ran against a recovered image).
+    pub struct SiteStats {
+        /// Ops executed at this site (store chunks, flush ops, fences, loads).
+        executed: sum "site.executed",
+        /// Store chunks globally committed (drained from every store buffer).
+        committed: sum "site.committed",
+        /// Store chunks that reached the persisted prefix of their line.
+        persisted: sum "site.persisted",
+        /// Flush commits that raised a persisted-line floor.
+        effective: sum "site.effective",
+        /// Flush commits that changed no persisted prefix.
+        redundant: sum "site.redundant",
+        /// Fences that retired at least one buffered entry.
+        draining: sum "site.draining",
+        /// Fences that found every buffer already empty.
+        empty: sum "site.empty",
+        /// Loads that observed pre-crash state through the recovered image.
+        pre_crash: sum "site.pre_crash",
     }
 }
 
@@ -473,19 +445,13 @@ impl CoverageSummary {
 pub fn coverage_json(report: &CoverageReport) -> Json {
     let summary = report.summary();
     let sites = report.sites.sorted().into_iter().map(|(kind, label, s)| {
-        Json::obj([
+        let head = [
             ("kind", kind.name().into()),
             ("label", label.into()),
             ("verdict", report.verdict_for(label, &s).name().into()),
-            ("executed", s.executed.into()),
-            ("committed", s.committed.into()),
-            ("persisted", s.persisted.into()),
-            ("effective", s.effective.into()),
-            ("redundant", s.redundant.into()),
-            ("draining", s.draining.into()),
-            ("empty", s.empty.into()),
-            ("pre_crash", s.pre_crash.into()),
-        ])
+        ];
+        let counts = s.counters().into_iter().map(|(f, _, v)| (f, v.into()));
+        Json::obj(head.into_iter().chain(counts))
     });
     let phases = report.cartography.phases.iter().map(|p| {
         Json::obj([

@@ -15,6 +15,9 @@
 //!   the lanes alone; nothing else keeps a copy.
 //! * [`MetricsRegistry`] — named counters with deterministic (sorted-key)
 //!   export.
+//! * [`counter_block!`] — the one declaration of a block of `u64` counters:
+//!   each field's doc, merge rule and metric name, from which the struct,
+//!   field-wise `absorb`/`minus` and the `counters()` walk are generated.
 //! * [`chrome`] — export of a [`RunTrace`] as Chrome trace-event JSON,
 //!   loadable in Perfetto / `chrome://tracing`.
 //! * [`json`] — a minimal stable-field-order JSON writer (the workspace's
@@ -45,6 +48,7 @@
 //!    `(lane, start, name)` and counters by name.
 
 pub mod chrome;
+mod counters;
 pub mod coverage;
 pub mod json;
 pub mod metrics;
@@ -64,31 +68,10 @@ pub use telemetry::{
     WorkerStat,
 };
 
-/// Canonical metric names, shared by the engine's registry and the
-/// human-readable `--details` rendering so the two can never drift apart.
+/// Canonical names of the engine-level and trace counters in the run's
+/// metrics registry. Counter blocks name their own fields in their
+/// [`counter_block!`] declarations.
 pub mod names {
-    /// Instruction-level store events created (post-lowering chunks).
-    pub const OPS_STORES_EXECUTED: &str = "ops.stores_executed";
-    /// Store events that took effect on the cache.
-    pub const OPS_STORES_COMMITTED: &str = "ops.stores_committed";
-    /// Loads performed.
-    pub const OPS_LOADS: &str = "ops.loads";
-    /// `clflush`/`clwb` instructions executed.
-    pub const OPS_FLUSHES: &str = "ops.flushes";
-    /// `sfence`/`mfence` instructions executed.
-    pub const OPS_FENCES: &str = "ops.fences";
-    /// Locked CAS operations executed.
-    pub const OPS_CAS: &str = "ops.cas";
-    /// Crashes (executions pushed on the stack).
-    pub const OPS_CRASHES: &str = "ops.crashes";
-    /// Load bytes served by store-buffer bypass.
-    pub const LOAD_BYTES_FROM_BYPASS: &str = "load.bytes_from_bypass";
-    /// Load bytes served by the current execution's cache.
-    pub const LOAD_BYTES_FROM_CACHE: &str = "load.bytes_from_cache";
-    /// Load bytes served by the persistent image.
-    pub const LOAD_BYTES_FROM_IMAGE: &str = "load.bytes_from_image";
-    /// Prior-execution candidate stores scanned during load resolution.
-    pub const LOAD_CANDIDATE_STORES_SCANNED: &str = "load.candidate_stores_scanned";
     /// Complete (pre-crash + post-crash) executions simulated.
     pub const ENGINE_EXECUTIONS: &str = "engine.executions";
     /// Distinct crash points discovered in the program.
@@ -102,38 +85,4 @@ pub mod names {
     pub const TRACE_EVENTS: &str = "trace.events";
     /// Spans recorded across all run lanes.
     pub const TRACE_SPANS: &str = "trace.spans";
-    /// Detector flushmap entries resident at the end of the run.
-    pub const DETECTOR_FLUSHMAP_LIVE: &str = "detector.flushmap_live";
-    /// High-water mark of detector flushmap entries.
-    pub const DETECTOR_FLUSHMAP_PEAK: &str = "detector.flushmap_peak";
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn metric_names_are_unique() {
-        let names = [
-            super::names::OPS_STORES_EXECUTED,
-            super::names::OPS_STORES_COMMITTED,
-            super::names::OPS_LOADS,
-            super::names::OPS_FLUSHES,
-            super::names::OPS_FENCES,
-            super::names::OPS_CAS,
-            super::names::OPS_CRASHES,
-            super::names::LOAD_BYTES_FROM_BYPASS,
-            super::names::LOAD_BYTES_FROM_CACHE,
-            super::names::LOAD_BYTES_FROM_IMAGE,
-            super::names::LOAD_CANDIDATE_STORES_SCANNED,
-            super::names::ENGINE_EXECUTIONS,
-            super::names::ENGINE_CRASH_POINTS,
-            super::names::ENGINE_DEDUP_HITS,
-            super::names::ENGINE_REPORTS,
-            super::names::TRACE_EVENTS,
-            super::names::TRACE_SPANS,
-            super::names::DETECTOR_FLUSHMAP_LIVE,
-            super::names::DETECTOR_FLUSHMAP_PEAK,
-        ];
-        let set: std::collections::HashSet<_> = names.iter().collect();
-        assert_eq!(set.len(), names.len());
-    }
 }

@@ -555,9 +555,16 @@ impl TelemetrySample {
 
     /// The post-run self-profile tree (for `--profile`), rendered in the
     /// same indent style as `--details`.
+    ///
+    /// Top-level phases run on the coordinator, so their shares are of the
+    /// wall total. Nested phases are summed over every executor, so their
+    /// shares are of the summed thread time: the wall total plus the busy
+    /// time of executor slots 1 and up.
     pub fn render_profile(&self) -> String {
         let total = self.total_nanos;
-        let pct = |n: u64| match total {
+        let helpers: Duration = self.workers.iter().skip(1).map(|w| w.busy).sum();
+        let threads = total + helpers.as_nanos() as u64;
+        let share = |n: u64, of: u64| match of {
             0 => 0.0,
             t => 100.0 * n as f64 / t as f64,
         };
@@ -569,9 +576,9 @@ impl TelemetrySample {
             "phase", "wall", "share", "count"
         );
         // Nested rows indent two more columns inside the same field widths.
-        let row = |out: &mut String, indent: usize, p: WallPhase| {
+        let row = |out: &mut String, indent: usize, p: WallPhase, of: u64| {
             let (nanos, count) = self.phase(p);
-            let (name, wall, share) = (p.name(), dur(nanos), pct(nanos));
+            let (name, wall, share) = (p.name(), dur(nanos), share(nanos, of));
             let width = 22 - indent;
             let _ = writeln!(
                 out,
@@ -584,7 +591,7 @@ impl TelemetrySample {
             .filter(|&p| self.phase(p).1 > 0)
             .partition(|p| p.top_level());
         for p in top {
-            row(&mut out, 2, p);
+            row(&mut out, 2, p, total);
         }
         let unattributed = total.saturating_sub(self.covered_nanos());
         let _ = writeln!(
@@ -592,16 +599,20 @@ impl TelemetrySample {
             "  {:<20} {:>12} {:>6.1}%\n  {:<20} {:>12}  (coverage {:.1}%)",
             "unattributed",
             dur(unattributed),
-            pct(unattributed),
+            share(unattributed, total),
             "total",
             dur(total),
             100.0 * self.coverage()
         );
         if !nested.is_empty() {
-            out.push_str("  nested (inside the phases above):\n");
+            let _ = writeln!(
+                out,
+                "  nested (inside the phases above; share of {} summed thread time):",
+                dur(threads)
+            );
         }
         for p in nested {
-            row(&mut out, 4, p);
+            row(&mut out, 4, p, threads);
         }
         if !self.workers.is_empty() {
             let busy: Duration = self.workers.iter().map(|w| w.busy).sum();
@@ -905,6 +916,37 @@ mod tests {
             tree.contains("workers: 2 thread(s), 21 job(s) in 5 chunk(s);"),
             "{tree}"
         );
+    }
+
+    #[test]
+    fn nested_shares_are_of_summed_thread_time() {
+        // Two executors: nested GC time summed over both exceeds the
+        // coordinator's wall total, but not the summed thread time.
+        let tel = Telemetry::new();
+        tel.add_total(Duration::from_millis(100));
+        tel.add_phase(WallPhase::ProfileRun, Duration::from_millis(30));
+        tel.add_phase(WallPhase::SuffixResume, Duration::from_millis(60));
+        tel.add_phase(WallPhase::GcPass, Duration::from_millis(150));
+        for slot in [0, 1] {
+            tel.record_worker(
+                slot,
+                WorkerStat {
+                    busy: Duration::from_millis(90),
+                    idle: Duration::from_millis(10),
+                    jobs: 3,
+                },
+            );
+        }
+        let tree = tel.render_profile();
+        assert!(tree.contains("summed thread time"), "{tree}");
+        let shares: Vec<f64> = tree
+            .split_whitespace()
+            .filter_map(|w| w.strip_suffix('%')?.parse().ok())
+            .collect();
+        assert!(shares.len() >= 4, "{tree}");
+        assert!(shares.iter().all(|&s| s <= 100.0), "{tree}");
+        // 150 ms of 190 ms summed thread time.
+        assert!(tree.contains(" 78.9%"), "{tree}");
     }
 
     /// A JSONL destination the test can read back.

@@ -38,7 +38,6 @@ use crate::pool::Pool;
 pub struct Tx {
     pool: Pool,
     ranges: Vec<(Addr, u64)>,
-    committed: bool,
 }
 
 impl Tx {
@@ -47,7 +46,6 @@ impl Tx {
         Tx {
             pool: *pool,
             ranges: Vec::new(),
-            committed: false,
         }
     }
 
@@ -70,17 +68,11 @@ impl Tx {
     }
 
     /// Commits: persists every modified range, then discards the journal.
-    pub fn commit(mut self, ctx: &mut Ctx) {
+    pub fn commit(self, ctx: &mut Ctx) {
         for &(addr, len) in &self.ranges {
             pmem_persist(ctx, addr, len, "tx.commit persist");
         }
         self.pool.ulog().reset(ctx);
-        self.committed = true;
-    }
-
-    /// Whether [`Tx::commit`] ran.
-    pub fn is_committed(&self) -> bool {
-        self.committed
     }
 }
 

@@ -149,11 +149,6 @@ impl PmAllocator {
         self.allocated
     }
 
-    /// Bytes of fresh arena remaining (ignoring the free list).
-    pub fn remaining_bytes(&self) -> u64 {
-        self.limit - self.cursor
-    }
-
     /// The base address of the arena.
     pub fn base(&self) -> Addr {
         self.base

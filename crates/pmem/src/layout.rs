@@ -128,13 +128,6 @@ impl StructLayout {
         self.field_raw(name, 8, 8)
     }
 
-    /// Appends an 8-byte pointer field (alias for [`field_u64`]).
-    ///
-    /// [`field_u64`]: StructLayout::field_u64
-    pub fn field_ptr(&mut self, name: impl Into<String>) -> FieldIdx {
-        self.field_u64(name)
-    }
-
     /// Appends an inline array of `count` elements of `elem_size` bytes,
     /// aligned to `elem_align`.
     pub fn field_array(

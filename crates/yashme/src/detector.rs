@@ -381,14 +381,8 @@ impl EventSink for YashmeDetector {
 
     fn live_gauges(&self) -> Vec<(&'static str, u64)> {
         vec![
-            (
-                jaaru::obs::names::DETECTOR_FLUSHMAP_LIVE,
-                self.flushmap_live,
-            ),
-            (
-                jaaru::obs::names::DETECTOR_FLUSHMAP_PEAK,
-                self.flushmap_peak,
-            ),
+            ("gc.flushmap_live", self.flushmap_live),
+            ("gc.flushmap_peak", self.flushmap_peak),
         ]
     }
 
@@ -609,10 +603,7 @@ mod tests {
         d.on_clflush_committed(&f, &[&s]);
         assert_eq!(
             d.live_gauges(),
-            vec![
-                (jaaru::obs::names::DETECTOR_FLUSHMAP_LIVE, 1),
-                (jaaru::obs::names::DETECTOR_FLUSHMAP_PEAK, 1),
-            ]
+            vec![("gc.flushmap_live", 1), ("gc.flushmap_peak", 1)]
         );
         let token = d.fingerprint_token();
         d.on_stores_retired(&[1]);

@@ -65,13 +65,12 @@ pub fn render_summary(report: &RunReport) -> String {
     out
 }
 
-/// Renders every metric in the run's registry under its canonical
-/// [`jaaru::obs::names`] key: the operation counters, the load-resolution
-/// breakdown and the engine counters.
-///
-/// The dump reads the *same* [`RunReport::metrics`] source as the
-/// `--metrics-out` export, so the two can never drift. Nothing here
-/// depends on wall time, so the output is deterministic and golden-testable.
+/// Renders `metrics:`, every counter of [`RunReport::metrics`] (the same
+/// source as `--metrics-out`, so the two cannot drift), then `strategy:`,
+/// the fork, prune and GC blocks under their declared metric names, each
+/// only when one of its fields is non-zero. The strategy counters describe
+/// how the run was computed, not what it found, so they differ between
+/// strategies; the block is absent when fork, prune and GC were all off.
 pub fn render_stats(report: &RunReport) -> String {
     let m = report.metrics();
     let mut out = String::new();
@@ -79,88 +78,22 @@ pub fn render_stats(report: &RunReport) -> String {
     for (name, value) in m.counters() {
         writeln!(out, "  {name} = {value}").expect("write to string");
     }
-    out
-}
-
-/// Renders the checkpoint/fork strategy counters (`yashme --details`).
-/// Kept apart from [`render_stats`]: these describe how the run was
-/// computed, differ legitimately between fork mode and full re-execution,
-/// and are all zero when fork mode was off or unsupported — in which case
-/// this renders the empty string.
-pub fn render_fork_stats(report: &RunReport) -> String {
-    let f = report.fork_stats();
-    if f.snapshots == 0 && f.resumed_runs == 0 {
-        return String::new();
+    let blocks: [Vec<_>; 3] = [
+        report.fork_stats().counters().into_iter().collect(),
+        report.prune_stats().counters().into_iter().collect(),
+        report.gc_stats().counters().into_iter().collect(),
+    ];
+    let strategy: Vec<_> = blocks
+        .into_iter()
+        .filter(|block| block.iter().any(|c| c.2 != 0))
+        .flatten()
+        .collect();
+    if !strategy.is_empty() {
+        writeln!(out, "strategy:").expect("write to string");
     }
-    let mut out = String::new();
-    writeln!(
-        out,
-        "fork: {} snapshot(s), {} resumed run(s), {} prefix event(s) skipped, \
-         {} suffix event(s) executed",
-        f.snapshots, f.resumed_runs, f.prefix_events_skipped, f.suffix_events,
-    )
-    .expect("write to string");
-    writeln!(
-        out,
-        "fork cow: {} line/queue clone(s), {} B copied",
-        f.cow_clones, f.cow_bytes,
-    )
-    .expect("write to string");
-    out
-}
-
-/// Renders the crash-state equivalence pruning counters
-/// (`yashme --details`). Same rule as [`render_fork_stats`]: physical
-/// strategy counters, legitimately different between pruned and exhaustive
-/// exploration, all zero — and rendered as the empty string — when pruning
-/// was off, unsupported, or the points all fell in distinct classes with
-/// nothing to skip.
-pub fn render_prune_stats(report: &RunReport) -> String {
-    let p = report.prune_stats();
-    if p.classes == 0 {
-        return String::new();
+    for (_, name, value) in strategy {
+        writeln!(out, "  {name} = {value}").expect("write to string");
     }
-    let mut out = String::new();
-    writeln!(
-        out,
-        "prune: {} equivalence class(es) over {} crash point(s), \
-         {} representative(s) resumed, {} suffix(es) skipped, \
-         {} suffix event(s) attributed",
-        p.classes,
-        report.crash_points(),
-        p.representatives,
-        p.suffixes_skipped,
-        p.events_attributed,
-    )
-    .expect("write to string");
-    out
-}
-
-/// Renders the streaming-GC counters and live-state gauges
-/// (`yashme --details`). Same rule as [`render_fork_stats`]: physical
-/// strategy counters that legitimately differ between GC-on and GC-off
-/// runs while the logical report stays byte-identical, all zero — and
-/// rendered as the empty string — when streaming GC was off.
-pub fn render_gc_stats(report: &RunReport) -> String {
-    let g = report.gc_stats();
-    if *g == Default::default() {
-        return String::new();
-    }
-    let mut out = String::new();
-    writeln!(
-        out,
-        "gc: {} pass(es), {} store event(s) retired, {} flush event(s) \
-         retired, {} line-log entr(ies) drained",
-        g.passes, g.events_retired, g.flushes_retired, g.line_entries_retired,
-    )
-    .expect("write to string");
-    writeln!(
-        out,
-        "gc live: {} event slot(s) live (peak {}, {} reused), \
-         flushmap {} live (peak {})",
-        g.live_events, g.peak_live_events, g.slots_reused, g.flushmap_live, g.flushmap_peak,
-    )
-    .expect("write to string");
     out
 }
 

@@ -11,7 +11,7 @@
 
 mod common;
 
-use jaaru::obs::{names, Telemetry};
+use jaaru::obs::Telemetry;
 use jaaru::{
     Atomicity, Ctx, Engine, EngineConfig, EventId, EventSink, ExecId, ExecMode, FlushEvent,
     FlushKind, LoadInfo, Program, RaceReport, StoreEvent,
@@ -28,7 +28,6 @@ use yashme::{YashmeConfig, YashmeDetector};
 mod reference {
     use std::collections::hash_map::Entry;
 
-    use jaaru::obs::names;
     use jaaru::{
         EventId, EventSink, ExecId, FlushEvent, LoadInfo, RaceReport, ReportKind, StoreEvent,
     };
@@ -270,8 +269,8 @@ mod reference {
 
         fn live_gauges(&self) -> Vec<(&'static str, u64)> {
             vec![
-                (names::DETECTOR_FLUSHMAP_LIVE, self.flushmap_live),
-                (names::DETECTOR_FLUSHMAP_PEAK, self.flushmap_peak),
+                ("gc.flushmap_live", self.flushmap_live),
+                ("gc.flushmap_peak", self.flushmap_peak),
             ]
         }
 
@@ -673,9 +672,6 @@ fn a_cross_thread_flush_the_first_record_misses_spills_to_a_second_record() {
     d.drain_reports();
     assert_eq!(
         d.live_gauges(),
-        vec![
-            (names::DETECTOR_FLUSHMAP_LIVE, 1),
-            (names::DETECTOR_FLUSHMAP_PEAK, 1),
-        ]
+        vec![("gc.flushmap_live", 1), ("gc.flushmap_peak", 1)]
     );
 }

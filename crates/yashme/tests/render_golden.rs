@@ -1,13 +1,16 @@
 //! Golden tests for the deterministic parts of the CLI output: the
-//! `--details` stats block (driven by the metrics registry, so these also
-//! pin the canonical counter names), the `--explain` timeline, and the
-//! `--json` document (minus the wall-clock `elapsed_us` field).
+//! `--details` stats block (its `metrics:` lines come from the metrics
+//! registry and its `strategy:` lines from the fork/prune/GC counter
+//! blocks, so these also pin the canonical counter names), the `--explain`
+//! timeline, and the `--json` document (minus the wall-clock `elapsed_us`
+//! field).
 //!
 //! Everything asserted here is a pure function of the program, so the
-//! strings are stable across runs, worker counts, and platforms.
+//! strings are stable across runs and platforms; all but the `strategy:`
+//! lines are stable across worker counts too.
 
-use jaaru::{Atomicity, Ctx, Program, RunReport};
-use yashme::{json, render};
+use jaaru::{Atomicity, Ctx, ExecMode, Program, RunReport};
+use yashme::{json, render, EngineConfig, YashmeConfig};
 
 /// Two plain stores; the second is flushed and fenced, but prefix
 /// expansion finds nothing forcing that flush into the consistent prefix,
@@ -33,10 +36,9 @@ fn sample_report() -> RunReport {
     yashme::model_check(&sample_program())
 }
 
-#[test]
-fn details_stats_block_matches_golden() {
-    let stats = render::render_stats(&sample_report());
-    let golden = "\
+/// The `metrics:` lines of `render_stats` for the sample program: the
+/// logical counters, identical under every strategy.
+const METRICS_GOLDEN: &str = "\
 metrics:
   engine.crash_points = 2
   engine.dedup_hits = 4
@@ -54,7 +56,65 @@ metrics:
   ops.stores_committed = 6
   ops.stores_executed = 6
 ";
-    assert_eq!(stats, golden, "actual:\n{stats}");
+
+/// `render_stats` split at its `strategy:` block (empty when absent).
+fn stats_blocks(report: &RunReport) -> (String, String) {
+    let stats = render::render_stats(report);
+    let at = stats.find("strategy:\n").unwrap_or(stats.len());
+    (stats[..at].to_owned(), stats[at..].to_owned())
+}
+
+#[test]
+fn details_stats_block_matches_golden() {
+    let (metrics, _) = stats_blocks(&sample_report());
+    assert_eq!(metrics, METRICS_GOLDEN, "actual:\n{metrics}");
+}
+
+#[test]
+fn details_strategy_block_matches_golden() {
+    // The default engine (fork, prune and GC on) at its default one
+    // worker, where copy-on-write counts are deterministic too.
+    assert_eq!(EngineConfig::default().workers, 1);
+    let (_, strategy) = stats_blocks(&sample_report());
+    let golden = "\
+strategy:
+  fork.snapshots = 2
+  fork.resumed_runs = 2
+  fork.cow_clones = 3
+  fork.cow_bytes = 0
+  fork.prefix_events_skipped = 9
+  fork.suffix_events = 8
+  prune.classes = 2
+  prune.representatives = 2
+  prune.suffixes_skipped = 0
+  prune.events_attributed = 0
+  gc.passes = 0
+  gc.events_retired = 0
+  gc.flushes_retired = 1
+  gc.line_entries_retired = 1
+  gc.live_events = 2
+  gc.peak_live_events = 2
+  gc.slots_reused = 0
+  gc.flushmap_live = 1
+  gc.flushmap_peak = 1
+";
+    assert_eq!(strategy, golden, "actual:\n{strategy}");
+}
+
+#[test]
+fn strategy_block_is_absent_with_every_strategy_off() {
+    let off = EngineConfig::sequential()
+        .with_fork(false)
+        .with_prune(false)
+        .with_gc(false);
+    let report = yashme::check(
+        &sample_program(),
+        ExecMode::model_check(),
+        YashmeConfig::default(),
+        &off,
+    );
+    let stats = render::render_stats(&report);
+    assert_eq!(stats, METRICS_GOLDEN, "actual:\n{stats}");
 }
 
 #[test]

@@ -247,9 +247,6 @@ fn run_one(
                 println!("  {}", render::render_detail(entry.name, r));
             }
             print!("{}", render::render_stats(&report));
-            print!("{}", render::render_fork_stats(&report));
-            print!("{}", render::render_prune_stats(&report));
-            print!("{}", render::render_gc_stats(&report));
         }
         if opts.explain {
             for (i, r) in report.races().iter().enumerate() {
