@@ -1,5 +1,5 @@
 //! Determinism contract for the parallel fan-out: with the stall hook
-//! spreading chunks over every executor and completing them out of item
+//! spreading items over every executor and completing them out of item
 //! order, every deterministic surface — race reports, span trace, metrics
 //! registry, coverage JSON — stays byte-identical across workers 1/8/auto.
 //! The fan-out moves where and when jobs execute; it must never move what
@@ -17,7 +17,7 @@ use yashme::{YashmeConfig, YashmeDetector};
 /// stall hook, and without this one test's reset could end another's window.
 static STALL: Mutex<()> = Mutex::new(());
 
-/// Holds the stall hook at 1 ms per chunk while alive. Dropping it, also
+/// Holds the stall hook at 1 ms per item while alive. Dropping it, also
 /// when an assertion fails first, resets the hook and then frees the lock.
 struct StallWindow {
     _lock: MutexGuard<'static, ()>,
@@ -78,7 +78,7 @@ fn reports_identical_across_workers_with_stealing_forced() {
 
 #[test]
 fn stealing_actually_happens_under_the_stall_hook() {
-    // The companion to the byte-identity test: prove the chunks really were
+    // The companion to the byte-identity test: prove the items really were
     // spread over several executors, via the wall-clock telemetry plane.
     let program = recipe::cceh::program();
     let tel = Arc::new(Telemetry::new());
@@ -95,11 +95,11 @@ fn stealing_actually_happens_under_the_stall_hook() {
     assert!(!report.races().is_empty(), "CCEH reports its known races");
     let sched = tel.sched_counters();
     assert!(sched.jobs > 0, "suffix jobs went through the scheduler");
-    assert!(sched.batches > 0, "jobs were chunked");
+    assert!(sched.batches > 0, "jobs ran in batches");
     let busy = tel.worker_stats().iter().filter(|w| w.jobs > 0).count();
     assert!(
         busy >= 2,
-        "stall hook must spread chunks over executors: {:?}",
+        "stall hook must spread items over executors: {:?}",
         tel.worker_stats()
     );
     // The nondeterministic counters live in the telemetry plane only: the

@@ -14,7 +14,8 @@ use pmem::Addr;
 use px86::Atomicity;
 use vclock::ThreadId;
 
-use crate::event::{Label, StoreEvent};
+use crate::event::{Label, LoadInfo, StoreEvent};
+use crate::mem::{LoadOutcome, MemState};
 use crate::sched::{Core, CrashUnwind, Shared};
 
 /// Handle to a simulated thread's execution context.
@@ -159,24 +160,35 @@ impl Ctx {
         let tid = self.tid;
         let bytes = self.shared.with_core(|core| {
             let out = core.mem.exec_load(tid, addr, len, atomicity, label);
-            if !out.chosen.is_empty() || !out.candidates.is_empty() {
-                let info = core
-                    .mem
-                    .load_info(tid, addr, len, atomicity, label, checksum);
-                let Core { mem, sink, .. } = core;
-                let chosen: Vec<&StoreEvent> =
-                    out.chosen.iter().map(|id| mem.store_event(*id)).collect();
-                let candidates: Vec<&StoreEvent> = out
-                    .candidates
-                    .iter()
-                    .map(|id| mem.store_event(*id))
-                    .collect();
-                sink.on_pre_exec_read(&info, &chosen, &candidates);
-            }
+            Self::report_pre_exec_read(core, &out, |mem| {
+                mem.load_info(tid, addr, len, atomicity, label, checksum)
+            });
             out.bytes
         });
         self.shared.yield_now(self.tid);
         bytes
+    }
+
+    /// Reports the pre-crash stores a load read (`out.chosen`) and could
+    /// have read (`out.candidates`) to the detector; `info` describes the
+    /// load and is built only when there is something to report.
+    fn report_pre_exec_read(
+        core: &mut Core,
+        out: &LoadOutcome,
+        info: impl FnOnce(&MemState) -> LoadInfo,
+    ) {
+        if out.chosen.is_empty() && out.candidates.is_empty() {
+            return;
+        }
+        let Core { mem, sink, .. } = core;
+        let info = info(mem);
+        let chosen: Vec<&StoreEvent> = out.chosen.iter().map(|&id| mem.store_event(id)).collect();
+        let candidates: Vec<&StoreEvent> = out
+            .candidates
+            .iter()
+            .map(|&id| mem.store_event(id))
+            .collect();
+        sink.on_pre_exec_read(&info, &chosen, &candidates);
     }
 
     /// Loads a `u64`.
@@ -280,19 +292,12 @@ impl Ctx {
         let checksum = self.checksum_scope;
         let tid = self.tid;
         let result = self.shared.with_core(|core| {
-            let Core { mem, sink, .. } = core;
-            let (old, swapped, out) = mem.exec_cas(sink.as_mut(), tid, addr, expected, new, label);
-            if !out.chosen.is_empty() || !out.candidates.is_empty() {
-                let info = mem.load_info(tid, addr, 8, Atomicity::ReleaseAcquire, label, checksum);
-                let chosen: Vec<&StoreEvent> =
-                    out.chosen.iter().map(|id| mem.store_event(*id)).collect();
-                let candidates: Vec<&StoreEvent> = out
-                    .candidates
-                    .iter()
-                    .map(|id| mem.store_event(*id))
-                    .collect();
-                sink.on_pre_exec_read(&info, &chosen, &candidates);
-            }
+            let (old, swapped, out) =
+                core.mem
+                    .exec_cas(core.sink.as_mut(), tid, addr, expected, new, label);
+            Self::report_pre_exec_read(core, &out, |mem| {
+                mem.load_info(tid, addr, 8, Atomicity::ReleaseAcquire, label, checksum)
+            });
             (old, swapped)
         });
         self.shared.yield_now(self.tid);

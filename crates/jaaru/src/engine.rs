@@ -11,9 +11,9 @@
 //! sorted by `(kind, label)` regardless of worker count.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use obs::telemetry::{Count, Telemetry, WallPhase, WorkerStat};
+use obs::telemetry::{Count, Telemetry, WallPhase};
 use pmem::{FastMap, FastSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -435,7 +435,6 @@ impl Engine {
                 tel.add(Count::Executions, 1);
                 crash_points = profile.points.iter().sum();
                 let profile_points = profile.points.clone();
-                let profile_events = profile.stats.events();
                 acc.absorb_run(profile);
                 let log = log.expect("the profile run keeps its snapshot log");
 
@@ -465,7 +464,6 @@ impl Engine {
                         log,
                         &classes,
                         &profile_points,
-                        profile_events,
                         workers,
                         &mut acc,
                         tel,
@@ -651,13 +649,11 @@ impl Engine {
     /// to the outcome attribution would have synthesized for it, and the
     /// executed run is what the accumulator absorbs — so the report is the
     /// exhaustive one and the `prune.*` counters stay zero.
-    #[allow(clippy::too_many_arguments)]
     fn resume_classes(
         program: &Program,
         log: SnapshotLog,
         classes: &[(usize, usize)],
         profile_points: &[usize],
-        profile_events: u64,
         workers: usize,
         acc: &mut RunAccumulator,
         tel: &Arc<Telemetry>,
@@ -670,23 +666,12 @@ impl Engine {
         } = log;
         // Snapshot k is class k's representative, or under
         // `EveryPoint` point k — either way the resumed runs come back in
-        // class order, representative first. Suffix-cost estimates for the
-        // scheduler's chunking are index-aligned with `snaps`.
+        // class order, representative first. Earlier crash points have
+        // longer suffixes, so the longest runs are taken first.
         let every_point = capture == Capture::EveryPoint;
-        let costs: Vec<u64> = if every_point {
-            records
-                .iter()
-                .map(|r| r.suffix_cost(profile_events))
-                .collect()
-        } else {
-            classes
-                .iter()
-                .map(|&(start, _)| records[start].suffix_cost(profile_events))
-                .collect()
-        };
         let runs = {
             let _t = tel.time(WallPhase::SuffixResume);
-            Self::fan_out(snaps, Some(&costs), workers, tel, |snap| {
+            pool::run_batch(snaps, workers, tel, |snap| {
                 let run = Self::resume_run(program, snap, profile_points);
                 // Every physically resumed suffix completes one crash point.
                 tel.add(Count::SuffixesResumed, 1);
@@ -953,12 +938,11 @@ impl Engine {
     }
 
     /// Runs every spec on its own sink from `sink_factory`, returning
-    /// `(outcome, branch-choice log)` pairs in spec order. With more than
-    /// one worker the specs fan out over several threads; each run builds a
-    /// private sink, so runs never share mutable state. The telemetry
-    /// handle is forwarded to the memory system for event-rate publishing
-    /// only; no phase or total time is attributed here (the caller owns
-    /// that).
+    /// `(outcome, branch-choice log)` pairs in spec order. The specs fan
+    /// out over [`pool::run_batch`]; each run builds a private sink, so runs
+    /// never share mutable state. The telemetry handle is forwarded to the
+    /// memory system for event-rate publishing only; no phase or total time
+    /// is attributed here (the caller owns that).
     fn run_batch(
         program: &Program,
         specs: Vec<RunSpec>,
@@ -967,64 +951,13 @@ impl Engine {
         tel: &Arc<Telemetry>,
         count_points: bool,
     ) -> Vec<(SingleRun, Vec<(usize, usize)>)> {
-        Self::fan_out(specs, None, config.resolved_workers(), tel, |spec| {
+        pool::run_batch(specs, config.resolved_workers(), tel, |spec| {
             let sink = Self::make_sink(sink_factory, config);
             let (run, log, _) = Self::run_inner(program, &spec, sink, None, config, tel);
             tel.add(Count::Executions, 1);
             tel.add(Count::CrashPointsDone, u64::from(count_points));
             (run, log)
         })
-    }
-
-    /// Applies `job` to every item, returning results in item order.
-    /// Sequential when `workers <= 1` or there is at most one item;
-    /// otherwise the items fan out over [`pool::run_batch`], which buckets
-    /// consecutive items into chunks of roughly equal cost from the
-    /// optional per-item `costs` (simulated event counts; uniform when
-    /// `None`). Estimates never influence results — only how work is
-    /// grouped and distributed.
-    ///
-    /// When `tel` is enabled, each executor's busy/idle wall time and item
-    /// count accumulate into its worker slot (slot 0 is the calling
-    /// thread) — the numbers behind the `--profile` `workers:` line. This
-    /// is pure observation: job order, results, and merging are
-    /// unaffected.
-    fn fan_out<T, R, F>(
-        items: Vec<T>,
-        costs: Option<&[u64]>,
-        workers: usize,
-        tel: &Arc<Telemetry>,
-        job: F,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        if workers <= 1 || items.len() <= 1 {
-            if !tel.enabled() {
-                return items.into_iter().map(job).collect();
-            }
-            let t0 = Instant::now();
-            let mut jobs = 0u64;
-            let results = items
-                .into_iter()
-                .map(|item| {
-                    jobs += 1;
-                    job(item)
-                })
-                .collect();
-            tel.record_worker(
-                0,
-                WorkerStat {
-                    busy: t0.elapsed(),
-                    idle: Duration::ZERO,
-                    jobs,
-                },
-            );
-            return results;
-        }
-        pool::run_batch(items, costs, workers, tel, job)
     }
 
     /// Builds and runs one simulated run from `spec` under `config`'s GC

@@ -118,76 +118,44 @@ impl Forkable for ExecState {
 
 /// Store-event table indexed by [`EventId`].
 ///
-/// Two layouts behind the same id-keyed interface:
-///
-/// * **Dense** (default): ids come from the shared per-run counter (which
-///   also numbers flushes and fences) and are never reused, so a
-///   slot-per-id vector turns the hottest lookups — load segments, acquire
-///   joins, candidate scans, commits — into a bounds-checked array index
-///   instead of a hash probe. Memory is O(total events).
-/// * **Indexed** (streaming GC): an id → slot map plus a free list lets
-///   retired events give their slots back, so resident slots track the
-///   *live* set rather than the run's history. The [`EventId`] indirection
-///   means no caller can tell the difference.
+/// An id → slot map plus a free list: ids come from the shared per-run
+/// counter (which also numbers flushes and fences) and are never reused,
+/// while retired events give their slots back, so resident slots track the
+/// *live* set rather than the run's history. With GC off nothing retires
+/// and the table simply grows.
 #[derive(Default, Clone)]
 struct EventTable {
     slots: Vec<Option<StoreEvent>>,
-    stores: usize,
-    /// Indexed (streaming) mode: where each live id's event lives.
-    index: Option<FastMap<EventId, u32>>,
-    /// Retired slots awaiting reuse (indexed mode only).
+    /// Where each live id's event lives.
+    index: FastMap<EventId, u32>,
+    /// Retired slots awaiting reuse.
     free: Vec<u32>,
     /// High-water mark of live entries.
     peak: usize,
-    /// Slots handed out again after retirement (indexed mode only).
+    /// Slots handed out again after retirement.
     reused: u64,
 }
 
 impl EventTable {
-    /// Switches to the indexed layout. Must precede any insertion.
-    fn enable_indexing(&mut self) {
-        assert!(self.slots.is_empty(), "enable indexing before any events");
-        self.index = Some(FastMap::default());
-    }
-
     fn insert(&mut self, id: EventId, event: StoreEvent) {
-        match &mut self.index {
-            Some(index) => {
-                let slot = match self.free.pop() {
-                    Some(s) => {
-                        self.reused += 1;
-                        self.slots[s as usize] = Some(event);
-                        s
-                    }
-                    None => {
-                        self.slots.push(Some(event));
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                let prev = index.insert(id, slot);
-                debug_assert!(prev.is_none(), "event ids are never reused");
-                self.stores += 1;
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.reused += 1;
+                self.slots[s as usize] = Some(event);
+                s
             }
             None => {
-                let idx = id as usize;
-                if idx >= self.slots.len() {
-                    // Ids arrive nearly in order; grow with headroom so the
-                    // table doubles rather than reallocating per event.
-                    self.slots
-                        .resize_with((idx + 1).next_power_of_two(), || None);
-                }
-                self.stores += usize::from(self.slots[idx].is_none());
-                self.slots[idx] = Some(event);
+                self.slots.push(Some(event));
+                (self.slots.len() - 1) as u32
             }
-        }
-        self.peak = self.peak.max(self.stores);
+        };
+        let prev = self.index.insert(id, slot);
+        debug_assert!(prev.is_none(), "event ids are never reused");
+        self.peak = self.peak.max(self.index.len());
     }
 
     fn slot_of(&self, id: EventId) -> usize {
-        match &self.index {
-            Some(index) => index[&id] as usize,
-            None => id as usize,
-        }
+        self.index[&id] as usize
     }
 
     fn get(&self, id: EventId) -> &StoreEvent {
@@ -201,36 +169,23 @@ impl EventTable {
         self.slots[slot].as_mut().expect("store event exists")
     }
 
-    /// Frees `id`'s slot for reuse (indexed mode only; unknown ids are
-    /// ignored so sweeps may be re-applied idempotently).
+    /// Frees `id`'s slot for reuse (unknown ids are ignored so sweeps may
+    /// be re-applied idempotently).
     fn retire(&mut self, id: EventId) {
-        let index = self
-            .index
-            .as_mut()
-            .expect("retirement requires the indexed layout");
-        if let Some(slot) = index.remove(&id) {
+        if let Some(slot) = self.index.remove(&id) {
             debug_assert!(self.slots[slot as usize].is_some());
             self.slots[slot as usize] = None;
             self.free.push(slot);
-            self.stores -= 1;
         }
     }
 
     /// Every live id, in unspecified order (callers sort).
     fn live_ids(&self) -> Vec<EventId> {
-        match &self.index {
-            Some(index) => index.keys().copied().collect(),
-            None => self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|_| i as EventId))
-                .collect(),
-        }
+        self.index.keys().copied().collect()
     }
 
     fn len(&self) -> usize {
-        self.stores
+        self.index.len()
     }
 
     fn peak_live(&self) -> usize {
@@ -514,12 +469,11 @@ impl MemState {
     ///
     /// # Panics
     ///
-    /// Panics if any event has already executed (the event table must adopt
-    /// its indexed layout before the first insertion).
+    /// Panics if any event has already executed: streaming mode covers a
+    /// whole run.
     pub fn enable_gc(&mut self, every: u64) {
         assert!(self.next_event == 1, "enable_gc before any events");
         self.gc_every = Some(every.max(1));
-        self.events.enable_indexing();
     }
 
     /// Whether streaming GC is on.
@@ -1962,8 +1916,11 @@ mod tests {
         let line = Addr(0x1000).cache_line();
         let mut prov = ProvenanceMap::new();
         *prov.line_mut(line) = *slab;
+        let mut ids: Vec<EventId> = slab.iter().copied().filter(|&id| id != 0).collect();
+        ids.sort_unstable();
+        ids.dedup();
         let mut events = EventTable::default();
-        for &id in slab.iter().filter(|&&id| id != 0) {
+        for id in ids {
             events.insert(
                 id,
                 StoreEvent {

@@ -231,19 +231,6 @@ pub(crate) struct PointRecord {
     pub cov: obs::SiteTable,
 }
 
-impl PointRecord {
-    /// Estimated cost of resuming from this crash point, in events: the
-    /// profiling run executed `profile_total` events end-to-end and this
-    /// point's prefix covered `stats.events()` of them, so the suffix run
-    /// replays roughly the difference (plus the post-crash phases, a
-    /// per-point constant that cancels out of relative weights). Clamped to
-    /// at least 1 so the scheduler's cost buckets never see a zero-weight
-    /// job. Late crash points are cheap, early ones expensive.
-    pub fn suffix_cost(&self, profile_total: u64) -> u64 {
-        profile_total.saturating_sub(self.stats.events()).max(1)
-    }
-}
-
 /// What the profiling run's [`SnapshotLog`] captures at each crash point of
 /// the targeted phases. Every state records a [`PointRecord`] per point —
 /// the coverage plane's crash-space cartography is derived from the record

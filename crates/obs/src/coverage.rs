@@ -293,20 +293,11 @@ impl SiteTable {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (kind, label, s) in self.sorted() {
-            let _ = write!(
-                out,
-                "{}:{}={},{},{},{},{},{},{},{};",
-                kind.name(),
-                label,
-                s.executed,
-                s.committed,
-                s.persisted,
-                s.effective,
-                s.redundant,
-                s.draining,
-                s.empty,
-                s.pre_crash,
-            );
+            let _ = write!(out, "{}:{}=", kind.name(), label);
+            for (_, _, v) in s.counters() {
+                let _ = write!(out, "{v},");
+            }
+            out.push(';');
         }
         for (line, n) in self.heat_sorted() {
             let _ = write!(out, "@{line:x}={n};");

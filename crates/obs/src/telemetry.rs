@@ -118,9 +118,9 @@ pub enum Count {
     SuffixesPruned,
     /// Live event-table slots (a gauge: the last published value).
     LiveSlots,
-    /// Jobs fanned out over parallel executors.
+    /// Jobs (items) run by fan-outs.
     SchedJobs,
-    /// Cost-bucketed chunks those jobs were grouped into.
+    /// Fan-outs: one per batch of jobs, at every worker count.
     SchedBatches,
 }
 
@@ -140,8 +140,8 @@ const COUNTS: [(&str, &str, &str, &str); Count::N] = [
     ("suffixes_resumed", "yashme_suffixes_resumed_total", "counter", "Post-crash suffixes resumed from snapshots."),
     ("suffixes_pruned", "yashme_suffixes_pruned_total", "counter", "Crash points answered by equivalence-class attribution."),
     ("live_slots", "yashme_live_slots", "gauge", "Live event-table slots (last published)."),
-    ("sched_jobs", "yashme_sched_jobs_total", "counter", "Jobs fanned out over parallel executors."),
-    ("sched_batches", "yashme_sched_batches_total", "counter", "Cost-bucketed chunks those jobs were grouped into."),
+    ("sched_jobs", "yashme_sched_jobs_total", "counter", "Jobs run by fan-outs."),
+    ("sched_batches", "yashme_sched_batches_total", "counter", "Fan-outs (batches of jobs) run."),
 ];
 
 /// Busy/idle accounting of one executor slot, summed over every fan-out.
@@ -149,7 +149,7 @@ const COUNTS: [(&str, &str, &str, &str); Count::N] = [
 /// Slot 0 is the thread that called the engine; slots `1..` are the scoped
 /// threads a parallel fan-out spawns, so the number of slots is the largest
 /// executor count any fan-out used. `idle` is the time an executor had no
-/// chunk left while others were still finishing theirs.
+/// item left while others were still finishing theirs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStat {
     /// Time spent executing jobs.
@@ -160,19 +160,20 @@ pub struct WorkerStat {
     pub jobs: u64,
 }
 
-/// Counts of the parallel fan-out.
+/// Counts of the fan-out.
 ///
-/// `jobs` and `batches` are deterministic functions of the engine
-/// configuration (chunking derives from profile-run cost estimates), but
-/// only parallel fan-outs record them, so they live in this plane and never
-/// in the deterministic metrics registry or `--json`.
+/// `jobs` and `batches` are deterministic functions of the program and the
+/// exploration strategy, the same at every worker count, but they count
+/// the engine's work layout rather than anything simulated, so they live
+/// in this plane and never in the deterministic metrics registry or
+/// `--json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// [`Count::SchedJobs`].
     pub jobs: u64,
     /// [`Count::SchedBatches`].
     pub batches: u64,
-    /// Always 0: executors claim chunks from one shared cursor, nothing is
+    /// Always 0: executors take items from one shared queue, nothing is
     /// stolen. Kept for the benchmark's `pool.steals` column.
     pub steals: u64,
 }
@@ -624,13 +625,13 @@ impl TelemetrySample {
             } else {
                 100.0 * busy.as_secs_f64() / occupied
             };
-            let chunks = match self.count(Count::SchedBatches) {
+            let batches = match self.count(Count::SchedBatches) {
                 0 => String::new(),
-                c => format!(" in {c} chunk(s)"),
+                c => format!(" in {c} batch(es)"),
             };
             let _ = writeln!(
                 out,
-                "  workers: {} thread(s), {jobs} job(s){chunks}; busy {busy:.3?}, idle {idle:.3?} ({util:.1}% busy)",
+                "  workers: {} thread(s), {jobs} job(s){batches}; busy {busy:.3?}, idle {idle:.3?} ({util:.1}% busy)",
                 self.workers.len(),
             );
         }
@@ -913,7 +914,7 @@ mod tests {
         assert!(tree.contains("unattributed"));
         assert!(tree.contains("coverage 95.0%"));
         assert!(
-            tree.contains("workers: 2 thread(s), 21 job(s) in 5 chunk(s);"),
+            tree.contains("workers: 2 thread(s), 21 job(s) in 5 batch(es);"),
             "{tree}"
         );
     }

@@ -28,6 +28,16 @@ fn fast_fair_races_match_table3() {
 }
 
 #[test]
+fn fast_fair_recovery_scan_survives_every_crash_point() {
+    // The program's post-crash phase searches every key and then walks the
+    // whole leaf chain (`recovery_scan`); model checking crashes it at
+    // every flush and fence, and no recovered tree may make it panic.
+    let report = yashme::model_check(&recipe::fastfair::program());
+    assert!(report.crash_points() > 0);
+    assert!(report.post_crash_panics().is_empty(), "{report}");
+}
+
+#[test]
 fn p_art_races_match_table3() {
     check("P-ART");
 }
