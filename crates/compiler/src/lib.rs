@@ -13,10 +13,10 @@
 //!
 //! This crate substitutes for those real compilers:
 //!
-//! * [`CompilerConfig::lower_store`] performs the *runtime* lowering used by
-//!   the execution engine — splitting plain stores into the instruction-level
-//!   chunks the configured compiler/architecture could emit, so torn values
-//!   are observable post-crash (the Figure 1 demo);
+//! * [`CompilerConfig::lower`] performs the *runtime* lowering used by the
+//!   execution engine — splitting plain stores, `memset`s and `memcpy`s into
+//!   the instruction-level chunks the configured compiler/architecture could
+//!   emit, so torn values are observable post-crash (the Figure 1 demo);
 //! * [`compile_unit`] performs the *static* coalescing pass over a
 //!   benchmark's source profile, regenerating the Table 2b counts;
 //! * [`observed_optimizations`] records the Table 2a rule matrix.
@@ -24,20 +24,23 @@
 //! # Examples
 //!
 //! ```
-//! use compiler_model::{Arch, CompilerConfig, CompilerId, OptLevel};
+//! use compiler_model::{Arch, CompilerConfig, CompilerId, OptLevel, SourceWrite};
 //! use pmem::Addr;
 //! use px86::Atomicity;
 //!
 //! // gcc -O1 on ARM64 tears an aligned 64-bit store into two 32-bit stores.
 //! let cfg = CompilerConfig::new(CompilerId::Gcc, Arch::Arm64, OptLevel::O1);
-//! let chunks = cfg.lower_store(Addr(0x1000), &0x1234_5678_1234_5678u64.to_le_bytes(),
-//!                              Atomicity::Plain);
+//! let value = 0x1234_5678_1234_5678u64.to_le_bytes();
+//! let chunks = cfg.lower(Addr(0x1000), SourceWrite::Store(&value, Atomicity::Plain));
 //! assert_eq!(chunks.len(), 2);
 //!
 //! // An atomic store is never torn.
-//! let chunks = cfg.lower_store(Addr(0x1000), &1u64.to_le_bytes(),
-//!                              Atomicity::ReleaseAcquire);
+//! let one = 1u64.to_le_bytes();
+//! let chunks = cfg.lower(Addr(0x1000), SourceWrite::Store(&one, Atomicity::ReleaseAcquire));
 //! assert_eq!(chunks.len(), 1);
+//!
+//! // A 2 KiB memset is 256 word chunks, produced one at a time.
+//! assert_eq!(cfg.lower(Addr(0x1000), SourceWrite::Memset(0, 2048)).len(), 256);
 //! ```
 
 mod config;
@@ -46,7 +49,7 @@ mod profile;
 mod rules;
 
 pub use config::{Arch, CompilerConfig, CompilerId, OptLevel};
-pub use lower::StoreChunk;
+pub use lower::{Lowering, SourceWrite, StoreBytes, StoreChunk};
 pub use profile::{
     compile_unit, MemOpCounts, SourceProfile, SourceUnit, MEMCPY_THRESHOLD_WORDS,
     MEMSET_THRESHOLD_WORDS,

@@ -1,24 +1,46 @@
-//! Runtime lowering of source-level stores into instruction-level chunks.
+//! Runtime lowering of source-level writes into instruction-level chunks.
 
 use pmem::Addr;
 use px86::Atomicity;
-use serde::{Deserialize, Serialize};
 
 use crate::config::CompilerConfig;
 
-/// One instruction-level store produced by lowering a source-level store.
+/// A source-level write, as the program issued it, before lowering.
+#[derive(Debug, Clone, Copy)]
+pub enum SourceWrite<'a> {
+    /// A store of these bytes with this atomicity.
+    Store(&'a [u8], Atomicity),
+    /// `memset(addr, value, len)` with this value and length.
+    Memset(u8, u64),
+    /// `memcpy`/`memmove` of these bytes.
+    Memcpy(&'a [u8]),
+}
+
+impl SourceWrite<'_> {
+    /// The language-level atomicity every chunk of the write carries:
+    /// `memset` and `memcpy` are always non-atomic.
+    #[inline]
+    pub fn atomicity(&self) -> Atomicity {
+        match *self {
+            SourceWrite::Store(_, atomicity) => atomicity,
+            SourceWrite::Memset(..) | SourceWrite::Memcpy(_) => Atomicity::Plain,
+        }
+    }
+}
+
+/// One instruction-level store produced by lowering a source-level write.
 ///
 /// A source-level store lowers to one chunk in the common case; a torn store
 /// lowers to several, and store inventing may prepend a chunk carrying a
 /// stashed temporary value. Each chunk becomes a separate store event in the
 /// simulation, so a crash can persist some chunks and not others — exactly
 /// the partial-persistence behaviour persistency races are about.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StoreChunk {
     /// First byte written by this chunk.
     pub addr: Addr,
-    /// The bytes written.
-    pub bytes: Vec<u8>,
+    /// The bytes written: inline for every word-size piece.
+    pub bytes: StoreBytes,
     /// `true` if this chunk is a compiler-invented temporary stash rather
     /// than (part of) the source-level value.
     pub invented: bool,
@@ -36,9 +58,89 @@ impl StoreChunk {
     }
 }
 
+/// The payload of a lowered chunk (and of the store event made from it):
+/// up to 8 bytes — every split word, `memset` and `memcpy` chunk — live
+/// inline, so lowering, creating or cloning one allocates nothing. Longer
+/// payloads, from wide non-tearable stores and the invented stash of a wide
+/// store, go to the heap. Derefs to `[u8]`.
+#[derive(Clone)]
+pub struct StoreBytes(Payload);
+
+#[derive(Clone)]
+enum Payload {
+    Inline { len: u8, buf: [u8; 8] },
+    Heap(Box<[u8]>),
+}
+
+impl StoreBytes {
+    /// `len` copies of `value`.
+    #[inline]
+    pub fn filled(value: u8, len: usize) -> Self {
+        if len <= 8 {
+            StoreBytes(Payload::Inline {
+                len: len as u8,
+                buf: [value; 8],
+            })
+        } else {
+            StoreBytes(Payload::Heap(vec![value; len].into()))
+        }
+    }
+}
+
+impl From<&[u8]> for StoreBytes {
+    #[inline]
+    fn from(bytes: &[u8]) -> Self {
+        StoreBytes(if bytes.len() <= 8 {
+            // A whole word, the common case, copies as one fixed-size move.
+            let buf = match <[u8; 8]>::try_from(bytes) {
+                Ok(word) => word,
+                Err(_) => {
+                    let mut buf = [0u8; 8];
+                    buf[..bytes.len()].copy_from_slice(bytes);
+                    buf
+                }
+            };
+            Payload::Inline {
+                len: bytes.len() as u8,
+                buf,
+            }
+        } else {
+            Payload::Heap(bytes.into())
+        })
+    }
+}
+
+impl std::ops::Deref for StoreBytes {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Payload::Inline { len, buf } => &buf[..usize::from(*len)],
+            Payload::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl std::ops::DerefMut for StoreBytes {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match &mut self.0 {
+            Payload::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Payload::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl std::fmt::Debug for StoreBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl CompilerConfig {
-    /// Lowers a source-level store of `bytes` at `addr` into instruction
-    /// chunks.
+    /// Lowers a source-level write of `write` at `addr` into instruction
+    /// chunks, yielded in emission order.
     ///
     /// * Atomic stores ([`Atomicity::Relaxed`] or
     ///   [`Atomicity::ReleaseAcquire`]) are never split and never get
@@ -50,105 +152,118 @@ impl CompilerConfig {
     ///   gcc/ARM64 behaviour of Figure 1.
     /// * With [`invent_stores`](CompilerConfig::invent_stores), a plain
     ///   store is preceded by a chunk stashing a scrambled temporary.
+    /// * libc `memset`/`memcpy` implementations write in word-size (or
+    ///   wider) pieces with no cross-word atomicity guarantee; they lower to
+    ///   8-byte chunks in ascending address order plus a tail, never
+    ///   invented.
+    ///
+    /// The chunks borrow nothing from `self`, and only a payload wider than
+    /// 8 bytes allocates.
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is empty.
-    pub fn lower_store(&self, addr: Addr, bytes: &[u8], atomicity: Atomicity) -> Vec<StoreChunk> {
-        assert!(!bytes.is_empty(), "zero-length store");
-        if self.keeps_whole(bytes.len(), atomicity) {
-            return vec![StoreChunk {
-                addr,
-                bytes: bytes.to_vec(),
-                invented: false,
-            }];
+    /// Panics if the write is empty.
+    #[inline]
+    pub fn lower<'a>(&self, addr: Addr, write: SourceWrite<'a>) -> Lowering<'a> {
+        let (src, len, piece, invent) = match write {
+            SourceWrite::Store(bytes, atomicity) => {
+                let len = bytes.len();
+                let piece = if !atomicity.is_tearable() {
+                    len
+                } else if len > 8 {
+                    8
+                } else if len == 8 && self.tear_wide_stores {
+                    4
+                } else {
+                    len
+                };
+                let invent = atomicity.is_tearable() && self.invent_stores;
+                (Source::Bytes(bytes), len as u64, piece as u64, invent)
+            }
+            SourceWrite::Memset(value, len) => (Source::Fill(value), len, 8, false),
+            SourceWrite::Memcpy(data) => (Source::Bytes(data), data.len() as u64, 8, false),
+        };
+        assert!(len > 0, "zero-length write");
+        Lowering {
+            addr,
+            src,
+            len,
+            piece,
+            off: 0,
+            invent,
         }
-        let mut chunks = Vec::new();
-        if self.invent_stores {
+    }
+}
+
+/// Where a lowering takes its chunk payloads from.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// Sub-slices of the source bytes (stores and `memcpy`).
+    Bytes(&'a [u8]),
+    /// Runs of one value (`memset`).
+    Fill(u8),
+}
+
+/// The chunks of one lowered write, in emission order: see
+/// [`CompilerConfig::lower`].
+#[derive(Debug, Clone)]
+pub struct Lowering<'a> {
+    addr: Addr,
+    src: Source<'a>,
+    len: u64,
+    /// Width of every split piece (the last may be shorter).
+    piece: u64,
+    /// Bytes of the source already emitted.
+    off: u64,
+    /// An invented stash is still to come (it precedes the real pieces).
+    invent: bool,
+}
+
+impl Iterator for Lowering<'_> {
+    type Item = StoreChunk;
+
+    #[inline]
+    fn next(&mut self) -> Option<StoreChunk> {
+        if self.invent {
             // Model register-pressure stashing: the destination briefly
             // holds a derived temporary (here, the bitwise complement).
-            chunks.push(StoreChunk {
-                addr,
-                bytes: bytes.iter().map(|b| !b).collect(),
+            self.invent = false;
+            let Source::Bytes(bytes) = self.src else {
+                unreachable!("only stores get invented stashes");
+            };
+            let mut stash = StoreBytes::from(bytes);
+            stash.iter_mut().for_each(|b| *b = !*b);
+            return Some(StoreChunk {
+                addr: self.addr,
+                bytes: stash,
                 invented: true,
             });
         }
-        let piece = if bytes.len() > 8 {
-            8
-        } else if bytes.len() == 8 && self.tear_wide_stores {
-            4
-        } else {
-            bytes.len()
+        if self.off == self.len {
+            return None;
+        }
+        let start = self.off;
+        let end = (start + self.piece).min(self.len);
+        self.off = end;
+        let bytes = match self.src {
+            Source::Bytes(bytes) => StoreBytes::from(&bytes[start as usize..end as usize]),
+            Source::Fill(value) => StoreBytes::filled(value, (end - start) as usize),
         };
-        let mut off = 0usize;
-        while off < bytes.len() {
-            let end = (off + piece).min(bytes.len());
-            chunks.push(StoreChunk {
-                addr: addr + off as u64,
-                bytes: bytes[off..end].to_vec(),
-                invented: false,
-            });
-            off = end;
-        }
-        chunks
+        Some(StoreChunk {
+            addr: self.addr + start,
+            bytes,
+            invented: false,
+        })
     }
 
-    /// Whether [`lower_store`](Self::lower_store) emits a `len`-byte store
-    /// as one chunk holding exactly its bytes: always for a non-tearable
-    /// store, and for a tearable one that gets no invented stash and is not
-    /// wide enough to be split.
-    pub fn keeps_whole(&self, len: usize, atomicity: Atomicity) -> bool {
-        !atomicity.is_tearable()
-            || (!self.invent_stores && (len < 8 || (len == 8 && !self.tear_wide_stores)))
-    }
-
-    /// Lowers a `memset(addr, value, len)` into instruction chunks.
-    ///
-    /// libc `memset` implementations write in word-size (or wider) pieces
-    /// with no cross-word atomicity guarantee; we model 8-byte chunks plus a
-    /// tail. The result is always non-atomic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero.
-    pub fn lower_memset(&self, addr: Addr, value: u8, len: u64) -> Vec<StoreChunk> {
-        assert!(len > 0, "zero-length memset");
-        let mut chunks = Vec::new();
-        let mut off = 0u64;
-        while off < len {
-            let n = (len - off).min(8);
-            chunks.push(StoreChunk {
-                addr: addr + off,
-                bytes: vec![value; n as usize],
-                invented: false,
-            });
-            off += n;
-        }
-        chunks
-    }
-
-    /// Lowers a `memcpy`/`memmove` of `data` to `addr` into chunks, like
-    /// [`lower_memset`](CompilerConfig::lower_memset).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is empty.
-    pub fn lower_memcpy(&self, addr: Addr, data: &[u8]) -> Vec<StoreChunk> {
-        assert!(!data.is_empty(), "zero-length memcpy");
-        let mut chunks = Vec::new();
-        let mut off = 0usize;
-        while off < data.len() {
-            let end = (off + 8).min(data.len());
-            chunks.push(StoreChunk {
-                addr: addr + off as u64,
-                bytes: data[off..end].to_vec(),
-                invented: false,
-            });
-            off = end;
-        }
-        chunks
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = (self.len - self.off).div_ceil(self.piece) as usize + usize::from(self.invent);
+        (n, Some(n))
     }
 }
+
+impl ExactSizeIterator for Lowering<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -163,15 +278,32 @@ mod tests {
         CompilerConfig::clang_o3_x86()
     }
 
+    fn lower(cfg: CompilerConfig, addr: Addr, write: SourceWrite<'_>) -> Vec<StoreChunk> {
+        let lowering = cfg.lower(addr, write);
+        let hinted = lowering.len();
+        let chunks: Vec<StoreChunk> = lowering.collect();
+        assert_eq!(chunks.len(), hinted, "size hint is exact");
+        chunks
+    }
+
+    fn store(
+        cfg: CompilerConfig,
+        addr: Addr,
+        bytes: &[u8],
+        atomicity: Atomicity,
+    ) -> Vec<StoreChunk> {
+        lower(cfg, addr, SourceWrite::Store(bytes, atomicity))
+    }
+
     #[test]
     fn plain_u64_torn_into_two_halves() {
         let v = 0x1234_5678_1234_5678u64.to_le_bytes();
-        let chunks = tearing().lower_store(Addr(0x100), &v, Atomicity::Plain);
+        let chunks = store(tearing(), Addr(0x100), &v, Atomicity::Plain);
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].addr, Addr(0x100));
-        assert_eq!(chunks[0].bytes, v[..4]);
+        assert_eq!(chunks[0].bytes[..], v[..4]);
         assert_eq!(chunks[1].addr, Addr(0x104));
-        assert_eq!(chunks[1].bytes, v[4..]);
+        assert_eq!(chunks[1].bytes[..], v[4..]);
         assert!(chunks.iter().all(|c| !c.invented));
     }
 
@@ -179,18 +311,24 @@ mod tests {
     fn atomic_u64_never_torn() {
         let v = 7u64.to_le_bytes();
         for atom in [Atomicity::Relaxed, Atomicity::ReleaseAcquire] {
-            let chunks = tearing()
-                .with_invented_stores()
-                .lower_store(Addr(0), &v, atom);
+            let chunks = store(tearing().with_invented_stores(), Addr(0), &v, atom);
             assert_eq!(chunks.len(), 1);
             assert!(!chunks[0].invented);
         }
     }
 
     #[test]
+    fn wide_atomic_store_stays_one_chunk() {
+        let data: Vec<u8> = (0..24).collect();
+        let chunks = store(tearing(), Addr(0), &data, Atomicity::ReleaseAcquire);
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].bytes[..], data[..]);
+    }
+
+    #[test]
     fn non_tearing_config_keeps_u64_whole() {
         let v = 7u64.to_le_bytes();
-        let chunks = non_tearing().lower_store(Addr(0), &v, Atomicity::Plain);
+        let chunks = store(non_tearing(), Addr(0), &v, Atomicity::Plain);
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].len(), 8);
     }
@@ -198,7 +336,7 @@ mod tests {
     #[test]
     fn wide_stores_always_split() {
         let data = [0xabu8; 24];
-        let chunks = non_tearing().lower_store(Addr(0), &data, Atomicity::Plain);
+        let chunks = store(non_tearing(), Addr(0), &data, Atomicity::Plain);
         assert_eq!(chunks.len(), 3);
         assert!(chunks.iter().all(|c| c.len() == 8));
     }
@@ -207,17 +345,30 @@ mod tests {
     fn invented_store_precedes_real_value() {
         let cfg = non_tearing().with_invented_stores();
         let v = 0x00ff_00ffu32.to_le_bytes();
-        let chunks = cfg.lower_store(Addr(0), &v, Atomicity::Plain);
+        let chunks = store(cfg, Addr(0), &v, Atomicity::Plain);
         assert_eq!(chunks.len(), 2);
         assert!(chunks[0].invented);
-        assert_eq!(chunks[0].bytes, vec![!v[0], !v[1], !v[2], !v[3]]);
+        assert_eq!(chunks[0].bytes[..], [!v[0], !v[1], !v[2], !v[3]]);
         assert!(!chunks[1].invented);
-        assert_eq!(chunks[1].bytes, v.to_vec());
+        assert_eq!(chunks[1].bytes[..], v);
+    }
+
+    #[test]
+    fn invented_stash_of_a_wide_store_covers_it_whole() {
+        let cfg = non_tearing().with_invented_stores();
+        let data: Vec<u8> = (0..20).collect();
+        let chunks = store(cfg, Addr(0x40), &data, Atomicity::Plain);
+        assert_eq!(chunks.len(), 4);
+        assert!(chunks[0].invented);
+        assert_eq!(chunks[0].addr, Addr(0x40));
+        let complement: Vec<u8> = data.iter().map(|b| !b).collect();
+        assert_eq!(chunks[0].bytes[..], complement[..]);
+        assert!(chunks[1..].iter().all(|c| !c.invented));
     }
 
     #[test]
     fn memset_chunks_cover_range_exactly() {
-        let chunks = non_tearing().lower_memset(Addr(3), 0, 21);
+        let chunks = lower(non_tearing(), Addr(3), SourceWrite::Memset(0, 21));
         let total: u64 = chunks.iter().map(StoreChunk::len).sum();
         assert_eq!(total, 21);
         assert_eq!(chunks[0].addr, Addr(3));
@@ -228,7 +379,7 @@ mod tests {
     #[test]
     fn memcpy_preserves_data() {
         let data: Vec<u8> = (0..19).collect();
-        let chunks = non_tearing().lower_memcpy(Addr(0x40), &data);
+        let chunks = lower(non_tearing(), Addr(0x40), SourceWrite::Memcpy(&data));
         let mut rebuilt = Vec::new();
         for c in &chunks {
             assert_eq!(c.addr, Addr(0x40 + rebuilt.len() as u64));
@@ -238,10 +389,18 @@ mod tests {
     }
 
     #[test]
+    fn mem_ops_are_plain_and_stores_keep_their_atomicity() {
+        assert_eq!(SourceWrite::Memset(1, 8).atomicity(), Atomicity::Plain);
+        assert_eq!(SourceWrite::Memcpy(&[1]).atomicity(), Atomicity::Plain);
+        let w = SourceWrite::Store(&[1], Atomicity::Relaxed);
+        assert_eq!(w.atomicity(), Atomicity::Relaxed);
+    }
+
+    #[test]
     fn small_plain_stores_stay_whole() {
         for len in [1usize, 2, 4] {
             let data = vec![0x5au8; len];
-            let chunks = tearing().lower_store(Addr(0), &data, Atomicity::Plain);
+            let chunks = store(tearing(), Addr(0), &data, Atomicity::Plain);
             assert_eq!(chunks.len(), 1, "len {len}");
         }
     }
@@ -249,7 +408,25 @@ mod tests {
     #[test]
     fn o0_gcc_arm64_does_not_tear() {
         let cfg = CompilerConfig::new(CompilerId::Gcc, Arch::Arm64, OptLevel::O0);
-        let chunks = cfg.lower_store(Addr(0), &1u64.to_le_bytes(), Atomicity::Plain);
+        let chunks = store(cfg, Addr(0), &1u64.to_le_bytes(), Atomicity::Plain);
         assert_eq!(chunks.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-length write")]
+    fn empty_writes_panic() {
+        let _ = non_tearing().lower(Addr(0), SourceWrite::Memset(0, 0));
+    }
+
+    #[test]
+    fn store_bytes_round_trip_inline_and_on_the_heap() {
+        for len in [1usize, 4, 8, 9, 64] {
+            let data: Vec<u8> = (0..len as u8).collect();
+            let bytes = StoreBytes::from(&data[..]);
+            assert_eq!(&bytes[..], &data[..]);
+            assert_eq!(&bytes.clone()[..], &data[..]);
+            assert_eq!(format!("{bytes:?}"), format!("{data:?}"));
+            assert_eq!(StoreBytes::filled(7, len)[..], vec![7u8; len][..]);
+        }
     }
 }

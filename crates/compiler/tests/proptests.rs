@@ -1,7 +1,7 @@
 //! Property-based tests for the lowering model: lowered chunks must always
 //! reconstruct the source-level effect exactly.
 
-use compiler_model::{Arch, CompilerConfig, CompilerId, OptLevel};
+use compiler_model::{Arch, CompilerConfig, CompilerId, OptLevel, SourceWrite, StoreChunk};
 use pmem::Addr;
 use proptest::prelude::*;
 use px86::Atomicity;
@@ -36,8 +36,18 @@ fn arb_atomicity() -> impl Strategy<Value = Atomicity> {
     ]
 }
 
+/// Lowers `write` at `addr`, checking the iterator's exact length against
+/// the chunks it yields.
+fn lower(cfg: &CompilerConfig, addr: u64, write: SourceWrite<'_>) -> Vec<StoreChunk> {
+    let lowering = cfg.lower(Addr(addr), write);
+    let hinted = lowering.len();
+    let chunks: Vec<StoreChunk> = lowering.collect();
+    assert_eq!(chunks.len(), hinted, "exact size hint");
+    chunks
+}
+
 /// Applies chunks to a byte map and returns the reconstructed range.
-fn replay(chunks: &[compiler_model::StoreChunk], base: Addr, len: usize) -> Vec<Option<u8>> {
+fn replay(chunks: &[StoreChunk], base: Addr, len: usize) -> Vec<Option<u8>> {
     let mut mem = vec![None; len];
     for c in chunks {
         for (i, &b) in c.bytes.iter().enumerate() {
@@ -60,7 +70,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 1..40),
         addr in 0x1000u64..0x2000,
     ) {
-        let chunks = cfg.lower_store(Addr(addr), &bytes, atomicity);
+        let chunks = lower(&cfg, addr, SourceWrite::Store(&bytes, atomicity));
         // Non-invented chunks, applied in order, must equal the source bytes.
         let real: Vec<_> = chunks.iter().filter(|c| !c.invented).cloned().collect();
         let mem = replay(&real, Addr(addr), bytes.len());
@@ -82,10 +92,10 @@ proptest! {
         addr in 0x1000u64..0x2000,
     ) {
         for atom in [Atomicity::Relaxed, Atomicity::ReleaseAcquire] {
-            let chunks = cfg.lower_store(Addr(addr), &bytes, atom);
+            let chunks = lower(&cfg, addr, SourceWrite::Store(&bytes, atom));
             prop_assert_eq!(chunks.len(), 1);
             prop_assert!(!chunks[0].invented);
-            prop_assert_eq!(&chunks[0].bytes, &bytes);
+            prop_assert_eq!(&chunks[0].bytes[..], &bytes[..]);
         }
     }
 
@@ -95,7 +105,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 1..40),
         addr in 0x1000u64..0x2000,
     ) {
-        let chunks = cfg.lower_store(Addr(addr), &bytes, Atomicity::Plain);
+        let chunks = lower(&cfg, addr, SourceWrite::Store(&bytes, Atomicity::Plain));
         let real: Vec<_> = chunks.iter().filter(|c| !c.invented).collect();
         let mut covered = vec![false; bytes.len()];
         for c in &real {
@@ -115,11 +125,16 @@ proptest! {
         len in 1u64..100,
         addr in 0x1000u64..0x2000,
     ) {
-        let chunks = cfg.lower_memset(Addr(addr), value, len);
+        let chunks = lower(&cfg, addr, SourceWrite::Memset(value, len));
         let mem = replay(&chunks, Addr(addr), len as usize);
         prop_assert!(mem.iter().all(|&b| b == Some(value)));
         let total: u64 = chunks.iter().map(|c| c.bytes.len() as u64).sum();
         prop_assert_eq!(total, len, "no byte written twice");
+        // Word-size pieces, never invented, in ascending address order.
+        prop_assert!(chunks.iter().all(|c| c.len() <= 8 && !c.invented));
+        for w in chunks.windows(2) {
+            prop_assert_eq!(w[0].addr + w[0].len(), w[1].addr);
+        }
     }
 
     #[test]
@@ -128,7 +143,8 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 1..100),
         addr in 0x1000u64..0x2000,
     ) {
-        let chunks = cfg.lower_memcpy(Addr(addr), &data);
+        let chunks = lower(&cfg, addr, SourceWrite::Memcpy(&data));
+        prop_assert!(chunks.iter().all(|c| c.len() <= 8 && !c.invented));
         // Chunks must be in ascending address order (libc copies forward).
         for w in chunks.windows(2) {
             prop_assert!(w[0].addr < w[1].addr);
@@ -145,7 +161,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 9..64),
         addr in 0x1000u64..0x2000,
     ) {
-        let chunks = cfg.lower_store(Addr(addr), &bytes, Atomicity::Plain);
+        let chunks = lower(&cfg, addr, SourceWrite::Store(&bytes, Atomicity::Plain));
         for c in chunks.iter().filter(|c| !c.invented) {
             prop_assert!(c.bytes.len() <= 8, "chunk wider than a word");
         }

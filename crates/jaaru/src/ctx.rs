@@ -14,8 +14,8 @@ use pmem::Addr;
 use px86::Atomicity;
 use vclock::ThreadId;
 
-use crate::event::{Label, LoadInfo, StoreEvent};
-use crate::mem::{LoadOutcome, MemState};
+use crate::event::{Label, LoadInfo};
+use crate::mem::MemState;
 use crate::sched::{Core, CrashUnwind, Shared};
 
 /// Handle to a simulated thread's execution context.
@@ -156,59 +156,74 @@ impl Ctx {
         atomicity: Atomicity,
         label: Label,
     ) -> Vec<u8> {
-        let checksum = self.checksum_scope;
-        let tid = self.tid;
-        let bytes = self.shared.with_core(|core| {
-            let out = core.mem.exec_load(tid, addr, len, atomicity, label);
-            Self::report_pre_exec_read(core, &out, |mem| {
-                mem.load_info(tid, addr, len, atomicity, label, checksum)
-            });
-            out.bytes
-        });
-        self.shared.yield_now(self.tid);
-        bytes
+        self.load_with(addr, len, atomicity, label, <[u8]>::to_vec)
     }
 
-    /// Reports the pre-crash stores a load read (`out.chosen`) and could
-    /// have read (`out.candidates`) to the detector; `info` describes the
-    /// load and is built only when there is something to report.
-    fn report_pre_exec_read(
-        core: &mut Core,
-        out: &LoadOutcome,
-        info: impl FnOnce(&MemState) -> LoadInfo,
-    ) {
+    /// Performs a load, reports its pre-crash reads, and hands the bytes to
+    /// `read` while they still sit in the memory system's reused load
+    /// storage, so a fixed-width load builds no `Vec`.
+    fn load_with<R>(
+        &mut self,
+        addr: Addr,
+        len: u64,
+        atomicity: Atomicity,
+        label: Label,
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        let checksum = self.checksum_scope;
+        let tid = self.tid;
+        let value = self.shared.with_core(|core| {
+            core.mem.exec_load(tid, addr, len, atomicity, label);
+            Self::report_pre_exec_read(core, |mem| {
+                mem.load_info(tid, addr, len, atomicity, label, checksum)
+            });
+            read(core.mem.last_load().bytes)
+        });
+        self.shared.yield_now(self.tid);
+        value
+    }
+
+    /// Reports the pre-crash stores the last load read (`chosen`) and could
+    /// have read (`candidates`) to the detector; `info` describes the load
+    /// and is built only when there is something to report.
+    fn report_pre_exec_read(core: &mut Core, info: impl FnOnce(&MemState) -> LoadInfo) {
+        let Core { mem, sink, .. } = core;
+        let out = mem.last_load();
         if out.chosen.is_empty() && out.candidates.is_empty() {
             return;
         }
-        let Core { mem, sink, .. } = core;
         let info = info(mem);
-        let chosen: Vec<&StoreEvent> = out.chosen.iter().map(|&id| mem.store_event(id)).collect();
-        let candidates: Vec<&StoreEvent> = out
-            .candidates
-            .iter()
-            .map(|&id| mem.store_event(id))
-            .collect();
-        sink.on_pre_exec_read(&info, &chosen, &candidates);
+        mem.with_store_refs(out.chosen, |chosen| {
+            mem.with_store_refs(out.candidates, |candidates| {
+                sink.on_pre_exec_read(&info, chosen, candidates)
+            })
+        });
     }
 
     /// Loads a `u64`.
     pub fn load_u64(&mut self, addr: Addr, atomicity: Atomicity) -> u64 {
-        u64::from_le_bytes(self.load_bytes(addr, 8, atomicity).try_into().expect("8"))
+        self.load_with(addr, 8, atomicity, "", |b| {
+            u64::from_le_bytes(b.try_into().expect("8"))
+        })
     }
 
     /// Loads a `u32`.
     pub fn load_u32(&mut self, addr: Addr, atomicity: Atomicity) -> u32 {
-        u32::from_le_bytes(self.load_bytes(addr, 4, atomicity).try_into().expect("4"))
+        self.load_with(addr, 4, atomicity, "", |b| {
+            u32::from_le_bytes(b.try_into().expect("4"))
+        })
     }
 
     /// Loads a `u16`.
     pub fn load_u16(&mut self, addr: Addr, atomicity: Atomicity) -> u16 {
-        u16::from_le_bytes(self.load_bytes(addr, 2, atomicity).try_into().expect("2"))
+        self.load_with(addr, 2, atomicity, "", |b| {
+            u16::from_le_bytes(b.try_into().expect("2"))
+        })
     }
 
     /// Loads a `u8`.
     pub fn load_u8(&mut self, addr: Addr, atomicity: Atomicity) -> u8 {
-        self.load_bytes(addr, 1, atomicity)[0]
+        self.load_with(addr, 1, atomicity, "", |b| b[0])
     }
 
     /// Loads a `u64` with acquire ordering.
@@ -292,10 +307,10 @@ impl Ctx {
         let checksum = self.checksum_scope;
         let tid = self.tid;
         let result = self.shared.with_core(|core| {
-            let (old, swapped, out) =
+            let (old, swapped, _) =
                 core.mem
                     .exec_cas(core.sink.as_mut(), tid, addr, expected, new, label);
-            Self::report_pre_exec_read(core, &out, |mem| {
+            Self::report_pre_exec_read(core, |mem| {
                 mem.load_info(tid, addr, 8, Atomicity::ReleaseAcquire, label, checksum)
             });
             (old, swapped)

@@ -421,17 +421,18 @@ impl Engine {
                     Capture::EveryPoint
                 };
                 let capture_phases = 1 + usize::from(cfg.crash_in_recovery);
-                let (profile, _, log) = {
-                    let _t = tel.time(WallPhase::ProfileRun);
-                    Self::run_inner(
-                        program,
-                        &RunSpec::model_check(None),
-                        Self::make_sink(sink_factory, config),
-                        Some(SnapshotLog::new(capture_phases, capture)),
-                        config,
-                        tel,
-                    )
-                };
+                // The phase also covers turning the profile into the plan
+                // below (absorbing it, the targets, the cartography and the
+                // classes), so no step of the run falls between phases.
+                let profile_phase = tel.time(WallPhase::ProfileRun);
+                let (profile, _, log) = Self::run_inner(
+                    program,
+                    &RunSpec::model_check(None),
+                    Self::make_sink(sink_factory, config),
+                    Some(SnapshotLog::new(capture_phases, capture)),
+                    config,
+                    tel,
+                );
                 tel.add(Count::Executions, 1);
                 crash_points = profile.points.iter().sum();
                 let profile_points = profile.points.clone();
@@ -453,6 +454,7 @@ impl Engine {
                     Capture::Representatives => Some(classes.len()),
                     Capture::EveryPoint => Some(targets.len()),
                 };
+                drop(profile_phase);
                 if !log.unsupported && wanted == Some(log.snaps.len()) {
                     acc.fork.snapshots += log.snaps.len() as u64;
                     if config.prune {
@@ -488,17 +490,16 @@ impl Engine {
                         crash_target,
                     )
                 };
-                let (profile, _, _) = {
-                    let _t = tel.time(WallPhase::ProfileRun);
-                    Self::run_inner(
-                        program,
-                        &random(cfg.seed, None),
-                        Self::make_sink(sink_factory, config),
-                        None,
-                        config,
-                        tel,
-                    )
-                };
+                // As in model checking, the phase covers drawing the plan.
+                let profile_phase = tel.time(WallPhase::ProfileRun);
+                let (profile, _, _) = Self::run_inner(
+                    program,
+                    &random(cfg.seed, None),
+                    Self::make_sink(sink_factory, config),
+                    None,
+                    config,
+                    tel,
+                );
                 tel.add(Count::Executions, 1);
                 crash_points = profile.points.iter().sum();
                 let est = profile.points.first().copied().unwrap_or(0);
@@ -521,6 +522,7 @@ impl Engine {
                         random(seed_e, target)
                     })
                     .collect();
+                drop(profile_phase);
                 Self::absorb_batch(program, specs, sink_factory, config, tel, &mut acc, false);
             }
         }

@@ -1,5 +1,6 @@
 //! Events recorded by the execution engine.
 
+pub use compiler_model::StoreBytes;
 use pmem::{Addr, CacheLineId};
 use px86::Atomicity;
 use vclock::{Clock, Seq, ThreadId, VectorClock};
@@ -76,52 +77,6 @@ impl StoreEvent {
     /// Whether this store covers the byte at `addr`.
     pub fn covers(&self, addr: Addr) -> bool {
         addr >= self.addr && addr < self.addr + self.len()
-    }
-}
-
-/// The payload of a [`StoreEvent`]: up to 8 bytes — every lowered word,
-/// `memset` and `memcpy` chunk — live inline, so creating or cloning an
-/// event (the event table is cloned at every fork) allocates nothing.
-/// Longer payloads, from wide non-tearable stores, go to the heap. Derefs
-/// to `[u8]`.
-#[derive(Clone)]
-pub struct StoreBytes(Payload);
-
-#[derive(Clone)]
-enum Payload {
-    Inline { len: u8, buf: [u8; 8] },
-    Heap(Box<[u8]>),
-}
-
-impl From<&[u8]> for StoreBytes {
-    fn from(bytes: &[u8]) -> Self {
-        StoreBytes(if bytes.len() <= 8 {
-            let mut buf = [0u8; 8];
-            buf[..bytes.len()].copy_from_slice(bytes);
-            Payload::Inline {
-                len: bytes.len() as u8,
-                buf,
-            }
-        } else {
-            Payload::Heap(bytes.into())
-        })
-    }
-}
-
-impl std::ops::Deref for StoreBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match &self.0 {
-            Payload::Inline { len, buf } => &buf[..usize::from(*len)],
-            Payload::Heap(bytes) => bytes,
-        }
-    }
-}
-
-impl std::fmt::Debug for StoreBytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -220,16 +175,5 @@ mod tests {
     #[test]
     fn line_of_store() {
         assert_eq!(store(64, 8).line(), CacheLineId(1));
-    }
-
-    #[test]
-    fn store_bytes_round_trip_inline_and_on_the_heap() {
-        for len in [1usize, 4, 8, 9, 64] {
-            let data: Vec<u8> = (0..len as u8).collect();
-            let bytes = StoreBytes::from(&data[..]);
-            assert_eq!(&bytes[..], &data[..]);
-            assert_eq!(&bytes.clone()[..], &data[..]);
-            assert_eq!(format!("{bytes:?}"), format!("{data:?}"));
-        }
     }
 }

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use compiler_model::{CompilerConfig, StoreChunk};
+use compiler_model::{CompilerConfig, SourceWrite};
 use obs::telemetry::{Count, Telemetry, WallPhase};
 use pmem::{
     Addr, CacheLineId, FastMap, FastSet, Forkable, PmAllocator, PmImage, ProvLine, ProvenanceMap,
@@ -49,6 +49,9 @@ pub enum PersistencePolicy {
     Random,
 }
 
+/// 8-byte words per cache line.
+const WORDS_PER_LINE: usize = (pmem::CACHE_LINE_SIZE / 8) as usize;
+
 /// One cache line's committed-store log, with its persistence floor and a
 /// retired prefix.
 ///
@@ -72,6 +75,15 @@ struct LineLog {
 }
 
 impl LineLog {
+    /// A new line's log, with room for one store per 8-byte word: a
+    /// `memset` or `memcpy` of the whole line fills it with one allocation.
+    fn presized() -> Self {
+        LineLog {
+            order: Vec::with_capacity(WORDS_PER_LINE),
+            ..LineLog::default()
+        }
+    }
+
     fn logical_len(&self) -> usize {
         self.retired + self.order.len()
     }
@@ -230,8 +242,10 @@ pub struct MemState {
     /// Provenance: which store event produced each persisted byte, kept as
     /// per-line slabs like [`ExecState::store_map`].
     image_prov: ProvenanceMap,
-    /// Scratch buffer for store-buffer bypass queries, reused across loads.
-    bypass_scratch: Vec<Option<EventId>>,
+    /// Load resolution's storage, reused across loads; holds the last
+    /// load's outcome. Made by the first load: every crash-point snapshot
+    /// is a `MemState` that never loads, and must not carry it.
+    load: Option<Box<LoadScratch>>,
     /// Scratch for [`MemState::evictable`]: the positions it returns and
     /// the lines `StoreBuffer::evictable_into` tracks.
     evict_scratch: (Vec<usize>, Vec<CacheLineId>),
@@ -278,8 +292,8 @@ impl Forkable for MemState {
     /// Line slabs and buffer queues are shared copy-on-write; per-event
     /// bookkeeping (the event table, flush map, vector clocks, line orders)
     /// is cloned outright — it is proportional to the events executed so
-    /// far, not to the bytes of simulated PM. The bypass, eviction
-    /// and fence scratch buffers are transient and start empty in the fork.
+    /// far, not to the bytes of simulated PM. The load, eviction and fence
+    /// scratch buffers are transient and start empty in the fork.
     /// GC work counters (passes, retirements, reused slots) start at zero:
     /// the prefix's GC work is the capturing run's, and counting it again
     /// in every resumed suffix would double-count it.
@@ -302,7 +316,7 @@ impl Forkable for MemState {
             past: self.past.iter().map(Forkable::fork).collect(),
             image: self.image.fork(),
             image_prov: self.image_prov.fork(),
-            bypass_scratch: Vec::new(),
+            load: None,
             evict_scratch: Default::default(),
             fb_scratch: Vec::new(),
             alloc: self.alloc.clone(),
@@ -377,14 +391,36 @@ impl ExecStats {
 }
 
 /// The outcome of a load: the bytes read plus the cross-execution reads that
-/// must be reported to the sink.
-pub struct LoadOutcome {
+/// must be reported to the sink. It borrows the memory system's reused load
+/// storage, so it lasts until the next load.
+#[derive(Debug, Clone, Copy)]
+pub struct LoadOutcome<'a> {
     /// The bytes observed.
-    pub bytes: Vec<u8>,
+    pub bytes: &'a [u8],
     /// Distinct prior-execution stores whose bytes were observed.
-    pub chosen: Vec<EventId>,
+    pub chosen: &'a [EventId],
     /// All candidate prior-execution stores the load could have observed.
-    pub candidates: Vec<EventId>,
+    pub candidates: &'a [EventId],
+}
+
+/// Load resolution's storage: every load clears and refills it, so a load
+/// allocates only when one of its lists outgrows every earlier load's.
+#[derive(Debug, Default)]
+struct LoadScratch {
+    /// The buffered store serving each loaded byte, if any.
+    bypass: Vec<Option<EventId>>,
+    /// The bytes read.
+    bytes: Vec<u8>,
+    /// Same-execution stores read (bypass and cache). Only acquire loads
+    /// collect them: the acquire join is their only reader.
+    sources: OrderedIdSet,
+    /// Prior-execution stores read through the persistent image.
+    chosen: OrderedIdSet,
+    /// `chosen` plus every unpersisted store of the most recent crashed
+    /// execution that overlaps the load.
+    candidates: OrderedIdSet,
+    /// Lines with at least one byte served by the image.
+    image_lines: Vec<CacheLineId>,
 }
 
 impl MemState {
@@ -405,7 +441,7 @@ impl MemState {
             past: Vec::new(),
             image: PmImage::new(),
             image_prov: ProvenanceMap::new(),
-            bypass_scratch: Vec::new(),
+            load: None,
             evict_scratch: Default::default(),
             fb_scratch: Vec::new(),
             alloc: PmAllocator::new(Addr::BASE + ROOT_REGION_BYTES, heap_bytes),
@@ -607,13 +643,13 @@ impl MemState {
         atomicity: Atomicity,
         label: Label,
     ) {
-        // A store the compiler leaves whole skips the lowered `Vec`.
-        if self.compiler.keeps_whole(bytes.len(), atomicity) {
-            self.push_store_chunks(sink, thread, addr, bytes, atomicity, false, label);
-            return;
-        }
-        let chunks = self.compiler.lower_store(addr, bytes, atomicity);
-        self.push_lowered(sink, thread, chunks, atomicity, label);
+        self.push_lowered(
+            sink,
+            thread,
+            addr,
+            SourceWrite::Store(bytes, atomicity),
+            label,
+        );
     }
 
     /// Executes a `memset`: lowered to non-atomic word chunks.
@@ -626,8 +662,7 @@ impl MemState {
         len: u64,
         label: Label,
     ) {
-        let chunks = self.compiler.lower_memset(addr, value, len);
-        self.push_lowered(sink, thread, chunks, Atomicity::Plain, label);
+        self.push_lowered(sink, thread, addr, SourceWrite::Memset(value, len), label);
     }
 
     /// Executes a `memcpy`: lowered to non-atomic word chunks.
@@ -639,20 +674,21 @@ impl MemState {
         data: &[u8],
         label: Label,
     ) {
-        let chunks = self.compiler.lower_memcpy(addr, data);
-        self.push_lowered(sink, thread, chunks, Atomicity::Plain, label);
+        self.push_lowered(sink, thread, addr, SourceWrite::Memcpy(data), label);
     }
 
-    /// Pushes every chunk a compiler lowering produced.
+    /// Pushes every chunk the compiler lowers `write` into, as the lowering
+    /// yields them: no chunk list is built.
     fn push_lowered(
         &mut self,
         sink: &mut dyn EventSink,
         thread: ThreadId,
-        chunks: Vec<StoreChunk>,
-        atomicity: Atomicity,
+        addr: Addr,
+        write: SourceWrite<'_>,
         label: Label,
     ) {
-        for c in chunks {
+        let atomicity = write.atomicity();
+        for c in self.compiler.lower(addr, write) {
             self.push_store_chunks(sink, thread, c.addr, &c.bytes, atomicity, c.invented, label);
         }
     }
@@ -820,7 +856,6 @@ impl MemState {
         match entry {
             SbEntry::Store(s) => {
                 let seq = self.fresh_seq();
-                self.events.get_mut(s.id).seq = Some(seq);
                 let line = s.addr.cache_line();
                 // Write into the cache and update storemap / line order.
                 // Disjoint field borrows let the cache copy straight out of
@@ -833,10 +868,16 @@ impl MemState {
                     cov,
                     ..
                 } = self;
-                let event = events.get(s.id);
+                let event = events.get_mut(s.id);
+                event.seq = Some(seq);
+                let event = &*event;
                 cur.cache.write(s.addr, &event.bytes);
                 cur.store_map.set_range(s.addr, s.len, s.id);
-                cur.line_order.entry(line).or_default().order.push(s.id);
+                cur.line_order
+                    .entry(line)
+                    .or_insert_with(LineLog::presized)
+                    .order
+                    .push(s.id);
                 stats.stores_committed += 1;
                 cov.record(SiteKind::Store, event.label).committed += 1;
                 // A committed store always changes the crash state (it joins
@@ -877,8 +918,9 @@ impl MemState {
                 if self.gc_every.is_some() {
                     self.gc.flushes_retired += 1;
                 }
-                let line_stores = line_store_refs(&self.events, &self.cur.store_map, line);
-                sink.on_clflush_committed(&flush, &line_stores);
+                with_line_stores(&self.events, &self.cur.store_map, line, |stores| {
+                    sink.on_clflush_committed(&flush, stores)
+                });
             }
             SbEntry::Clwb { addr, id } => {
                 let committed = self.committed_len(addr.cache_line());
@@ -926,8 +968,9 @@ impl MemState {
             if self.gc_every.is_some() {
                 self.gc.flushes_retired += 1;
             }
-            let line_stores = line_store_refs(&self.events, &self.cur.store_map, line);
-            sink.on_clwb_fenced(&clwb, fence_cv, &line_stores);
+            with_line_stores(&self.events, &self.cur.store_map, line, |stores| {
+                sink.on_clwb_fenced(&clwb, fence_cv, stores)
+            });
         }
         let drained = pending.len();
         pending.clear();
@@ -1110,7 +1153,8 @@ impl MemState {
     /// and the image provenance; segment bytes are copied with
     /// `extend_from_slice` rather than per-byte map probes. Cross-execution
     /// reads are collected into the outcome for the caller to report to the
-    /// sink; acquire synchronization is applied here.
+    /// sink; acquire synchronization is applied here. The outcome lives in
+    /// storage reused by the next load (see [`MemState::last_load`]).
     pub fn exec_load(
         &mut self,
         thread: ThreadId,
@@ -1118,16 +1162,17 @@ impl MemState {
         len: u64,
         atomicity: Atomicity,
         label: Label,
-    ) -> LoadOutcome {
+    ) -> LoadOutcome<'_> {
         self.stats.loads += 1;
         self.cov.record(SiteKind::Load, label).executed += 1;
         self.cvs[thread.as_usize()].tick(thread);
-        let mut bypass = std::mem::take(&mut self.bypass_scratch);
-        self.sbs[thread.as_usize()].bypass_bytes_into(addr, len, &mut bypass);
-        let mut bytes = Vec::with_capacity(len as usize);
-        let mut chosen = OrderedIdSet::default();
-        let mut same_exec_sources = OrderedIdSet::default();
-        let mut image_lines: Vec<CacheLineId> = Vec::new();
+        let acquire = atomicity.is_acquire();
+        let mut s = self.load.take().unwrap_or_default();
+        s.bytes.clear();
+        s.sources.clear();
+        s.chosen.clear();
+        s.image_lines.clear();
+        self.sbs[thread.as_usize()].bypass_bytes_into(addr, len, &mut s.bypass);
         let mut off = 0u64;
         while off < len {
             // One line-sized chunk: every per-line structure is resolved
@@ -1141,7 +1186,7 @@ impl MemState {
             let cache_data = self.cur.cache.line(line);
             let img_data = self.image.line(line);
             let img_prov = self.image_prov.line(line);
-            let chunk_bypass = &bypass[off as usize..off as usize + take];
+            let chunk_bypass = &s.bypass[off as usize..off as usize + take];
             let cached = |k: usize| cache_prov.is_some_and(|p| p[base + k] != 0);
             let mut touched_image = false;
             let mut i = 0usize;
@@ -1155,8 +1200,10 @@ impl MemState {
                     }
                     let ev = self.events.get(id);
                     let start = ((at + i as u64) - ev.addr) as usize;
-                    bytes.extend_from_slice(&ev.bytes[start..start + (j - i)]);
-                    same_exec_sources.insert(id);
+                    s.bytes.extend_from_slice(&ev.bytes[start..start + (j - i)]);
+                    if acquire {
+                        s.sources.insert(id);
+                    }
                     self.stats.bytes_from_bypass += (j - i) as u64;
                 } else if cached(i) {
                     // Cache segment: committed bytes of the current
@@ -1165,15 +1212,17 @@ impl MemState {
                         j += 1;
                     }
                     let data = cache_data.expect("committed line has cache bytes");
-                    bytes.extend_from_slice(&data[base + i..base + j]);
-                    let prov = cache_prov.expect("cached() checked the slab");
-                    // Consecutive bytes usually come from one store; only
-                    // id transitions need the dedup structure.
-                    let mut last = 0;
-                    for &id in &prov[base + i..base + j] {
-                        if id != last {
-                            same_exec_sources.insert(id);
-                            last = id;
+                    s.bytes.extend_from_slice(&data[base + i..base + j]);
+                    if acquire {
+                        let prov = cache_prov.expect("cached() checked the slab");
+                        // Consecutive bytes usually come from one store;
+                        // only id transitions need the dedup structure.
+                        let mut last = 0;
+                        for &id in &prov[base + i..base + j] {
+                            if id != last {
+                                s.sources.insert(id);
+                                last = id;
+                            }
                         }
                     }
                     self.stats.bytes_from_cache += (j - i) as u64;
@@ -1184,14 +1233,14 @@ impl MemState {
                         j += 1;
                     }
                     match img_data {
-                        Some(data) => bytes.extend_from_slice(&data[base + i..base + j]),
-                        None => bytes.resize(bytes.len() + (j - i), 0),
+                        Some(data) => s.bytes.extend_from_slice(&data[base + i..base + j]),
+                        None => s.bytes.resize(s.bytes.len() + (j - i), 0),
                     }
                     if let Some(prov) = img_prov {
                         let mut last = 0;
                         for &id in &prov[base + i..base + j] {
                             if id != 0 && id != last {
-                                chosen.insert(id);
+                                s.chosen.insert(id);
                                 last = id;
                             }
                         }
@@ -1202,19 +1251,17 @@ impl MemState {
                 i = j;
             }
             if touched_image {
-                image_lines.push(line);
+                s.image_lines.push(line);
             }
             off += take as u64;
         }
-        self.bypass_scratch = bypass;
         // Acquire synchronization from release stores actually read. The
         // event table and the clock vectors are disjoint fields, so the
         // joins need no clock clones.
-        if atomicity.is_acquire() {
-            let MemState { events, cvs, .. } = &mut *self;
-            let cv = &mut cvs[thread.as_usize()];
-            for id in same_exec_sources.iter().chain(chosen.iter()) {
-                let ev = events.get(*id);
+        if acquire {
+            let cv = &mut self.cvs[thread.as_usize()];
+            for &id in s.sources.items.iter().chain(&s.chosen.items) {
+                let ev = self.events.get(id);
                 if ev.atomicity.is_release() {
                     cv.join(&ev.cv);
                 }
@@ -1223,10 +1270,10 @@ impl MemState {
         // Candidate stores: everything in the most recent crashed
         // execution's not-definitely-persisted suffix of each touched line
         // that covers a loaded byte, plus the stores actually observed.
-        let mut candidates = chosen.clone();
+        s.candidates.copy_from(&s.chosen);
         if let Some(prev) = self.past.last() {
-            for line in image_lines {
-                let log = match prev.line_order.get(&line) {
+            for line in &s.image_lines {
+                let log = match prev.line_order.get(line) {
                     Some(o) => o,
                     None => continue,
                 };
@@ -1234,7 +1281,7 @@ impl MemState {
                     self.stats.candidate_stores_scanned += 1;
                     let ev = self.events.get(id);
                     if ranges_overlap(ev.addr, ev.len(), addr, len) {
-                        candidates.insert(id);
+                        s.candidates.insert(id);
                     }
                 }
             }
@@ -1242,14 +1289,38 @@ impl MemState {
         // Coverage: a load site that resolved at least one byte through a
         // recovered image store observed pre-crash state — the scenario
         // class persistency races live in.
-        if !chosen.items.is_empty() {
+        if !s.chosen.items.is_empty() {
             self.cov.record(SiteKind::Load, label).pre_crash += 1;
         }
-        LoadOutcome {
-            bytes,
-            chosen: chosen.into_vec(),
-            candidates: candidates.into_vec(),
+        self.load = Some(s);
+        self.last_load()
+    }
+
+    /// The outcome of the most recent load (or CAS), still held in the
+    /// load storage.
+    pub fn last_load(&self) -> LoadOutcome<'_> {
+        match &self.load {
+            Some(s) => LoadOutcome {
+                bytes: &s.bytes,
+                chosen: &s.chosen.items,
+                candidates: &s.candidates.items,
+            },
+            None => LoadOutcome {
+                bytes: &[],
+                chosen: &[],
+                candidates: &[],
+            },
         }
+    }
+
+    /// Calls `f` with the store events of `ids`, in order (see
+    /// [`with_event_refs`]).
+    pub(crate) fn with_store_refs<R>(
+        &self,
+        ids: &[EventId],
+        f: impl FnOnce(&[&StoreEvent]) -> R,
+    ) -> R {
+        with_event_refs(&self.events, ids, f)
     }
 
     /// Builds the [`LoadInfo`] describing a load for sink reporting.
@@ -1288,14 +1359,14 @@ impl MemState {
         expected: u64,
         new: u64,
         label: Label,
-    ) -> (u64, bool, LoadOutcome) {
+    ) -> (u64, bool, LoadOutcome<'_>) {
         self.stats.cas_ops += 1;
         self.cvs[thread.as_usize()].tick(thread);
         self.drain_sb(sink, thread);
         let fence_cv = self.cvs[thread.as_usize()].clone();
         self.fence_fb(sink, thread, &fence_cv);
-        let outcome = self.exec_load(thread, addr, 8, Atomicity::ReleaseAcquire, label);
-        let old = u64::from_le_bytes(outcome.bytes[..].try_into().expect("8 bytes"));
+        let loaded = self.exec_load(thread, addr, 8, Atomicity::ReleaseAcquire, label);
+        let old = u64::from_le_bytes(loaded.bytes.try_into().expect("8 bytes"));
         let swapped = old == expected;
         if swapped {
             self.push_store_chunks(
@@ -1309,7 +1380,7 @@ impl MemState {
             );
             self.drain_sb(sink, thread);
         }
-        (old, swapped, outcome)
+        (old, swapped, self.last_load())
     }
 
     // ------------------------------------------------------------------
@@ -1454,20 +1525,46 @@ impl MemState {
     }
 }
 
-/// The most recent committed store for each byte of `line`, de-duplicated in
-/// first-appearance byte order (not id order: a later store may sit at a
-/// lower offset). One slab lookup, then a dense scan that checks membership
-/// only where the id changes between adjacent bytes.
-fn line_store_refs<'a>(
-    events: &'a EventTable,
+/// Calls `f` with the most recent committed store for each byte of `line`,
+/// de-duplicated in first-appearance byte order (not id order: a later store
+/// may sit at a lower offset). One slab lookup, then a dense scan that
+/// checks membership only where the id changes between adjacent bytes.
+fn with_line_stores<R>(
+    events: &EventTable,
     store_map: &ProvenanceMap,
     line: CacheLineId,
-) -> Vec<&'a StoreEvent> {
+    f: impl FnOnce(&[&StoreEvent]) -> R,
+) -> R {
     let Some(slab) = store_map.line(line) else {
-        return Vec::new();
+        return f(&[]);
     };
     let (ids, n) = distinct_slab_ids(slab);
-    ids[..n].iter().map(|&id| events.get(id)).collect()
+    with_event_refs(events, &ids[..n], f)
+}
+
+/// Calls `f` with the events of `ids`, in order. Up to one line's worth of
+/// distinct stores (64) are gathered in a stack array, so flush commits,
+/// fence drains and most pre-crash reads allocate nothing; the array starts
+/// out filled with the first event, which keeps it free of uninitialized
+/// slots.
+fn with_event_refs<R>(
+    events: &EventTable,
+    ids: &[EventId],
+    f: impl FnOnce(&[&StoreEvent]) -> R,
+) -> R {
+    const STACK_REFS: usize = pmem::CACHE_LINE_SIZE as usize;
+    let Some(&first) = ids.first() else {
+        return f(&[]);
+    };
+    if ids.len() > STACK_REFS {
+        let refs: Vec<&StoreEvent> = ids.iter().map(|&id| events.get(id)).collect();
+        return f(&refs);
+    }
+    let mut refs = [events.get(first); STACK_REFS];
+    for (slot, &id) in refs.iter_mut().zip(ids).skip(1) {
+        *slot = events.get(id);
+    }
+    f(&refs[..ids.len()])
 }
 
 /// The distinct nonzero ids of `slab` in first-appearance order, as a stack
@@ -1496,46 +1593,47 @@ const LINEAR_DEDUP_MAX: usize = 16;
 /// An insertion-ordered set of event ids.
 ///
 /// Replaces the old `push_unique` linear probes (O(k²) across k insertions):
-/// small sets dedup by scanning the vector, larger ones by a spilled
+/// small sets dedup by scanning the vector, larger ones through a spilled
 /// [`FastSet`] index, while the vector preserves first-insertion order so
 /// sink reporting stays byte-identical to the byte-at-a-time implementation.
-#[derive(Debug, Clone, Default)]
+/// Clearing keeps both allocations for the next load.
+#[derive(Debug, Default)]
 struct OrderedIdSet {
     items: Vec<EventId>,
-    index: Option<FastSet<EventId>>,
+    /// Every item once the set holds more than [`LINEAR_DEDUP_MAX`];
+    /// empty before.
+    index: FastSet<EventId>,
 }
 
 impl OrderedIdSet {
     /// Inserts `id`, returning `true` if it was new.
     fn insert(&mut self, id: EventId) -> bool {
-        match &mut self.index {
-            Some(index) => {
-                if !index.insert(id) {
-                    return false;
-                }
-                self.items.push(id);
+        if self.items.len() > LINEAR_DEDUP_MAX {
+            if !self.index.insert(id) {
+                return false;
             }
-            None => {
-                if self.items.contains(&id) {
-                    return false;
-                }
-                self.items.push(id);
-                if self.items.len() > LINEAR_DEDUP_MAX {
-                    self.index = Some(self.items.iter().copied().collect());
-                }
+        } else {
+            if self.items.contains(&id) {
+                return false;
+            }
+            if self.items.len() == LINEAR_DEDUP_MAX {
+                self.index.extend(self.items.iter().copied());
+                self.index.insert(id);
             }
         }
+        self.items.push(id);
         true
     }
 
-    /// Iterates in insertion order.
-    fn iter(&self) -> std::slice::Iter<'_, EventId> {
-        self.items.iter()
+    fn clear(&mut self) {
+        self.items.clear();
+        self.index.clear();
     }
 
-    /// The ids in insertion order.
-    fn into_vec(self) -> Vec<EventId> {
-        self.items
+    /// Makes `self` equal to `other`, reusing `self`'s storage.
+    fn copy_from(&mut self, other: &OrderedIdSet) {
+        self.items.clone_from(&other.items);
+        self.index.clone_from(&other.index);
     }
 }
 
@@ -1835,7 +1933,12 @@ mod tests {
             m.crash(PersistencePolicy::Random, &mut r);
             let t2 = m.register_thread(None);
             let out = m.exec_load(t2, Addr(0x1000), 16, Atomicity::Plain, "r");
-            (m.fingerprint(), out.bytes, out.chosen, out.candidates)
+            let out = (
+                out.bytes.to_vec(),
+                out.chosen.to_vec(),
+                out.candidates.to_vec(),
+            );
+            (m.fingerprint(), out)
         };
         assert_eq!(run(false), run(true), "GC must be observably invisible");
     }
@@ -1899,7 +2002,7 @@ mod tests {
         assert!(m.fences.is_empty(), "forks after the crash would clone it");
     }
 
-    /// The per-byte walk `line_store_refs` replaced: every nonzero byte
+    /// The per-byte walk `with_line_stores` replaced: every nonzero byte
     /// goes through `OrderedIdSet::insert`. Kept as the order reference.
     fn per_byte_line_ids(slab: &ProvLine) -> Vec<EventId> {
         let mut seen = OrderedIdSet::default();
@@ -1908,10 +2011,10 @@ mod tests {
                 seen.insert(id);
             }
         }
-        seen.into_vec()
+        seen.items
     }
 
-    /// The ids `line_store_refs` returns for a line holding `slab`.
+    /// The ids `with_line_stores` passes on for a line holding `slab`.
     fn line_store_ids(slab: &ProvLine) -> Vec<EventId> {
         let line = Addr(0x1000).cache_line();
         let mut prov = ProvenanceMap::new();
@@ -1938,8 +2041,9 @@ mod tests {
                 },
             );
         }
-        let refs = line_store_refs(&events, &prov, line);
-        refs.iter().map(|s| s.id).collect()
+        with_line_stores(&events, &prov, line, |refs| {
+            refs.iter().map(|s| s.id).collect()
+        })
     }
 
     /// A slab built the way commits build one: byte ranges overwritten by

@@ -18,14 +18,26 @@
 
 use std::collections::HashMap;
 
-use compiler_model::CompilerConfig;
+use compiler_model::{CompilerConfig, SourceWrite};
 use pmem::{Addr, CacheLineId, PmImage};
 use px86::{ordering_constraint, Atomicity, FbEntry, FlushBuffer, SbEntry, SbStore, StoreBuffer};
 use rand::rngs::StdRng;
 use rand::Rng;
 use vclock::{ThreadId, VectorClock};
 
-use jaaru::{EventId, ExecId, Label, LoadOutcome, PersistencePolicy, StoreEvent};
+use jaaru::{EventId, ExecId, Label, PersistencePolicy, StoreEvent};
+
+/// An owned load outcome (the model's counterpart of
+/// [`jaaru::LoadOutcome`], which borrows `MemState`'s reused storage).
+#[derive(Debug, Clone)]
+pub struct RefLoad {
+    /// The bytes observed.
+    pub bytes: Vec<u8>,
+    /// Distinct prior-execution stores whose bytes were observed.
+    pub chosen: Vec<EventId>,
+    /// All candidate prior-execution stores the load could have observed.
+    pub candidates: Vec<EventId>,
+}
 
 /// Per-execution storage state of the reference model.
 #[derive(Debug, Default)]
@@ -133,8 +145,10 @@ impl RefMemState {
         atomicity: Atomicity,
         label: Label,
     ) {
-        let chunks = self.compiler.lower_store(addr, bytes, atomicity);
-        for chunk in chunks {
+        for chunk in self
+            .compiler
+            .lower(addr, SourceWrite::Store(bytes, atomicity))
+        {
             self.push_store_chunks(thread, chunk.addr, &chunk.bytes, atomicity, label);
         }
     }
@@ -296,7 +310,7 @@ impl RefMemState {
         addr: Addr,
         len: u64,
         atomicity: Atomicity,
-    ) -> LoadOutcome {
+    ) -> RefLoad {
         self.cvs[thread.as_usize()].tick(thread);
         let bypass = self.sbs[thread.as_usize()].bypass_bytes(addr, len);
         let mut bytes = Vec::with_capacity(len as usize);
@@ -349,7 +363,7 @@ impl RefMemState {
                 }
             }
         }
-        LoadOutcome {
+        RefLoad {
             bytes,
             chosen,
             candidates,
@@ -364,7 +378,7 @@ impl RefMemState {
         expected: u64,
         new: u64,
         label: Label,
-    ) -> (u64, bool, LoadOutcome) {
+    ) -> (u64, bool, RefLoad) {
         self.cvs[thread.as_usize()].tick(thread);
         self.drain_sb(thread);
         self.fence_fb(thread);

@@ -52,7 +52,8 @@ use crate::json::Json;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WallPhase {
     /// The profiling run: the deterministic pre-crash schedule that counts
-    /// crash points (and, in fork mode, captures snapshots).
+    /// crash points (and, in fork mode, captures snapshots), and turning
+    /// its outcome into the plan of crash targets.
     ProfileRun,
     /// Resuming post-crash suffixes from snapshots (fork mode).
     SuffixResume,
