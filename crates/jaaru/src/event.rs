@@ -3,7 +3,7 @@
 pub use compiler_model::StoreBytes;
 use pmem::{Addr, CacheLineId};
 use px86::Atomicity;
-use vclock::{Clock, Seq, ThreadId, VectorClock};
+use vclock::{Clock, ThreadId, VectorClock};
 
 /// Identifier of one execution in the execution stack (`exec` in §6).
 ///
@@ -27,8 +27,8 @@ pub type Label = &'static str;
 ///
 /// One source-level store produces one or more store events (several when the
 /// modelled compiler tears it or invents stores). The event is created when
-/// the store executes (enters the store buffer) and receives its cache
-/// sequence number when it commits (exits the buffer).
+/// the store executes (enters the store buffer); its commit order is the
+/// order of its line's store log in the memory system.
 #[derive(Debug, Clone)]
 pub struct StoreEvent {
     /// Unique id.
@@ -52,8 +52,6 @@ pub struct StoreEvent {
     pub invented: bool,
     /// Source label (racy-field name).
     pub label: Label,
-    /// Cache-commit sequence number; `None` while still buffered.
-    pub seq: Option<Seq>,
 }
 
 impl StoreEvent {
@@ -107,8 +105,6 @@ pub struct FlushEvent {
     pub kind: FlushKind,
     /// Address whose cache line is flushed.
     pub addr: Addr,
-    /// Cache-commit sequence number; `None` while buffered.
-    pub seq: Option<Seq>,
     /// Static site label of the flushing instruction (`""` when the
     /// benchmark used an unlabeled shim); feeds the coverage plane.
     pub label: Label,
@@ -158,7 +154,6 @@ mod tests {
             bytes: vec![0; len][..].into(),
             invented: false,
             label: "x",
-            seq: None,
         }
     }
 
@@ -175,5 +170,16 @@ mod tests {
     #[test]
     fn line_of_store() {
         assert_eq!(store(64, 8).line(), CacheLineId(1));
+    }
+
+    #[test]
+    fn a_store_event_stays_small_enough_to_move_without_memcpy() {
+        // Creating an event moves it into the event table's slot; past
+        // ~128 bytes those moves become `memcpy` calls.
+        assert!(
+            std::mem::size_of::<StoreEvent>() <= 136,
+            "StoreEvent is {} bytes",
+            std::mem::size_of::<StoreEvent>()
+        );
     }
 }

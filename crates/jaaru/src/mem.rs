@@ -3,8 +3,8 @@
 //!
 //! This module implements the storage-system side of §6: instruction
 //! execution inserts entries into per-thread store buffers (Fig. 7), buffer
-//! eviction takes effect on the cache and assigns global sequence numbers
-//! (Fig. 8), and a crash discards the buffers and the volatile cache,
+//! eviction takes effect on the cache, appending each committed store to
+//! its line's store log (Fig. 8), and a crash discards the buffers and the volatile cache,
 //! materializing into the persistent image a per-line *prefix* of the
 //! committed stores (cache coherence guarantees persistence is prefix-closed
 //! per line, §4.1).
@@ -14,9 +14,7 @@ use std::time::Instant;
 
 use compiler_model::{CompilerConfig, SourceWrite};
 use obs::telemetry::{Count, Telemetry, WallPhase};
-use pmem::{
-    Addr, CacheLineId, FastMap, FastSet, Forkable, PmAllocator, PmImage, ProvLine, ProvenanceMap,
-};
+use pmem::{Addr, CacheLineId, CowBox, CowCount, FastMap, FastSet, Forkable, PmAllocator};
 use px86::{Atomicity, FbEntry, FlushBuffer, SbEntry, SbStore, StoreBuffer};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -69,7 +67,7 @@ struct LineLog {
     /// Length of the logical prefix definitely persisted (forced by
     /// committed `clflush` / fenced `clwb`).
     floor: usize,
-    /// Retained committed stores, in cache (seq) order: these sit at logical
+    /// Retained committed stores, in cache commit order: these sit at logical
     /// indexes `retired..retired + order.len()`.
     order: Vec<EventId>,
 }
@@ -94,18 +92,121 @@ impl LineLog {
     }
 }
 
+/// One cache line's worth of per-byte provenance: the store event that
+/// produced each byte, `0` where none did (event ids start at 1).
+type ProvLine = [EventId; pmem::CACHE_LINE_SIZE as usize];
+
+/// The bytes copied when a shared line record is copied, counted as the
+/// two slabs a record holds: 64 data bytes and 64 provenance ids.
+const LINE_COW_BYTES: u64 = pmem::CACHE_LINE_SIZE + std::mem::size_of::<ProvLine>() as u64;
+
+/// One cache line of memory contents: its bytes, and for each byte the
+/// store event that produced it. A persistent-image line holds just this;
+/// an execution's cache line adds its store log ([`ExecLine`]).
+#[derive(Debug, Clone)]
+struct LineSlabs {
+    bytes: [u8; pmem::CACHE_LINE_SIZE as usize],
+    prov: ProvLine,
+}
+
+impl Default for LineSlabs {
+    fn default() -> Self {
+        LineSlabs {
+            bytes: [0; pmem::CACHE_LINE_SIZE as usize],
+            prov: [0; pmem::CACHE_LINE_SIZE as usize],
+        }
+    }
+}
+
+impl LineSlabs {
+    /// Writes `ev`'s bytes (single-line by construction) and marks them as
+    /// produced by it.
+    fn write(&mut self, ev: &StoreEvent) {
+        let lo = ev.addr.line_offset() as usize;
+        let hi = lo + ev.bytes.len();
+        self.bytes[lo..hi].copy_from_slice(&ev.bytes);
+        self.prov[lo..hi].fill(ev.id);
+    }
+
+    /// The store that produced the byte at `offset`, if any.
+    fn prov_at(&self, offset: u64) -> Option<EventId> {
+        let id = self.prov[offset as usize];
+        (id != 0).then_some(id)
+    }
+
+    /// Visits every recorded id, deduplicating consecutive runs (an id
+    /// recorded in disjoint runs is visited more than once).
+    fn for_each_id(&self, mut f: impl FnMut(EventId)) {
+        let mut last = 0;
+        for &id in &self.prov {
+            if id != 0 && id != last {
+                f(id);
+                last = id;
+            }
+        }
+    }
+
+    /// Content hash of the bytes and their provenance.
+    fn content_hash(&self) -> u64 {
+        let mut fp = pmem::Fp64::new();
+        fp.absorb(pmem::fingerprint::hash_bytes(&self.bytes));
+        fp.absorb(pmem::fingerprint::hash_words(&self.prov));
+        fp.value()
+    }
+}
+
+/// One cache line of an execution: its committed bytes, their storemap
+/// provenance, and the line's committed-store log, in one copy-on-write
+/// record so a commit finds all three with one lookup and copies at most
+/// once after a snapshot.
+#[derive(Debug, Clone, Default)]
+struct ExecLine {
+    slabs: LineSlabs,
+    log: LineLog,
+}
+
+/// Lines keyed by id, each a copy-on-write record.
+type LineMap<T> = FastMap<CacheLineId, CowBox<T>>;
+
+/// Shares every record of `lines` with the returned copy: the first write
+/// to a record on either side copies that one record.
+fn fork_lines<T: Clone + Default>(lines: &mut LineMap<T>) -> LineMap<T> {
+    for record in lines.values_mut() {
+        record.make_shared();
+    }
+    lines.clone()
+}
+
+/// Writable access to one line record. A record shared with a snapshot is
+/// copied first, and the copy counted in `cow` as the two slabs it
+/// replaces.
+fn write_line<'a, T: Clone>(record: &'a mut CowBox<T>, cow: &mut CowCount) -> &'a mut T {
+    let (record, copied) = record.make_mut();
+    cow.add_if(copied, 2, LINE_COW_BYTES);
+    record
+}
+
+/// [`write_line`] on `line`'s record, created by `new` on first touch.
+fn line_mut<'a, T: Clone>(
+    lines: &'a mut LineMap<T>,
+    cow: &mut CowCount,
+    line: CacheLineId,
+    new: impl FnOnce() -> T,
+) -> &'a mut T {
+    write_line(lines.entry(line).or_insert_with(|| CowBox::new(new())), cow)
+}
+
 /// Per-execution storage state: the volatile cache and its bookkeeping.
 #[derive(Debug, Default)]
 pub struct ExecState {
     /// This execution's id.
     pub id: ExecId,
-    /// Committed (cache) bytes.
-    cache: PmImage,
-    /// `storemap`: the most recent committed store covering each byte, kept
-    /// as per-line slabs so a whole line resolves with one lookup.
-    store_map: ProvenanceMap,
-    /// Committed stores per line, in cache (seq) order, with their floors.
-    line_order: FastMap<CacheLineId, LineLog>,
+    /// Every line with a committed store: its cache bytes, its `storemap`
+    /// (the most recent committed store covering each byte) and its
+    /// committed-store log, in one record.
+    lines: LineMap<ExecLine>,
+    /// Copy-on-write copies of `lines` records made by this execution.
+    cow: CowCount,
 }
 
 impl ExecState {
@@ -115,15 +216,27 @@ impl ExecState {
             ..ExecState::default()
         }
     }
+
+    /// Writable access to `line`'s record, created with a presized log.
+    fn line_mut(&mut self, line: CacheLineId) -> &mut ExecLine {
+        line_mut(&mut self.lines, &mut self.cow, line, || ExecLine {
+            slabs: LineSlabs::default(),
+            log: LineLog::presized(),
+        })
+    }
+
+    /// `line`'s committed-store log, if it has a committed store.
+    fn log(&self, line: CacheLineId) -> Option<&LineLog> {
+        self.lines.get(&line).map(|l| &l.log)
+    }
 }
 
 impl Forkable for ExecState {
-    fn fork(&self) -> Self {
+    fn fork(&mut self) -> Self {
         ExecState {
             id: self.id,
-            cache: self.cache.fork(),
-            store_map: self.store_map.fork(),
-            line_order: self.line_order.clone(),
+            lines: fork_lines(&mut self.lines),
+            cow: CowCount::default(),
         }
     }
 }
@@ -176,11 +289,6 @@ impl EventTable {
             .expect("store event exists")
     }
 
-    fn get_mut(&mut self, id: EventId) -> &mut StoreEvent {
-        let slot = self.slot_of(id);
-        self.slots[slot].as_mut().expect("store event exists")
-    }
-
     /// Frees `id`'s slot for reuse (unknown ids are ignored so sweeps may
     /// be re-applied idempotently).
     fn retire(&mut self, id: EventId) {
@@ -218,7 +326,6 @@ pub struct MemState {
     /// Flush events (clflush/clwb), across executions.
     flushes: FastMap<EventId, FlushEvent>,
     next_event: EventId,
-    next_seq: u64,
     // Per-thread machine state (indexed by ThreadId).
     sbs: Vec<StoreBuffer>,
     fbs: Vec<FlushBuffer>,
@@ -237,11 +344,11 @@ pub struct MemState {
     pub cur: ExecState,
     /// Crashed executions, oldest first.
     pub past: Vec<ExecState>,
-    /// Persistent storage contents.
-    image: PmImage,
-    /// Provenance: which store event produced each persisted byte, kept as
-    /// per-line slabs like [`ExecState::store_map`].
-    image_prov: ProvenanceMap,
+    /// Persistent storage contents: each persisted line's bytes and the
+    /// store event that produced each byte, in one record per line.
+    image: LineMap<LineSlabs>,
+    /// Copy-on-write copies of `image` records made by this memory system.
+    image_cow: CowCount,
     /// Load resolution's storage, reused across loads; holds the last
     /// load's outcome. Made by the first load: every crash-point snapshot
     /// is a `MemState` that never loads, and must not carry it.
@@ -289,15 +396,18 @@ pub struct MemState {
 impl Forkable for MemState {
     /// Captures this memory system for later resumption.
     ///
-    /// Line slabs and buffer queues are shared copy-on-write; per-event
-    /// bookkeeping (the event table, flush map, vector clocks, line orders)
-    /// is cloned outright — it is proportional to the events executed so
-    /// far, not to the bytes of simulated PM. The load, eviction and fence
-    /// scratch buffers are transient and start empty in the fork.
+    /// Line records (bytes, provenance and store log of each line) and
+    /// buffer queues are shared copy-on-write: this memory system's owned
+    /// storage becomes shared, so its next write to a captured record
+    /// copies it instead of changing the snapshot. Per-event bookkeeping
+    /// (the event table, flush map, vector clocks) is cloned outright — it
+    /// is proportional to the events executed so far, not to the bytes of
+    /// simulated PM. The load, eviction and fence scratch buffers are
+    /// transient and start empty in the fork.
     /// GC work counters (passes, retirements, reused slots) start at zero:
     /// the prefix's GC work is the capturing run's, and counting it again
     /// in every resumed suffix would double-count it.
-    fn fork(&self) -> Self {
+    fn fork(&mut self) -> Self {
         MemState {
             compiler: self.compiler,
             events: EventTable {
@@ -306,16 +416,15 @@ impl Forkable for MemState {
             },
             flushes: self.flushes.clone(),
             next_event: self.next_event,
-            next_seq: self.next_seq,
-            sbs: self.sbs.iter().map(Forkable::fork).collect(),
-            fbs: self.fbs.iter().map(Forkable::fork).collect(),
+            sbs: self.sbs.iter_mut().map(Forkable::fork).collect(),
+            fbs: self.fbs.iter_mut().map(Forkable::fork).collect(),
             cvs: self.cvs.clone(),
             clwb_marks: self.clwb_marks.clone(),
             fences: self.fences.clone(),
             cur: self.cur.fork(),
-            past: self.past.iter().map(Forkable::fork).collect(),
-            image: self.image.fork(),
-            image_prov: self.image_prov.fork(),
+            past: self.past.iter_mut().map(Forkable::fork).collect(),
+            image: fork_lines(&mut self.image),
+            image_cow: CowCount::default(),
             load: None,
             evict_scratch: Default::default(),
             fb_scratch: Vec::new(),
@@ -431,7 +540,6 @@ impl MemState {
             events: EventTable::default(),
             flushes: FastMap::default(),
             next_event: 1,
-            next_seq: 1,
             sbs: Vec::new(),
             fbs: Vec::new(),
             cvs: Vec::new(),
@@ -439,8 +547,8 @@ impl MemState {
             fences: FastMap::default(),
             cur: ExecState::new(0),
             past: Vec::new(),
-            image: PmImage::new(),
-            image_prov: ProvenanceMap::new(),
+            image: LineMap::default(),
+            image_cow: CowCount::default(),
             load: None,
             evict_scratch: Default::default(),
             fb_scratch: Vec::new(),
@@ -539,31 +647,14 @@ impl MemState {
     /// Total copy-on-write clone traffic across every COW container held by
     /// this memory system: `(clones, bytes copied)`.
     pub fn cow_stats(&self) -> (u64, u64) {
-        let mut clones = 0u64;
-        let mut bytes = 0u64;
-        let images = [&self.image, &self.cur.cache]
-            .into_iter()
-            .chain(self.past.iter().map(|e| &e.cache));
-        for img in images {
-            clones += img.cow_clones();
-            bytes += img.cow_bytes();
-        }
-        let provs = [&self.image_prov, &self.cur.store_map]
-            .into_iter()
-            .chain(self.past.iter().map(|e| &e.store_map));
-        for prov in provs {
-            clones += prov.cow_clones();
-            bytes += prov.cow_bytes();
-        }
-        for sb in &self.sbs {
-            clones += sb.cow_clones();
-            bytes += sb.cow_bytes();
-        }
-        for fb in &self.fbs {
-            clones += fb.cow_clones();
-            bytes += fb.cow_bytes();
-        }
-        (clones, bytes)
+        let total: CowCount = std::iter::once(&self.cur)
+            .chain(&self.past)
+            .map(|e| e.cow)
+            .chain([self.image_cow])
+            .chain(self.sbs.iter().map(StoreBuffer::cow))
+            .chain(self.fbs.iter().map(FlushBuffer::cow))
+            .sum();
+        (total.clones, total.bytes)
     }
 
     /// Allocates from the persistent arena, folding the allocation into the
@@ -619,12 +710,6 @@ impl MemState {
         let id = self.next_event;
         self.next_event += 1;
         id
-    }
-
-    fn fresh_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
     }
 
     // ------------------------------------------------------------------
@@ -724,7 +809,6 @@ impl MemState {
                 bytes: bytes[off..off + take].into(),
                 invented,
                 label,
-                seq: None,
             };
             self.stats.stores_executed += 1;
             self.cov.record(SiteKind::Store, label).executed += 1;
@@ -772,7 +856,6 @@ impl MemState {
             clock,
             kind,
             addr,
-            seq: None,
             label,
         };
         self.flushes.insert(id, event);
@@ -855,11 +938,10 @@ impl MemState {
     fn commit_entry(&mut self, sink: &mut dyn EventSink, thread: ThreadId, entry: SbEntry) {
         match entry {
             SbEntry::Store(s) => {
-                let seq = self.fresh_seq();
                 let line = s.addr.cache_line();
-                // Write into the cache and update storemap / line order.
-                // Disjoint field borrows let the cache copy straight out of
-                // the event table without cloning the bytes.
+                // Write the line's cache bytes, storemap and log in one
+                // record. Disjoint field borrows let the record copy
+                // straight out of the event table without cloning the bytes.
                 let MemState {
                     events,
                     cur,
@@ -868,16 +950,11 @@ impl MemState {
                     cov,
                     ..
                 } = self;
-                let event = events.get_mut(s.id);
-                event.seq = Some(seq);
-                let event = &*event;
-                cur.cache.write(s.addr, &event.bytes);
-                cur.store_map.set_range(s.addr, s.len, s.id);
-                cur.line_order
-                    .entry(line)
-                    .or_insert_with(LineLog::presized)
-                    .order
-                    .push(s.id);
+                let event = events.get(s.id);
+                debug_assert_eq!(event.len(), s.len);
+                let record = cur.line_mut(line);
+                record.slabs.write(event);
+                record.log.order.push(s.id);
                 stats.stores_committed += 1;
                 cov.record(SiteKind::Store, event.label).committed += 1;
                 // A committed store always changes the crash state (it joins
@@ -885,14 +962,12 @@ impl MemState {
                 fp.absorb(1);
                 fp.absorb(line.0);
                 fp.absorb(s.id);
-                fp.absorb(seq);
                 sink.on_store_committed(event);
                 self.commits_since_gc += 1;
                 self.maybe_gc(sink);
                 self.tel_tick();
             }
             SbEntry::Clflush { addr, id } => {
-                let seq = self.fresh_seq();
                 let line = addr.cache_line();
                 let committed = self.committed_len(line);
                 let prev = self.raise_floor(line, committed);
@@ -908,8 +983,7 @@ impl MemState {
                 }
                 // The flush event is read exactly once (here), so its map
                 // entry can be dropped regardless of GC mode.
-                let mut flush = self.flushes.remove(&id).expect("flush event exists");
-                flush.seq = Some(seq);
+                let flush = self.flushes.remove(&id).expect("flush event exists");
                 // Coverage: classify the flush and credit the stores whose
                 // line prefix it just persisted — before `materialize_floor`
                 // can retire those entries from the log.
@@ -918,7 +992,7 @@ impl MemState {
                 if self.gc_every.is_some() {
                     self.gc.flushes_retired += 1;
                 }
-                with_line_stores(&self.events, &self.cur.store_map, line, |stores| {
+                with_line_stores(&self.events, self.cur.lines.get(&line), |stores| {
                     sink.on_clflush_committed(&flush, stores)
                 });
             }
@@ -928,7 +1002,6 @@ impl MemState {
                 self.fbs[thread.as_usize()].push(FbEntry { addr, id });
             }
             SbEntry::Sfence { id } => {
-                let _seq = self.fresh_seq();
                 let (fence_cv, label) = self.fences.remove(&id).expect("sfence exec CV recorded");
                 let drained = self.fence_fb(sink, thread, &fence_cv);
                 self.count_fence(label, drained);
@@ -968,7 +1041,7 @@ impl MemState {
             if self.gc_every.is_some() {
                 self.gc.flushes_retired += 1;
             }
-            with_line_stores(&self.events, &self.cur.store_map, line, |stores| {
+            with_line_stores(&self.events, self.cur.lines.get(&line), |stores| {
                 sink.on_clwb_fenced(&clwb, fence_cv, stores)
             });
         }
@@ -980,22 +1053,23 @@ impl MemState {
 
     /// Logical length of `line`'s committed-store log (0 if never written).
     fn committed_len(&self, line: CacheLineId) -> usize {
-        self.cur
-            .line_order
-            .get(&line)
-            .map_or(0, LineLog::logical_len)
+        self.cur.log(line).map_or(0, LineLog::logical_len)
     }
 
     /// Raises `line`'s persistence floor to at least `to`, returning the old
     /// floor. A line with no log has floor 0, and `to` is then 0 too (it was
-    /// measured on this execution's log), so there is nothing to record.
+    /// measured on this execution's log), so there is nothing to record. A
+    /// flush that does not raise the floor writes nothing, so it never
+    /// copies a record shared with a snapshot.
     fn raise_floor(&mut self, line: CacheLineId, to: usize) -> usize {
-        let Some(log) = self.cur.line_order.get_mut(&line) else {
+        let Some(record) = self.cur.lines.get_mut(&line) else {
             debug_assert_eq!(to, 0, "a floor above 0 needs a committed store");
             return 0;
         };
-        let prev = log.floor;
-        log.floor = prev.max(to);
+        let prev = record.log.floor;
+        if to > prev {
+            write_line(record, &mut self.cur.cow).log.floor = to;
+        }
         prev
     }
 
@@ -1014,7 +1088,7 @@ impl MemState {
         let MemState {
             events, cur, cov, ..
         } = self;
-        if let Some(log) = cur.line_order.get(&line) {
+        if let Some(log) = cur.log(line) {
             let newly = &log.suffix_from(prev)[..new - prev.max(log.retired)];
             for &id in newly {
                 cov.record(SiteKind::Store, events.get(id).label).persisted += 1;
@@ -1040,26 +1114,23 @@ impl MemState {
             events,
             cur,
             image,
-            image_prov,
+            image_cow,
             gc,
             ..
         } = self;
-        let Some(log) = cur.line_order.get_mut(&line) else {
+        let Some(record) = cur.lines.get_mut(&line) else {
             return;
         };
+        let log = &record.log;
         if log.floor <= log.retired || log.order.is_empty() {
             return;
         }
         let n = (log.floor - log.retired).min(log.order.len());
-        let img_line = image.line_mut(line);
-        let prov_line = image_prov.line_mut(line);
+        let img_line = line_mut(image, image_cow, line, LineSlabs::default);
         for &id in &log.order[..n] {
-            let ev = events.get(id);
-            let lo = ev.addr.line_offset() as usize;
-            let hi = lo + ev.bytes.len();
-            img_line[lo..hi].copy_from_slice(&ev.bytes);
-            prov_line[lo..hi].fill(id);
+            img_line.write(events.get(id));
         }
+        let log = &mut write_line(record, &mut cur.cow).log;
         log.order.drain(..n);
         log.retired += n;
         gc.line_entries_retired += n as u64;
@@ -1103,18 +1174,20 @@ impl MemState {
     fn run_gc_inner(&mut self, sink: &mut dyn EventSink) {
         self.gc.passes += 1;
         let mut roots: FastSet<EventId> = FastSet::default();
-        self.cur.store_map.for_each_id(|id| {
-            roots.insert(id);
-        });
-        self.image_prov.for_each_id(|id| {
-            roots.insert(id);
-        });
-        for log in self.cur.line_order.values() {
-            roots.extend(log.order.iter().copied());
+        for record in self.cur.lines.values() {
+            record.slabs.for_each_id(|id| {
+                roots.insert(id);
+            });
+            roots.extend(record.log.order.iter().copied());
+        }
+        for record in self.image.values() {
+            record.for_each_id(|id| {
+                roots.insert(id);
+            });
         }
         if let Some(prev) = self.past.last() {
-            for log in prev.line_order.values() {
-                roots.extend(log.order.iter().copied());
+            for record in prev.lines.values() {
+                roots.extend(record.log.order.iter().copied());
             }
         }
         for sb in &self.sbs {
@@ -1149,8 +1222,8 @@ impl MemState {
     /// maximal byte *segments* served by the same source: (1) the thread's
     /// store buffer (TSO bypassing), (2) the current execution's cache, and
     /// (3) the persistent image left by earlier executions. Each touched
-    /// cache line is looked up once in the cache, the storemap, the image,
-    /// and the image provenance; segment bytes are copied with
+    /// cache line is looked up once in the current execution's lines and
+    /// once in the image; segment bytes are copied with
     /// `extend_from_slice` rather than per-byte map probes. Cross-execution
     /// reads are collected into the outcome for the caller to report to the
     /// sink; acquire synchronization is applied here. The outcome lives in
@@ -1182,10 +1255,12 @@ impl MemState {
             let line = at.cache_line();
             let base = at.line_offset() as usize;
             let take = ((pmem::CACHE_LINE_SIZE - at.line_offset()).min(len - off)) as usize;
-            let cache_prov = self.cur.store_map.line(line);
-            let cache_data = self.cur.cache.line(line);
-            let img_data = self.image.line(line);
-            let img_prov = self.image_prov.line(line);
+            let cache = self.cur.lines.get(&line).map(|l| &l.slabs);
+            let cache_prov = cache.map(|l| &l.prov);
+            let cache_data = cache.map(|l| &l.bytes);
+            let img = self.image.get(&line);
+            let img_data = img.map(|l| &l.bytes);
+            let img_prov = img.map(|l| &l.prov);
             let chunk_bypass = &s.bypass[off as usize..off as usize + take];
             let cached = |k: usize| cache_prov.is_some_and(|p| p[base + k] != 0);
             let mut touched_image = false;
@@ -1273,9 +1348,8 @@ impl MemState {
         s.candidates.copy_from(&s.chosen);
         if let Some(prev) = self.past.last() {
             for line in &s.image_lines {
-                let log = match prev.line_order.get(line) {
-                    Some(o) => o,
-                    None => continue,
+                let Some(log) = prev.log(*line) else {
+                    continue;
                 };
                 for &id in log.suffix_from(log.floor) {
                     self.stats.candidate_stores_scanned += 1;
@@ -1401,10 +1475,10 @@ impl MemState {
         }
         self.clwb_marks.clear();
         self.fences.clear();
-        let mut lines: Vec<_> = self.cur.line_order.keys().copied().collect();
+        let mut lines: Vec<_> = self.cur.lines.keys().copied().collect();
         lines.sort(); // determinism of rng consumption
         for line in lines {
-            let log = &self.cur.line_order[&line];
+            let log = &self.cur.lines[&line].log;
             let floor = log.floor;
             // Cuts are logical indexes, so the RNG draws (and the persisted
             // prefix they denote) are identical whether or not streaming GC
@@ -1425,17 +1499,17 @@ impl MemState {
                 continue;
             }
             // Materialize the persisted prefix with per-line bulk copies:
-            // the image line and its provenance slab are fetched once, and
-            // each store (single-line by construction) lands with a
+            // the image record is fetched once, and each store
+            // (single-line by construction) lands with a
             // `copy_from_slice`/`fill` pair.
-            let img_line = self.image.line_mut(line);
-            let prov_line = self.image_prov.line_mut(line);
+            let img_line = line_mut(
+                &mut self.image,
+                &mut self.image_cow,
+                line,
+                LineSlabs::default,
+            );
             for &id in keep {
-                let ev = self.events.get(id);
-                let lo = ev.addr.line_offset() as usize;
-                let hi = lo + ev.bytes.len();
-                img_line[lo..hi].copy_from_slice(&ev.bytes);
-                prov_line[lo..hi].fill(id);
+                img_line.write(self.events.get(id));
             }
         }
         // Flush events never outlive the buffers that referenced them.
@@ -1464,34 +1538,39 @@ impl MemState {
 
     /// Full content fingerprint of everything a crash at this instant can
     /// materialize or a post-crash suffix can observe: the persistent image
-    /// and its provenance, the current execution's cache/storemap/line
-    /// logs (orders and persistence floors), and the per-thread buffers.
-    /// No engine path calls it: it is the subject of yashbench's
+    /// and its provenance, the current execution's lines (cache bytes,
+    /// storemap, store logs and persistence floors), and the per-thread
+    /// buffers. No engine path calls it: it is the subject of yashbench's
     /// `--layers` fingerprint microbenchmark, which prices a full content
     /// hash against the rolling event-delta fingerprint pruning keeps.
-    /// O(touched lines),
-    /// amortized by the [`pmem::ArcMemo`] pointer fast path across
-    /// snapshots.
+    /// O(touched lines), amortized by the [`pmem::ArcMemo`] address fast
+    /// path across snapshots that share line records.
     pub fn crash_state_fingerprint(&self, memo: &mut pmem::ArcMemo) -> u64 {
-        let mut fp = pmem::Fp64::new();
-        fp.absorb(self.image.fingerprint(memo));
-        fp.absorb(self.image_prov.fingerprint(memo));
-        fp.absorb(self.cur.cache.fingerprint(memo));
-        fp.absorb(self.cur.store_map.fingerprint(memo));
-        fp.absorb(self.cur.id as u64);
-        // Per-line logs: XOR-combined so map iteration order cannot leak
-        // into the value.
-        let mut logs = 0u64;
-        for (line, log) in &self.cur.line_order {
-            let mut inner = pmem::Fp64::new();
-            inner.absorb(log.retired as u64);
-            inner.absorb(log.floor as u64);
-            for &id in &log.order {
-                inner.absorb(id);
-            }
-            logs ^= pmem::mix64(line.0 ^ pmem::mix64(inner.value()));
+        // Per-line hashes are XOR-combined so map iteration order cannot
+        // leak into the value.
+        let mut image = 0u64;
+        for (line, record) in &self.image {
+            let content = memo.memoize(&**record, LineSlabs::content_hash);
+            image ^= pmem::mix64(line.0 ^ pmem::mix64(content));
         }
-        fp.absorb(logs);
+        let mut lines = 0u64;
+        for (line, record) in &self.cur.lines {
+            let content = memo.memoize(&**record, |r| {
+                let mut inner = pmem::Fp64::new();
+                inner.absorb(r.slabs.content_hash());
+                inner.absorb(r.log.retired as u64);
+                inner.absorb(r.log.floor as u64);
+                for &id in &r.log.order {
+                    inner.absorb(id);
+                }
+                inner.value()
+            });
+            lines ^= pmem::mix64(line.0 ^ pmem::mix64(content));
+        }
+        let mut fp = pmem::Fp64::new();
+        fp.absorb(image);
+        fp.absorb(lines);
+        fp.absorb(self.cur.id as u64);
         fp.absorb(self.cvs.len() as u64);
         for sb in &self.sbs {
             fp.absorb(sb.fingerprint());
@@ -1502,21 +1581,26 @@ impl MemState {
         fp.value()
     }
 
-    /// Direct read of the persistent image (for assertions in tests).
-    pub fn image(&self) -> &PmImage {
-        &self.image
+    /// One byte of the persistent image (zero where never persisted; for
+    /// differential tests).
+    pub fn image_byte(&self, addr: Addr) -> u8 {
+        self.image
+            .get(&addr.cache_line())
+            .map_or(0, |l| l.bytes[addr.line_offset() as usize])
     }
 
     /// The store event that produced the persisted byte at `addr`, if any
     /// (for differential tests).
     pub fn image_prov_at(&self, addr: Addr) -> Option<EventId> {
-        self.image_prov.get(addr)
+        let record = self.image.get(&addr.cache_line())?;
+        record.prov_at(addr.line_offset())
     }
 
     /// The most recent committed store covering `addr` in the current
     /// execution's cache, if any.
     pub fn store_map_at(&self, addr: Addr) -> Option<EventId> {
-        self.cur.store_map.get(addr)
+        let record = self.cur.lines.get(&addr.cache_line())?;
+        record.slabs.prov_at(addr.line_offset())
     }
 
     /// Number of executions so far (current one included).
@@ -1531,14 +1615,13 @@ impl MemState {
 /// checks membership only where the id changes between adjacent bytes.
 fn with_line_stores<R>(
     events: &EventTable,
-    store_map: &ProvenanceMap,
-    line: CacheLineId,
+    line: Option<&CowBox<ExecLine>>,
     f: impl FnOnce(&[&StoreEvent]) -> R,
 ) -> R {
-    let Some(slab) = store_map.line(line) else {
+    let Some(line) = line else {
         return f(&[]);
     };
-    let (ids, n) = distinct_slab_ids(slab);
+    let (ids, n) = distinct_slab_ids(&line.slabs.prov);
     with_event_refs(events, &ids[..n], f)
 }
 
@@ -2017,8 +2100,8 @@ mod tests {
     /// The ids `with_line_stores` passes on for a line holding `slab`.
     fn line_store_ids(slab: &ProvLine) -> Vec<EventId> {
         let line = Addr(0x1000).cache_line();
-        let mut prov = ProvenanceMap::new();
-        *prov.line_mut(line) = *slab;
+        let mut record = ExecLine::default();
+        record.slabs.prov = *slab;
         let mut ids: Vec<EventId> = slab.iter().copied().filter(|&id| id != 0).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -2037,11 +2120,10 @@ mod tests {
                     bytes: [0u8][..].into(),
                     invented: false,
                     label: "",
-                    seq: None,
                 },
             );
         }
-        with_line_stores(&events, &prov, line, |refs| {
+        with_line_stores(&events, Some(&CowBox::new(record)), |refs| {
             refs.iter().map(|s| s.id).collect()
         })
     }

@@ -162,7 +162,7 @@ impl Forkable for Sched {
     /// active task it is unobservable, and the next phase's `register` resets
     /// it when `active` goes 0 → 1. No task is live, so every wait slot is
     /// empty.
-    fn fork(&self) -> Self {
+    fn fork(&mut self) -> Self {
         Sched {
             token: self.token,
             tasks: self.tasks.iter().map(|_| TaskState::Finished).collect(),

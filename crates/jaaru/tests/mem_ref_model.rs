@@ -26,11 +26,12 @@ mod refmodel;
 
 use compiler_model::CompilerConfig;
 use jaaru::{Atomicity, MemState, NullSink, PersistencePolicy};
-use pmem::Addr;
+use pmem::{Addr, Forkable};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use refmodel::RefMemState;
+use vclock::ThreadId;
 
 /// The property test's window: three cache lines starting at the root
 /// region, small enough that threads keep colliding on the same bytes.
@@ -122,23 +123,45 @@ fn policy_of(p: u8) -> PersistencePolicy {
     }
 }
 
-/// Runs `steps` through both models over the first `window` bytes of the
-/// root region, asserting equality at every observation point. Returns an
-/// error message on the first divergence.
-fn run_differential(window: u64, steps: &[(usize, Op)]) -> Result<(), String> {
-    let mut sink = NullSink;
-    let mut opt = MemState::new(CompilerConfig::default(), 1 << 20);
-    let mut oracle = RefMemState::new(CompilerConfig::default());
-    let main = opt.register_thread(None);
-    assert_eq!(main, oracle.register_thread(None));
-    let mut tids = vec![main];
-    for _ in 1..THREADS {
-        let child = opt.register_thread(Some(main));
-        assert_eq!(child, oracle.register_thread(Some(main)));
-        tids.push(child);
+/// One `MemState` and one `RefMemState` driven in lockstep by the same
+/// operations, with the same threads registered.
+struct Lockstep {
+    opt: MemState,
+    oracle: RefMemState,
+    tids: Vec<ThreadId>,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep::with_gc(false)
     }
 
-    for (step, &(thread, op)) in steps.iter().enumerate() {
+    /// With `gc`, the `MemState` retires events and drains persisted log
+    /// prefixes after every commit; the reference model never does.
+    fn with_gc(gc: bool) -> Self {
+        let mut opt = MemState::new(CompilerConfig::default(), 1 << 20);
+        if gc {
+            opt.enable_gc(1);
+        }
+        let mut oracle = RefMemState::new(CompilerConfig::default());
+        let main = opt.register_thread(None);
+        assert_eq!(main, oracle.register_thread(None));
+        let mut tids = vec![main];
+        for _ in 1..THREADS {
+            let child = opt.register_thread(Some(main));
+            assert_eq!(child, oracle.register_thread(Some(main)));
+            tids.push(child);
+        }
+        Lockstep { opt, oracle, tids }
+    }
+
+    /// Applies `op` from thread index `thread` to both models over the
+    /// first `window` bytes of the root region, asserting equality at
+    /// every observation point. Returns an error message on the first
+    /// divergence.
+    fn step(&mut self, window: u64, step: usize, thread: usize, op: Op) -> Result<(), String> {
+        let mut sink = NullSink;
+        let Lockstep { opt, oracle, tids } = self;
         let t = tids[thread];
         match op {
             Op::Store {
@@ -240,12 +263,12 @@ fn run_differential(window: u64, steps: &[(usize, Op)]) -> Result<(), String> {
                 oracle.crash(policy, &mut rng_b);
                 // Threads keep their ids across the crash (clocks carry
                 // over; buffers were cleared identically).
-                check_persistent_state(window, step, &opt, &oracle)?;
+                check_persistent_state(window, step, opt, oracle)?;
             }
         }
         // Clock agreement for every thread after every step: acquire
         // joins and spawn inheritance are only visible here.
-        for &tid in &tids {
+        for &tid in tids.iter() {
             if opt.cv(tid) != oracle.cv(tid) {
                 return Err(format!(
                     "step {step}: clock of {tid:?} {:?} != {:?}",
@@ -261,13 +284,116 @@ fn run_differential(window: u64, steps: &[(usize, Op)]) -> Result<(), String> {
                 return Err(format!("step {step}: storemap diverged at {at}"));
             }
         }
+        Ok(())
     }
-    // Final crash: compare the fully materialized persistent state.
-    let mut rng_a = StdRng::seed_from_u64(7);
-    let mut rng_b = StdRng::seed_from_u64(7);
-    opt.crash(PersistencePolicy::FullCache, &mut rng_a);
-    oracle.crash(PersistencePolicy::FullCache, &mut rng_b);
-    check_persistent_state(window, steps.len(), &opt, &oracle)
+
+    /// Final crash: compares the fully materialized persistent state.
+    fn finish(&mut self, window: u64, step: usize) -> Result<(), String> {
+        let mut rng_a = StdRng::seed_from_u64(7);
+        let mut rng_b = StdRng::seed_from_u64(7);
+        self.opt.crash(PersistencePolicy::FullCache, &mut rng_a);
+        self.oracle.crash(PersistencePolicy::FullCache, &mut rng_b);
+        check_persistent_state(window, step, &self.opt, &self.oracle)
+    }
+}
+
+/// Runs `steps` through both models over the first `window` bytes of the
+/// root region, asserting equality at every observation point. Returns an
+/// error message on the first divergence.
+fn run_differential(window: u64, steps: &[(usize, Op)]) -> Result<(), String> {
+    let mut both = Lockstep::new();
+    for (step, &(thread, op)) in steps.iter().enumerate() {
+        both.step(window, step, thread, op)?;
+    }
+    both.finish(window, steps.len())
+}
+
+/// What happens to the parent's copy-on-write co-holder in
+/// [`run_forked`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sibling {
+    /// Parent and fork both live on and take turns.
+    Interleaved,
+    /// The fork is dropped at once; the parent runs alone.
+    ForkDropped,
+    /// The parent is dropped at once; the fork runs alone.
+    ParentDropped,
+}
+
+/// Upper bound on the copy-on-write copies both sides of one fork can make
+/// together: every record and queue shared at the fork is copied at most
+/// once (after one side copies, the other holds it alone). Line records
+/// count two copies each, one per slab; the window spans three lines of
+/// cache and three of image; each thread has two queues.
+const MAX_FORK_COPIES: u64 = 2 * (3 + 3) + 2 * THREADS as u64;
+
+/// Forks a memory system after `prefix`, then drives the parent through
+/// `parent_ops` and the fork through `fork_ops`. Each side is checked at
+/// every step against its own reference model, which replays that side's
+/// whole history without forking, so a write on one side that leaked into
+/// the other shows as a divergence. Copy-on-write traffic is checked
+/// against a third, unforked memory system replaying the fork's history:
+/// it never copies, and neither may a side whose co-holder was dropped.
+/// Returns the copies both sides made.
+fn run_forked(
+    gc: bool,
+    prefix: &[(usize, Op)],
+    parent_ops: &[(usize, Op)],
+    fork_ops: &[(usize, Op)],
+    sibling: Sibling,
+) -> Result<u64, String> {
+    let mut parent = Lockstep::with_gc(gc);
+    let mut fork = Lockstep::with_gc(gc);
+    let mut unforked = Lockstep::with_gc(gc);
+    for (step, &(thread, op)) in prefix.iter().enumerate() {
+        parent.step(WINDOW, step, thread, op)?;
+        fork.step(WINDOW, step, thread, op)?;
+        unforked.step(WINDOW, step, thread, op)?;
+    }
+    fork.opt = parent.opt.fork();
+    let mut sides = match sibling {
+        Sibling::Interleaved => vec![(parent, parent_ops), (fork, fork_ops)],
+        Sibling::ForkDropped => {
+            drop(fork);
+            vec![(parent, parent_ops)]
+        }
+        Sibling::ParentDropped => {
+            drop(parent);
+            vec![(fork, fork_ops)]
+        }
+    };
+    let longest = parent_ops.len().max(fork_ops.len());
+    for n in 0..longest {
+        let step = prefix.len() + n;
+        for (side, ops) in &mut sides {
+            if let Some(&(thread, op)) = ops.get(n) {
+                side.step(WINDOW, step, thread, op)?;
+            }
+        }
+        if let Some(&(thread, op)) = fork_ops.get(n) {
+            unforked.step(WINDOW, step, thread, op)?;
+        }
+    }
+    let end = prefix.len() + longest;
+    for (side, _) in &mut sides {
+        side.finish(WINDOW, end)?;
+    }
+    if unforked.opt.cow_stats() != (0, 0) {
+        return Err(format!(
+            "an unforked replay copied: {:?}",
+            unforked.opt.cow_stats()
+        ));
+    }
+    let copies: u64 = sides.iter().map(|(side, _)| side.opt.cow_stats().0).sum();
+    match sibling {
+        Sibling::Interleaved if copies > MAX_FORK_COPIES => Err(format!(
+            "{copies} copies after one fork, above {MAX_FORK_COPIES}"
+        )),
+        Sibling::ForkDropped | Sibling::ParentDropped if copies != 0 => Err(format!(
+            "{copies} copies with the co-holder dropped; an unforked replay makes none"
+        )),
+        _ => Ok(copies),
+    }
 }
 
 fn check_persistent_state(
@@ -278,10 +404,10 @@ fn check_persistent_state(
 ) -> Result<(), String> {
     for i in 0..window {
         let at = base() + i;
-        if opt.image().read_u8(at) != oracle.image_byte(at) {
+        if opt.image_byte(at) != oracle.image_byte(at) {
             return Err(format!(
                 "step {step}: image byte at {at}: {} != {}",
-                opt.image().read_u8(at),
+                opt.image_byte(at),
                 oracle.image_byte(at)
             ));
         }
@@ -365,6 +491,103 @@ proptest! {
     ) {
         if let Err(msg) = run_differential(WINDOW, &steps) {
             prop_assert!(false, "{}", msg);
+        }
+    }
+
+    #[test]
+    fn a_fork_and_its_parent_stay_isolated(
+        prefix in proptest::collection::vec((0..THREADS, arb_op()), 0..40),
+        parent_ops in proptest::collection::vec((0..THREADS, arb_op()), 0..40),
+        fork_ops in proptest::collection::vec((0..THREADS, arb_op()), 0..40),
+        gc in any::<bool>(),
+        sibling in prop_oneof![
+            2 => Just(Sibling::Interleaved),
+            1 => Just(Sibling::ForkDropped),
+            1 => Just(Sibling::ParentDropped),
+        ],
+    ) {
+        if let Err(msg) = run_forked(gc, &prefix, &parent_ops, &fork_ops, sibling) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+}
+
+#[test]
+fn a_fork_mid_run_diverges_from_its_parent_through_stores_flushes_fences_and_a_crash() {
+    // Lines 0 and 1 hold committed stores, one of them flushed, and a
+    // buffered store and clwb are pending when the state is captured.
+    let prefix = on_main(&[
+        Op::Store {
+            off: 0,
+            len: 8,
+            seed: 1,
+            release: false,
+        },
+        Op::Store {
+            off: 64,
+            len: 8,
+            seed: 2,
+            release: true,
+        },
+        Op::Drain,
+        Op::Clflush { off: 0 },
+        Op::Drain,
+        Op::Store {
+            off: 8,
+            len: 8,
+            seed: 3,
+            release: false,
+        },
+        Op::Clwb { off: 64 },
+    ]);
+    // The parent overwrites line 0, fences its clwb and crashes keeping
+    // only flushed data; the fork writes line 1, flushes line 0 and
+    // crashes keeping everything.
+    let parent_ops = on_main(&[
+        Op::Store {
+            off: 0,
+            len: 8,
+            seed: 10,
+            release: false,
+        },
+        Op::Sfence,
+        Op::Drain,
+        Op::Crash { policy: 1, seed: 1 },
+        Op::Load {
+            off: 0,
+            len: 16,
+            acquire: false,
+        },
+    ]);
+    let fork_ops = on_main(&[
+        Op::Store {
+            off: 72,
+            len: 8,
+            seed: 20,
+            release: false,
+        },
+        Op::Clflush { off: 0 },
+        Op::Mfence,
+        Op::Crash { policy: 0, seed: 2 },
+        Op::Load {
+            off: 64,
+            len: 16,
+            acquire: true,
+        },
+    ]);
+    for gc in [false, true] {
+        for sibling in [
+            Sibling::Interleaved,
+            Sibling::ForkDropped,
+            Sibling::ParentDropped,
+        ] {
+            let copies = run_forked(gc, &prefix, &parent_ops, &fork_ops, sibling)
+                .unwrap_or_else(|msg| panic!("gc {gc}, {sibling:?}: {msg}"));
+            if sibling == Sibling::Interleaved {
+                // Both sides write line 0 or 1 and their buffers while the
+                // other still holds them.
+                assert!(copies > 0, "gc {gc}: shared storage was written in place");
+            }
         }
     }
 }

@@ -64,7 +64,6 @@ pub struct RefMemState {
     compiler: CompilerConfig,
     events: HashMap<EventId, StoreEvent>,
     next_event: EventId,
-    next_seq: u64,
     sbs: Vec<StoreBuffer>,
     fbs: Vec<FlushBuffer>,
     cvs: Vec<VectorClock>,
@@ -93,7 +92,6 @@ impl RefMemState {
             compiler,
             events: HashMap::new(),
             next_event: 1,
-            next_seq: 1,
             sbs: Vec::new(),
             fbs: Vec::new(),
             cvs: Vec::new(),
@@ -127,12 +125,6 @@ impl RefMemState {
         let id = self.next_event;
         self.next_event += 1;
         id
-    }
-
-    fn fresh_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
     }
 
     /// Executes a source-level store (mirrors `MemState::exec_store`, sans
@@ -179,7 +171,6 @@ impl RefMemState {
                 bytes: bytes[off..off + take].into(),
                 invented: false,
                 label,
-                seq: None,
             };
             self.events.insert(id, event);
             self.sbs[thread.as_usize()].push(SbEntry::Store(SbStore {
@@ -254,9 +245,7 @@ impl RefMemState {
     fn commit_entry(&mut self, thread: ThreadId, entry: SbEntry) {
         match entry {
             SbEntry::Store(s) => {
-                let seq = self.fresh_seq();
-                let event = self.events.get_mut(&s.id).expect("store event exists");
-                event.seq = Some(seq);
+                let event = &self.events[&s.id];
                 let line = s.addr.cache_line();
                 // The historic byte loop: clone the bytes, write each one,
                 // insert one storemap entry per byte.
@@ -270,7 +259,6 @@ impl RefMemState {
                 self.cur.line_order.entry(line).or_default().push(s.id);
             }
             SbEntry::Clflush { addr, .. } => {
-                let _seq = self.fresh_seq();
                 let line = addr.cache_line();
                 let committed = self.cur.line_order.get(&line).map(Vec::len).unwrap_or(0);
                 let floor = self.cur.persisted_upto.entry(line).or_insert(0);
@@ -283,7 +271,6 @@ impl RefMemState {
                 self.fbs[thread.as_usize()].push(FbEntry { addr, id });
             }
             SbEntry::Sfence { id } => {
-                let _seq = self.fresh_seq();
                 self.fence_cvs.remove(&id).expect("sfence exec CV recorded");
                 self.fence_fb(thread);
             }

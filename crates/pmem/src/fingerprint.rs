@@ -6,19 +6,17 @@
 //!   updates incrementally as state-changing events commit — the hash the
 //!   engine's crash-point pruning keys its classes on, O(1) per event and
 //!   zero-cost for events that do not change crash-visible state, and
-//! * a **content** hash over the Arc-shared line slabs of a
-//!   [`crate::PmImage`] / [`crate::ProvenanceMap`], which feeds the
-//!   engine's full crash-state fingerprint; only yashbench's `--layers`
-//!   microbenchmark calls that. Slabs shared between forks hash once
-//!   thanks to the [`ArcMemo`] pointer-equality fast path: an untouched
-//!   slab costs one map lookup, not 64 byte mixes.
+//! * a **content** hash over the engine's copy-on-write line records,
+//!   which feeds the engine's full crash-state fingerprint; only
+//!   yashbench's `--layers` microbenchmark calls that. Records shared
+//!   between snapshots hash once thanks to the [`ArcMemo`] address fast
+//!   path: an untouched record costs one map lookup, not 64 byte mixes.
 //!
 //! Both are built on the splitmix64 finalizer, which is cheap and has full
 //! avalanche — adjacent event ids or line ids never collide by accident of
 //! arithmetic structure.
 
 use crate::hash::FastMap;
-use std::sync::Arc;
 
 /// The splitmix64 finalizer: a cheap full-avalanche 64-bit mixer.
 #[inline]
@@ -70,16 +68,16 @@ impl Fp64 {
     }
 }
 
-/// A memo of per-slab content hashes keyed by `Arc` pointer identity.
+/// A memo of per-slab content hashes keyed by the slab's address.
 ///
-/// Crash-point snapshots share untouched line slabs by `Arc`; hashing the
-/// same physical slab once and replaying the cached value for every other
-/// holder makes a full-image content fingerprint cost O(changed lines)
-/// amortized. The memo is only sound while the recorded slabs are alive
-/// and unmodified — callers keep it scoped to one verification pass over
-/// snapshots that are never written through (`Arc::make_mut` only clones
-/// when a slab is shared, but a uniquely-held slab could be mutated in
-/// place, so do not reuse a memo across mutations).
+/// Crash-point snapshots share untouched line records through
+/// [`crate::CowBox`]; hashing the same physical record once and replaying
+/// the cached value for every other holder makes a full-image content
+/// fingerprint cost O(changed lines) amortized. The memo is only sound
+/// while the recorded slabs are alive and unmodified — an address is reused
+/// once its slab is freed, and owned storage is written in place — so
+/// callers keep it scoped to one pass over snapshots that are never
+/// written through, and do not reuse a memo across mutations.
 #[derive(Debug, Default)]
 pub struct ArcMemo {
     hashes: FastMap<usize, u64>,
@@ -92,9 +90,9 @@ impl ArcMemo {
     }
 
     /// Returns the cached hash for `slab`, computing it with `compute` on
-    /// first sight of this allocation.
-    pub fn memoize<T>(&mut self, slab: &Arc<T>, compute: impl FnOnce(&T) -> u64) -> u64 {
-        let key = Arc::as_ptr(slab) as usize;
+    /// first sight of this address.
+    pub fn memoize<T>(&mut self, slab: &T, compute: impl FnOnce(&T) -> u64) -> u64 {
+        let key = slab as *const T as usize;
         *self.hashes.entry(key).or_insert_with(|| compute(slab))
     }
 
@@ -171,18 +169,18 @@ mod tests {
 
     #[test]
     fn memo_computes_once_per_allocation() {
-        let slab = Arc::new([1u8; 64]);
-        let alias = slab.clone();
-        let other = Arc::new([1u8; 64]);
+        let mut shared = crate::CowBox::new(vec![1u8; 64]);
+        let alias = crate::Forkable::fork(&mut shared);
+        let other = crate::CowBox::new(vec![1u8; 64]);
         let mut memo = ArcMemo::new();
         let mut computed = 0;
-        let mut hash = |a: &Arc<[u8; 64]>, memo: &mut ArcMemo| {
+        let mut hash = |a: &Vec<u8>, memo: &mut ArcMemo| {
             memo.memoize(a, |s| {
                 computed += 1;
                 hash_bytes(s)
             })
         };
-        let h1 = hash(&slab, &mut memo);
+        let h1 = hash(&shared, &mut memo);
         let h2 = hash(&alias, &mut memo);
         let h3 = hash(&other, &mut memo);
         assert_eq!(h1, h2);

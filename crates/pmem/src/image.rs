@@ -1,10 +1,13 @@
 //! A byte image of the simulated persistent storage.
+//!
+//! The engine keeps its own persistent image as copy-on-write per-line
+//! records that pair each line's bytes with their provenance (see
+//! `jaaru::MemState`); [`PmImage`] is the plain byte image behind the
+//! public API, the allocator examples, and the test-side reference models.
 
 use crate::hash::FastMap;
-use std::sync::Arc;
 
 use crate::addr::{Addr, CacheLineId, CACHE_LINE_SIZE};
-use crate::forkable::Forkable;
 
 type LineSlab = [u8; CACHE_LINE_SIZE as usize];
 
@@ -18,12 +21,6 @@ type LineSlab = [u8; CACHE_LINE_SIZE as usize];
 /// Unwritten bytes read as zero, matching the convention that fresh
 /// persistent pools are zero-initialized.
 ///
-/// Line slabs live behind [`Arc`] so that [`Forkable::fork`] is a refcount
-/// bump per line; the first write to a line shared with a fork clones that
-/// one slab (copy-on-write). An image that was never forked always holds
-/// uniquely-owned slabs, so the non-forking paths pay nothing beyond a
-/// refcount check.
-///
 /// # Examples
 ///
 /// ```
@@ -35,9 +32,7 @@ type LineSlab = [u8; CACHE_LINE_SIZE as usize];
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PmImage {
-    lines: FastMap<CacheLineId, Arc<LineSlab>>,
-    cow_clones: u64,
-    cow_bytes: u64,
+    lines: FastMap<CacheLineId, LineSlab>,
 }
 
 impl PmImage {
@@ -83,21 +78,15 @@ impl PmImage {
 
     /// Direct read access to one cache line's bytes, if ever written.
     pub fn line(&self, line: CacheLineId) -> Option<&LineSlab> {
-        self.lines.get(&line).map(|b| &**b)
+        self.lines.get(&line)
     }
 
     /// Direct write access to one cache line's bytes, created zero-filled on
-    /// first touch. A line shared with a fork is cloned first (COW).
+    /// first touch.
     pub fn line_mut(&mut self, line: CacheLineId) -> &mut LineSlab {
-        let slab = self
-            .lines
+        self.lines
             .entry(line)
-            .or_insert_with(|| Arc::new([0u8; CACHE_LINE_SIZE as usize]));
-        if Arc::strong_count(slab) > 1 {
-            self.cow_clones += 1;
-            self.cow_bytes += CACHE_LINE_SIZE;
-        }
-        Arc::make_mut(slab)
+            .or_insert([0u8; CACHE_LINE_SIZE as usize])
     }
 
     /// Reads one byte.
@@ -162,45 +151,6 @@ impl PmImage {
     /// Removes all contents, returning the image to all-zero.
     pub fn clear(&mut self) {
         self.lines.clear();
-    }
-
-    /// Number of line slabs cloned by copy-on-write since construction (or
-    /// since this copy was forked).
-    pub fn cow_clones(&self) -> u64 {
-        self.cow_clones
-    }
-
-    /// Bytes copied by copy-on-write clones.
-    pub fn cow_bytes(&self) -> u64 {
-        self.cow_bytes
-    }
-
-    /// Order-independent content fingerprint of the whole image.
-    ///
-    /// XORs a per-line hash (line id mixed with slab contents) over every
-    /// touched line, so map iteration order cannot leak into the value.
-    /// Slab hashes are memoized by `Arc` pointer identity: lines shared
-    /// with other forks cost one lookup. All-zero slabs hash like any
-    /// other content, so an explicitly zeroed line and a never-touched
-    /// line fingerprint differently — matching what a post-crash load can
-    /// distinguish via provenance.
-    pub fn fingerprint(&self, memo: &mut crate::fingerprint::ArcMemo) -> u64 {
-        let mut acc = 0u64;
-        for (line, slab) in &self.lines {
-            let content = memo.memoize(slab, |s| crate::fingerprint::hash_bytes(&s[..]));
-            acc ^= crate::fingerprint::mix64(line.0 ^ crate::fingerprint::mix64(content));
-        }
-        acc
-    }
-}
-
-impl Forkable for PmImage {
-    fn fork(&self) -> Self {
-        PmImage {
-            lines: self.lines.clone(),
-            cow_clones: 0,
-            cow_bytes: 0,
-        }
     }
 }
 
@@ -276,52 +226,5 @@ mod tests {
         assert_eq!(img.read_u64(Addr(0)), 0x1234_5678);
         img.clear();
         assert!(img.is_empty());
-    }
-
-    #[test]
-    fn unforked_writes_never_cow() {
-        let mut img = PmImage::new();
-        for i in 0..32 {
-            img.write_u64(Addr(i * 8), i);
-        }
-        assert_eq!(img.cow_clones(), 0);
-        assert_eq!(img.cow_bytes(), 0);
-    }
-
-    #[test]
-    fn fork_shares_lines_until_written() {
-        let mut img = PmImage::new();
-        img.write_u64(Addr(0), 1);
-        img.write_u64(Addr(64), 2);
-        let mut child = img.fork();
-        assert_eq!(child.cow_clones(), 0);
-
-        // Writing a shared line in the child clones exactly that line and
-        // leaves the parent untouched.
-        child.write_u64(Addr(0), 9);
-        assert_eq!(child.cow_clones(), 1);
-        assert_eq!(child.cow_bytes(), CACHE_LINE_SIZE);
-        assert_eq!(child.read_u64(Addr(0)), 9);
-        assert_eq!(img.read_u64(Addr(0)), 1);
-
-        // The parent writing the *other* shared line also pays one clone.
-        img.write_u64(Addr(64), 7);
-        assert_eq!(img.cow_clones(), 1);
-        assert_eq!(child.read_u64(Addr(64)), 2);
-
-        // Rewriting a line that is no longer shared is free.
-        child.write_u64(Addr(0), 10);
-        assert_eq!(child.cow_clones(), 1);
-    }
-
-    #[test]
-    fn fork_sees_parent_state_and_new_lines_are_independent() {
-        let mut img = PmImage::new();
-        img.write_u64(Addr(0), 5);
-        let mut child = img.fork();
-        assert_eq!(child.read_u64(Addr(0)), 5);
-        child.write_u64(Addr(128), 6);
-        assert_eq!(img.read_u64(Addr(128)), 0);
-        assert_eq!(child.cow_clones(), 0, "fresh line is not a COW clone");
     }
 }

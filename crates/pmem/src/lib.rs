@@ -10,11 +10,9 @@
 //!   storage (what survives a crash),
 //! * [`PmAllocator`] — a simple persistent-heap allocator the benchmark data
 //!   structures allocate their nodes from,
-//! * [`ProvenanceMap`] — per-byte store-event provenance kept as per-line
-//!   slabs, so the engine's storemap and image provenance resolve a whole
-//!   cache line with one lookup,
-//! * [`Forkable`] — cheap copy-on-write forking of the storage containers,
-//!   used by the engine's checkpoint/fork crash-point exploration,
+//! * [`CowBox`] / [`Forkable`] — copy-on-write storage that stays owned
+//!   until a snapshot shares it, and the forking it serves: the engine's
+//!   checkpoint/fork crash-point exploration,
 //! * [`Fp64`] / [`ArcMemo`] — rolling and memoized content fingerprints
 //!   over the persisted state, used by the engine's crash-state
 //!   equivalence pruning,
@@ -45,13 +43,11 @@ mod forkable;
 pub mod hash;
 mod image;
 mod layout;
-mod prov;
 
 pub use addr::{Addr, CacheLineId, CACHE_LINE_SIZE};
 pub use alloc::{AllocError, PmAllocator};
 pub use fingerprint::{mix64, ArcMemo, Fp64};
-pub use forkable::Forkable;
+pub use forkable::{CowBox, CowCount, Forkable};
 pub use hash::{FastHasher, FastMap, FastSet};
 pub use image::PmImage;
 pub use layout::{Field, StructLayout};
-pub use prov::{ProvId, ProvLine, ProvenanceMap};

@@ -1,16 +1,16 @@
 //! Per-thread store buffers and flush buffers.
 //!
-//! Both buffer types keep their entry queues behind [`std::sync::Arc`] so
-//! that [`Forkable::fork`] is a refcount bump; the first mutation of a
-//! queue shared with a fork clones it (copy-on-write). Buffers that were
-//! never forked always hold uniquely-owned queues and pay nothing beyond a
-//! refcount check.
+//! Both buffer types keep their entry queues in a [`CowBox`]: a queue is
+//! owned, and pushed to and evicted from in place with no atomic operation,
+//! until [`Forkable::fork`] shares it with a snapshot. The first mutation
+//! of a shared queue copies it (copy-on-write) and counts the copy; a
+//! buffer that was never forked never copies and never touches a
+//! reference count.
 
 use std::collections::VecDeque;
 use std::mem::size_of;
-use std::sync::Arc;
 
-use pmem::{Addr, CacheLineId, Forkable};
+use pmem::{Addr, CacheLineId, CowBox, CowCount, Forkable};
 
 use crate::ordering::InsnKind;
 
@@ -145,12 +145,11 @@ impl SbEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StoreBuffer {
-    entries: Arc<VecDeque<SbEntry>>,
+    entries: CowBox<VecDeque<SbEntry>>,
     /// How many of `entries` are `clwb`s: where [`StoreBuffer::evictable_into`]
     /// may stop.
     clwbs: usize,
-    cow_clones: u64,
-    cow_bytes: u64,
+    cow: CowCount,
 }
 
 impl StoreBuffer {
@@ -159,13 +158,12 @@ impl StoreBuffer {
         StoreBuffer::default()
     }
 
-    /// Mutable access to the queue, cloning it first if shared with a fork.
+    /// Mutable access to the queue, copying it first if shared with a fork.
     fn entries_mut(&mut self) -> &mut VecDeque<SbEntry> {
-        if Arc::strong_count(&self.entries) > 1 {
-            self.cow_clones += 1;
-            self.cow_bytes += (self.entries.len() * size_of::<SbEntry>()) as u64;
-        }
-        Arc::make_mut(&mut self.entries)
+        let bytes = (self.entries.len() * size_of::<SbEntry>()) as u64;
+        let (entries, copied) = self.entries.make_mut();
+        self.cow.add_if(copied, 1, bytes);
+        entries
     }
 
     /// Appends an entry at the program-order tail.
@@ -328,21 +326,17 @@ impl StoreBuffer {
     /// Discards all entries (crash: buffered entries never took effect).
     pub fn clear(&mut self) {
         self.clwbs = 0;
-        match Arc::get_mut(&mut self.entries) {
+        match self.entries.owned_mut() {
             Some(q) => q.clear(),
             // Shared with a fork: detach without copying the old contents.
-            None => self.entries = Arc::default(),
+            None => self.entries = CowBox::default(),
         }
     }
 
-    /// Number of times the entry queue was cloned by copy-on-write.
-    pub fn cow_clones(&self) -> u64 {
-        self.cow_clones
-    }
-
-    /// Bytes copied by copy-on-write clones.
-    pub fn cow_bytes(&self) -> u64 {
-        self.cow_bytes
+    /// Copy-on-write copies of the entry queue since construction (or since
+    /// this copy was forked).
+    pub fn cow(&self) -> CowCount {
+        self.cow
     }
 
     /// Order-sensitive content fingerprint of the buffered entries, one
@@ -357,12 +351,11 @@ impl StoreBuffer {
 }
 
 impl Forkable for StoreBuffer {
-    fn fork(&self) -> Self {
+    fn fork(&mut self) -> Self {
         StoreBuffer {
-            entries: Arc::clone(&self.entries),
+            entries: self.entries.fork(),
             clwbs: self.clwbs,
-            cow_clones: 0,
-            cow_bytes: 0,
+            cow: CowCount::default(),
         }
     }
 }
@@ -384,9 +377,8 @@ pub struct FbEntry {
 /// persist effect (`Evict_FB` in Fig. 8). A crash discards the buffer.
 #[derive(Debug, Clone, Default)]
 pub struct FlushBuffer {
-    pending: Arc<Vec<FbEntry>>,
-    cow_clones: u64,
-    cow_bytes: u64,
+    pending: CowBox<Vec<FbEntry>>,
+    cow: CowCount,
 }
 
 impl FlushBuffer {
@@ -397,26 +389,25 @@ impl FlushBuffer {
 
     /// Adds a `clwb` that exited the store buffer.
     pub fn push(&mut self, entry: FbEntry) {
-        if Arc::strong_count(&self.pending) > 1 {
-            self.cow_clones += 1;
-            self.cow_bytes += (self.pending.len() * size_of::<FbEntry>()) as u64;
-        }
-        Arc::make_mut(&mut self.pending).push(entry);
+        let bytes = (self.pending.len() * size_of::<FbEntry>()) as u64;
+        let (pending, copied) = self.pending.make_mut();
+        self.cow.add_if(copied, 1, bytes);
+        pending.push(entry);
     }
 
     /// Moves every pending entry, in order, onto the end of `out` (fence
     /// executed). An unshared queue keeps its capacity, so the next `clwb`
     /// does not reallocate; `out` can be a caller's reused scratch vector.
     pub fn drain_into(&mut self, out: &mut Vec<FbEntry>) {
-        match Arc::get_mut(&mut self.pending) {
+        match self.pending.owned_mut() {
             Some(v) => out.append(v),
             // Shared with a fork: the fork keeps the old queue; this side
             // copies it out and detaches.
             None => {
-                self.cow_clones += 1;
-                self.cow_bytes += (self.pending.len() * size_of::<FbEntry>()) as u64;
+                let bytes = (self.pending.len() * size_of::<FbEntry>()) as u64;
+                self.cow.add_if(true, 1, bytes);
                 out.extend_from_slice(&self.pending);
-                self.pending = Arc::default();
+                self.pending = CowBox::default();
             }
         }
     }
@@ -433,20 +424,17 @@ impl FlushBuffer {
 
     /// Discards all entries (crash).
     pub fn clear(&mut self) {
-        match Arc::get_mut(&mut self.pending) {
+        match self.pending.owned_mut() {
             Some(v) => v.clear(),
-            None => self.pending = Arc::default(),
+            // Shared with a fork: detach without copying the old contents.
+            None => self.pending = CowBox::default(),
         }
     }
 
-    /// Number of times the queue was cloned by copy-on-write.
-    pub fn cow_clones(&self) -> u64 {
-        self.cow_clones
-    }
-
-    /// Bytes copied by copy-on-write clones.
-    pub fn cow_bytes(&self) -> u64 {
-        self.cow_bytes
+    /// Copy-on-write copies of the queue since construction (or since this
+    /// copy was forked).
+    pub fn cow(&self) -> CowCount {
+        self.cow
     }
 
     /// Order-sensitive content fingerprint of the pending `clwb`s, one
@@ -462,11 +450,10 @@ impl FlushBuffer {
 }
 
 impl Forkable for FlushBuffer {
-    fn fork(&self) -> Self {
+    fn fork(&mut self) -> Self {
         FlushBuffer {
-            pending: Arc::clone(&self.pending),
-            cow_clones: 0,
-            cow_bytes: 0,
+            pending: self.pending.fork(),
+            cow: CowCount::default(),
         }
     }
 }
@@ -659,15 +646,28 @@ mod tests {
         sb.push(store(0, 8, 1));
         sb.push(store(8, 8, 2));
         let mut child = sb.fork();
-        assert_eq!(child.cow_clones(), 0);
-        // The fork sees the parent's entries; popping clones the queue once.
+        assert_eq!(child.cow(), CowCount::default());
+        // The fork sees the parent's entries; popping copies the queue once.
         assert_eq!(child.evict_head().unwrap().id(), 1);
-        assert_eq!(child.cow_clones(), 1);
-        assert_eq!(child.cow_bytes(), (2 * size_of::<SbEntry>()) as u64);
+        assert_eq!(child.cow().clones, 1);
+        assert_eq!(child.cow().bytes, (2 * size_of::<SbEntry>()) as u64);
         assert_eq!(sb.len(), 2, "parent unaffected");
-        // Further mutation of the now-unique queue is free.
+        assert_eq!(sb.cow(), CowCount::default(), "only the writer counts");
+        // Further mutation of the now-owned queue is free, and so is the
+        // parent's: the child no longer references its queue.
         child.push(store(16, 8, 3));
-        assert_eq!(child.cow_clones(), 1);
+        assert_eq!(child.cow().clones, 1);
+        sb.push(store(24, 8, 4));
+        assert_eq!(sb.cow(), CowCount::default());
+        assert_eq!(sb.len(), 3);
+
+        // The capturing side copies too when it writes first.
+        let mut snapshot = sb.fork();
+        sb.evict_head();
+        assert_eq!(sb.cow().clones, 1);
+        assert_eq!(snapshot.len(), 3, "the snapshot keeps what it captured");
+        snapshot.push(store(32, 8, 5));
+        assert_eq!(snapshot.cow(), CowCount::default());
 
         let mut fb = FlushBuffer::new();
         fb.push(FbEntry {
@@ -678,14 +678,39 @@ mod tests {
         let mut taken = Vec::new();
         fchild.drain_into(&mut taken);
         assert_eq!(taken.len(), 1);
-        assert_eq!(fchild.cow_clones(), 1);
+        assert_eq!(fchild.cow().clones, 1);
         assert_eq!(fb.len(), 1, "parent keeps its pending clwb");
-        // clear() on a shared queue detaches without copying.
-        let mut fchild2 = fb.fork();
-        fchild2.clear();
-        assert_eq!(fchild2.cow_clones(), 0);
-        assert!(fchild2.is_empty());
+    }
+
+    #[test]
+    fn clearing_a_shared_queue_detaches_without_copying() {
+        let mut sb = StoreBuffer::new();
+        sb.push(store(0, 8, 1));
+        sb.push(SbEntry::Clwb {
+            addr: Addr(64),
+            id: 2,
+        });
+        let mut child = sb.fork();
+        child.clear();
+        assert!(child.is_empty());
+        assert_eq!(child.cow(), CowCount::default());
+        assert_eq!(evictable(&child), Vec::<usize>::new());
+        assert_eq!(sb.len(), 2, "the other holder keeps its entries");
+        assert_eq!(evictable(&sb), vec![0, 1]);
+
+        let mut fb = FlushBuffer::new();
+        fb.push(FbEntry {
+            addr: Addr(0),
+            id: 1,
+        });
+        let mut fchild = fb.fork();
+        fchild.clear();
+        assert_eq!(fchild.cow(), CowCount::default());
+        assert!(fchild.is_empty());
         assert_eq!(fb.len(), 1);
+        fb.clear();
+        assert_eq!(fb.cow(), CowCount::default());
+        assert!(fb.is_empty());
     }
 
     #[test]
@@ -695,14 +720,14 @@ mod tests {
         sb.evict_head();
         sb.push(store(8, 8, 2));
         sb.clear();
-        assert_eq!(sb.cow_clones(), 0);
+        assert_eq!(sb.cow(), CowCount::default());
         let mut fb = FlushBuffer::new();
         fb.push(FbEntry {
             addr: Addr(0),
             id: 1,
         });
         fb.drain_into(&mut Vec::new());
-        assert_eq!(fb.cow_clones(), 0);
+        assert_eq!(fb.cow(), CowCount::default());
     }
 
     #[test]

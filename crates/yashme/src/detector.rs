@@ -428,7 +428,6 @@ mod tests {
             bytes: [0u8; 8][..].into(),
             invented: false,
             label,
-            seq: Some(id),
         }
     }
 
@@ -442,7 +441,6 @@ mod tests {
             clock,
             kind: jaaru::FlushKind::Clflush,
             addr: Addr(addr),
-            seq: Some(id),
             label: "",
         }
     }
@@ -555,7 +553,6 @@ mod tests {
             bytes: [0u8; 8][..].into(),
             invented: false,
             label: "x",
-            seq: Some(1),
         };
         let y = store_event(2, 0, 0x1008, Atomicity::ReleaseAcquire, 2, "y");
         let mut load_y = load_info(1, 0x1008);

@@ -584,7 +584,6 @@ fn store(id: EventId, thread: ThreadId, clock: Clock) -> StoreEvent {
         bytes: [0u8; 8][..].into(),
         invented: false,
         label: "x",
-        seq: Some(id),
     }
 }
 
@@ -597,7 +596,6 @@ fn clflush(id: EventId, thread: ThreadId, cv: VectorClock) -> FlushEvent {
         cv,
         kind: FlushKind::Clflush,
         addr: Addr(0x1000),
-        seq: Some(id),
         label: "",
     }
 }
