@@ -57,6 +57,7 @@
 mod ctx;
 mod engine;
 mod event;
+mod id_table;
 mod mem;
 pub mod pool;
 mod program;

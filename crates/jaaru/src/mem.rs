@@ -23,6 +23,7 @@ use vclock::{ThreadId, VectorClock};
 use obs::coverage::{SiteKind, SiteTable};
 
 use crate::event::{EventId, ExecId, FlushEvent, FlushKind, Label, LoadInfo, StoreEvent};
+use crate::id_table::IdTable;
 use crate::sink::EventSink;
 
 /// Size of the root region at [`Addr::BASE`], reserved for well-known
@@ -241,80 +242,29 @@ impl Forkable for ExecState {
     }
 }
 
-/// Store-event table indexed by [`EventId`].
-///
-/// An id → slot map plus a free list: ids come from the shared per-run
-/// counter (which also numbers flushes and fences) and are never reused,
-/// while retired events give their slots back, so resident slots track the
-/// *live* set rather than the run's history. With GC off nothing retires
-/// and the table simply grows.
-#[derive(Default, Clone)]
-struct EventTable {
-    slots: Vec<Option<StoreEvent>>,
-    /// Where each live id's event lives.
-    index: FastMap<EventId, u32>,
-    /// Retired slots awaiting reuse.
-    free: Vec<u32>,
-    /// High-water mark of live entries.
-    peak: usize,
-    /// Slots handed out again after retirement.
-    reused: u64,
-}
+/// Store events by id: every store event still live, across executions.
+/// With GC off nothing retires and the table simply grows.
+type EventTable = IdTable<StoreEvent>;
 
-impl EventTable {
-    fn insert(&mut self, id: EventId, event: StoreEvent) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.reused += 1;
-                self.slots[s as usize] = Some(event);
-                s
-            }
-            None => {
-                self.slots.push(Some(event));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let prev = self.index.insert(id, slot);
-        debug_assert!(prev.is_none(), "event ids are never reused");
-        self.peak = self.peak.max(self.index.len());
-    }
-
-    fn slot_of(&self, id: EventId) -> usize {
-        self.index[&id] as usize
-    }
-
-    fn get(&self, id: EventId) -> &StoreEvent {
-        self.slots[self.slot_of(id)]
-            .as_ref()
-            .expect("store event exists")
-    }
-
-    /// Frees `id`'s slot for reuse (unknown ids are ignored so sweeps may
-    /// be re-applied idempotently).
-    fn retire(&mut self, id: EventId) {
-        if let Some(slot) = self.index.remove(&id) {
-            debug_assert!(self.slots[slot as usize].is_some());
-            self.slots[slot as usize] = None;
-            self.free.push(slot);
-        }
-    }
-
-    /// Every live id, in unspecified order (callers sort).
-    fn live_ids(&self) -> Vec<EventId> {
-        self.index.keys().copied().collect()
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn peak_live(&self) -> usize {
-        self.peak
-    }
-
-    fn reused(&self) -> u64 {
-        self.reused
-    }
+/// A flush or fence that has executed but not yet taken its persistent
+/// effect, in [`MemState::pending`] under its event id. A crash drops every
+/// one of them with the buffers that held them.
+#[derive(Debug, Clone)]
+enum Pending {
+    /// A `clflush` until it commits, or a `clwb` until a fence drains it.
+    /// A `clwb`'s `mark` is set when it leaves the store buffer: the line's
+    /// committed-store count at that moment, its guaranteed write-back
+    /// point.
+    Flush {
+        event: FlushEvent,
+        mark: Option<usize>,
+    },
+    /// A buffered `sfence`: its execution-time clock vector (Fig. 8's
+    /// `Evict_FB` takes the *fence's* CV, which must be captured when the
+    /// sfence executes, not when it drains) and its static site label, so
+    /// the coverage plane can classify the fence (draining vs empty) when
+    /// it commits. Kept outside `px86::SbEntry`, which stays label-free.
+    Fence { cv: VectorClock, label: Label },
 }
 
 /// The complete simulated memory system for one engine run.
@@ -323,23 +273,13 @@ pub struct MemState {
     pub compiler: CompilerConfig,
     /// Event table: all store events, across executions.
     events: EventTable,
-    /// Flush events (clflush/clwb), across executions.
-    flushes: FastMap<EventId, FlushEvent>,
+    /// Flushes and fences still in flight, by event id.
+    pending: IdTable<Pending>,
     next_event: EventId,
     // Per-thread machine state (indexed by ThreadId).
     sbs: Vec<StoreBuffer>,
     fbs: Vec<FlushBuffer>,
     cvs: Vec<VectorClock>,
-    /// For each clwb sitting in a flush buffer: the line-order length at the
-    /// moment it exited the store buffer (its guaranteed write-back point).
-    clwb_marks: FastMap<EventId, usize>,
-    /// For each sfence still buffered: its execution-time clock vector
-    /// (Fig. 8's `Evict_FB` takes the *fence's* CV, which must be captured
-    /// when the sfence executes, not when it drains) and its static site
-    /// label, so the coverage plane can classify the fence (draining vs
-    /// empty) when it commits. Kept outside `px86::SbEntry`, which stays
-    /// label-free; a crash clears it with the buffers.
-    fences: FastMap<EventId, (VectorClock, Label)>,
     /// Current execution.
     pub cur: ExecState,
     /// Crashed executions, oldest first.
@@ -399,28 +339,25 @@ impl Forkable for MemState {
     /// Line records (bytes, provenance and store log of each line) and
     /// buffer queues are shared copy-on-write: this memory system's owned
     /// storage becomes shared, so its next write to a captured record
-    /// copies it instead of changing the snapshot. Per-event bookkeeping
-    /// (the event table, flush map, vector clocks) is cloned outright — it
-    /// is proportional to the events executed so far, not to the bytes of
-    /// simulated PM. The load, eviction and fence scratch buffers are
-    /// transient and start empty in the fork.
+    /// copies it instead of changing the snapshot. The id indexes of the
+    /// event table and of the pending flush and fence table are shared the
+    /// same way, chunk by chunk. The rest of the per-event bookkeeping (the
+    /// tables' records, vector clocks) is cloned outright — it is
+    /// proportional to the live events, not to the bytes of simulated PM.
+    /// The load, eviction and fence scratch buffers are transient and start
+    /// empty in the fork.
     /// GC work counters (passes, retirements, reused slots) start at zero:
     /// the prefix's GC work is the capturing run's, and counting it again
     /// in every resumed suffix would double-count it.
     fn fork(&mut self) -> Self {
         MemState {
             compiler: self.compiler,
-            events: EventTable {
-                reused: 0,
-                ..self.events.clone()
-            },
-            flushes: self.flushes.clone(),
+            events: self.events.fork(),
+            pending: self.pending.fork(),
             next_event: self.next_event,
             sbs: self.sbs.iter_mut().map(Forkable::fork).collect(),
             fbs: self.fbs.iter_mut().map(Forkable::fork).collect(),
             cvs: self.cvs.clone(),
-            clwb_marks: self.clwb_marks.clone(),
-            fences: self.fences.clone(),
             cur: self.cur.fork(),
             past: self.past.iter_mut().map(Forkable::fork).collect(),
             image: fork_lines(&mut self.image),
@@ -538,13 +475,11 @@ impl MemState {
         MemState {
             compiler,
             events: EventTable::default(),
-            flushes: FastMap::default(),
+            pending: IdTable::default(),
             next_event: 1,
             sbs: Vec::new(),
             fbs: Vec::new(),
             cvs: Vec::new(),
-            clwb_marks: FastMap::default(),
-            fences: FastMap::default(),
             cur: ExecState::new(0),
             past: Vec::new(),
             image: LineMap::default(),
@@ -629,7 +564,7 @@ impl MemState {
     pub fn gc_stats(&self) -> crate::report::GcStats {
         let mut gc = self.gc;
         gc.live_events = self.events.len() as u64;
-        gc.peak_live_events = self.events.peak_live() as u64;
+        gc.peak_live_events = self.events.peak() as u64;
         gc.slots_reused = self.events.reused();
         gc
     }
@@ -703,7 +638,7 @@ impl MemState {
 
     /// Looks up a store event.
     pub fn store_event(&self, id: EventId) -> &StoreEvent {
-        self.events.get(id)
+        &self.events[id]
     }
 
     fn fresh_event_id(&mut self) -> EventId {
@@ -848,17 +783,20 @@ impl MemState {
     ) -> EventId {
         let clock = self.cvs[thread.as_usize()].tick(thread);
         let id = self.fresh_event_id();
-        let event = FlushEvent {
-            id,
-            exec: self.cur.id,
-            thread,
-            cv: self.cvs[thread.as_usize()].clone(),
-            clock,
-            kind,
-            addr,
-            label,
-        };
-        self.flushes.insert(id, event);
+        let (exec, cvs) = (self.cur.id, &self.cvs);
+        self.pending.insert_with(id, || Pending::Flush {
+            event: FlushEvent {
+                id,
+                exec,
+                thread,
+                cv: cvs[thread.as_usize()].clone(),
+                clock,
+                kind,
+                addr,
+                label,
+            },
+            mark: None,
+        });
         id
     }
 
@@ -868,8 +806,11 @@ impl MemState {
         self.cov.record(SiteKind::Fence, label).executed += 1;
         self.cvs[thread.as_usize()].tick(thread);
         let id = self.fresh_event_id();
-        let cv = self.cvs[thread.as_usize()].clone();
-        self.fences.insert(id, (cv, label));
+        let cvs = &self.cvs;
+        self.pending.insert_with(id, || Pending::Fence {
+            cv: cvs[thread.as_usize()].clone(),
+            label,
+        });
         self.sbs[thread.as_usize()].push(SbEntry::Sfence { id });
     }
 
@@ -950,7 +891,7 @@ impl MemState {
                     cov,
                     ..
                 } = self;
-                let event = events.get(s.id);
+                let event = &events[s.id];
                 debug_assert_eq!(event.len(), s.len);
                 let record = cur.line_mut(line);
                 record.slabs.write(event);
@@ -981,9 +922,11 @@ impl MemState {
                     self.fp.absorb(line.0);
                     self.fp.absorb(committed as u64);
                 }
-                // The flush event is read exactly once (here), so its map
-                // entry can be dropped regardless of GC mode.
-                let flush = self.flushes.remove(&id).expect("flush event exists");
+                // The flush event is read exactly once (here), so its
+                // record can be dropped regardless of GC mode.
+                let Some(Pending::Flush { event: flush, .. }) = self.pending.remove(id) else {
+                    panic!("a committed clflush has its flush record");
+                };
                 // Coverage: classify the flush and credit the stores whose
                 // line prefix it just persisted — before `materialize_floor`
                 // can retire those entries from the log.
@@ -998,11 +941,20 @@ impl MemState {
             }
             SbEntry::Clwb { addr, id } => {
                 let committed = self.committed_len(addr.cache_line());
-                self.clwb_marks.insert(id, committed);
+                let Some(Pending::Flush { mark, .. }) = self.pending.get_mut(id) else {
+                    panic!("an evicted clwb has its flush record");
+                };
+                *mark = Some(committed);
                 self.fbs[thread.as_usize()].push(FbEntry { addr, id });
             }
             SbEntry::Sfence { id } => {
-                let (fence_cv, label) = self.fences.remove(&id).expect("sfence exec CV recorded");
+                let Some(Pending::Fence {
+                    cv: fence_cv,
+                    label,
+                }) = self.pending.remove(id)
+                else {
+                    panic!("a committed sfence has its fence record");
+                };
                 let drained = self.fence_fb(sink, thread, &fence_cv);
                 self.count_fence(label, drained);
             }
@@ -1018,14 +970,18 @@ impl MemState {
         thread: ThreadId,
         fence_cv: &VectorClock,
     ) -> usize {
-        let mut pending = std::mem::take(&mut self.fb_scratch);
-        self.fbs[thread.as_usize()].drain_into(&mut pending);
-        for fb in &pending {
+        let mut entries = std::mem::take(&mut self.fb_scratch);
+        self.fbs[thread.as_usize()].drain_into(&mut entries);
+        for fb in &entries {
             let line = fb.addr.cache_line();
-            let mark = self
-                .clwb_marks
-                .remove(&fb.id)
-                .expect("buffered clwb has a mark");
+            // A clwb fences exactly once; its record dies here.
+            let Some(Pending::Flush {
+                event: clwb,
+                mark: Some(mark),
+            }) = self.pending.remove(fb.id)
+            else {
+                panic!("buffered clwb has a mark");
+            };
             let prev = self.raise_floor(line, mark);
             // Same rule as clflush commit: only an actual floor raise
             // changes the crash state.
@@ -1034,8 +990,6 @@ impl MemState {
                 self.fp.absorb(line.0);
                 self.fp.absorb(mark as u64);
             }
-            // A clwb fences exactly once; its event entry dies here.
-            let clwb = self.flushes.remove(&fb.id).expect("clwb event exists");
             self.cov_floor_raise(clwb.label, line, prev, mark);
             self.materialize_floor(line);
             if self.gc_every.is_some() {
@@ -1045,9 +999,9 @@ impl MemState {
                 sink.on_clwb_fenced(&clwb, fence_cv, stores)
             });
         }
-        let drained = pending.len();
-        pending.clear();
-        self.fb_scratch = pending;
+        let drained = entries.len();
+        entries.clear();
+        self.fb_scratch = entries;
         drained
     }
 
@@ -1091,7 +1045,7 @@ impl MemState {
         if let Some(log) = cur.log(line) {
             let newly = &log.suffix_from(prev)[..new - prev.max(log.retired)];
             for &id in newly {
-                cov.record(SiteKind::Store, events.get(id).label).persisted += 1;
+                cov.record(SiteKind::Store, events[id].label).persisted += 1;
             }
         }
     }
@@ -1128,7 +1082,7 @@ impl MemState {
         let n = (log.floor - log.retired).min(log.order.len());
         let img_line = line_mut(image, image_cow, line, LineSlabs::default);
         for &id in &log.order[..n] {
-            img_line.write(events.get(id));
+            img_line.write(&events[id]);
         }
         let log = &mut write_line(record, &mut cur.cow).log;
         log.order.drain(..n);
@@ -1197,18 +1151,12 @@ impl MemState {
                 }
             }
         }
-        let mut retired: Vec<EventId> = self
-            .events
-            .live_ids()
-            .into_iter()
-            .filter(|id| !roots.contains(id))
-            .collect();
+        let retired: Vec<EventId> = self.events.ids().filter(|id| !roots.contains(id)).collect();
         if retired.is_empty() {
             return;
         }
-        retired.sort_unstable();
         for &id in &retired {
-            self.events.retire(id);
+            self.events.remove(id);
         }
         self.gc.events_retired += retired.len() as u64;
         sink.on_stores_retired(&retired);
@@ -1273,7 +1221,7 @@ impl MemState {
                     while j < take && chunk_bypass[j] == Some(id) {
                         j += 1;
                     }
-                    let ev = self.events.get(id);
+                    let ev = &self.events[id];
                     let start = ((at + i as u64) - ev.addr) as usize;
                     s.bytes.extend_from_slice(&ev.bytes[start..start + (j - i)]);
                     if acquire {
@@ -1336,7 +1284,7 @@ impl MemState {
         if acquire {
             let cv = &mut self.cvs[thread.as_usize()];
             for &id in s.sources.items.iter().chain(&s.chosen.items) {
-                let ev = self.events.get(id);
+                let ev = &self.events[id];
                 if ev.atomicity.is_release() {
                     cv.join(&ev.cv);
                 }
@@ -1353,7 +1301,7 @@ impl MemState {
                 };
                 for &id in log.suffix_from(log.floor) {
                     self.stats.candidate_stores_scanned += 1;
-                    let ev = self.events.get(id);
+                    let ev = &self.events[id];
                     if ranges_overlap(ev.addr, ev.len(), addr, len) {
                         s.candidates.insert(id);
                     }
@@ -1473,8 +1421,15 @@ impl MemState {
         for fb in &mut self.fbs {
             fb.clear();
         }
-        self.clwb_marks.clear();
-        self.fences.clear();
+        // Flush events never outlive the buffers that referenced them.
+        if self.gc_every.is_some() {
+            self.gc.flushes_retired += self
+                .pending
+                .values()
+                .filter(|p| matches!(p, Pending::Flush { .. }))
+                .count() as u64;
+        }
+        self.pending.clear();
         let mut lines: Vec<_> = self.cur.lines.keys().copied().collect();
         lines.sort(); // determinism of rng consumption
         for line in lines {
@@ -1509,14 +1464,9 @@ impl MemState {
                 LineSlabs::default,
             );
             for &id in keep {
-                img_line.write(self.events.get(id));
+                img_line.write(&self.events[id]);
             }
         }
-        // Flush events never outlive the buffers that referenced them.
-        if self.gc_every.is_some() {
-            self.gc.flushes_retired += self.flushes.len() as u64;
-        }
-        self.flushes.clear();
         let next_id = self.cur.id + 1;
         let old = std::mem::replace(&mut self.cur, ExecState::new(next_id));
         self.past.push(old);
@@ -1640,12 +1590,12 @@ fn with_event_refs<R>(
         return f(&[]);
     };
     if ids.len() > STACK_REFS {
-        let refs: Vec<&StoreEvent> = ids.iter().map(|&id| events.get(id)).collect();
+        let refs: Vec<&StoreEvent> = ids.iter().map(|&id| &events[id]).collect();
         return f(&refs);
     }
-    let mut refs = [events.get(first); STACK_REFS];
+    let mut refs = [&events[first]; STACK_REFS];
     for (slot, &id) in refs.iter_mut().zip(ids).skip(1) {
-        *slot = events.get(id);
+        *slot = &events[id];
     }
     f(&refs[..ids.len()])
 }
@@ -2080,9 +2030,9 @@ mod tests {
         let mut m = mem();
         let t = m.register_thread(None);
         m.exec_sfence(t, "sf");
-        assert_eq!(m.fences.len(), 1);
+        assert_eq!(m.pending.len(), 1);
         m.crash(PersistencePolicy::FullCache, &mut rng());
-        assert!(m.fences.is_empty(), "forks after the crash would clone it");
+        assert_eq!(m.pending.len(), 0, "forks after the crash would clone it");
     }
 
     /// The per-byte walk `with_line_stores` replaced: every nonzero byte
@@ -2232,6 +2182,36 @@ mod tests {
         assert_eq!(mixed[3], *mixed.iter().max().unwrap());
         assert_eq!(sink.clflush, vec![descending.clone()]);
         assert_eq!(sink.clwb, vec![descending, mixed]);
+    }
+
+    #[test]
+    fn a_clwb_that_overtakes_an_older_one_keeps_its_own_mark() {
+        let mut m = mem();
+        let mut sink = NullSink;
+        let t = m.register_thread(None);
+        let (a, b) = (Addr(0x1000), Addr(0x1040));
+        for (at, v) in [(a, 1u64), (a, 2), (b, 3)] {
+            m.exec_store(&mut sink, t, at, &v.to_le_bytes(), Atomicity::Plain, "s");
+        }
+        m.drain_sb(&mut sink, t);
+        m.exec_clwb(t, a, "wa");
+        m.exec_clwb(t, b, "wb");
+        // Both lead the buffer, so either may leave first: the younger
+        // clwb (line b, one committed store) goes first, then the older
+        // (line a, two).
+        assert_eq!(m.evictable(t), [0, 1]);
+        m.evict_one(&mut sink, t, 1);
+        m.evict_one(&mut sink, t, 0);
+        // Stores committed after the clwbs left are past both marks.
+        for (at, v) in [(a, 4u64), (b, 5)] {
+            m.exec_store(&mut sink, t, at, &v.to_le_bytes(), Atomicity::Plain, "s");
+        }
+        m.drain_sb(&mut sink, t);
+        m.exec_sfence(t, "sf");
+        m.drain_sb(&mut sink, t);
+        let floor = |m: &MemState, at: Addr| m.cur.log(at.cache_line()).expect("written").floor;
+        assert_eq!((floor(&m, a), floor(&m, b)), (2, 1));
+        assert_eq!(m.pending.len(), 0, "every flush and fence record retired");
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! Nothing in this module feeds back into the state fingerprint or the
 //! detector token — observing coverage never changes what gets pruned.
 
-use std::collections::HashMap;
-
+use crate::hash::FastMap;
 use crate::json::Json;
 
 /// What kind of static program site a counter row describes.
@@ -130,12 +129,12 @@ pub fn verdict(executed: u64, raced: bool) -> Verdict {
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SiteTable {
     /// `(kind, label) -> index into entries`.
-    index: HashMap<(SiteKind, &'static str), u32>,
+    index: FastMap<(SiteKind, &'static str), u32>,
     /// Sites in first-execution order.
     entries: Vec<(SiteKind, &'static str, SiteStats)>,
     /// Persisted-line touch heatmap: line base address → number of
     /// flush-driven persisted-floor raises that touched the line.
-    heat: HashMap<u64, u64>,
+    heat: FastMap<u64, u64>,
     /// Address-keyed front of `index`; never cloned or compared.
     cache: SiteCache,
 }

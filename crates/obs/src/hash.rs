@@ -1,6 +1,12 @@
 //! The simulator's one hasher: a fixed, unseeded multiply-rotate hash in
 //! the style of rustc's FxHash, and the map/set aliases built on it.
 //!
+//! This file is its one home. `obs` (the coverage plane) and `pmem` (and
+//! through it `jaaru` and `yashme`) both hash with it, but neither crate
+//! may depend on the other: the benchmark package's own lock file pins
+//! every crate's dependency edges. So `pmem` compiles this same file as
+//! `pmem::hash` (a `#[path]` module) rather than holding a copy.
+//!
 //! Every key the simulator hashes — event ids, cache lines, execution ids,
 //! slab addresses, static labels — is made by the simulator itself, never
 //! by an adversary, so std's per-process-seeded SipHash buys no HashDoS

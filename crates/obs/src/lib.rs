@@ -22,6 +22,9 @@
 //!   loadable in Perfetto / `chrome://tracing`.
 //! * [`json`] — a minimal stable-field-order JSON writer (the workspace's
 //!   vendored `serde` is a no-op stub, so JSON is written by hand).
+//! * [`hash`] — the simulator's one unseeded fast hasher and its
+//!   `FastMap`/`FastSet` aliases. The coverage plane's maps use it here,
+//!   and `pmem` compiles the same source file as `pmem::hash`.
 //! * [`telemetry`] — the **second plane**: wall-clock phase timers, worker
 //!   utilization, and throughput time series for humans and dashboards.
 //!   Explicitly nondeterministic and write-only; it never feeds back into
@@ -50,6 +53,7 @@
 pub mod chrome;
 mod counters;
 pub mod coverage;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod span;

@@ -17,7 +17,8 @@
 //!   over the persisted state, used by the engine's crash-state
 //!   equivalence pruning,
 //! * [`FastMap`] / [`FastSet`] — the simulator's one unseeded fast hasher,
-//!   used by every map and set on the per-event path,
+//!   used by every map and set on the per-event path (its source lives in
+//!   `obs`, which the coverage plane's maps hash with too),
 //! * [`StructLayout`] — a helper for laying out C-style structs in simulated
 //!   PM with natural field alignment, so benchmark ports can mirror the
 //!   field-level layout (and cache-line co-residency) of the original C++
@@ -40,6 +41,7 @@ mod addr;
 mod alloc;
 pub mod fingerprint;
 mod forkable;
+#[path = "../../obs/src/hash.rs"]
 pub mod hash;
 mod image;
 mod layout;
