@@ -6,7 +6,6 @@
 //!
 //! * `--workers N|auto` (also `--workers=N`) — worker-pool size
 //! * `--no-fork` / `--no-prune` / `--no-gc` — disable a physical strategy
-//! * `--gc-every N` — the GC tuning knob
 //!
 //! Each flag sets one field, so their order does not matter. Anything
 //! unrecognized lands in [`CommonArgs::rest`] for the bin's own flags;
@@ -90,7 +89,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, 
             "--no-fork" => engine.fork = false,
             "--no-prune" => engine.prune = false,
             "--no-gc" => engine.gc = false,
-            "--gc-every" => engine = engine.with_gc_every(value("--gc-every", args.next())?),
             _ => {
                 let workers = if arg == "--workers" {
                     args.next()
@@ -171,7 +169,12 @@ mod tests {
             c.expect_only(&[], &["--out"]),
             Err("--out needs a value".to_owned())
         );
-        for retired in ["--no-frok", "--prune-paranoid", "--gc-paranoid"] {
+        for retired in [
+            "--no-frok",
+            "--prune-paranoid",
+            "--gc-paranoid",
+            "--gc-every",
+        ] {
             let c = parse(&[retired]).unwrap();
             assert_eq!(
                 c.expect_only(&["--json"], &[]),
@@ -181,21 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn tuning_knobs_are_parsed() {
-        let c = parse(&["--gc-every", "16"]).unwrap();
-        assert_eq!(c.engine.gc_every, 16);
-        // The GC period is clamped to at least one commit.
-        assert_eq!(parse(&["--gc-every", "0"]).unwrap().engine.gc_every, 1);
-    }
-
-    #[test]
     fn malformed_numbers_are_rejected() {
         for (args, flag) in [
             (&["--workers", "abc"][..], "--workers"),
             (&["--workers=-1"][..], "--workers"),
             (&["--workers="][..], "--workers"),
-            (&["--gc-every", "often"][..], "--gc-every"),
-            (&["--gc-every", "-4"][..], "--gc-every"),
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.starts_with(&format!("bad {flag}: ")), "{args:?}: {err}");
@@ -204,9 +197,9 @@ mod tests {
 
     #[test]
     fn missing_values_are_rejected() {
-        for flag in ["--workers", "--gc-every"] {
-            let err = parse(&[flag]).unwrap_err();
-            assert_eq!(err, format!("{flag} needs a value"));
-        }
+        assert_eq!(
+            parse(&["--workers"]).unwrap_err(),
+            "--workers needs a value"
+        );
     }
 }

@@ -4,9 +4,9 @@
 //! count. Telemetry is write-only observation; it must never perturb what
 //! the checker reports.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use jaaru::obs::telemetry::{start_reporter, ReporterConfig, Telemetry};
+use jaaru::obs::telemetry::{start_reporter, Count, ReporterConfig, Telemetry};
 use jaaru::obs::to_chrome_json;
 use jaaru::{Engine, EngineConfig, ExecMode};
 use yashme::json::run_json;
@@ -23,25 +23,36 @@ fn surfaces(report: &yashme::RunReport) -> (String, Option<String>, String) {
     )
 }
 
+/// A heartbeat destination the test can read back.
+#[derive(Clone, Default)]
+struct Lines(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for Lines {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Runs CCEH twice under `engine` — once plain, once with every telemetry
-/// feature active (enabled handle, background reporter writing JSONL) —
-/// and returns both reports plus the telemetry handle.
+/// feature active (enabled handle, background reporter writing heartbeat
+/// lines) — and returns both reports plus the telemetry handle.
 fn plain_vs_observed(
     mode: ExecMode,
     engine: &EngineConfig,
-    tag: &str,
 ) -> (yashme::RunReport, yashme::RunReport, Arc<Telemetry>) {
     let program = recipe::cceh::program();
     let plain = yashme::check(&program, mode, YashmeConfig::default(), engine);
     let tel = Arc::new(Telemetry::new());
-    let jsonl =
-        std::env::temp_dir().join(format!("yashme-tel-eq-{}-{tag}.jsonl", std::process::id()));
+    let heartbeat = Lines::default();
     let reporter = start_reporter(
         &tel,
         ReporterConfig {
-            jsonl: Some(Box::new(
-                std::fs::File::create(&jsonl).expect("create the JSONL file"),
-            )),
+            progress: Some(Box::new(heartbeat.clone())),
             label: "telemetry-equivalence".to_owned(),
             ..ReporterConfig::default()
         },
@@ -54,12 +65,21 @@ fn plain_vs_observed(
         &tel,
     );
     drop(reporter);
-    let text = std::fs::read_to_string(&jsonl).expect("reporter wrote its JSONL file");
-    let _ = std::fs::remove_file(&jsonl);
+    let text = String::from_utf8(heartbeat.0.lock().unwrap().clone()).unwrap();
     assert!(
-        !text.is_empty() && text.lines().all(|l| l.starts_with('{') && l.ends_with('}')),
-        "JSONL snapshots are one object per line: {text:?}"
+        !text.is_empty()
+            && text
+                .lines()
+                .all(|l| l.starts_with("[telemetry-equivalence] ") && l.contains(" ev/s")),
+        "one heartbeat line per sample: {text:?}"
     );
+    // The final sample is taken after the run: every crash point is done.
+    let last = tel.sample();
+    let total = last.count(Count::CrashPointsTotal);
+    if total > 0 {
+        let done = format!(" | {total}/{total} crash points");
+        assert!(text.lines().last().unwrap().contains(&done), "{text:?}");
+    }
     (plain, observed, tel)
 }
 
@@ -67,8 +87,7 @@ fn plain_vs_observed(
 fn model_check_reports_identical_at_workers_1_8_auto() {
     for workers in [1usize, 8, 0] {
         let engine = EngineConfig::with_workers(workers).with_trace(true);
-        let (plain, observed, tel) =
-            plain_vs_observed(ExecMode::model_check(), &engine, &format!("mc-{workers}"));
+        let (plain, observed, tel) = plain_vs_observed(ExecMode::model_check(), &engine);
         assert_eq!(
             surfaces(&plain),
             surfaces(&observed),
@@ -86,11 +105,8 @@ fn model_check_reports_identical_at_workers_1_8_auto() {
 fn random_mode_reports_identical_with_telemetry_on() {
     for workers in [1usize, 8] {
         let engine = EngineConfig::with_workers(workers).with_trace(true);
-        let (plain, observed, _) = plain_vs_observed(
-            ExecMode::random(20, bench::HARNESS_SEED),
-            &engine,
-            &format!("rnd-{workers}"),
-        );
+        let (plain, observed, _) =
+            plain_vs_observed(ExecMode::random(20, bench::HARNESS_SEED), &engine);
         assert_eq!(
             surfaces(&plain),
             surfaces(&observed),

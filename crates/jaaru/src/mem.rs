@@ -910,31 +910,13 @@ impl MemState {
             }
             SbEntry::Clflush { addr, id } => {
                 let line = addr.cache_line();
-                let committed = self.committed_len(line);
-                let prev = self.raise_floor(line, committed);
-                // Only a flush that actually raises the persistence floor
-                // changes the crash state; re-flushing an already-persisted
-                // line is a no-op for every persistence policy (and the
-                // detector's `record_flush` suppresses the duplicate record
-                // on its side), so it must not split equivalence classes.
-                if committed > prev {
-                    self.fp.absorb(2);
-                    self.fp.absorb(line.0);
-                    self.fp.absorb(committed as u64);
-                }
                 // The flush event is read exactly once (here), so its
                 // record can be dropped regardless of GC mode.
                 let Some(Pending::Flush { event: flush, .. }) = self.pending.remove(id) else {
                     panic!("a committed clflush has its flush record");
                 };
-                // Coverage: classify the flush and credit the stores whose
-                // line prefix it just persisted — before `materialize_floor`
-                // can retire those entries from the log.
-                self.cov_floor_raise(flush.label, line, prev, committed);
-                self.materialize_floor(line);
-                if self.gc_every.is_some() {
-                    self.gc.flushes_retired += 1;
-                }
+                let committed = self.committed_len(line);
+                self.persist_floor(line, committed, 2, flush.label);
                 with_line_stores(&self.events, self.cur.lines.get(&line), |stores| {
                     sink.on_clflush_committed(&flush, stores)
                 });
@@ -982,19 +964,7 @@ impl MemState {
             else {
                 panic!("buffered clwb has a mark");
             };
-            let prev = self.raise_floor(line, mark);
-            // Same rule as clflush commit: only an actual floor raise
-            // changes the crash state.
-            if mark > prev {
-                self.fp.absorb(3);
-                self.fp.absorb(line.0);
-                self.fp.absorb(mark as u64);
-            }
-            self.cov_floor_raise(clwb.label, line, prev, mark);
-            self.materialize_floor(line);
-            if self.gc_every.is_some() {
-                self.gc.flushes_retired += 1;
-            }
+            self.persist_floor(line, mark, 3, clwb.label);
             with_line_stores(&self.events, self.cur.lines.get(&line), |stores| {
                 sink.on_clwb_fenced(&clwb, fence_cv, stores)
             });
@@ -1003,6 +973,32 @@ impl MemState {
         entries.clear();
         self.fb_scratch = entries;
         drained
+    }
+
+    /// Persists `line`'s committed-store log up to `upto` for a committed
+    /// `clflush` (fingerprint `tag` 2) or a fenced `clwb` (tag 3), flushed
+    /// at site `label`.
+    ///
+    /// Only a flush that actually raises the persistence floor changes the
+    /// crash state; re-flushing an already-persisted line is a no-op for
+    /// every persistence policy (and the detector's `record_flush`
+    /// suppresses the duplicate record on its side), so it must not split
+    /// equivalence classes. Coverage classifies the flush and credits the
+    /// stores whose prefix it just persisted before `materialize_floor` can
+    /// retire those entries from the log.
+    #[inline]
+    fn persist_floor(&mut self, line: CacheLineId, upto: usize, tag: u64, label: Label) {
+        let prev = self.raise_floor(line, upto);
+        if upto > prev {
+            self.fp.absorb(tag);
+            self.fp.absorb(line.0);
+            self.fp.absorb(upto as u64);
+        }
+        self.cov_floor_raise(label, line, prev, upto);
+        self.materialize_floor(line);
+        if self.gc_every.is_some() {
+            self.gc.flushes_retired += 1;
+        }
     }
 
     /// Logical length of `line`'s committed-store log (0 if never written).
@@ -1551,11 +1547,6 @@ impl MemState {
     pub fn store_map_at(&self, addr: Addr) -> Option<EventId> {
         let record = self.cur.lines.get(&addr.cache_line())?;
         record.slabs.prov_at(addr.line_offset())
-    }
-
-    /// Number of executions so far (current one included).
-    pub fn exec_count(&self) -> usize {
-        self.past.len() + 1
     }
 }
 
@@ -2225,14 +2216,5 @@ mod tests {
             id: 99,
         });
         m.exec_mfence(&mut sink, t, "m");
-    }
-
-    #[test]
-    fn exec_count_tracks_crashes() {
-        let mut m = mem();
-        assert_eq!(m.exec_count(), 1);
-        m.crash(PersistencePolicy::FullCache, &mut rng());
-        assert_eq!(m.exec_count(), 2);
-        assert_eq!(m.cur.id, 1);
     }
 }

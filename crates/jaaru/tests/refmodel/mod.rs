@@ -2,8 +2,9 @@
 //!
 //! This is the pre-line-slab implementation of [`MemState`](jaaru::MemState)
 //! retained verbatim in spirit: the storemap and image provenance are
-//! `HashMap<Addr, EventId>` with one entry per byte, the persistent image is
-//! probed one `read_u8`/`write_u8` at a time, loads resolve byte by byte,
+//! `HashMap<Addr, EventId>` with one entry per byte, the cache and the
+//! persistent image are `HashMap<Addr, u8>` with one entry per written byte
+//! (a missing byte reads as zero), loads resolve byte by byte,
 //! and source-set de-duplication uses linear `push_unique` scans.
 //!
 //! It exists for the differential property test (`mem_ref_model.rs`),
@@ -19,7 +20,7 @@
 use std::collections::HashMap;
 
 use compiler_model::{CompilerConfig, SourceWrite};
-use pmem::{Addr, CacheLineId, PmImage};
+use pmem::{Addr, CacheLineId};
 use px86::{ordering_constraint, Atomicity, FbEntry, FlushBuffer, SbEntry, SbStore, StoreBuffer};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -43,7 +44,8 @@ pub struct RefLoad {
 #[derive(Debug, Default)]
 struct RefExecState {
     id: ExecId,
-    cache: PmImage,
+    /// The byte-granular cache: one map entry per committed byte.
+    cache: HashMap<Addr, u8>,
     /// The byte-granular storemap: one map entry per committed byte.
     store_map: HashMap<Addr, EventId>,
     line_order: HashMap<CacheLineId, Vec<EventId>>,
@@ -71,7 +73,8 @@ pub struct RefMemState {
     fence_cvs: HashMap<EventId, VectorClock>,
     cur: RefExecState,
     past: Vec<RefExecState>,
-    image: PmImage,
+    /// The byte-granular persistent image: one map entry per persisted byte.
+    image: HashMap<Addr, u8>,
     /// Byte-granular image provenance: one map entry per persisted byte.
     image_prov: HashMap<Addr, EventId>,
 }
@@ -99,7 +102,7 @@ impl RefMemState {
             fence_cvs: HashMap::new(),
             cur: RefExecState::new(0),
             past: Vec::new(),
-            image: PmImage::new(),
+            image: HashMap::new(),
             image_prov: HashMap::new(),
         }
     }
@@ -251,7 +254,7 @@ impl RefMemState {
                 // insert one storemap entry per byte.
                 let bytes = event.bytes.clone();
                 for (i, &b) in bytes.iter().enumerate() {
-                    self.cur.cache.write_u8(s.addr + i as u64, b);
+                    self.cur.cache.insert(s.addr + i as u64, b);
                 }
                 for i in 0..s.len {
                     self.cur.store_map.insert(s.addr + i, s.id);
@@ -299,7 +302,8 @@ impl RefMemState {
         atomicity: Atomicity,
     ) -> RefLoad {
         self.cvs[thread.as_usize()].tick(thread);
-        let bypass = self.sbs[thread.as_usize()].bypass_bytes(addr, len);
+        let mut bypass = Vec::new();
+        self.sbs[thread.as_usize()].bypass_bytes_into(addr, len, &mut bypass);
         let mut bytes = Vec::with_capacity(len as usize);
         let mut chosen: Vec<EventId> = Vec::new();
         let mut same_exec_sources: Vec<EventId> = Vec::new();
@@ -311,10 +315,10 @@ impl RefMemState {
                 bytes.push(ev.bytes[(at - ev.addr) as usize]);
                 push_unique(&mut same_exec_sources, id);
             } else if let Some(&id) = self.cur.store_map.get(&at) {
-                bytes.push(self.cur.cache.read_u8(at));
+                bytes.push(self.cur.cache[&at]);
                 push_unique(&mut same_exec_sources, id);
             } else {
-                bytes.push(self.image.read_u8(at));
+                bytes.push(self.image.get(&at).copied().unwrap_or(0));
                 if let Some(&id) = self.image_prov.get(&at) {
                     push_unique(&mut chosen, id);
                 }
@@ -409,7 +413,7 @@ impl RefMemState {
             for &id in &order[..cut] {
                 let ev = &self.events[&id];
                 for (i, &b) in ev.bytes.iter().enumerate() {
-                    self.image.write_u8(ev.addr + i as u64, b);
+                    self.image.insert(ev.addr + i as u64, b);
                 }
                 for i in 0..ev.len() {
                     self.image_prov.insert(ev.addr + i, id);
@@ -428,7 +432,7 @@ impl RefMemState {
 
     /// One persisted byte (for differential comparison).
     pub fn image_byte(&self, addr: Addr) -> u8 {
-        self.image.read_u8(addr)
+        self.image.get(&addr).copied().unwrap_or(0)
     }
 
     /// The store event that produced the persisted byte at `addr`, if any.

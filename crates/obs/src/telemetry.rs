@@ -28,9 +28,11 @@
 //! every identity), so they are physical work counts, not a second owner.
 //!
 //! [`Telemetry`] is shared by `Arc`: the coordinator, every pool worker,
-//! and the background [`Reporter`] thread update it through atomics. Every
-//! rendering — heartbeat, JSONL, Prometheus, `--profile` — reads one
-//! [`TelemetrySample`], and JSONL and Prometheus walk the one count table.
+//! and the background [`Reporter`] thread update it through atomics. Each
+//! of its three renderings reads one [`TelemetrySample`]: the Prometheus
+//! exposition (`--prom-out`, the one machine rendering, which walks the
+//! one count table), the `--profile` table (the one human table) and the
+//! heartbeat line (the live view).
 //! Phase attribution is two-layer: the *top-level* phases
 //! ([`WallPhase::top_level`]) are disjoint segments of the coordinator's
 //! own timeline and sum to ≈100% of a run's wall time ([`Telemetry::
@@ -44,8 +46,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-use crate::json::Json;
 
 /// A named wall-clock phase of the exploration engine. Declaration order
 /// is the order of every rendering.
@@ -79,8 +79,7 @@ impl WallPhase {
         WallPhase::GcPass,
     ];
 
-    /// Stable name used in the profile tree, JSONL snapshots, and
-    /// Prometheus labels.
+    /// Stable name used in the profile tree and the Prometheus labels.
     pub fn name(self) -> &'static str {
         match self {
             WallPhase::ProfileRun => "profile-run",
@@ -101,7 +100,7 @@ impl WallPhase {
 }
 
 /// A count of the telemetry plane. Declaration order indexes [`COUNTS`]
-/// and is the order of the JSONL keys and Prometheus families.
+/// and is the order of the Prometheus families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Count {
     /// Simulated events executed (a resumed suffix's inherited prefix and
@@ -130,19 +129,19 @@ impl Count {
     pub const N: usize = Count::SchedBatches as usize + 1;
 }
 
-/// The count table, in [`Count`] order: JSONL key, then the Prometheus
-/// family's name, type and help text.
+/// The count table, in [`Count`] order: the Prometheus family's name,
+/// type and help text.
 #[rustfmt::skip]
-const COUNTS: [(&str, &str, &str, &str); Count::N] = [
-    ("events", "yashme_events_total", "counter", "Simulated events executed."),
-    ("executions", "yashme_executions_total", "counter", "Simulated executions completed."),
-    ("crash_points_done", "yashme_crash_points_done_total", "counter", "Crash points completed."),
-    ("crash_points_total", "yashme_crash_points", "gauge", "Crash points discovered by profiling."),
-    ("suffixes_resumed", "yashme_suffixes_resumed_total", "counter", "Post-crash suffixes resumed from snapshots."),
-    ("suffixes_pruned", "yashme_suffixes_pruned_total", "counter", "Crash points answered by equivalence-class attribution."),
-    ("live_slots", "yashme_live_slots", "gauge", "Live event-table slots (last published)."),
-    ("sched_jobs", "yashme_sched_jobs_total", "counter", "Jobs run by fan-outs."),
-    ("sched_batches", "yashme_sched_batches_total", "counter", "Fan-outs (batches of jobs) run."),
+const COUNTS: [(&str, &str, &str); Count::N] = [
+    ("yashme_events_total", "counter", "Simulated events executed."),
+    ("yashme_executions_total", "counter", "Simulated executions completed."),
+    ("yashme_crash_points_done_total", "counter", "Crash points completed."),
+    ("yashme_crash_points", "gauge", "Crash points discovered by profiling."),
+    ("yashme_suffixes_resumed_total", "counter", "Post-crash suffixes resumed from snapshots."),
+    ("yashme_suffixes_pruned_total", "counter", "Crash points answered by equivalence-class attribution."),
+    ("yashme_live_slots", "gauge", "Live event-table slots (last published)."),
+    ("yashme_sched_jobs_total", "counter", "Jobs run by fan-outs."),
+    ("yashme_sched_batches_total", "counter", "Fan-outs (batches of jobs) run."),
 ];
 
 /// Busy/idle accounting of one executor slot, summed over every fan-out.
@@ -465,27 +464,6 @@ impl TelemetrySample {
         line
     }
 
-    /// One JSONL snapshot document (no trailing newline): `t_ms`, every
-    /// count under its table key, then `events_per_s`, `gc_passes` and
-    /// `eta_ms`. All values are integers (or `null`), like the
-    /// virtual-plane JSON writer.
-    pub fn jsonl_line(&self) -> String {
-        let ms = |d: Duration| Json::from(d.as_millis() as u64);
-        let counts = COUNTS.iter().zip(self.counts).map(|(c, v)| (c.0, v.into()));
-        let tail = [
-            ("events_per_s", self.events_per_s.into()),
-            ("gc_passes", self.phase(WallPhase::GcPass).1.into()),
-            ("eta_ms", self.eta().map_or(Json::Null, ms)),
-        ];
-        Json::obj(
-            [("t_ms", ms(self.at))]
-                .into_iter()
-                .chain(counts)
-                .chain(tail),
-        )
-        .render()
-    }
-
     /// Prometheus text-format exposition: per-phase seconds and
     /// occurrences, every count family, the wall total, and per-executor
     /// busy/idle seconds.
@@ -522,9 +500,8 @@ impl TelemetrySample {
             ),
         ];
         let counts = COUNTS.iter().zip(self.counts);
-        families.extend(
-            counts.map(|(&(_, name, kind, help), v)| (name, kind, help, one(v.to_string()))),
-        );
+        families
+            .extend(counts.map(|(&(name, kind, help), v)| (name, kind, help, one(v.to_string()))));
         families.extend([
             (
                 "yashme_wall_seconds_total",
@@ -661,11 +638,9 @@ impl Drop for PhaseTimer<'_> {
 pub struct ReporterConfig {
     /// Sampling interval (default one second).
     pub interval: Duration,
-    /// Print a heartbeat line to stderr per sample.
-    pub progress: bool,
-    /// Write one JSONL snapshot per sample here. The caller opens it, so an
-    /// unwritable destination is reported before any run starts.
-    pub jsonl: Option<Box<dyn std::io::Write + Send>>,
+    /// Where one heartbeat line per sample goes (`yashme --progress` passes
+    /// stderr); `None` starts no reporter.
+    pub progress: Option<Box<dyn std::io::Write + Send>>,
     /// Label in the heartbeat prefix (`[label] ...`).
     pub label: String,
 }
@@ -674,8 +649,7 @@ impl Default for ReporterConfig {
     fn default() -> Self {
         ReporterConfig {
             interval: Duration::from_secs(1),
-            progress: false,
-            jsonl: None,
+            progress: None,
             label: "yashme".to_owned(),
         }
     }
@@ -701,34 +675,27 @@ impl Drop for Reporter {
 }
 
 /// Spawns the periodic sampling thread: every `interval` it takes a
-/// sample and emits the configured outputs (stderr heartbeat, JSONL
-/// line). Returns an inert handle, with no thread, when `tel` is disabled
-/// or no output is configured.
+/// sample and writes its heartbeat line. Returns an inert handle, with no
+/// thread, when `tel` is disabled or no heartbeat writer is configured.
 pub fn start_reporter(tel: &Arc<Telemetry>, config: ReporterConfig) -> Reporter {
-    if !tel.enabled() || !(config.progress || config.jsonl.is_some()) {
+    let (true, Some(mut out)) = (tel.enabled(), config.progress) else {
         return Reporter {
             stop: None,
             handle: None,
         };
-    }
+    };
     let tel = Arc::clone(tel);
     let (stop, stopped) = mpsc::channel::<()>();
     let handle = std::thread::Builder::new()
         .name("yashme-telemetry".to_owned())
         .spawn(move || {
-            let mut jsonl = config.jsonl.map(std::io::BufWriter::new);
             loop {
                 // Only a timeout keeps sampling; a disconnect is the
                 // shutdown, which still emits the finished counts.
                 let last = stopped.recv_timeout(config.interval) != Err(RecvTimeoutError::Timeout);
                 let sample = tel.sample_and_record();
-                if config.progress {
-                    eprintln!("{}", sample.heartbeat_line(&config.label));
-                }
-                if let Some(out) = jsonl.as_mut() {
-                    let _ = writeln!(out, "{}", sample.jsonl_line());
-                    let _ = out.flush();
-                }
+                let _ = writeln!(out, "{}", sample.heartbeat_line(&config.label));
+                let _ = out.flush();
                 if last {
                     break;
                 }
@@ -821,33 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_line_is_one_object_with_stable_keys() {
-        let tel = Telemetry::new();
-        tel.add(Count::Events, 42);
-        let line = tel.sample().jsonl_line();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(!line.contains('\n'));
-        for key in [
-            "t_ms",
-            "events",
-            "events_per_s",
-            "crash_points_done",
-            "crash_points_total",
-            "suffixes_resumed",
-            "suffixes_pruned",
-            "live_slots",
-            "gc_passes",
-            "executions",
-            "sched_jobs",
-            "sched_batches",
-            "eta_ms",
-        ] {
-            assert!(line.contains(&format!("\"{key}\":")), "missing {key}");
-        }
-        assert!(line.contains("\"events\":42,"), "{line}");
-    }
-
-    #[test]
     fn prometheus_exposition_is_well_formed() {
         let tel = Telemetry::new();
         tel.add_phase(WallPhase::ProfileRun, Duration::from_millis(5));
@@ -881,7 +821,7 @@ mod tests {
             );
             assert!(value.parse::<f64>().is_ok(), "bad value {value:?}");
         }
-        for (_, name, _, _) in COUNTS {
+        for (name, _, _) in COUNTS {
             assert!(prom.contains(&format!("\n{name} ")), "missing {name}");
         }
         assert!(prom.contains("\nyashme_events_total 100\n"), "{prom}");
@@ -951,7 +891,7 @@ mod tests {
         assert!(tree.contains(" 78.9%"), "{tree}");
     }
 
-    /// A JSONL destination the test can read back.
+    /// A heartbeat destination the test can read back.
     #[derive(Clone, Default)]
     struct Lines(Arc<Mutex<Vec<u8>>>);
 
@@ -976,13 +916,16 @@ mod tests {
     fn reporter_emits_a_final_sample_on_drop_without_waiting_out_the_interval() {
         let tel = Arc::new(Telemetry::new());
         tel.add(Count::Events, 10);
+        tel.add(Count::CrashPointsTotal, 8);
+        tel.add(Count::CrashPointsDone, 3);
+        tel.add(Count::SuffixesPruned, 2);
         let out = Lines::default();
         let reporter = start_reporter(
             &tel,
             ReporterConfig {
                 interval: Duration::from_secs(60),
-                jsonl: Some(Box::new(out.clone())),
-                ..ReporterConfig::default()
+                progress: Some(Box::new(out.clone())),
+                label: "unit".to_owned(),
             },
         );
         let t0 = Instant::now();
@@ -993,7 +936,11 @@ mod tests {
         );
         let text = out.text();
         assert_eq!(text.lines().count(), 1, "one final sample: {text:?}");
-        assert!(text.contains("\"events\":10,"), "{text:?}");
+        assert!(text.starts_with("[unit] "), "{text:?}");
+        assert!(
+            text.contains(" | 3/8 crash points | 2 pruned | "),
+            "{text:?}"
+        );
         assert_eq!(tel.cursor.lock().unwrap().last_events, 10);
     }
 
@@ -1003,7 +950,7 @@ mod tests {
         let disabled = start_reporter(
             &Arc::new(Telemetry::disabled()),
             ReporterConfig {
-                jsonl: Some(Box::new(out.clone())),
+                progress: Some(Box::new(out.clone())),
                 ..ReporterConfig::default()
             },
         );

@@ -87,17 +87,6 @@ impl Addr {
         };
         (first..=last).map(CacheLineId)
     }
-
-    /// Returns `true` if the whole byte range `[self, self + len)` lies on a
-    /// single cache line.
-    ///
-    /// Crash-consistent data structures like CCEH rely on field pairs being
-    /// cache-line co-resident (§3.1); tests use this to assert their layouts.
-    pub fn range_on_one_line(self, len: u64) -> bool {
-        let mut lines = self.lines_in_range(len);
-        let first = lines.next();
-        lines.next().is_none() && first.is_some()
-    }
 }
 
 impl fmt::Display for Addr {
@@ -202,14 +191,6 @@ mod tests {
         // Zero-length range still names its line.
         let lines: Vec<_> = Addr(65).lines_in_range(0).collect();
         assert_eq!(lines, vec![CacheLineId(1)]);
-    }
-
-    #[test]
-    fn range_on_one_line_detects_straddle() {
-        assert!(Addr(0).range_on_one_line(64));
-        assert!(!Addr(1).range_on_one_line(64));
-        assert!(Addr(56).range_on_one_line(8));
-        assert!(!Addr(57).range_on_one_line(8));
     }
 
     #[test]

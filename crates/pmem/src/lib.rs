@@ -6,8 +6,6 @@
 //!
 //! * [`Addr`] and [`CacheLineId`] — the simulated physical address space and
 //!   its 64-byte cache-line geometry,
-//! * [`PmImage`] — a byte image representing the contents of persistent
-//!   storage (what survives a crash),
 //! * [`PmAllocator`] — a simple persistent-heap allocator the benchmark data
 //!   structures allocate their nodes from,
 //! * [`CowBox`] / [`Forkable`] — copy-on-write storage that stays owned
@@ -18,22 +16,17 @@
 //!   equivalence pruning,
 //! * [`FastMap`] / [`FastSet`] — the simulator's one unseeded fast hasher,
 //!   used by every map and set on the per-event path (its source lives in
-//!   `obs`, which the coverage plane's maps hash with too),
-//! * [`StructLayout`] — a helper for laying out C-style structs in simulated
-//!   PM with natural field alignment, so benchmark ports can mirror the
-//!   field-level layout (and cache-line co-residency) of the original C++
-//!   code.
+//!   `obs`, which the coverage plane's maps hash with too).
 //!
 //! # Examples
 //!
 //! ```
-//! use pmem::{Addr, PmAllocator, PmImage, CACHE_LINE_SIZE};
+//! use pmem::{Addr, PmAllocator, CACHE_LINE_SIZE};
 //!
 //! let mut alloc = PmAllocator::new(Addr::BASE, 1 << 20);
-//! let a = alloc.alloc(16, 8).expect("in bounds");
-//! let mut image = PmImage::new();
-//! image.write_u64(a, 0xdead_beef);
-//! assert_eq!(image.read_u64(a), 0xdead_beef);
+//! let a = alloc.alloc(16, 16).expect("in bounds");
+//! // A 16-byte pair at a 16-aligned address never straddles a line.
+//! assert_eq!(a.cache_line(), (a + 8).cache_line());
 //! assert_eq!(CACHE_LINE_SIZE, 64);
 //! ```
 
@@ -43,13 +36,9 @@ pub mod fingerprint;
 mod forkable;
 #[path = "../../obs/src/hash.rs"]
 pub mod hash;
-mod image;
-mod layout;
 
 pub use addr::{Addr, CacheLineId, CACHE_LINE_SIZE};
 pub use alloc::{AllocError, PmAllocator};
 pub use fingerprint::{mix64, ArcMemo, Fp64};
 pub use forkable::{CowBox, CowCount, Forkable};
 pub use hash::{FastHasher, FastMap, FastSet};
-pub use image::PmImage;
-pub use layout::{Field, StructLayout};

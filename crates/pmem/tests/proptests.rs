@@ -5,7 +5,7 @@
     reason = "the reference model keeps a std map, independent of the fast hasher"
 )]
 
-use pmem::{Addr, PmAllocator, PmImage, StructLayout};
+use pmem::{Addr, PmAllocator};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -68,48 +68,5 @@ proptest! {
             total -= s;
             prop_assert_eq!(alloc.allocated_bytes(), total);
         }
-    }
-
-    #[test]
-    fn image_write_read_roundtrip(
-        writes in proptest::collection::vec((0u64..512, proptest::collection::vec(any::<u8>(), 1..24)), 1..20)
-    ) {
-        let mut img = PmImage::new();
-        let mut model: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
-        for (addr, data) in &writes {
-            img.write(Addr(*addr), data);
-            for (i, &b) in data.iter().enumerate() {
-                model.insert(addr + i as u64, b);
-            }
-        }
-        for addr in 0..560u64 {
-            let expect = model.get(&addr).copied().unwrap_or(0);
-            prop_assert_eq!(img.read_u8(Addr(addr)), expect, "byte {}", addr);
-        }
-    }
-
-    #[test]
-    fn layout_fields_never_overlap(sizes in proptest::collection::vec(0usize..4, 1..12)) {
-        let mut layout = StructLayout::new("S");
-        for (i, &pick) in sizes.iter().enumerate() {
-            let name = format!("f{i}");
-            match pick {
-                0 => layout.field_u8(name),
-                1 => layout.field_u16(name),
-                2 => layout.field_u32(name),
-                _ => layout.field_u64(name),
-            };
-        }
-        let fields: Vec<_> = layout.iter().collect();
-        for (i, a) in fields.iter().enumerate() {
-            // Natural alignment.
-            prop_assert_eq!(a.offset() % a.size(), 0, "field {} misaligned", i);
-            for b in fields.iter().skip(i + 1) {
-                let disjoint = a.offset() + a.size() <= b.offset()
-                    || b.offset() + b.size() <= a.offset();
-                prop_assert!(disjoint, "fields overlap");
-            }
-        }
-        prop_assert_eq!(layout.size() % layout.align(), 0);
     }
 }

@@ -293,19 +293,13 @@ impl StoreBuffer {
         self.entries.iter()
     }
 
-    /// Store-to-load bypassing: for each byte of `[addr, addr+len)`, the id
-    /// of the most recent buffered store covering that byte, if any.
+    /// Store-to-load bypassing: sets `out` to, for each byte of
+    /// `[addr, addr+len)`, the id of the most recent buffered store covering
+    /// that byte, if any. The caller provides `out`, so a hot load path can
+    /// reuse one scratch allocation across loads.
     ///
     /// Per §2, a core's loads check its own store buffer first and return the
     /// value written by the most recent matching store.
-    pub fn bypass_bytes(&self, addr: Addr, len: u64) -> Vec<Option<u64>> {
-        let mut out = Vec::new();
-        self.bypass_bytes_into(addr, len, &mut out);
-        out
-    }
-
-    /// [`StoreBuffer::bypass_bytes`] writing into a caller-provided buffer,
-    /// so a hot load path can reuse one scratch allocation across loads.
     pub fn bypass_bytes_into(&self, addr: Addr, len: u64, out: &mut Vec<Option<u64>>) {
         out.clear();
         out.resize(len as usize, None);
@@ -585,7 +579,8 @@ mod tests {
         let mut sb = StoreBuffer::new();
         sb.push(store(0, 8, 1));
         sb.push(store(4, 4, 2));
-        let ids = sb.bypass_bytes(Addr(0), 8);
+        let mut ids = Vec::new();
+        sb.bypass_bytes_into(Addr(0), 8, &mut ids);
         assert_eq!(
             ids,
             vec![
@@ -599,7 +594,8 @@ mod tests {
                 Some(2)
             ]
         );
-        let ids = sb.bypass_bytes(Addr(8), 4);
+        // The buffer is reset, not appended to.
+        sb.bypass_bytes_into(Addr(8), 4, &mut ids);
         assert_eq!(ids, vec![None; 4]);
     }
 

@@ -118,7 +118,10 @@ proptest! {
         query_len in 1u64..9,
     ) {
         let sb = build(&entries);
-        let got = sb.bypass_bytes(Addr(query_addr), query_len);
+        // A reused buffer holding stale ids: the call must replace them.
+        let mut got = vec![Some(u64::MAX); 16];
+        sb.bypass_bytes_into(Addr(query_addr), query_len, &mut got);
+        prop_assert_eq!(got.len(), query_len as usize);
         // Naive per-byte model: last store covering each byte wins.
         for i in 0..query_len {
             let byte = query_addr + i;

@@ -10,7 +10,7 @@
 
 use compiler_model::{SourceProfile, SourceUnit};
 use jaaru::{Atomicity, Ctx, Program};
-use pmem::{Addr, StructLayout};
+use pmem::Addr;
 
 use crate::util::{as_ptr, flush_range, hash64, open_pool, seal_pool};
 
@@ -31,14 +31,6 @@ pub const PROBE_WINDOW: u64 = 4;
 
 /// The root slot holding the directory pointer.
 const DIR_SLOT: u64 = 0;
-
-/// The 16-byte key/value pair of `pair.h`.
-pub fn pair_layout() -> StructLayout {
-    let mut pair = StructLayout::new("Pair");
-    pair.field_u64("key");
-    pair.field_u64("value");
-    pair
-}
 
 /// A CCEH hashtable handle (volatile; the table itself lives in simulated
 /// PM).
@@ -300,13 +292,6 @@ mod tests {
             assert_eq!(t.get(ctx, 7), Some(71));
         });
         crate::run_once(&program, 3);
-    }
-
-    #[test]
-    fn pair_layout_shares_cache_line() {
-        let pair = pair_layout();
-        assert_eq!(pair.size(), 16);
-        assert_eq!(pair.field_named("value").unwrap().offset(), 8);
     }
 
     #[test]

@@ -66,11 +66,12 @@ pub fn render_summary(report: &RunReport) -> String {
 }
 
 /// Renders `metrics:`, every counter of [`RunReport::metrics`] (the same
-/// source as `--metrics-out`, so the two cannot drift), then `strategy:`,
-/// the fork, prune and GC blocks under their declared metric names, each
-/// only when one of its fields is non-zero. The strategy counters describe
-/// how the run was computed, not what it found, so they differ between
-/// strategies; the block is absent when fork, prune and GC were all off.
+/// source as `--json`'s `metrics` object, so the two cannot drift), then
+/// `strategy:`, the fork, prune and GC blocks under their declared metric
+/// names, each only when one of its fields is non-zero. The strategy
+/// counters describe how the run was computed, not what it found, so they
+/// differ between strategies; the block is absent when fork, prune and GC
+/// were all off.
 pub fn render_stats(report: &RunReport) -> String {
     let m = report.metrics();
     let mut out = String::new();

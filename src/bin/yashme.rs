@@ -8,7 +8,7 @@
 //! yashme --all --baseline
 //! yashme --benchmark Fast_Fair --eadr --details
 //! yashme --benchmark CCEH --explain
-//! yashme --benchmark CCEH --trace-out trace.json --metrics-out metrics.json
+//! yashme --benchmark CCEH --trace-out trace.json --json
 //! yashme --all --json
 //! ```
 
@@ -37,7 +37,6 @@ struct Options {
     explain: bool,
     json: bool,
     trace_out: Option<String>,
-    metrics_out: Option<String>,
     // Coverage plane: per-site verdict table (human) and deterministic
     // coverage JSON (byte-identical across workers × fork/prune/GC).
     coverage: bool,
@@ -45,7 +44,6 @@ struct Options {
     // Wall-clock telemetry plane (all stderr/side-file; stdout — including
     // `--json` — is byte-identical with these on or off).
     progress: bool,
-    telemetry_out: Option<String>,
     prom_out: Option<String>,
     profile: bool,
     engine: EngineConfig,
@@ -73,11 +71,9 @@ impl Default for Options {
             explain: false,
             json: false,
             trace_out: None,
-            metrics_out: None,
             coverage: false,
             coverage_out: None,
             progress: false,
-            telemetry_out: None,
             prom_out: None,
             profile: false,
             engine: EngineConfig::default(),
@@ -88,10 +84,10 @@ impl Default for Options {
 fn usage() -> &'static str {
     "usage: yashme (--list | --all | --benchmark <NAME>) \
      [--mode model-check|random] [--executions N] [--seed S] \
-     [--workers N|auto] [--no-fork] [--no-prune] [--no-gc] [--gc-every N] \
+     [--workers N|auto] [--no-fork] [--no-prune] [--no-gc] \
      [--baseline] [--eadr] [--details] [--explain] [--json] \
-     [--trace-out FILE] [--metrics-out FILE] [--coverage] [--coverage-out FILE] \
-     [--progress] [--telemetry-out FILE.jsonl] [--prom-out FILE] [--profile]"
+     [--trace-out FILE] [--coverage] [--coverage-out FILE] \
+     [--progress] [--prom-out FILE] [--profile]"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -123,26 +119,22 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--explain" => opts.explain = true,
             "--json" => opts.json = true,
             "--trace-out" => opts.trace_out = Some(value(&arg, it.next())?),
-            "--metrics-out" => opts.metrics_out = Some(value(&arg, it.next())?),
             "--coverage" => opts.coverage = true,
             "--coverage-out" => opts.coverage_out = Some(value(&arg, it.next())?),
             "--progress" => opts.progress = true,
-            "--telemetry-out" => opts.telemetry_out = Some(value(&arg, it.next())?),
             "--prom-out" => opts.prom_out = Some(value(&arg, it.next())?),
             "--profile" => opts.profile = true,
             "--help" | "-h" => return Err(usage().to_owned()),
-            other => return Err(format!("unknown argument {other:?}\n{}", usage())),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
     if !opts.list && !opts.all && opts.benchmark.is_none() {
         return Err(usage().to_owned());
     }
-    if (opts.trace_out.is_some() || opts.metrics_out.is_some()) && opts.all {
-        return Err(
-            "--trace-out/--metrics-out need a single --benchmark (traces are per run)".to_owned(),
-        );
+    if opts.trace_out.is_some() && opts.all {
+        return Err("--trace-out needs a single --benchmark (traces are per run)".to_owned());
     }
-    if opts.trace_out.is_some() || opts.metrics_out.is_some() {
+    if opts.trace_out.is_some() {
         // Tracing is opt-in: the engine only allocates span buffers when an
         // export was requested.
         opts.engine = opts.engine.with_trace(true);
@@ -214,7 +206,6 @@ fn run_one(
     docs: &mut Vec<Json>,
     cov: &mut Option<CoverageAccum>,
     trace_out: Option<Output>,
-    metrics_out: Option<Output>,
 ) -> Result<usize, String> {
     let program = (entry.program)();
     let mode = match (opts.mode, entry.mode) {
@@ -268,11 +259,6 @@ fn run_one(
             .ok_or_else(|| "engine produced no trace".to_owned())?;
         out.write_with(|w| jaaru::obs::write_chrome_json(trace, w))?;
     }
-    if let Some(out) = metrics_out {
-        let mut doc = report.metrics().to_json().render();
-        doc.push('\n');
-        out.write(&doc)?;
-    }
     Ok(report.race_labels().len())
 }
 
@@ -306,26 +292,23 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    // Wall-clock telemetry plane: enabled by any of its four flags. The
-    // reporter thread emits heartbeats/JSONL to stderr/side files only, so
-    // stdout (human tables or `--json`) can never interleave with it.
-    let telemetry_on =
-        opts.progress || opts.telemetry_out.is_some() || opts.prom_out.is_some() || opts.profile;
+    // Wall-clock telemetry plane: enabled by any of its three flags. The
+    // reporter thread writes heartbeats to stderr only, so stdout (human
+    // tables or `--json`) can never interleave with it.
+    let telemetry_on = opts.progress || opts.prom_out.is_some() || opts.profile;
     let tel = if telemetry_on {
         Arc::new(Telemetry::new())
     } else {
         Arc::clone(Telemetry::off())
     };
-    let opened = Output::create(&opts.telemetry_out, "telemetry").and_then(|jsonl| {
+    let opened = Output::create(&opts.prom_out, "prometheus metrics").and_then(|prom| {
         Ok((
-            jsonl,
-            Output::create(&opts.prom_out, "prometheus metrics")?,
+            prom,
             Output::create(&opts.coverage_out, "coverage")?,
             Output::create(&opts.trace_out, "chrome trace")?,
-            Output::create(&opts.metrics_out, "metrics")?,
         ))
     });
-    let (jsonl, prom_out, coverage_out, mut trace_out, mut metrics_out) = match opened {
+    let (prom_out, coverage_out, mut trace_out) = match opened {
         Ok(outputs) => outputs,
         Err(msg) => {
             eprintln!("{msg}");
@@ -335,34 +318,28 @@ fn main() -> ExitCode {
     let reporter = start_reporter(
         &tel,
         ReporterConfig {
-            progress: opts.progress,
-            jsonl: jsonl.map(|o| Box::new(o.file) as Box<dyn std::io::Write + Send>),
+            progress: opts
+                .progress
+                .then(|| Box::new(std::io::stderr()) as Box<dyn std::io::Write + Send>),
             ..ReporterConfig::default()
         },
     );
     let mut total = 0;
     let mut docs = Vec::new();
     let mut cov = opts.coverage_out.as_ref().map(|_| CoverageAccum::default());
-    // The trace and metrics files need a single benchmark (the parser
-    // enforces it), so the one run takes them.
-    let mut run = |e: &SuiteEntry| match run_one(
-        e,
-        &opts,
-        &tel,
-        &mut docs,
-        &mut cov,
-        trace_out.take(),
-        metrics_out.take(),
-    ) {
-        Ok(n) => {
-            total += n;
-            true
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            false
-        }
-    };
+    // The trace file needs a single benchmark (the parser enforces it), so
+    // the one run takes it.
+    let mut run =
+        |e: &SuiteEntry| match run_one(e, &opts, &tel, &mut docs, &mut cov, trace_out.take()) {
+            Ok(n) => {
+                total += n;
+                true
+            }
+            Err(msg) => {
+                eprintln!("{msg}");
+                false
+            }
+        };
     if opts.all {
         for e in &suite {
             if !run(e) {

@@ -56,7 +56,7 @@ pub mod prelude {
         Atomicity, Ctx, Engine, EngineConfig, ExecMode, PersistencePolicy, Program, RandomConfig,
         SchedPolicy,
     };
-    pub use pmem::{Addr, CacheLineId, PmAllocator, PmImage, CACHE_LINE_SIZE};
+    pub use pmem::{Addr, CacheLineId, PmAllocator, CACHE_LINE_SIZE};
     pub use vclock::{ThreadId, VectorClock};
     pub use yashme::{RaceReport, ReportKind, RunReport, YashmeConfig, YashmeDetector};
 }

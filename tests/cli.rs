@@ -8,23 +8,23 @@ use std::process::Command;
 fn unwritable_output_paths_exit_2_with_one_message() {
     let missing_dir = std::env::temp_dir().join(format!("yashme-missing-{}", std::process::id()));
     let path = missing_dir.join("out");
-    // A writable telemetry file alongside: the reporter writes its final
-    // sample there once the runs end, so it stays empty only if no run
-    // started before the unwritable path was rejected.
-    let jsonl = std::env::temp_dir().join(format!("yashme-cli-{}.jsonl", std::process::id()));
+    // A writable companion output alongside: the Prometheus and coverage
+    // files are written only once the runs end, so it stays empty only if
+    // no run started before the unwritable path was rejected.
+    let written = std::env::temp_dir().join(format!("yashme-cli-{}.out", std::process::id()));
     let (suite, one) = (&["--all", "--json"][..], &["-b", "CCEH"][..]);
     for (scope, flag, what) in [
-        (suite, "--telemetry-out", "telemetry"),
         (suite, "--prom-out", "prometheus metrics"),
         (suite, "--coverage-out", "coverage"),
         (one, "--trace-out", "chrome trace"),
-        (one, "--metrics-out", "metrics"),
     ] {
+        let companion = match flag {
+            "--prom-out" => "--coverage-out",
+            _ => "--prom-out",
+        };
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_yashme"));
         cmd.args(scope).arg(flag).arg(&path);
-        if flag != "--telemetry-out" {
-            cmd.arg("--telemetry-out").arg(&jsonl);
-        }
+        cmd.arg(companion).arg(&written);
         let out = cmd.output().expect("run yashme");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
@@ -35,9 +35,9 @@ fn unwritable_output_paths_exit_2_with_one_message() {
         );
         assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr}");
         assert!(out.stdout.is_empty(), "{flag}: printed a report");
-        let written = std::fs::read_to_string(&jsonl).unwrap_or_default();
-        assert!(written.is_empty(), "{flag}: a run started: {written:?}");
-        let _ = std::fs::remove_file(&jsonl);
+        let text = std::fs::read_to_string(&written).unwrap_or_default();
+        assert!(text.is_empty(), "{flag}: a run started: {text:?}");
+        let _ = std::fs::remove_file(&written);
     }
     assert!(!missing_dir.exists());
 }
@@ -59,17 +59,21 @@ fn injected_crashes_leave_stderr_empty() {
 
 #[test]
 fn retired_and_misspelled_flags_exit_2() {
-    for flag in ["--prune-paranoid", "--gc-paranoid", "--no-frok"] {
+    for flag in [
+        "--prune-paranoid",
+        "--gc-paranoid",
+        "--metrics-out",
+        "--telemetry-out",
+        "--gc-every",
+        "--no-frok",
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_yashme"))
             .args(["--all", flag])
             .output()
             .expect("run yashme");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
-        assert!(
-            stderr.starts_with(&format!("unknown argument {flag:?}\n")),
-            "{flag}: {stderr}"
-        );
+        assert_eq!(stderr, format!("unknown argument {flag:?}\n"), "{flag}");
         assert!(out.stdout.is_empty(), "{flag}: ran before rejecting");
     }
 }
@@ -82,9 +86,7 @@ fn valued_flags_given_last_exit_2_with_one_line() {
         "--executions",
         "--seed",
         "--trace-out",
-        "--metrics-out",
         "--coverage-out",
-        "--telemetry-out",
         "--prom-out",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_yashme"))
