@@ -1468,11 +1468,15 @@ impl MemState {
         self.past.push(old);
         // Candidate scans only ever consult the *most recent* crashed
         // execution, so in streaming mode the one before it can drop its
-        // cache, storemap, and line logs (its id stays for accounting).
+        // cache, storemap, and line logs (its id and its copy count stay
+        // for accounting).
         if self.gc_every.is_some() && self.past.len() >= 2 {
             let idx = self.past.len() - 2;
-            let id = self.past[idx].id;
-            self.past[idx] = ExecState::new(id);
+            let dropped = &mut self.past[idx];
+            *dropped = ExecState {
+                cow: dropped.cow,
+                ..ExecState::new(dropped.id)
+            };
         }
         self.fp.absorb(5);
         self.fp.absorb(next_id as u64);
@@ -2014,6 +2018,27 @@ mod tests {
             r.next_u64()
         };
         assert_eq!(next_draw(true), next_draw(false));
+    }
+
+    #[test]
+    fn line_record_copies_stay_counted_after_gc_drops_their_execution() {
+        let mut m = mem();
+        m.enable_gc(1 << 20);
+        let mut sink = NullSink;
+        let t = m.register_thread(None);
+        let a = Addr(0x1000);
+        m.exec_store(&mut sink, t, a, &1u64.to_le_bytes(), Atomicity::Plain, "x");
+        m.drain_sb(&mut sink, t);
+        let mut f = m.fork();
+        // The fork's first write to the shared line copies its record.
+        f.exec_store(&mut sink, t, a, &2u64.to_le_bytes(), Atomicity::Plain, "x");
+        f.drain_sb(&mut sink, t);
+        let copied = f.cow_stats();
+        assert_eq!(copied.1, LINE_COW_BYTES, "one line record copied");
+        // The second crash drops the execution that made the copy.
+        f.crash(PersistencePolicy::FullCache, &mut rng());
+        f.crash(PersistencePolicy::FullCache, &mut rng());
+        assert_eq!(f.cow_stats(), copied);
     }
 
     #[test]

@@ -80,8 +80,8 @@ fn details_strategy_block_matches_golden() {
 strategy:
   fork.snapshots = 2
   fork.resumed_runs = 2
-  fork.cow_clones = 3
-  fork.cow_bytes = 0
+  fork.cow_clones = 5
+  fork.cow_bytes = 576
   fork.prefix_events_skipped = 9
   fork.suffix_events = 8
   prune.classes = 2
