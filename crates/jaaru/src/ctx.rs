@@ -14,8 +14,7 @@ use pmem::Addr;
 use px86::Atomicity;
 use vclock::ThreadId;
 
-use crate::event::{Label, LoadInfo};
-use crate::mem::MemState;
+use crate::event::Label;
 use crate::sched::{Core, CrashUnwind, Shared};
 
 /// Handle to a simulated thread's execution context.
@@ -174,30 +173,13 @@ impl Ctx {
         let tid = self.tid;
         let value = self.shared.with_core(|core| {
             core.mem.exec_load(tid, addr, len, atomicity, label);
-            Self::report_pre_exec_read(core, |mem| {
+            core.mem.report_pre_exec_read(core.sink.as_mut(), |mem| {
                 mem.load_info(tid, addr, len, atomicity, label, checksum)
             });
             read(core.mem.last_load().bytes)
         });
         self.shared.yield_now(self.tid);
         value
-    }
-
-    /// Reports the pre-crash stores the last load read (`chosen`) and could
-    /// have read (`candidates`) to the detector; `info` describes the load
-    /// and is built only when there is something to report.
-    fn report_pre_exec_read(core: &mut Core, info: impl FnOnce(&MemState) -> LoadInfo) {
-        let Core { mem, sink, .. } = core;
-        let out = mem.last_load();
-        if out.chosen.is_empty() && out.candidates.is_empty() {
-            return;
-        }
-        let info = info(mem);
-        mem.with_store_refs(out.chosen, |chosen| {
-            mem.with_store_refs(out.candidates, |candidates| {
-                sink.on_pre_exec_read(&info, chosen, candidates)
-            })
-        });
     }
 
     /// Loads a `u64`.
@@ -310,7 +292,7 @@ impl Ctx {
             let (old, swapped, _) =
                 core.mem
                     .exec_cas(core.sink.as_mut(), tid, addr, expected, new, label);
-            Self::report_pre_exec_read(core, |mem| {
+            core.mem.report_pre_exec_read(core.sink.as_mut(), |mem| {
                 mem.load_info(tid, addr, 8, Atomicity::ReleaseAcquire, label, checksum)
             });
             (old, swapped)

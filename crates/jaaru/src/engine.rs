@@ -19,7 +19,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ctx::{install_quiet_panic_hook, run_task};
-use crate::mem::{MemState, PersistencePolicy};
+use crate::mem::MemState;
+use crate::persist::PersistencePolicy;
 use crate::pool;
 use crate::report::{ForkStats, GcStats, PruneStats, RaceReport, RunReport};
 use crate::sched::{
@@ -1019,7 +1020,7 @@ impl Engine {
             if let Some(log) = core.snaplog.as_mut() {
                 log.phase = index;
             }
-            let exec = core.mem.cur.id;
+            let exec = core.mem.exec_id();
             core.sink.on_execution_start(exec);
         });
         let tid = shared.with_core(|core| {
@@ -1034,7 +1035,7 @@ impl Engine {
             points.push(core.crash.seen);
             if !core.sched.crashed {
                 // End-of-phase power loss.
-                let exec = core.mem.cur.id;
+                let exec = core.mem.exec_id();
                 core.sink.on_crash(exec);
             }
             let Core { mem, rng, .. } = core;
@@ -1114,7 +1115,7 @@ impl Engine {
         shared.with_core(|core| {
             let Core { mem, sink, rng, .. } = core;
             mem.drain_all_sbs(sink.as_mut());
-            sink.on_crash(mem.cur.id);
+            sink.on_crash(mem.exec_id());
             mem.crash(MODEL_CHECK_PERSISTENCE, rng);
         });
         // The injected crash counts its own point before firing.

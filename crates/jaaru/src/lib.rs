@@ -59,6 +59,7 @@ mod engine;
 mod event;
 mod id_table;
 mod mem;
+mod persist;
 pub mod pool;
 mod program;
 mod report;
@@ -70,11 +71,12 @@ pub use engine::{
     Engine, EngineConfig, ExecMode, ModelCheckConfig, RandomConfig, SingleRun, SinkFactory,
 };
 pub use event::{EventId, ExecId, FlushEvent, FlushKind, Label, LoadInfo, StoreBytes, StoreEvent};
-pub use mem::{ExecState, ExecStats, LoadOutcome, MemState, PersistencePolicy, ROOT_REGION_BYTES};
+pub use mem::{ExecStats, LoadOutcome, MemState, ROOT_REGION_BYTES};
 pub use obs::coverage::{
     coverage_json, Cartography, CoverageReport, CoverageSummary, PhaseChart, SiteKind, SiteStats,
     SiteTable, Verdict,
 };
+pub use persist::PersistencePolicy;
 pub use program::{PhaseFn, Program};
 pub use report::{
     ForkStats, GcStats, PruneStats, RaceProvenance, RaceReport, ReportKind, RunReport,

@@ -1,29 +1,29 @@
-//! The simulated memory system: store buffers, cache, persistent image, and
-//! the execution stack.
+//! The simulated memory system's execution layer: store and flush
+//! buffers, clocks and load resolution.
 //!
-//! This module implements the storage-system side of §6: instruction
-//! execution inserts entries into per-thread store buffers (Fig. 7), buffer
-//! eviction takes effect on the cache, appending each committed store to
-//! its line's store log (Fig. 8), and a crash discards the buffers and the volatile cache,
-//! materializing into the persistent image a per-line *prefix* of the
-//! committed stores (cache coherence guarantees persistence is prefix-closed
-//! per line, §4.1).
+//! This module implements the instruction side of §6: instruction
+//! execution inserts entries into per-thread store buffers (Fig. 7), and
+//! buffer eviction hands each committed store and each persistence-floor
+//! raise to the persistence layer ([`crate::persist`]), which keeps each
+//! line's committed-store log (Fig. 8) and the persistent image. A crash
+//! discards the buffers and the volatile cache, and the persistence layer
+//! materializes a per-line *prefix* of the committed stores.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use compiler_model::{CompilerConfig, SourceWrite};
 use obs::telemetry::{Count, Telemetry, WallPhase};
-use pmem::{Addr, CacheLineId, CowBox, CowCount, FastMap, FastSet, Forkable, PmAllocator};
+use pmem::{Addr, CacheLineId, CowCount, FastSet, Forkable, PmAllocator};
 use px86::{Atomicity, FbEntry, FlushBuffer, SbEntry, SbStore, StoreBuffer};
 use rand::rngs::StdRng;
-use rand::Rng;
 use vclock::{ThreadId, VectorClock};
 
 use obs::coverage::{SiteKind, SiteTable};
 
 use crate::event::{EventId, ExecId, FlushEvent, FlushKind, Label, LoadInfo, StoreEvent};
 use crate::id_table::IdTable;
+use crate::persist::{LineLog, Persist, PersistencePolicy};
 use crate::sink::EventSink;
 
 /// Size of the root region at [`Addr::BASE`], reserved for well-known
@@ -31,220 +31,6 @@ use crate::sink::EventSink;
 /// can stash its structure roots at fixed addresses that recovery code finds
 /// again without re-allocating (the analogue of a PM pool's root object).
 pub const ROOT_REGION_BYTES: u64 = 4096;
-
-/// How the engine chooses, per cache line, how much of the committed store
-/// sequence persisted at a crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PersistencePolicy {
-    /// Every committed store persisted (the cache was fully written back at
-    /// the instant of the crash). Maximizes the data recovery code can see.
-    #[default]
-    FullCache,
-    /// Only explicitly flushed data persisted (the adversarial floor).
-    FloorOnly,
-    /// A uniformly random per-line cut between the floor and the full cache.
-    /// This is what makes torn values observable: a cut between the chunks
-    /// of a torn store persists some chunks and not others.
-    Random,
-}
-
-/// 8-byte words per cache line.
-const WORDS_PER_LINE: usize = (pmem::CACHE_LINE_SIZE / 8) as usize;
-
-/// One cache line's committed-store log, with its persistence floor and a
-/// retired prefix.
-///
-/// Logical indexes run `0..logical_len()`, and the floor is logical too. A
-/// log exists only once its line has a committed store, so a flush of a
-/// never-written line leaves no entry (its floor is 0 either way). Streaming
-/// GC drains the already-persisted prefix into the persistent image as the
-/// floor rises (`retired` counts the drained entries, and is therefore
-/// always ≤ `floor`), so only entries a future crash cut or candidate scan
-/// can still distinguish stay resident. With GC off `retired` stays 0.
-#[derive(Debug, Clone, Default)]
-struct LineLog {
-    /// Length of the logical prefix already materialized into the image.
-    retired: usize,
-    /// Length of the logical prefix definitely persisted (forced by
-    /// committed `clflush` / fenced `clwb`).
-    floor: usize,
-    /// Retained committed stores, in cache commit order: these sit at logical
-    /// indexes `retired..retired + order.len()`.
-    order: Vec<EventId>,
-}
-
-impl LineLog {
-    /// A new line's log, with room for one store per 8-byte word: a
-    /// `memset` or `memcpy` of the whole line fills it with one allocation.
-    fn presized() -> Self {
-        LineLog {
-            order: Vec::with_capacity(WORDS_PER_LINE),
-            ..LineLog::default()
-        }
-    }
-
-    fn logical_len(&self) -> usize {
-        self.retired + self.order.len()
-    }
-
-    /// Retained entries at logical index `from` and above.
-    fn suffix_from(&self, from: usize) -> &[EventId] {
-        &self.order[(from.max(self.retired) - self.retired).min(self.order.len())..]
-    }
-}
-
-/// One cache line's worth of per-byte provenance: the store event that
-/// produced each byte, `0` where none did (event ids start at 1).
-type ProvLine = [EventId; pmem::CACHE_LINE_SIZE as usize];
-
-/// The bytes copied when a shared line record is copied, counted as the
-/// two slabs a record holds: 64 data bytes and 64 provenance ids.
-const LINE_COW_BYTES: u64 = pmem::CACHE_LINE_SIZE + std::mem::size_of::<ProvLine>() as u64;
-
-/// One cache line of memory contents: its bytes, and for each byte the
-/// store event that produced it. A persistent-image line holds just this;
-/// an execution's cache line adds its store log ([`ExecLine`]).
-#[derive(Debug, Clone)]
-struct LineSlabs {
-    bytes: [u8; pmem::CACHE_LINE_SIZE as usize],
-    prov: ProvLine,
-}
-
-impl Default for LineSlabs {
-    fn default() -> Self {
-        LineSlabs {
-            bytes: [0; pmem::CACHE_LINE_SIZE as usize],
-            prov: [0; pmem::CACHE_LINE_SIZE as usize],
-        }
-    }
-}
-
-impl LineSlabs {
-    /// Writes `ev`'s bytes (single-line by construction) and marks them as
-    /// produced by it.
-    fn write(&mut self, ev: &StoreEvent) {
-        let lo = ev.addr.line_offset() as usize;
-        let hi = lo + ev.bytes.len();
-        self.bytes[lo..hi].copy_from_slice(&ev.bytes);
-        self.prov[lo..hi].fill(ev.id);
-    }
-
-    /// The store that produced the byte at `offset`, if any.
-    fn prov_at(&self, offset: u64) -> Option<EventId> {
-        let id = self.prov[offset as usize];
-        (id != 0).then_some(id)
-    }
-
-    /// Visits every recorded id, deduplicating consecutive runs (an id
-    /// recorded in disjoint runs is visited more than once).
-    fn for_each_id(&self, mut f: impl FnMut(EventId)) {
-        let mut last = 0;
-        for &id in &self.prov {
-            if id != 0 && id != last {
-                f(id);
-                last = id;
-            }
-        }
-    }
-
-    /// Content hash of the bytes and their provenance.
-    fn content_hash(&self) -> u64 {
-        let mut fp = pmem::Fp64::new();
-        fp.absorb(pmem::fingerprint::hash_bytes(&self.bytes));
-        fp.absorb(pmem::fingerprint::hash_words(&self.prov));
-        fp.value()
-    }
-}
-
-/// One cache line of an execution: its committed bytes, their storemap
-/// provenance, and the line's committed-store log, in one copy-on-write
-/// record so a commit finds all three with one lookup and copies at most
-/// once after a snapshot.
-#[derive(Debug, Clone, Default)]
-struct ExecLine {
-    slabs: LineSlabs,
-    log: LineLog,
-}
-
-/// Lines keyed by id, each a copy-on-write record.
-type LineMap<T> = FastMap<CacheLineId, CowBox<T>>;
-
-/// Shares every record of `lines` with the returned copy: the first write
-/// to a record on either side copies that one record.
-fn fork_lines<T: Clone + Default>(lines: &mut LineMap<T>) -> LineMap<T> {
-    for record in lines.values_mut() {
-        record.make_shared();
-    }
-    lines.clone()
-}
-
-/// Writable access to one line record. A record shared with a snapshot is
-/// copied first, and the copy counted in `cow` as the two slabs it
-/// replaces.
-fn write_line<'a, T: Clone>(record: &'a mut CowBox<T>, cow: &mut CowCount) -> &'a mut T {
-    let (record, copied) = record.make_mut();
-    cow.add_if(copied, 2, LINE_COW_BYTES);
-    record
-}
-
-/// [`write_line`] on `line`'s record, created by `new` on first touch.
-fn line_mut<'a, T: Clone>(
-    lines: &'a mut LineMap<T>,
-    cow: &mut CowCount,
-    line: CacheLineId,
-    new: impl FnOnce() -> T,
-) -> &'a mut T {
-    write_line(lines.entry(line).or_insert_with(|| CowBox::new(new())), cow)
-}
-
-/// Per-execution storage state: the volatile cache and its bookkeeping.
-#[derive(Debug, Default)]
-pub struct ExecState {
-    /// This execution's id.
-    pub id: ExecId,
-    /// Every line with a committed store: its cache bytes, its `storemap`
-    /// (the most recent committed store covering each byte) and its
-    /// committed-store log, in one record.
-    lines: LineMap<ExecLine>,
-    /// Copy-on-write copies of `lines` records made by this execution.
-    cow: CowCount,
-}
-
-impl ExecState {
-    fn new(id: ExecId) -> Self {
-        ExecState {
-            id,
-            ..ExecState::default()
-        }
-    }
-
-    /// Writable access to `line`'s record, created with a presized log.
-    fn line_mut(&mut self, line: CacheLineId) -> &mut ExecLine {
-        line_mut(&mut self.lines, &mut self.cow, line, || ExecLine {
-            slabs: LineSlabs::default(),
-            log: LineLog::presized(),
-        })
-    }
-
-    /// `line`'s committed-store log, if it has a committed store.
-    fn log(&self, line: CacheLineId) -> Option<&LineLog> {
-        self.lines.get(&line).map(|l| &l.log)
-    }
-}
-
-impl Forkable for ExecState {
-    fn fork(&mut self) -> Self {
-        ExecState {
-            id: self.id,
-            lines: fork_lines(&mut self.lines),
-            cow: CowCount::default(),
-        }
-    }
-}
-
-/// Store events by id: every store event still live, across executions.
-/// With GC off nothing retires and the table simply grows.
-type EventTable = IdTable<StoreEvent>;
 
 /// A flush or fence that has executed but not yet taken its persistent
 /// effect, in [`MemState::pending`] under its event id. A crash drops every
@@ -271,8 +57,8 @@ enum Pending {
 pub struct MemState {
     /// Compiler model used to lower source-level stores.
     pub compiler: CompilerConfig,
-    /// Event table: all store events, across executions.
-    events: EventTable,
+    /// What persists: store events, line records, the image and GC.
+    persist: Persist,
     /// Flushes and fences still in flight, by event id.
     pending: IdTable<Pending>,
     next_event: EventId,
@@ -280,15 +66,8 @@ pub struct MemState {
     sbs: Vec<StoreBuffer>,
     fbs: Vec<FlushBuffer>,
     cvs: Vec<VectorClock>,
-    /// Current execution.
-    pub cur: ExecState,
-    /// Crashed executions, oldest first.
-    pub past: Vec<ExecState>,
-    /// Persistent storage contents: each persisted line's bytes and the
-    /// store event that produced each byte, in one record per line.
-    image: LineMap<LineSlabs>,
-    /// Copy-on-write copies of `image` records made by this memory system.
-    image_cow: CowCount,
+    /// Current execution's id.
+    exec: ExecId,
     /// Load resolution's storage, reused across loads; holds the last
     /// load's outcome. Made by the first load: every crash-point snapshot
     /// is a `MemState` that never loads, and must not carry it.
@@ -306,14 +85,6 @@ pub struct MemState {
     /// Accumulates alongside `stats` and follows the same fork / absorb /
     /// prune-attribution flow; never feeds back into `fp` or the detector.
     pub cov: SiteTable,
-    /// Streaming GC: run a mark-sweep pass every this many committed stores
-    /// (`None` = GC off, the default for directly constructed states).
-    gc_every: Option<u64>,
-    /// Committed stores since the last GC pass.
-    commits_since_gc: u64,
-    /// Retirement counters (live/peak gauges are filled in by
-    /// [`MemState::gc_stats`] from the event table).
-    gc: crate::report::GcStats,
     /// Rolling crash-state fingerprint: a hash over every event so far that
     /// changes what a crash at this instant would leave behind (committed
     /// stores, persistence-floor raises, thread registrations, allocations,
@@ -336,41 +107,30 @@ pub struct MemState {
 impl Forkable for MemState {
     /// Captures this memory system for later resumption.
     ///
-    /// Line records (bytes, provenance and store log of each line) and
-    /// buffer queues are shared copy-on-write: this memory system's owned
-    /// storage becomes shared, so its next write to a captured record
-    /// copies it instead of changing the snapshot. The id indexes of the
-    /// event table and of the pending flush and fence table are shared the
-    /// same way, chunk by chunk. The rest of the per-event bookkeeping (the
-    /// tables' records, vector clocks) is cloned outright — it is
-    /// proportional to the live events, not to the bytes of simulated PM.
-    /// The load, eviction and fence scratch buffers are transient and start
-    /// empty in the fork.
-    /// GC work counters (passes, retirements, reused slots) start at zero:
-    /// the prefix's GC work is the capturing run's, and counting it again
-    /// in every resumed suffix would double-count it.
+    /// The persistence layer's line records, the buffer queues and the id
+    /// index of the pending flush and fence table are shared copy-on-write:
+    /// this memory system's owned storage becomes shared, so its next
+    /// write to a captured record copies it instead of changing the
+    /// snapshot. Per-event records and vector clocks are cloned outright
+    /// (they grow with the live events, not with the bytes of simulated
+    /// PM); the scratch buffers start empty. Copy counts and GC work
+    /// counters start at zero: the prefix's work is the capturing run's.
     fn fork(&mut self) -> Self {
         MemState {
             compiler: self.compiler,
-            events: self.events.fork(),
+            persist: self.persist.fork(),
             pending: self.pending.fork(),
             next_event: self.next_event,
             sbs: self.sbs.iter_mut().map(Forkable::fork).collect(),
             fbs: self.fbs.iter_mut().map(Forkable::fork).collect(),
             cvs: self.cvs.clone(),
-            cur: self.cur.fork(),
-            past: self.past.iter_mut().map(Forkable::fork).collect(),
-            image: fork_lines(&mut self.image),
-            image_cow: CowCount::default(),
+            exec: self.exec,
             load: None,
             evict_scratch: Default::default(),
             fb_scratch: Vec::new(),
             alloc: self.alloc.clone(),
             stats: self.stats,
             cov: self.cov.clone(),
-            gc_every: self.gc_every,
-            commits_since_gc: self.commits_since_gc,
-            gc: crate::report::GcStats::default(),
             fp: self.fp,
             tel: self.tel.clone(),
             // The fork starts its publish watermark at the prefix's event
@@ -385,8 +145,8 @@ impl Forkable for MemState {
 impl std::fmt::Debug for MemState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemState")
-            .field("exec", &self.cur.id)
-            .field("events", &self.events.len())
+            .field("exec", &self.exec)
+            .field("events", &self.persist.gc_stats().live_events)
             .field("threads", &self.cvs.len())
             .finish()
     }
@@ -409,7 +169,7 @@ obs::counter_block! {
         fences: sum "ops.fences",
         /// Locked CAS operations executed.
         cas_ops: sum "ops.cas",
-        /// Crashes (executions pushed on the stack).
+        /// Crashes (each starts a new execution).
         crashes: sum "ops.crashes",
         /// Load bytes served by store-buffer bypass.
         bytes_from_bypass: sum "load.bytes_from_bypass",
@@ -474,25 +234,19 @@ impl MemState {
     pub fn new(compiler: CompilerConfig, heap_bytes: u64) -> Self {
         MemState {
             compiler,
-            events: EventTable::default(),
+            persist: Persist::default(),
             pending: IdTable::default(),
             next_event: 1,
             sbs: Vec::new(),
             fbs: Vec::new(),
             cvs: Vec::new(),
-            cur: ExecState::new(0),
-            past: Vec::new(),
-            image: LineMap::default(),
-            image_cow: CowCount::default(),
+            exec: 0,
             load: None,
             evict_scratch: Default::default(),
             fb_scratch: Vec::new(),
             alloc: PmAllocator::new(Addr::BASE + ROOT_REGION_BYTES, heap_bytes),
             stats: ExecStats::default(),
             cov: SiteTable::default(),
-            gc_every: None,
-            commits_since_gc: 0,
-            gc: crate::report::GcStats::default(),
             fp: pmem::Fp64::new(),
             tel: None,
             tel_published: 0,
@@ -517,13 +271,8 @@ impl MemState {
     /// built up since the last publish. One branch when telemetry is off.
     fn tel_tick(&mut self) {
         const BATCH: u64 = 4096;
-        if let Some(tel) = &self.tel {
-            let now = self.stats.events();
-            if now.wrapping_sub(self.tel_published) >= BATCH {
-                tel.add(Count::Events, now - self.tel_published);
-                tel.set(Count::LiveSlots, self.events.len() as u64);
-                self.tel_published = now;
-            }
+        if self.tel.is_some() && self.stats.events().wrapping_sub(self.tel_published) >= BATCH {
+            self.tel_flush();
         }
     }
 
@@ -533,7 +282,7 @@ impl MemState {
         if let Some(tel) = &self.tel {
             let now = self.stats.events();
             tel.add(Count::Events, now - self.tel_published);
-            tel.set(Count::LiveSlots, self.events.len() as u64);
+            tel.set(Count::LiveSlots, self.persist.gc_stats().live_events);
             self.tel_published = now;
         }
     }
@@ -552,26 +301,27 @@ impl MemState {
     /// whole run.
     pub fn enable_gc(&mut self, every: u64) {
         assert!(self.next_event == 1, "enable_gc before any events");
-        self.gc_every = Some(every.max(1));
+        self.persist.enable_gc(every);
     }
 
     /// Whether streaming GC is on.
     pub fn gc_enabled(&self) -> bool {
-        self.gc_every.is_some()
+        self.persist.gc_enabled()
     }
 
     /// Retirement counters plus current live/peak event-table gauges.
     pub fn gc_stats(&self) -> crate::report::GcStats {
-        let mut gc = self.gc;
-        gc.live_events = self.events.len() as u64;
-        gc.peak_live_events = self.events.peak() as u64;
-        gc.slots_reused = self.events.reused();
-        gc
+        self.persist.gc_stats()
     }
 
     /// The current rolling crash-state fingerprint (see the field docs).
     pub fn fingerprint(&self) -> u64 {
         self.fp.value()
+    }
+
+    /// The current execution's id: the number of crashes so far.
+    pub fn exec_id(&self) -> ExecId {
+        self.exec
     }
 
     /// Number of threads ever registered (across executions).
@@ -582,10 +332,7 @@ impl MemState {
     /// Total copy-on-write clone traffic across every COW container held by
     /// this memory system: `(clones, bytes copied)`.
     pub fn cow_stats(&self) -> (u64, u64) {
-        let total: CowCount = std::iter::once(&self.cur)
-            .chain(&self.past)
-            .map(|e| e.cow)
-            .chain([self.image_cow])
+        let total: CowCount = std::iter::once(self.persist.cow())
             .chain(self.sbs.iter().map(StoreBuffer::cow))
             .chain(self.fbs.iter().map(FlushBuffer::cow))
             .sum();
@@ -638,7 +385,7 @@ impl MemState {
 
     /// Looks up a store event.
     pub fn store_event(&self, id: EventId) -> &StoreEvent {
-        &self.events[id]
+        self.persist.event(id)
     }
 
     fn fresh_event_id(&mut self) -> EventId {
@@ -735,7 +482,7 @@ impl MemState {
             let id = self.fresh_event_id();
             let event = StoreEvent {
                 id,
-                exec: self.cur.id,
+                exec: self.exec,
                 thread,
                 cv: self.cvs[thread.as_usize()].clone(),
                 clock,
@@ -748,7 +495,7 @@ impl MemState {
             self.stats.stores_executed += 1;
             self.cov.record(SiteKind::Store, label).executed += 1;
             sink.on_store_executed(&event);
-            self.events.insert(id, event);
+            self.persist.insert(event);
             self.sbs[thread.as_usize()].push(SbEntry::Store(SbStore {
                 addr: at,
                 len: take as u64,
@@ -760,30 +507,20 @@ impl MemState {
 
     /// Executes a `clflush` (enters the store buffer).
     pub fn exec_clflush(&mut self, thread: ThreadId, addr: Addr, label: Label) {
-        self.stats.flushes += 1;
-        self.cov.record(SiteKind::Flush, label).executed += 1;
-        let id = self.push_flush(thread, addr, FlushKind::Clflush, label);
-        self.sbs[thread.as_usize()].push(SbEntry::Clflush { addr, id });
+        self.push_flush(thread, addr, FlushKind::Clflush, label);
     }
 
     /// Executes a `clwb`/`clflushopt` (enters the store buffer).
     pub fn exec_clwb(&mut self, thread: ThreadId, addr: Addr, label: Label) {
-        self.stats.flushes += 1;
-        self.cov.record(SiteKind::Flush, label).executed += 1;
-        let id = self.push_flush(thread, addr, FlushKind::Clwb, label);
-        self.sbs[thread.as_usize()].push(SbEntry::Clwb { addr, id });
+        self.push_flush(thread, addr, FlushKind::Clwb, label);
     }
 
-    fn push_flush(
-        &mut self,
-        thread: ThreadId,
-        addr: Addr,
-        kind: FlushKind,
-        label: Label,
-    ) -> EventId {
+    fn push_flush(&mut self, thread: ThreadId, addr: Addr, kind: FlushKind, label: Label) {
+        self.stats.flushes += 1;
+        self.cov.record(SiteKind::Flush, label).executed += 1;
         let clock = self.cvs[thread.as_usize()].tick(thread);
         let id = self.fresh_event_id();
-        let (exec, cvs) = (self.cur.id, &self.cvs);
+        let (exec, cvs) = (self.exec, &self.cvs);
         self.pending.insert_with(id, || Pending::Flush {
             event: FlushEvent {
                 id,
@@ -797,7 +534,10 @@ impl MemState {
             },
             mark: None,
         });
-        id
+        self.sbs[thread.as_usize()].push(match kind {
+            FlushKind::Clflush => SbEntry::Clflush { addr, id },
+            FlushKind::Clwb => SbEntry::Clwb { addr, id },
+        });
     }
 
     /// Executes an `sfence` (enters the store buffer).
@@ -879,33 +619,19 @@ impl MemState {
     fn commit_entry(&mut self, sink: &mut dyn EventSink, thread: ThreadId, entry: SbEntry) {
         match entry {
             SbEntry::Store(s) => {
-                let line = s.addr.cache_line();
-                // Write the line's cache bytes, storemap and log in one
-                // record. Disjoint field borrows let the record copy
-                // straight out of the event table without cloning the bytes.
-                let MemState {
-                    events,
-                    cur,
-                    stats,
-                    fp,
-                    cov,
-                    ..
-                } = self;
-                let event = &events[s.id];
+                let event = self.persist.commit(s.id);
                 debug_assert_eq!(event.len(), s.len);
-                let record = cur.line_mut(line);
-                record.slabs.write(event);
-                record.log.order.push(s.id);
-                stats.stores_committed += 1;
-                cov.record(SiteKind::Store, event.label).committed += 1;
+                self.stats.stores_committed += 1;
+                self.cov.record(SiteKind::Store, event.label).committed += 1;
                 // A committed store always changes the crash state (it joins
                 // the line's persistable prefix).
-                fp.absorb(1);
-                fp.absorb(line.0);
-                fp.absorb(s.id);
+                self.fp.absorb(1);
+                self.fp.absorb(s.addr.cache_line().0);
+                self.fp.absorb(s.id);
                 sink.on_store_committed(event);
-                self.commits_since_gc += 1;
-                self.maybe_gc(sink);
+                if self.persist.gc_due() {
+                    self.run_gc(sink);
+                }
                 self.tel_tick();
             }
             SbEntry::Clflush { addr, id } => {
@@ -917,9 +643,8 @@ impl MemState {
                 };
                 let committed = self.committed_len(line);
                 self.persist_floor(line, committed, 2, flush.label);
-                with_line_stores(&self.events, self.cur.lines.get(&line), |stores| {
-                    sink.on_clflush_committed(&flush, stores)
-                });
+                self.persist
+                    .with_line_stores(line, |stores| sink.on_clflush_committed(&flush, stores));
             }
             SbEntry::Clwb { addr, id } => {
                 let committed = self.committed_len(addr.cache_line());
@@ -965,9 +690,8 @@ impl MemState {
                 panic!("buffered clwb has a mark");
             };
             self.persist_floor(line, mark, 3, clwb.label);
-            with_line_stores(&self.events, self.cur.lines.get(&line), |stores| {
-                sink.on_clwb_fenced(&clwb, fence_cv, stores)
-            });
+            self.persist
+                .with_line_stores(line, |stores| sink.on_clwb_fenced(&clwb, fence_cv, stores));
         }
         let drained = entries.len();
         entries.clear();
@@ -983,179 +707,48 @@ impl MemState {
     /// crash state; re-flushing an already-persisted line is a no-op for
     /// every persistence policy (and the detector's `record_flush`
     /// suppresses the duplicate record on its side), so it must not split
-    /// equivalence classes. Coverage classifies the flush and credits the
-    /// stores whose prefix it just persisted before `materialize_floor` can
-    /// retire those entries from the log.
+    /// equivalence classes. Coverage credits each store the raise
+    /// persisted, classifies the flush site as effective (the floor rose)
+    /// or redundant, and heats the line.
     #[inline]
     fn persist_floor(&mut self, line: CacheLineId, upto: usize, tag: u64, label: Label) {
-        let prev = self.raise_floor(line, upto);
+        let prev = self.persist.raise_floor(line, upto, |store| {
+            self.cov.record(SiteKind::Store, store.label).persisted += 1;
+        });
         if upto > prev {
             self.fp.absorb(tag);
             self.fp.absorb(line.0);
             self.fp.absorb(upto as u64);
-        }
-        self.cov_floor_raise(label, line, prev, upto);
-        self.materialize_floor(line);
-        if self.gc_every.is_some() {
-            self.gc.flushes_retired += 1;
+            self.cov.record(SiteKind::Flush, label).effective += 1;
+            self.cov.touch_line(line.base().0);
+        } else {
+            self.cov.record(SiteKind::Flush, label).redundant += 1;
         }
     }
 
     /// Logical length of `line`'s committed-store log (0 if never written).
     fn committed_len(&self, line: CacheLineId) -> usize {
-        self.cur.log(line).map_or(0, LineLog::logical_len)
+        self.persist.log(line).map_or(0, LineLog::logical_len)
     }
 
-    /// Raises `line`'s persistence floor to at least `to`, returning the old
-    /// floor. A line with no log has floor 0, and `to` is then 0 too (it was
-    /// measured on this execution's log), so there is nothing to record. A
-    /// flush that does not raise the floor writes nothing, so it never
-    /// copies a record shared with a snapshot.
-    fn raise_floor(&mut self, line: CacheLineId, to: usize) -> usize {
-        let Some(record) = self.cur.lines.get_mut(&line) else {
-            debug_assert_eq!(to, 0, "a floor above 0 needs a committed store");
-            return 0;
-        };
-        let prev = record.log.floor;
-        if to > prev {
-            write_line(record, &mut self.cur.cow).log.floor = to;
-        }
-        prev
-    }
-
-    /// Coverage bookkeeping for one flush commit: classifies the flush site
-    /// as effective (`new > prev`, the persisted floor rose) or redundant,
-    /// credits a `persisted` count to every store site in the newly
-    /// persisted prefix slice, and heats the touched line. Must run before
-    /// `materialize_floor`, which may retire the slice from the line log.
-    fn cov_floor_raise(&mut self, label: Label, line: CacheLineId, prev: usize, new: usize) {
-        if new <= prev {
-            self.cov.record(SiteKind::Flush, label).redundant += 1;
-            return;
-        }
-        self.cov.record(SiteKind::Flush, label).effective += 1;
-        self.cov.touch_line(line.base().0);
-        let MemState {
-            events, cur, cov, ..
-        } = self;
-        if let Some(log) = cur.log(line) {
-            let newly = &log.suffix_from(prev)[..new - prev.max(log.retired)];
-            for &id in newly {
-                cov.record(SiteKind::Store, events[id].label).persisted += 1;
-            }
-        }
-    }
-
-    /// Streaming GC: drains the definitely-persisted prefix of `line`'s
-    /// committed-store log into the persistent image.
-    ///
-    /// Safe mid-execution because every byte a retained-or-retired committed
-    /// store covers is shadowed by the current execution's storemap, so
-    /// loads keep resolving from the cache and never observe the early image
-    /// write; and a crash cut is always ≥ the floor ≥ the retired count, so
-    /// materializing the slice `[retired..cut)` later commutes with having
-    /// materialized `[0..retired)` now (same per-line store order either
-    /// way).
-    fn materialize_floor(&mut self, line: CacheLineId) {
-        if self.gc_every.is_none() {
-            return;
-        }
-        let MemState {
-            events,
-            cur,
-            image,
-            image_cow,
-            gc,
-            ..
-        } = self;
-        let Some(record) = cur.lines.get_mut(&line) else {
-            return;
-        };
-        let log = &record.log;
-        if log.floor <= log.retired || log.order.is_empty() {
-            return;
-        }
-        let n = (log.floor - log.retired).min(log.order.len());
-        let img_line = line_mut(image, image_cow, line, LineSlabs::default);
-        for &id in &log.order[..n] {
-            img_line.write(&events[id]);
-        }
-        let log = &mut write_line(record, &mut cur.cow).log;
-        log.order.drain(..n);
-        log.retired += n;
-        gc.line_entries_retired += n as u64;
-    }
-
-    /// Runs a mark-sweep retirement pass when the commit budget is due.
-    fn maybe_gc(&mut self, sink: &mut dyn EventSink) {
-        let Some(every) = self.gc_every else {
-            return;
-        };
-        if self.commits_since_gc < every {
-            return;
-        }
-        self.commits_since_gc = 0;
-        self.run_gc(sink);
-    }
-
-    /// Mark-sweep over store events: everything unreachable from the live
-    /// roots can never again be read, re-committed, scanned as a candidate,
-    /// or materialized, so its table slot is freed. Roots are: the current
-    /// storemap (cache reads, line-store reporting), the image provenance
-    /// (acquire joins and chosen-store reporting on image reads), the
-    /// retained line logs of the current and most recent crashed execution
-    /// (crash cuts and candidate scans), and store-buffer entries (bypass
-    /// reads, pending commits). Retired ids are reported to the sink in
-    /// ascending order so detectors can drop per-store state
-    /// deterministically.
+    /// Runs a mark-sweep retirement pass with every store still in a store
+    /// buffer as an extra root, timed on the telemetry plane (write-only;
+    /// the pass itself is oblivious to whether it is being timed).
     fn run_gc(&mut self, sink: &mut dyn EventSink) {
-        // Time the pass on the telemetry plane (write-only; the pass itself
-        // is oblivious to whether it is being timed).
-        if let Some(tel) = self.tel.clone() {
-            let t0 = Instant::now();
-            self.run_gc_inner(sink);
+        let t0 = self.tel.is_some().then(Instant::now);
+        let buffered = self
+            .sbs
+            .iter()
+            .flat_map(StoreBuffer::iter)
+            .filter_map(|e| match e {
+                SbEntry::Store(s) => Some(s.id),
+                _ => None,
+            });
+        self.persist.collect(sink, buffered);
+        if let (Some(tel), Some(t0)) = (&self.tel, t0) {
             tel.add_phase(WallPhase::GcPass, t0.elapsed());
-            tel.set(Count::LiveSlots, self.events.len() as u64);
-        } else {
-            self.run_gc_inner(sink);
+            tel.set(Count::LiveSlots, self.persist.gc_stats().live_events);
         }
-    }
-
-    fn run_gc_inner(&mut self, sink: &mut dyn EventSink) {
-        self.gc.passes += 1;
-        let mut roots: FastSet<EventId> = FastSet::default();
-        for record in self.cur.lines.values() {
-            record.slabs.for_each_id(|id| {
-                roots.insert(id);
-            });
-            roots.extend(record.log.order.iter().copied());
-        }
-        for record in self.image.values() {
-            record.for_each_id(|id| {
-                roots.insert(id);
-            });
-        }
-        if let Some(prev) = self.past.last() {
-            for record in prev.lines.values() {
-                roots.extend(record.log.order.iter().copied());
-            }
-        }
-        for sb in &self.sbs {
-            for entry in sb.iter() {
-                if let SbEntry::Store(s) = entry {
-                    roots.insert(s.id);
-                }
-            }
-        }
-        let retired: Vec<EventId> = self.events.ids().filter(|id| !roots.contains(id)).collect();
-        if retired.is_empty() {
-            return;
-        }
-        for &id in &retired {
-            self.events.remove(id);
-        }
-        self.gc.events_retired += retired.len() as u64;
-        sink.on_stores_retired(&retired);
     }
 
     // ------------------------------------------------------------------
@@ -1199,10 +792,10 @@ impl MemState {
             let line = at.cache_line();
             let base = at.line_offset() as usize;
             let take = ((pmem::CACHE_LINE_SIZE - at.line_offset()).min(len - off)) as usize;
-            let cache = self.cur.lines.get(&line).map(|l| &l.slabs);
+            let cache = self.persist.line(line);
             let cache_prov = cache.map(|l| &l.prov);
             let cache_data = cache.map(|l| &l.bytes);
-            let img = self.image.get(&line);
+            let img = self.persist.image_line(line);
             let img_data = img.map(|l| &l.bytes);
             let img_prov = img.map(|l| &l.prov);
             let chunk_bypass = &s.bypass[off as usize..off as usize + take];
@@ -1217,7 +810,7 @@ impl MemState {
                     while j < take && chunk_bypass[j] == Some(id) {
                         j += 1;
                     }
-                    let ev = &self.events[id];
+                    let ev = self.persist.event(id);
                     let start = ((at + i as u64) - ev.addr) as usize;
                     s.bytes.extend_from_slice(&ev.bytes[start..start + (j - i)]);
                     if acquire {
@@ -1280,7 +873,7 @@ impl MemState {
         if acquire {
             let cv = &mut self.cvs[thread.as_usize()];
             for &id in s.sources.items.iter().chain(&s.chosen.items) {
-                let ev = &self.events[id];
+                let ev = self.persist.event(id);
                 if ev.atomicity.is_release() {
                     cv.join(&ev.cv);
                 }
@@ -1290,17 +883,12 @@ impl MemState {
         // execution's not-definitely-persisted suffix of each touched line
         // that covers a loaded byte, plus the stores actually observed.
         s.candidates.copy_from(&s.chosen);
-        if let Some(prev) = self.past.last() {
-            for line in &s.image_lines {
-                let Some(log) = prev.log(*line) else {
-                    continue;
-                };
-                for &id in log.suffix_from(log.floor) {
-                    self.stats.candidate_stores_scanned += 1;
-                    let ev = &self.events[id];
-                    if ranges_overlap(ev.addr, ev.len(), addr, len) {
-                        s.candidates.insert(id);
-                    }
+        for line in &s.image_lines {
+            for &id in self.persist.prev_unpersisted(*line) {
+                self.stats.candidate_stores_scanned += 1;
+                let ev = self.persist.event(id);
+                if ranges_overlap(ev.addr, ev.len(), addr, len) {
+                    s.candidates.insert(id);
                 }
             }
         }
@@ -1331,14 +919,24 @@ impl MemState {
         }
     }
 
-    /// Calls `f` with the store events of `ids`, in order (see
-    /// [`with_event_refs`]).
-    pub(crate) fn with_store_refs<R>(
+    /// Reports the pre-crash stores the last load read (`chosen`) and could
+    /// have read (`candidates`) to `sink`; `info` describes the load and is
+    /// built only when there is something to report.
+    pub(crate) fn report_pre_exec_read(
         &self,
-        ids: &[EventId],
-        f: impl FnOnce(&[&StoreEvent]) -> R,
-    ) -> R {
-        with_event_refs(&self.events, ids, f)
+        sink: &mut dyn EventSink,
+        info: impl FnOnce(&Self) -> LoadInfo,
+    ) {
+        let out = self.last_load();
+        if out.chosen.is_empty() && out.candidates.is_empty() {
+            return;
+        }
+        let info = info(self);
+        self.persist.with_store_refs(out.chosen, |chosen| {
+            self.persist.with_store_refs(out.candidates, |candidates| {
+                sink.on_pre_exec_read(&info, chosen, candidates)
+            })
+        });
     }
 
     /// Builds the [`LoadInfo`] describing a load for sink reporting.
@@ -1352,7 +950,7 @@ impl MemState {
         validated: bool,
     ) -> LoadInfo {
         LoadInfo {
-            exec: self.cur.id,
+            exec: self.exec,
             thread,
             addr,
             len,
@@ -1408,7 +1006,7 @@ impl MemState {
     /// Crashes the current execution: store and flush buffers are lost, and
     /// for each cache line a prefix of its committed stores (at least the
     /// definitely-persisted floor, at most everything) is written to the
-    /// persistent image per `policy`. Pushes a fresh execution.
+    /// persistent image per `policy`. Starts a fresh execution.
     pub fn crash(&mut self, policy: PersistencePolicy, rng: &mut StdRng) {
         self.stats.crashes += 1;
         for sb in &mut self.sbs {
@@ -1418,68 +1016,15 @@ impl MemState {
             fb.clear();
         }
         // Flush events never outlive the buffers that referenced them.
-        if self.gc_every.is_some() {
-            self.gc.flushes_retired += self
-                .pending
-                .values()
-                .filter(|p| matches!(p, Pending::Flush { .. }))
-                .count() as u64;
-        }
+        let flushes = self.pending.values();
+        let flushes = flushes
+            .filter(|p| matches!(p, Pending::Flush { .. }))
+            .count();
         self.pending.clear();
-        let mut lines: Vec<_> = self.cur.lines.keys().copied().collect();
-        lines.sort(); // determinism of rng consumption
-        for line in lines {
-            let log = &self.cur.lines[&line].log;
-            let floor = log.floor;
-            // Cuts are logical indexes, so the RNG draws (and the persisted
-            // prefix they denote) are identical whether or not streaming GC
-            // already drained `log.retired` entries into the image.
-            let cut = match policy {
-                PersistencePolicy::FullCache => log.logical_len(),
-                PersistencePolicy::FloorOnly => floor,
-                PersistencePolicy::Random => rng.gen_range(floor..=log.logical_len()),
-            };
-            if cut == 0 {
-                continue;
-            }
-            // Entries below `log.retired` were materialized eagerly when the
-            // floor rose (cut ≥ floor ≥ retired, same per-line order), so
-            // only the retained slice below the cut lands here.
-            let keep = &log.order[..cut - log.retired];
-            if keep.is_empty() {
-                continue;
-            }
-            // Materialize the persisted prefix with per-line bulk copies:
-            // the image record is fetched once, and each store
-            // (single-line by construction) lands with a
-            // `copy_from_slice`/`fill` pair.
-            let img_line = line_mut(
-                &mut self.image,
-                &mut self.image_cow,
-                line,
-                LineSlabs::default,
-            );
-            for &id in keep {
-                img_line.write(&self.events[id]);
-            }
-        }
-        let next_id = self.cur.id + 1;
-        let old = std::mem::replace(&mut self.cur, ExecState::new(next_id));
-        self.past.push(old);
-        // Candidate scans only ever consult the *most recent* crashed
-        // execution, so in streaming mode the one before it can drop its
-        // cache, storemap, and line logs (its id and its copy count stay
-        // for accounting).
-        if self.gc_every.is_some() && self.past.len() >= 2 {
-            let idx = self.past.len() - 2;
-            let dropped = &mut self.past[idx];
-            *dropped = ExecState {
-                cow: dropped.cow,
-                ..ExecState::new(dropped.id)
-            };
-        }
+        self.persist.crash(policy, rng, flushes as u64);
+        self.exec += 1;
         self.fp.absorb(5);
-        self.fp.absorb(next_id as u64);
+        self.fp.absorb(self.exec as u64);
         // Crash boundaries are natural publish points: the heartbeat sees
         // progress even when the next phase is load-heavy (loads don't pass
         // through `commit_entry`).
@@ -1496,31 +1041,9 @@ impl MemState {
     /// O(touched lines), amortized by the [`pmem::ArcMemo`] address fast
     /// path across snapshots that share line records.
     pub fn crash_state_fingerprint(&self, memo: &mut pmem::ArcMemo) -> u64 {
-        // Per-line hashes are XOR-combined so map iteration order cannot
-        // leak into the value.
-        let mut image = 0u64;
-        for (line, record) in &self.image {
-            let content = memo.memoize(&**record, LineSlabs::content_hash);
-            image ^= pmem::mix64(line.0 ^ pmem::mix64(content));
-        }
-        let mut lines = 0u64;
-        for (line, record) in &self.cur.lines {
-            let content = memo.memoize(&**record, |r| {
-                let mut inner = pmem::Fp64::new();
-                inner.absorb(r.slabs.content_hash());
-                inner.absorb(r.log.retired as u64);
-                inner.absorb(r.log.floor as u64);
-                for &id in &r.log.order {
-                    inner.absorb(id);
-                }
-                inner.value()
-            });
-            lines ^= pmem::mix64(line.0 ^ pmem::mix64(content));
-        }
         let mut fp = pmem::Fp64::new();
-        fp.absorb(image);
-        fp.absorb(lines);
-        fp.absorb(self.cur.id as u64);
+        self.persist.absorb_content(&mut fp, memo);
+        fp.absorb(self.exec as u64);
         fp.absorb(self.cvs.len() as u64);
         for sb in &self.sbs {
             fp.absorb(sb.fingerprint());
@@ -1534,83 +1057,26 @@ impl MemState {
     /// One byte of the persistent image (zero where never persisted; for
     /// differential tests).
     pub fn image_byte(&self, addr: Addr) -> u8 {
-        self.image
-            .get(&addr.cache_line())
+        self.persist
+            .image_line(addr.cache_line())
             .map_or(0, |l| l.bytes[addr.line_offset() as usize])
     }
 
     /// The store event that produced the persisted byte at `addr`, if any
     /// (for differential tests).
     pub fn image_prov_at(&self, addr: Addr) -> Option<EventId> {
-        let record = self.image.get(&addr.cache_line())?;
-        record.prov_at(addr.line_offset())
+        self.persist
+            .image_line(addr.cache_line())?
+            .prov_at(addr.line_offset())
     }
 
     /// The most recent committed store covering `addr` in the current
     /// execution's cache, if any.
     pub fn store_map_at(&self, addr: Addr) -> Option<EventId> {
-        let record = self.cur.lines.get(&addr.cache_line())?;
-        record.slabs.prov_at(addr.line_offset())
+        self.persist
+            .line(addr.cache_line())?
+            .prov_at(addr.line_offset())
     }
-}
-
-/// Calls `f` with the most recent committed store for each byte of `line`,
-/// de-duplicated in first-appearance byte order (not id order: a later store
-/// may sit at a lower offset). One slab lookup, then a dense scan that
-/// checks membership only where the id changes between adjacent bytes.
-fn with_line_stores<R>(
-    events: &EventTable,
-    line: Option<&CowBox<ExecLine>>,
-    f: impl FnOnce(&[&StoreEvent]) -> R,
-) -> R {
-    let Some(line) = line else {
-        return f(&[]);
-    };
-    let (ids, n) = distinct_slab_ids(&line.slabs.prov);
-    with_event_refs(events, &ids[..n], f)
-}
-
-/// Calls `f` with the events of `ids`, in order. Up to one line's worth of
-/// distinct stores (64) are gathered in a stack array, so flush commits,
-/// fence drains and most pre-crash reads allocate nothing; the array starts
-/// out filled with the first event, which keeps it free of uninitialized
-/// slots.
-fn with_event_refs<R>(
-    events: &EventTable,
-    ids: &[EventId],
-    f: impl FnOnce(&[&StoreEvent]) -> R,
-) -> R {
-    const STACK_REFS: usize = pmem::CACHE_LINE_SIZE as usize;
-    let Some(&first) = ids.first() else {
-        return f(&[]);
-    };
-    if ids.len() > STACK_REFS {
-        let refs: Vec<&StoreEvent> = ids.iter().map(|&id| &events[id]).collect();
-        return f(&refs);
-    }
-    let mut refs = [&events[first]; STACK_REFS];
-    for (slot, &id) in refs.iter_mut().zip(ids).skip(1) {
-        *slot = &events[id];
-    }
-    f(&refs[..ids.len()])
-}
-
-/// The distinct nonzero ids of `slab` in first-appearance order, as a stack
-/// array and its used length.
-fn distinct_slab_ids(slab: &ProvLine) -> (ProvLine, usize) {
-    let mut ids: ProvLine = [0; pmem::CACHE_LINE_SIZE as usize];
-    let mut n = 0;
-    let mut last = 0;
-    for &id in slab {
-        if id != last {
-            last = id;
-            if id != 0 && !ids[..n].contains(&id) {
-                ids[n] = id;
-                n += 1;
-            }
-        }
-    }
-    (ids, n)
 }
 
 /// Above this size, membership checks spill from a linear scan into a hash
@@ -1672,6 +1138,7 @@ fn ranges_overlap(a: Addr, a_len: u64, b: Addr, b_len: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::LINE_COW_BYTES;
     use crate::sink::NullSink;
     use rand::{RngCore, SeedableRng};
 
@@ -2051,96 +1518,6 @@ mod tests {
         assert_eq!(m.pending.len(), 0, "forks after the crash would clone it");
     }
 
-    /// The per-byte walk `with_line_stores` replaced: every nonzero byte
-    /// goes through `OrderedIdSet::insert`. Kept as the order reference.
-    fn per_byte_line_ids(slab: &ProvLine) -> Vec<EventId> {
-        let mut seen = OrderedIdSet::default();
-        for &id in slab {
-            if id != 0 {
-                seen.insert(id);
-            }
-        }
-        seen.items
-    }
-
-    /// The ids `with_line_stores` passes on for a line holding `slab`.
-    fn line_store_ids(slab: &ProvLine) -> Vec<EventId> {
-        let line = Addr(0x1000).cache_line();
-        let mut record = ExecLine::default();
-        record.slabs.prov = *slab;
-        let mut ids: Vec<EventId> = slab.iter().copied().filter(|&id| id != 0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let mut events = EventTable::default();
-        for id in ids {
-            events.insert(
-                id,
-                StoreEvent {
-                    id,
-                    exec: 0,
-                    thread: ThreadId::MAIN,
-                    cv: VectorClock::new(),
-                    clock: 0,
-                    atomicity: Atomicity::Plain,
-                    addr: line.base(),
-                    bytes: [0u8][..].into(),
-                    invented: false,
-                    label: "",
-                },
-            );
-        }
-        with_line_stores(&events, Some(&CowBox::new(record)), |refs| {
-            refs.iter().map(|s| s.id).collect()
-        })
-    }
-
-    /// A slab built the way commits build one: byte ranges overwritten by
-    /// stores whose ids arrive in no particular order.
-    fn slab_from_writes(writes: &[(u64, u64, EventId)]) -> ProvLine {
-        let mut slab = [0; pmem::CACHE_LINE_SIZE as usize];
-        for &(off, len, id) in writes {
-            let end = (off + len).min(pmem::CACHE_LINE_SIZE) as usize;
-            slab[off as usize..end].fill(id);
-        }
-        slab
-    }
-
-    #[test]
-    fn line_store_refs_keeps_first_appearance_order_past_the_spill_threshold() {
-        // 64 distinct ids, descending with the offset: four times the
-        // linear-dedup threshold, and the reverse of id order.
-        let mut slab = [0; pmem::CACHE_LINE_SIZE as usize];
-        for (off, id) in slab.iter_mut().enumerate() {
-            *id = 100 - off as EventId;
-        }
-        assert_eq!(line_store_ids(&slab), per_byte_line_ids(&slab));
-        assert_eq!(line_store_ids(&slab)[..3], [100, 99, 98]);
-        assert!(line_store_ids(&[0; pmem::CACHE_LINE_SIZE as usize]).is_empty());
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn line_store_refs_matches_the_per_byte_walk_on_random_slabs(
-            bytes in proptest::collection::vec(
-                proptest::prop_oneof![1 => 0u64..1, 3 => 1u64..48],
-                64,
-            ),
-        ) {
-            let slab: ProvLine = bytes.try_into().expect("64 bytes");
-            proptest::prop_assert_eq!(line_store_ids(&slab), per_byte_line_ids(&slab));
-        }
-
-        #[test]
-        fn line_store_refs_matches_the_per_byte_walk_on_committed_runs(
-            writes in proptest::collection::vec((0u64..64, 1u64..=16, 1u64..200), 0..28),
-        ) {
-            let slab = slab_from_writes(&writes);
-            proptest::prop_assert_eq!(line_store_ids(&slab), per_byte_line_ids(&slab));
-        }
-    }
-
     /// Records the line-store ids each flush callback receives, in order.
     #[derive(Default)]
     struct LineStoresSink {
@@ -2225,7 +1602,7 @@ mod tests {
         m.drain_sb(&mut sink, t);
         m.exec_sfence(t, "sf");
         m.drain_sb(&mut sink, t);
-        let floor = |m: &MemState, at: Addr| m.cur.log(at.cache_line()).expect("written").floor;
+        let floor = |m: &MemState, at: Addr| m.persist.log(at.cache_line()).expect("written").floor;
         assert_eq!((floor(&m, a), floor(&m, b)), (2, 1));
         assert_eq!(m.pending.len(), 0, "every flush and fence record retired");
     }

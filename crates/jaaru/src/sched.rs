@@ -441,7 +441,7 @@ impl Shared {
                 mem.drain_all_sbs(sink.as_mut());
             }
             core.sched.crashed = true;
-            let exec = core.mem.cur.id;
+            let exec = core.mem.exec_id();
             core.sink.on_crash(exec);
             // The one broadcast: every waiting task wakes and unwinds.
             for (i, thread) in core.sched.threads.iter().enumerate() {
