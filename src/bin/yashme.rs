@@ -152,8 +152,10 @@ fn config_of(opts: &Options) -> YashmeConfig {
     cfg
 }
 
-/// An output file created before any benchmark runs, so an unwritable
-/// destination fails fast instead of after the whole suite.
+/// An output file opened before any benchmark runs, so an unwritable
+/// destination fails fast instead of after the whole suite. Opening keeps
+/// the file's bytes: it is emptied only when its document is written, so
+/// an unwritable path given later on the command line clobbers nothing.
 struct Output {
     file: std::fs::File,
     path: String,
@@ -163,7 +165,8 @@ struct Output {
 impl Output {
     fn create(path: &Option<String>, what: &'static str) -> Result<Option<Output>, String> {
         let Some(path) = path else { return Ok(None) };
-        match std::fs::File::create(path) {
+        let mut options = std::fs::OpenOptions::new();
+        match options.write(true).create(true).truncate(false).open(path) {
             Ok(file) => Ok(Some(Output {
                 file,
                 path: path.clone(),
@@ -179,8 +182,10 @@ impl Output {
         self,
         render: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
     ) -> Result<(), String> {
+        let emptied = self.file.set_len(0);
         let mut out = std::io::BufWriter::new(self.file);
-        render(&mut out)
+        emptied
+            .and_then(|()| render(&mut out))
             .and_then(|()| out.flush())
             .map_err(|e| format!("writing {} to {}: {e}", self.what, self.path))
     }

@@ -8,10 +8,11 @@ use std::process::Command;
 fn unwritable_output_paths_exit_2_with_one_message() {
     let missing_dir = std::env::temp_dir().join(format!("yashme-missing-{}", std::process::id()));
     let path = missing_dir.join("out");
-    // A writable companion output alongside: the Prometheus and coverage
-    // files are written only once the runs end, so it stays empty only if
-    // no run started before the unwritable path was rejected.
+    // A writable companion output alongside, holding an earlier run's
+    // document: an unwritable path must be rejected before any output file
+    // is emptied, and before any run starts.
     let written = std::env::temp_dir().join(format!("yashme-cli-{}.out", std::process::id()));
+    let earlier = "an earlier run's document\n";
     let (suite, one) = (&["--all", "--json"][..], &["-b", "CCEH"][..]);
     for (scope, flag, what) in [
         (suite, "--prom-out", "prometheus metrics"),
@@ -22,6 +23,7 @@ fn unwritable_output_paths_exit_2_with_one_message() {
             "--prom-out" => "--coverage-out",
             _ => "--prom-out",
         };
+        std::fs::write(&written, earlier).expect("pre-fill the companion");
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_yashme"));
         cmd.args(scope).arg(flag).arg(&path);
         cmd.arg(companion).arg(&written);
@@ -36,7 +38,10 @@ fn unwritable_output_paths_exit_2_with_one_message() {
         assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr}");
         assert!(out.stdout.is_empty(), "{flag}: printed a report");
         let text = std::fs::read_to_string(&written).unwrap_or_default();
-        assert!(text.is_empty(), "{flag}: a run started: {text:?}");
+        assert_eq!(
+            text, earlier,
+            "{flag}: {companion} was emptied or a run wrote it"
+        );
         let _ = std::fs::remove_file(&written);
     }
     assert!(!missing_dir.exists());
