@@ -138,11 +138,6 @@ impl CacheLineId {
     pub const fn base(self) -> Addr {
         Addr(self.0 * CACHE_LINE_SIZE)
     }
-
-    /// Returns `true` if `addr` lies on this line.
-    pub const fn contains(self, addr: Addr) -> bool {
-        addr.0 / CACHE_LINE_SIZE == self.0
-    }
 }
 
 impl fmt::Display for CacheLineId {
@@ -168,8 +163,6 @@ mod tests {
         let a = Addr(70);
         assert_eq!(a.line_offset(), 6);
         assert_eq!(a.cache_line().base(), Addr(64));
-        assert!(a.cache_line().contains(Addr(127)));
-        assert!(!a.cache_line().contains(Addr(128)));
     }
 
     #[test]
