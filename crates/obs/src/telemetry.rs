@@ -99,8 +99,8 @@ impl WallPhase {
     }
 }
 
-/// A count of the telemetry plane. Declaration order indexes [`COUNTS`]
-/// and is the order of the Prometheus families.
+/// A count of the telemetry plane. Declaration order indexes the `COUNTS`
+/// table and is the order of the Prometheus families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Count {
     /// Simulated events executed (a resumed suffix's inherited prefix and

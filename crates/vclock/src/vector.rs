@@ -42,7 +42,7 @@ enum Repr {
 ///
 /// # Representation
 ///
-/// Clocks with at most [`INLINE`] components live entirely in the struct (no
+/// Clocks with at most `INLINE` (4) components live entirely in the struct (no
 /// heap allocation; `clone` is a copy). Wider clocks spill to a shared
 /// copy-on-write heap vector. Physical storage only ever covers a *prefix*
 /// of the logical components — everything past it is implicitly zero — and a

@@ -259,7 +259,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
