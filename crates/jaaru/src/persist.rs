@@ -334,16 +334,16 @@ impl Persist {
         with_event_refs(&self.events, &ids[..n], f)
     }
 
-    /// Raises `line`'s persistence floor to at least `to`, calls `newly`
-    /// with each store the raise persisted, and returns the old floor.
+    /// Raises `line`'s persistence floor to at least `to` for one committed
+    /// flush, calls `newly` with each store the raise persisted, and
+    /// returns the old floor. A line with no log has floor 0, and `to` is
+    /// then 0 too (it was measured on this execution's log). A flush that
+    /// does not raise the floor writes nothing, so it never copies a record
+    /// shared with a snapshot.
     ///
-    /// A line with no log has floor 0, and `to` is then 0 too (it was
-    /// measured on this execution's log), so there is nothing to record. A
-    /// flush that does not raise the floor writes nothing, so it never
-    /// copies a record shared with a snapshot.
-    ///
-    /// With streaming GC on, the raise then drains the definitely-persisted
-    /// prefix of the log into the image. That is safe mid-execution because
+    /// With streaming GC on, the flush counts as retired, and the raise
+    /// drains the definitely-persisted prefix of the log into the image.
+    /// That is safe mid-execution because
     /// every byte a retained-or-retired committed store covers is shadowed
     /// by the current execution's storemap, so loads keep resolving from
     /// the cache and never observe the early image write; and a crash cut
