@@ -28,8 +28,8 @@ pub trait EventSink: Send {
         let _ = store;
     }
 
-    /// A store exited the store buffer and took effect on the cache; its
-    /// `seq` is now set. `Evict_SB(store)` in Fig. 8.
+    /// A store exited the store buffer and took effect on the cache, last
+    /// in its line's committed-store log. `Evict_SB(store)` in Fig. 8.
     fn on_store_committed(&mut self, store: &StoreEvent) {
         let _ = store;
     }
