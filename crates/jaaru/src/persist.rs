@@ -549,8 +549,8 @@ mod tests {
     use px86::Atomicity;
     use vclock::ThreadId;
 
-    /// The per-byte walk `with_line_stores` replaced: every nonzero byte
-    /// is inserted in first-insertion order. Kept as the order reference.
+    /// The per-byte walk `with_line_stores` replaced: each nonzero id is
+    /// kept once, in first-appearance order. Kept as the order reference.
     fn per_byte_line_ids(slab: &ProvLine) -> Vec<EventId> {
         let mut seen = Vec::new();
         for &id in slab {
