@@ -8,11 +8,18 @@
 //! `PruneStats` and `GcStats` — under every exploration strategy and worker
 //! count. This test checks those identities on all 20 `yashme --all`
 //! programs, reading the counts back from the Prometheus exposition.
+//!
+//! It also pins the five op counts the coverage plane keeps a second time:
+//! each of `ops.stores_executed`, `ops.stores_committed`, `ops.loads`,
+//! `ops.flushes` and `ops.fences` equals the sum of the site table's
+//! `executed` (or, for committed stores, `committed`) column over the
+//! sites of its kind.
 
 use std::sync::Arc;
 
 use bench::{evaluation_suite, SuiteEntry, SuiteMode, HARNESS_SEED};
 use jaaru::obs::telemetry::Telemetry;
+use jaaru::obs::{SiteKind, SiteStats};
 use jaaru::{Engine, EngineConfig, ExecMode};
 use yashme::YashmeDetector;
 
@@ -100,6 +107,44 @@ fn check_identities(tag: &str, config: &EngineConfig) {
             "{tag}: {} gc-pass count",
             entry.name
         );
+        // The five op counts are also kept per site by the coverage plane:
+        // each equals its kind's column sum over the site table.
+        let sites = report.coverage().sites.sorted();
+        let column = |kind: SiteKind, read: fn(&SiteStats) -> u64| -> u64 {
+            sites
+                .iter()
+                .filter(|(k, _, _)| *k == kind)
+                .map(|(_, _, s)| read(s))
+                .sum()
+        };
+        let ops = report.stats();
+        let executed = |s: &SiteStats| s.executed;
+        let per_site = [
+            (
+                "ops.stores_executed",
+                ops.stores_executed,
+                column(SiteKind::Store, executed),
+            ),
+            (
+                "ops.stores_committed",
+                ops.stores_committed,
+                column(SiteKind::Store, |s| s.committed),
+            ),
+            ("ops.loads", ops.loads, column(SiteKind::Load, executed)),
+            (
+                "ops.flushes",
+                ops.flushes,
+                column(SiteKind::Flush, executed),
+            ),
+            ("ops.fences", ops.fences, column(SiteKind::Fence, executed)),
+        ];
+        for (metric, op_count, site_sum) in per_site {
+            assert_eq!(
+                op_count, site_sum,
+                "{tag}: {} {metric} vs its site-table column",
+                entry.name
+            );
+        }
     }
 }
 

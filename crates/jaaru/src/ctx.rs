@@ -10,6 +10,7 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
+use parking_lot::MutexGuard;
 use pmem::Addr;
 use px86::Atomicity;
 use vclock::ThreadId;
@@ -22,8 +23,15 @@ use crate::sched::{Core, CrashUnwind, Shared};
 /// Created by the engine for each phase's main thread and by
 /// [`Ctx::spawn`] for additional threads. All memory operations go through
 /// this handle; see the crate docs for an end-to-end example.
-pub struct Ctx {
-    shared: Arc<Shared>,
+///
+/// While its thread holds the scheduling token, the handle also holds the
+/// engine's state locked, so an operation takes no lock of its own; it
+/// releases the lock only when a scheduling point hands the token to
+/// another thread.
+pub struct Ctx<'a> {
+    shared: &'a Arc<Shared>,
+    /// The locked core; `None` only while a handoff waits for the token.
+    core: Option<MutexGuard<'a, Core>>,
     tid: ThreadId,
     checksum_scope: bool,
 }
@@ -34,13 +42,16 @@ pub struct JoinHandle {
     tid: ThreadId,
 }
 
-impl Ctx {
-    pub(crate) fn new(shared: Arc<Shared>, tid: ThreadId) -> Self {
-        Ctx {
-            shared,
-            tid,
-            checksum_scope: false,
-        }
+impl Ctx<'_> {
+    /// The core, which the running task holds locked.
+    fn core(&mut self) -> &mut Core {
+        self.core.as_mut().expect("the running task holds the core")
+    }
+
+    /// A scheduling point: keeps the core locked unless the token moves.
+    fn yield_now(&mut self) {
+        let core = self.core.take().expect("the running task holds the core");
+        self.core = Some(self.shared.yield_now(self.tid, core));
     }
 
     /// This simulated thread's id.
@@ -54,8 +65,9 @@ impl Ctx {
     ///
     /// Panics if the persistent arena is exhausted (fatal for a benchmark).
     pub fn alloc(&mut self, size: u64, align: u64) -> Addr {
-        self.shared
-            .with_core(|core| core.mem.alloc(size, align))
+        self.core()
+            .mem
+            .alloc(size, align)
             .expect("persistent arena exhausted")
     }
 
@@ -86,11 +98,10 @@ impl Ctx {
     /// Stores raw bytes with the given atomicity, labelled with the
     /// source-level field name used in race reports.
     pub fn store_bytes(&mut self, addr: Addr, bytes: &[u8], atomicity: Atomicity, label: Label) {
-        self.shared.with_core(|core| {
-            let Core { mem, sink, .. } = core;
-            mem.exec_store(sink.as_mut(), self.tid, addr, bytes, atomicity, label);
-        });
-        self.shared.yield_now(self.tid);
+        let tid = self.tid;
+        let Core { mem, sink, .. } = self.core();
+        mem.exec_store(sink.as_mut(), tid, addr, bytes, atomicity, label);
+        self.yield_now();
     }
 
     /// Stores a `u64`.
@@ -121,20 +132,18 @@ impl Ctx {
 
     /// `memset(addr, value, len)` — lowered to non-atomic chunks.
     pub fn memset(&mut self, addr: Addr, value: u8, len: u64, label: Label) {
-        self.shared.with_core(|core| {
-            let Core { mem, sink, .. } = core;
-            mem.exec_memset(sink.as_mut(), self.tid, addr, value, len, label);
-        });
-        self.shared.yield_now(self.tid);
+        let tid = self.tid;
+        let Core { mem, sink, .. } = self.core();
+        mem.exec_memset(sink.as_mut(), tid, addr, value, len, label);
+        self.yield_now();
     }
 
     /// `memcpy(addr, data)` — lowered to non-atomic chunks.
     pub fn memcpy(&mut self, addr: Addr, data: &[u8], label: Label) {
-        self.shared.with_core(|core| {
-            let Core { mem, sink, .. } = core;
-            mem.exec_memcpy(sink.as_mut(), self.tid, addr, data, label);
-        });
-        self.shared.yield_now(self.tid);
+        let tid = self.tid;
+        let Core { mem, sink, .. } = self.core();
+        mem.exec_memcpy(sink.as_mut(), tid, addr, data, label);
+        self.yield_now();
     }
 
     // ------------------------------------------------------------------
@@ -171,14 +180,13 @@ impl Ctx {
     ) -> R {
         let checksum = self.checksum_scope;
         let tid = self.tid;
-        let value = self.shared.with_core(|core| {
-            core.mem.exec_load(tid, addr, len, atomicity, label);
-            core.mem.report_pre_exec_read(core.sink.as_mut(), |mem| {
-                mem.load_info(tid, addr, len, atomicity, label, checksum)
-            });
-            read(core.mem.last_load().bytes)
+        let Core { mem, sink, .. } = self.core();
+        mem.exec_load(tid, addr, len, atomicity, label);
+        mem.report_pre_exec_read(sink.as_mut(), |mem| {
+            mem.load_info(tid, addr, len, atomicity, label, checksum)
         });
-        self.shared.yield_now(self.tid);
+        let value = read(mem.last_load().bytes);
+        self.yield_now();
         value
     }
 
@@ -230,10 +238,11 @@ impl Ctx {
 
     /// [`Ctx::clflush`] with an explicit site label for the coverage plane.
     pub fn clflush_labeled(&mut self, addr: Addr, label: Label) {
-        self.shared.crash_point(self.tid);
-        self.shared
-            .with_core(|core| core.mem.exec_clflush(self.tid, addr, label));
-        self.shared.yield_now(self.tid);
+        let tid = self.tid;
+        let core = self.core();
+        core.crash_point(tid);
+        core.mem.exec_clflush(tid, addr, label);
+        self.yield_now();
     }
 
     /// `clwb` of the line containing `addr`. A crash point.
@@ -243,10 +252,11 @@ impl Ctx {
 
     /// [`Ctx::clwb`] with an explicit site label for the coverage plane.
     pub fn clwb_labeled(&mut self, addr: Addr, label: Label) {
-        self.shared.crash_point(self.tid);
-        self.shared
-            .with_core(|core| core.mem.exec_clwb(self.tid, addr, label));
-        self.shared.yield_now(self.tid);
+        let tid = self.tid;
+        let core = self.core();
+        core.crash_point(tid);
+        core.mem.exec_clwb(tid, addr, label);
+        self.yield_now();
     }
 
     /// `clflushopt`: semantically identical to [`Ctx::clwb`] (§2).
@@ -261,10 +271,11 @@ impl Ctx {
 
     /// [`Ctx::sfence`] with an explicit site label for the coverage plane.
     pub fn sfence_labeled(&mut self, label: Label) {
-        self.shared.crash_point(self.tid);
-        self.shared
-            .with_core(|core| core.mem.exec_sfence(self.tid, label));
-        self.shared.yield_now(self.tid);
+        let tid = self.tid;
+        let core = self.core();
+        core.crash_point(tid);
+        core.mem.exec_sfence(tid, label);
+        self.yield_now();
     }
 
     /// `mfence`. A crash point.
@@ -274,31 +285,27 @@ impl Ctx {
 
     /// [`Ctx::mfence`] with an explicit site label for the coverage plane.
     pub fn mfence_labeled(&mut self, label: Label) {
-        self.shared.crash_point(self.tid);
-        self.shared.with_core(|core| {
-            let Core { mem, sink, .. } = core;
-            mem.exec_mfence(sink.as_mut(), self.tid, label);
-        });
-        self.shared.yield_now(self.tid);
+        let tid = self.tid;
+        let core = self.core();
+        core.crash_point(tid);
+        core.mem.exec_mfence(core.sink.as_mut(), tid, label);
+        self.yield_now();
     }
 
     /// Locked 64-bit compare-and-swap (a crash point, with `mfence`
     /// semantics). Returns `(old_value, swapped)`.
     pub fn cas_u64(&mut self, addr: Addr, expected: u64, new: u64, label: Label) -> (u64, bool) {
-        self.shared.crash_point(self.tid);
         let checksum = self.checksum_scope;
         let tid = self.tid;
-        let result = self.shared.with_core(|core| {
-            let (old, swapped, _) =
-                core.mem
-                    .exec_cas(core.sink.as_mut(), tid, addr, expected, new, label);
-            core.mem.report_pre_exec_read(core.sink.as_mut(), |mem| {
-                mem.load_info(tid, addr, 8, Atomicity::ReleaseAcquire, label, checksum)
-            });
-            (old, swapped)
+        let core = self.core();
+        core.crash_point(tid);
+        let Core { mem, sink, .. } = core;
+        let (old, swapped, _) = mem.exec_cas(sink.as_mut(), tid, addr, expected, new, label);
+        mem.report_pre_exec_read(sink.as_mut(), |mem| {
+            mem.load_info(tid, addr, 8, Atomicity::ReleaseAcquire, label, checksum)
         });
-        self.shared.yield_now(self.tid);
-        result
+        self.yield_now();
+        (old, swapped)
     }
 
     /// Locked 64-bit fetch-and-add (a crash point, with `mfence` semantics
@@ -320,14 +327,15 @@ impl Ctx {
     /// An explicit crash point, for directed tests that want a crash at a
     /// particular program location (e.g. between a store and its flush).
     pub fn crash_point(&mut self) {
-        self.shared.crash_point(self.tid);
+        let tid = self.tid;
+        self.core().crash_point(tid);
     }
 
     /// A pure scheduling point: lets other simulated threads run without
     /// performing a memory operation (polling loops in client/server
     /// drivers).
     pub fn sched_yield(&mut self) {
-        self.shared.yield_now(self.tid);
+        self.yield_now();
     }
 
     // ------------------------------------------------------------------
@@ -337,32 +345,24 @@ impl Ctx {
     /// Spawns a simulated thread running `f`.
     pub fn spawn(&mut self, f: impl FnOnce(&mut Ctx) + Send + 'static) -> JoinHandle {
         let parent = self.tid;
-        let tid = self.shared.with_core(|core| {
-            let t = core.mem.register_thread(Some(parent));
-            core.sched.register(t);
-            t
-        });
-        spawn_task(self.shared.clone(), tid, f);
+        let shared = Arc::clone(self.shared);
+        let core = self.core();
+        let tid = core.mem.register_thread(Some(parent));
+        core.sched.register(tid, spawn_task(shared, tid, f));
         JoinHandle { tid }
     }
 
     /// Waits for a spawned thread to finish (a synchronization edge).
     pub fn join(&mut self, handle: JoinHandle) {
-        loop {
-            let done = self
-                .shared
-                .with_core(|core| core.sched.is_finished(handle.tid));
-            if done {
-                self.shared
-                    .with_core(|core| core.mem.join_thread(self.tid, handle.tid));
-                return;
-            }
-            self.shared.yield_now(self.tid);
+        while !self.core().sched.is_finished(handle.tid) {
+            self.yield_now();
         }
+        let tid = self.tid;
+        self.core().mem.join_thread(tid, handle.tid);
     }
 }
 
-impl std::fmt::Debug for Ctx {
+impl std::fmt::Debug for Ctx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx").field("thread", &self.tid).finish()
     }
@@ -373,15 +373,29 @@ thread_local! {
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs simulated task `tid` on the calling thread: waits for the token,
-/// runs `f`, records a non-crash panic as a post-crash symptom, and hands
-/// the token on. The engine calls it inline for each phase's main task;
-/// [`spawn_task`] hosts it on a new OS thread for [`Ctx::spawn`].
-pub(crate) fn run_task(shared: &Arc<Shared>, tid: ThreadId, f: impl FnOnce(&mut Ctx)) {
+/// Runs simulated task `tid` on the calling thread: waits for the token
+/// through `enter`, runs `f`, records a non-crash panic as a post-crash
+/// symptom, and hands the token on. The engine calls it inline for each
+/// phase's main task, entering with [`Shared::enter_task`]; [`spawn_task`]
+/// hosts it on a new OS thread for [`Ctx::spawn`], entering with
+/// [`Shared::enter_spawned`].
+pub(crate) fn run_task(
+    shared: &Arc<Shared>,
+    tid: ThreadId,
+    enter: fn(&Shared, ThreadId) -> MutexGuard<'_, Core>,
+    f: impl FnOnce(&mut Ctx),
+) {
     IN_TASK.set(true);
+    // The task's `Ctx` holds the core locked from here on; it releases the
+    // lock when dropped, also when a crash or a real panic unwinds it (the
+    // lock does not poison).
     let result = catch_unwind(AssertUnwindSafe(|| {
-        shared.enter_task(tid);
-        let mut ctx = Ctx::new(shared.clone(), tid);
+        let mut ctx = Ctx {
+            shared,
+            core: Some(enter(shared, tid)),
+            tid,
+            checksum_scope: false,
+        };
         f(&mut ctx);
     }));
     IN_TASK.set(false);
@@ -395,12 +409,18 @@ pub(crate) fn run_task(shared: &Arc<Shared>, tid: ThreadId, f: impl FnOnce(&mut 
 }
 
 /// Spawns the OS thread hosting a [`Ctx::spawn`] child, which runs
-/// [`run_task`].
-fn spawn_task(shared: Arc<Shared>, tid: ThreadId, f: impl FnOnce(&mut Ctx) + Send + 'static) {
+/// [`run_task`]; returns the thread, the child's wait slot.
+fn spawn_task(
+    shared: Arc<Shared>,
+    tid: ThreadId,
+    f: impl FnOnce(&mut Ctx) + Send + 'static,
+) -> std::thread::Thread {
     std::thread::Builder::new()
         .name(format!("jaaru-task-{}", tid.index()))
-        .spawn(move || run_task(&shared, tid, f))
-        .expect("spawn simulated task");
+        .spawn(move || run_task(&shared, tid, Shared::enter_spawned, f))
+        .expect("spawn simulated task")
+        .thread()
+        .clone()
 }
 
 /// Installs (once) a panic hook that silences panics raised inside

@@ -1025,11 +1025,11 @@ impl Engine {
         });
         let tid = shared.with_core(|core| {
             let t = core.mem.register_thread(None);
-            core.sched.register(t);
+            core.sched.register(t, std::thread::current());
             t
         });
         // The main task runs inline; the host then waits out any children.
-        run_task(shared, tid, |ctx| body(ctx));
+        run_task(shared, tid, Shared::enter_task, |ctx| body(ctx));
         shared.wait_all_tasks();
         shared.with_core(|core| {
             points.push(core.crash.seen);

@@ -9,16 +9,22 @@
 //! crashed; every task unwinds with [`CrashUnwind`] at its next scheduling
 //! point.
 //!
+//! The token is the lock: the running task holds the [`Core`]'s lock for as
+//! long as it holds the token, so a simulated operation takes no mutex.
+//! Only a handoff (the new holder's `Shared::wait_turn`), a phase's main
+//! task's entry, a task's finish, and the phase host between phases take
+//! the lock; a spawned child's first lock is its first handoff.
+//!
 //! A phase's main task runs inline on the thread that runs the phase; only
 //! [`Ctx::spawn`](crate::Ctx::spawn) children get OS threads of their own.
 //! Each task parks in its own wait slot (its OS thread), and a handoff
-//! unparks exactly the new token holder. A yield that keeps the token
-//! makes no system call. The phase host is woken once, when the last task
-//! finishes; crash injection is the one broadcast.
+//! releases the lock and unparks exactly the new token holder. A yield
+//! that keeps the token makes no system call. The phase host is woken
+//! once, when the last task finishes; crash injection is the one broadcast.
 
 use std::thread::Thread;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use pmem::Forkable;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -62,8 +68,8 @@ pub(crate) struct Sched {
     /// Number of `Runnable` entries in `tasks`.
     active: usize,
     /// Wait slots, indexed like `tasks`: the OS thread hosting each live
-    /// task, which a handoff to that task unparks. `None` before the task
-    /// first runs and after it finishes.
+    /// task, which a handoff to that task unparks. Recorded when the task
+    /// is registered; `None` after it finishes.
     threads: Vec<Option<Thread>>,
     /// The phase host, recorded only while it waits for `active == 0`.
     host: Option<Thread>,
@@ -93,10 +99,11 @@ impl Sched {
         }
     }
 
-    pub fn register(&mut self, tid: ThreadId) {
+    /// Registers task `tid`, hosted by the OS thread `thread`.
+    pub fn register(&mut self, tid: ThreadId, thread: Thread) {
         assert_eq!(tid.as_usize(), self.tasks.len(), "thread ids are dense");
         self.tasks.push(TaskState::Runnable);
-        self.threads.push(None);
+        self.threads.push(Some(thread));
         self.active += 1;
         if self.active == 1 {
             self.token = tid;
@@ -250,7 +257,7 @@ pub(crate) enum Capture {
 
 /// Snapshot collection plugged into the profiling run's [`Core`].
 ///
-/// Capture happens inside [`Shared::crash_point`], *before* the point is
+/// Capture happens inside [`Core::crash_point`], *before* the point is
 /// counted — exactly the state a full run with `crash_target == point`
 /// would have reached, since the deterministic pre-crash schedule is
 /// bit-reproducible.
@@ -299,109 +306,16 @@ pub(crate) struct Core {
     pub snaplog: Option<SnapshotLog>,
 }
 
-/// The shared handle: a mutex-protected [`Core`]. Blocked tasks park on
-/// their OS threads; the wait slots live in [`Sched`], under the same lock
-/// as the token, so a handoff and the new holder's token check never race.
-pub(crate) struct Shared {
-    pub core: Mutex<Core>,
-}
-
-impl Shared {
-    pub fn new(mem: MemState, sink: Box<dyn EventSink>, policy: SchedPolicy, rng: StdRng) -> Self {
-        Shared {
-            core: Mutex::new(Core {
-                mem,
-                sink,
-                sched: Sched::new(policy),
-                crash: CrashCtl::default(),
-                rng,
-                panics: Vec::new(),
-                snaplog: None,
-            }),
-        }
-    }
-
-    /// Rebuilds a shared handle around an already-populated core (resuming
-    /// from a [`Snapshot`]).
-    pub fn from_parts(core: Core) -> Self {
-        Shared {
-            core: Mutex::new(core),
-        }
-    }
-
-    /// Runs `f` with the core locked. The caller must hold the token.
-    pub fn with_core<R>(&self, f: impl FnOnce(&mut Core) -> R) -> R {
-        let mut core = self.core.lock();
-        f(&mut core)
-    }
-
-    /// A task's first action: records the calling OS thread as `tid`'s wait
-    /// slot, then blocks until `tid` holds the token. A phase's main task
-    /// holds it from registration on and does not block.
-    ///
-    /// # Panics
-    ///
-    /// Unwinds with [`CrashUnwind`] if a crash is injected while waiting.
-    pub fn enter_task(&self, tid: ThreadId) {
-        self.core.lock().sched.threads[tid.as_usize()] = Some(std::thread::current());
-        self.wait_turn(tid);
-    }
-
-    /// Parks until `tid` holds the token. The token is re-checked under the
-    /// lock after every wake-up, so a spurious or stale unpark is harmless,
-    /// and a handoff made before the park leaves the unpark token set, so
-    /// it is not lost.
-    fn wait_turn(&self, tid: ThreadId) {
-        loop {
-            let core = self.core.lock();
-            if core.sched.crashed {
-                drop(core);
-                std::panic::panic_any(CrashUnwind);
-            }
-            if core.sched.token == tid {
-                return;
-            }
-            drop(core);
-            std::thread::park();
-        }
-    }
-
-    /// A scheduling point for task `tid`: performs buffer evictions per
-    /// policy and picks the next token holder. Keeping the token returns at
-    /// once; a handoff unparks the new holder and blocks until the token
-    /// returns.
-    ///
-    /// # Panics
-    ///
-    /// Unwinds with [`CrashUnwind`] if a crash has been injected.
-    pub fn yield_now(&self, tid: ThreadId) {
-        let mut guard = self.core.lock();
-        if guard.sched.crashed {
-            drop(guard);
-            std::panic::panic_any(CrashUnwind);
-        }
-        Self::do_evictions(&mut guard);
-        let core = &mut *guard;
-        let wake = match core.sched.pick_next(tid, &mut core.rng) {
-            Some(next) if next != tid => core.sched.hand_to(next),
-            _ => return,
-        };
-        drop(guard);
-        if let Some(thread) = wake {
-            thread.unpark();
-        }
-        self.wait_turn(tid);
-    }
-
+impl Core {
     /// Buffer evictions at a scheduling point.
-    fn do_evictions(core: &mut Core) {
+    fn do_evictions(&mut self) {
         let Core {
             mem,
             sink,
             sched,
             rng,
             ..
-        } = core;
+        } = self;
         match sched.policy {
             SchedPolicy::Deterministic | SchedPolicy::Scripted => mem.drain_all_sbs(sink.as_mut()),
             SchedPolicy::RandomChoice => {
@@ -424,33 +338,30 @@ impl Shared {
         }
     }
 
-    /// Registers a crash point at task `tid`'s current position; if the
-    /// injection target is here, marks the run crashed and unwinds.
-    pub fn crash_point(&self, tid: ThreadId) {
-        let mut core = self.core.lock();
-        if core.sched.crashed {
-            drop(core);
+    /// Registers a crash point at task `tid`'s current position; `tid`
+    /// holds the core. If the injection target is here, marks the run
+    /// crashed and unwinds; the unwind releases the lock, and the woken
+    /// tasks then see the crash.
+    pub fn crash_point(&mut self, tid: ThreadId) {
+        if self.sched.crashed {
             std::panic::panic_any(CrashUnwind);
         }
-        Self::maybe_snapshot(&mut core);
-        if core.crash.hit() {
-            if core.sched.policy == SchedPolicy::Deterministic {
+        self.maybe_snapshot();
+        if self.crash.hit() {
+            if self.sched.policy == SchedPolicy::Deterministic {
                 // Commit recently executed stores so the crash lands in the
                 // store→flush window rather than losing the stores outright.
-                let Core { mem, sink, .. } = &mut *core;
-                mem.drain_all_sbs(sink.as_mut());
+                self.mem.drain_all_sbs(self.sink.as_mut());
             }
-            core.sched.crashed = true;
-            let exec = core.mem.exec_id();
-            core.sink.on_crash(exec);
+            self.sched.crashed = true;
+            self.sink.on_crash(self.mem.exec_id());
             // The one broadcast: every waiting task wakes and unwinds.
-            for (i, thread) in core.sched.threads.iter().enumerate() {
+            for (i, thread) in self.sched.threads.iter().enumerate() {
                 match thread {
                     Some(thread) if i != tid.as_usize() => thread.unpark(),
                     _ => {}
                 }
             }
-            drop(core);
             std::panic::panic_any(CrashUnwind);
         }
     }
@@ -461,7 +372,7 @@ impl Shared {
     /// Must run before [`CrashCtl::hit`] counts the point: the captured
     /// state is then exactly what a full run targeting this point sees when
     /// its injected crash fires.
-    fn maybe_snapshot(core: &mut Core) {
+    fn maybe_snapshot(&mut self) {
         let Core {
             mem,
             sink,
@@ -470,7 +381,7 @@ impl Shared {
             rng,
             panics,
             snaplog,
-        } = core;
+        } = self;
         let Some(log) = snaplog else { return };
         if log.phase >= log.capture_phases {
             return;
@@ -526,6 +437,122 @@ impl Shared {
         if let (Some(tel), Some(t0)) = (tel, t0) {
             tel.add_phase(obs::WallPhase::SnapshotCapture, t0.elapsed());
         }
+    }
+}
+
+/// The shared handle: a mutex-protected [`Core`]. The running task holds
+/// the lock from its entry ([`Shared::enter_task`] or
+/// [`Shared::enter_spawned`]) on, through every simulated
+/// operation, and releases it only to hand the token on or to finish;
+/// the phase host locks it between phases. Blocked tasks park on their OS
+/// threads; the wait slots live in [`Sched`], under the same lock as the
+/// token, so a handoff and the new holder's token check never race.
+pub(crate) struct Shared {
+    core: Mutex<Core>,
+}
+
+impl Shared {
+    pub fn new(mem: MemState, sink: Box<dyn EventSink>, policy: SchedPolicy, rng: StdRng) -> Self {
+        Shared {
+            core: Mutex::new(Core {
+                mem,
+                sink,
+                sched: Sched::new(policy),
+                crash: CrashCtl::default(),
+                rng,
+                panics: Vec::new(),
+                snaplog: None,
+            }),
+        }
+    }
+
+    /// Rebuilds a shared handle around an already-populated core (resuming
+    /// from a [`Snapshot`]).
+    pub fn from_parts(core: Core) -> Self {
+        Shared {
+            core: Mutex::new(core),
+        }
+    }
+
+    /// Runs `f` with the core locked: the phase host's access, and a task's
+    /// once it has released the lock to finish.
+    pub fn with_core<R>(&self, f: impl FnOnce(&mut Core) -> R) -> R {
+        let mut core = self.core.lock();
+        f(&mut core)
+    }
+
+    /// A phase's main task's first action: it holds the token from
+    /// registration on, so this only takes the lock. Returns the core
+    /// locked; the task keeps it locked while it holds the token.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with [`CrashUnwind`] if the run has crashed.
+    pub fn enter_task(&self, tid: ThreadId) -> MutexGuard<'_, Core> {
+        self.wait_turn(tid)
+    }
+
+    /// A spawned task's first action: parks before it first takes the
+    /// lock, then blocks until `tid` holds the token. Its parent still
+    /// holds the lock when it starts, and recorded its wait slot before
+    /// releasing it, so the first handoff to it (or a crash) unparks it and
+    /// it never waits on the mutex itself.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with [`CrashUnwind`] if a crash is injected while waiting.
+    pub fn enter_spawned(&self, tid: ThreadId) -> MutexGuard<'_, Core> {
+        std::thread::park();
+        self.wait_turn(tid)
+    }
+
+    /// Parks until `tid` holds the token, then returns the core locked. The
+    /// token is re-checked under the lock after every wake-up, so a
+    /// spurious or stale unpark is harmless, and a handoff made before the
+    /// park leaves the unpark token set, so it is not lost.
+    fn wait_turn(&self, tid: ThreadId) -> MutexGuard<'_, Core> {
+        loop {
+            let core = self.core.lock();
+            if core.sched.crashed {
+                drop(core);
+                std::panic::panic_any(CrashUnwind);
+            }
+            if core.sched.token == tid {
+                return core;
+            }
+            drop(core);
+            std::thread::park();
+        }
+    }
+
+    /// A scheduling point for task `tid`, which holds `core`: performs
+    /// buffer evictions per policy and picks the next token holder.
+    /// Keeping the token returns the held core at once; a handoff releases
+    /// the lock, unparks the new holder and blocks until the token returns.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with [`CrashUnwind`] if a crash has been injected.
+    pub fn yield_now<'s>(
+        &'s self,
+        tid: ThreadId,
+        mut core: MutexGuard<'s, Core>,
+    ) -> MutexGuard<'s, Core> {
+        if core.sched.crashed {
+            drop(core);
+            std::panic::panic_any(CrashUnwind);
+        }
+        core.do_evictions();
+        let Core { sched, rng, .. } = &mut *core;
+        let wake = match sched.pick_next(tid, rng) {
+            Some(next) if next != tid => sched.hand_to(next),
+            _ => return core,
+        };
+        drop(core);
+        if let Some(thread) = wake {
+            thread.unpark();
+        }
+        self.wait_turn(tid)
     }
 
     /// Marks task `tid` finished and hands the token onward, unparking the

@@ -308,3 +308,113 @@ fn main_tasks_run_on_the_calling_thread_and_children_on_their_own() {
         "a spawned child has its own thread"
     );
 }
+
+/// The message of [`child_panics_while_main_joins`]'s panic.
+const CHILD_PANIC: &str = "child panics holding the token";
+
+/// The message of [`main_panics_while_child_parked`]'s panic.
+const MAIN_PANIC: &str = "main panics holding the token";
+
+/// A recovery phase with two crash points of its own, so a run's second
+/// `points` entry shows that it ran.
+fn recover_and_persist(ctx: &mut Ctx) {
+    recover(ctx);
+    persist(ctx, 3, 1);
+}
+
+/// A spawned child raises a real (non-crash) panic while it holds the
+/// token; the main task is waiting for it in `join`.
+fn child_panics_while_main_joins() -> Program {
+    Program::new("child-panics-while-main-joins")
+        .pre_crash(|ctx: &mut Ctx| {
+            let h = ctx.spawn(|c: &mut Ctx| {
+                persist(c, 1, 1);
+                panic!("{CHILD_PANIC}");
+            });
+            ctx.join(h);
+            persist(ctx, 0, 1);
+        })
+        .post_crash(recover_and_persist)
+}
+
+/// The main task raises a real panic while a spawned child, polling for a
+/// flag the main task never sets, is parked waiting for the token. The
+/// child gives up after a bounded number of polls, so the run can finish.
+fn main_panics_while_child_parked() -> Program {
+    Program::new("main-panics-while-child-parked")
+        .pre_crash(|ctx: &mut Ctx| {
+            let flag = ctx.root_slot(7);
+            let _child = ctx.spawn(move |c: &mut Ctx| {
+                for _ in 0..16 {
+                    if c.load_acquire_u64(flag) != 0 {
+                        break;
+                    }
+                    c.sched_yield();
+                }
+                persist(c, 1, 1);
+            });
+            persist(ctx, 0, 1);
+            panic!("{MAIN_PANIC}");
+        })
+        .post_crash(recover_and_persist)
+}
+
+/// Runs `program`, whose pre-crash phase panics with `message` once,
+/// crash-free and then with a crash at every point of that run. Every run
+/// must finish and still run the recovery phase. A crashed run repeats the
+/// crash-free one up to its crash, so a crash in the pre-crash phase
+/// records the panic exactly when the crash-free run panicked before that
+/// point: the phase's crash points before the panic record none, and
+/// every later one records it exactly once. Both programs reach a crash
+/// point after the panic in every schedule swept (the main task's persist
+/// after `join`, the child's persist after its polls), so the later ones
+/// must exist. A crash in the recovery phase comes after the panic and
+/// records it once.
+fn panic_sweep(program: &Program, message: &str, policy: SchedPolicy, seed: u64) {
+    let name = program.name();
+    let clean = run(program, policy, seed, None);
+    assert_eq!(clean.panics, [message], "{name} {policy:?} seed {seed}");
+    assert_eq!(clean.points.len(), 2, "{name}");
+    let mut panicked = false;
+    for target in targets(&clean.points) {
+        let crashed = run(program, policy, seed, Some(target));
+        let what = format!("{name} {policy:?} seed {seed} crash {target:?}");
+        assert!(
+            crashed.panics.iter().all(|m| m == message),
+            "{what}: {:?}",
+            crashed.panics
+        );
+        assert_eq!(crashed.points.len(), 2, "{what}");
+        match target {
+            (0, _) => {
+                assert_eq!(crashed.points[1], clean.points[1], "{what}");
+                if panicked {
+                    assert_eq!(crashed.panics.len(), 1, "{what}: lost or repeated");
+                } else {
+                    assert!(crashed.panics.len() <= 1, "{what}: {:?}", crashed.panics);
+                    panicked = crashed.panics.len() == 1;
+                }
+            }
+            _ => assert_eq!(crashed.panics, [message], "{what}"),
+        }
+    }
+    assert!(
+        panicked,
+        "{name} {policy:?} seed {seed}: no crash followed the panic"
+    );
+}
+
+#[test]
+fn real_panics_while_holding_the_token_never_hang_and_are_recorded_once() {
+    let programs = [
+        (child_panics_while_main_joins(), CHILD_PANIC),
+        (main_panics_while_child_parked(), MAIN_PANIC),
+    ];
+    for (program, message) in &programs {
+        panic_sweep(program, message, SchedPolicy::Deterministic, 0);
+        panic_sweep(program, message, SchedPolicy::Scripted, 0);
+        for seed in 0..50 {
+            panic_sweep(program, message, SchedPolicy::RandomChoice, seed);
+        }
+    }
+}

@@ -154,25 +154,46 @@ fn config_of(opts: &Options) -> YashmeConfig {
 
 /// An output file opened before any benchmark runs, so an unwritable
 /// destination fails fast instead of after the whole suite. Opening keeps
-/// the file's bytes: it is emptied only when its document is written, so
-/// an unwritable path given later on the command line clobbers nothing.
+/// an existing file's bytes: it is emptied only when its document is
+/// written, so an unwritable path given later on the command line clobbers
+/// nothing. A file that opening created is removed again by
+/// [`Output::discard`] when the run stops before writing it.
 struct Output {
     file: std::fs::File,
     path: String,
     what: &'static str,
+    /// Whether opening created the file.
+    created: bool,
 }
 
 impl Output {
     fn create(path: &Option<String>, what: &'static str) -> Result<Option<Output>, String> {
         let Some(path) = path else { return Ok(None) };
-        let mut options = std::fs::OpenOptions::new();
-        match options.write(true).create(true).truncate(false).open(path) {
-            Ok(file) => Ok(Some(Output {
-                file,
-                path: path.clone(),
-                what,
-            })),
-            Err(e) => Err(format!("writing {what} to {path}: {e}")),
+        let fail = |e: std::io::Error| format!("writing {what} to {path}: {e}");
+        let open = |new| {
+            let mut options = std::fs::OpenOptions::new();
+            options.write(true).create_new(new).open(path)
+        };
+        let (file, created) = match open(true) {
+            Ok(file) => (file, true),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                (open(false).map_err(fail)?, false)
+            }
+            Err(e) => return Err(fail(e)),
+        };
+        Ok(Some(Output {
+            file,
+            path: path.clone(),
+            what,
+            created,
+        }))
+    }
+
+    /// Drops an output that will not be written, removing its file if
+    /// opening created it, so a failed run leaves no new empty file behind.
+    fn discard(self) {
+        if self.created {
+            let _ = std::fs::remove_file(&self.path);
         }
     }
 
@@ -267,6 +288,27 @@ fn run_one(
     Ok(report.race_labels().len())
 }
 
+/// Opens `--prom-out`, `--coverage-out` and `--trace-out`, in that order.
+/// On the first that fails, the ones already opened are discarded.
+fn open_outputs(opts: &Options) -> Result<[Option<Output>; 3], String> {
+    let mut outputs = [None, None, None];
+    let wanted = [
+        (&opts.prom_out, "prometheus metrics"),
+        (&opts.coverage_out, "coverage"),
+        (&opts.trace_out, "chrome trace"),
+    ];
+    for (slot, (path, what)) in outputs.iter_mut().zip(wanted) {
+        match Output::create(path, what) {
+            Ok(out) => *slot = out,
+            Err(msg) => {
+                outputs.into_iter().flatten().for_each(Output::discard);
+                return Err(msg);
+            }
+        }
+    }
+    Ok(outputs)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -306,14 +348,7 @@ fn main() -> ExitCode {
     } else {
         Arc::clone(Telemetry::off())
     };
-    let opened = Output::create(&opts.prom_out, "prometheus metrics").and_then(|prom| {
-        Ok((
-            prom,
-            Output::create(&opts.coverage_out, "coverage")?,
-            Output::create(&opts.trace_out, "chrome trace")?,
-        ))
-    });
-    let (prom_out, coverage_out, mut trace_out) = match opened {
+    let [prom_out, coverage_out, mut trace_out] = match open_outputs(&opts) {
         Ok(outputs) => outputs,
         Err(msg) => {
             eprintln!("{msg}");
@@ -345,24 +380,25 @@ fn main() -> ExitCode {
                 false
             }
         };
-    if opts.all {
-        for e in &suite {
-            if !run(e) {
-                return ExitCode::from(2);
-            }
-        }
+    let ran = if opts.all {
+        suite.iter().all(&mut run)
     } else if let Some(name) = &opts.benchmark {
         match suite.iter().find(|e| e.name.eq_ignore_ascii_case(name)) {
-            Some(e) => {
-                if !run(e) {
-                    return ExitCode::from(2);
-                }
-            }
+            Some(e) => run(e),
             None => {
                 eprintln!("unknown benchmark {name:?}; try --list");
-                return ExitCode::from(2);
+                false
             }
         }
+    } else {
+        true
+    };
+    if !ran {
+        prom_out
+            .into_iter()
+            .chain(coverage_out)
+            .for_each(Output::discard);
+        return ExitCode::from(2);
     }
     // Stop the reporter (it emits one final sample) before rendering the
     // post-run telemetry artifacts.
@@ -370,6 +406,7 @@ fn main() -> ExitCode {
     if let Some(out) = prom_out {
         if let Err(msg) = out.write(&tel.to_prometheus()) {
             eprintln!("{msg}");
+            coverage_out.into_iter().for_each(Output::discard);
             return ExitCode::from(2);
         }
     }
