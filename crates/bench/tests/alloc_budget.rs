@@ -7,7 +7,9 @@
 //! harness seed, and pins the allocations per simulated event
 //! ([`jaaru::ExecStats::events`]) under a ceiling. It also pins that a
 //! 2 KiB `memset` and its persist allocate per cache line, not per 8-byte
-//! chunk.
+//! chunk, and pins the allocations per crash point of a pruned model
+//! check of the crash-dense log, where most crash points are skipped class
+//! members and every class's representative resumes from a snapshot.
 //!
 //! The counter is process-global, so the binary has exactly one test: a
 //! second one running in parallel would add its allocations to the count.
@@ -16,6 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bench::workload::crashprune_workload;
 use bench::{evaluation_suite, SuiteMode, HARNESS_SEED};
 use jaaru::{Engine, EngineConfig, ExecMode, NullSink, PersistencePolicy, Program, SchedPolicy};
 use yashme::{YashmeConfig, YashmeDetector};
@@ -55,20 +58,29 @@ fn allocs() -> u64 {
 }
 
 /// Heap allocations per simulated event across the random-mode programs
-/// may not exceed this: about 10% above the 0.321 measured with one
-/// copy-on-write record per cache line (0.440 with separate cache,
+/// may not exceed this: 0.335 measured with the event records in
+/// 16-slot chunks shared with snapshots, 0.321 with them in one vector and
+/// one copy-on-write record per cache line (0.440 with separate cache,
 /// storemap, image and provenance slabs; 1.159 before the allocation-free
 /// event path).
 const MAX_ALLOCS_PER_EVENT: f64 = 0.35;
 
 /// Allocations one 2 KiB `memset` plus its persist may make per cache
 /// line it covers: fewer than the line's eight 8-byte chunks, so no chunk
-/// may allocate. Measured at 4.75: three per line (the line's cache
-/// record, its store log and its image record) plus the logarithmic
-/// growth of the event table and the buffers. With separate cache,
-/// storemap, image and provenance slabs it measured 7.2, and with one
-/// lowered `Vec` per chunk 17.4.
+/// may allocate. Measured at 4.97: three per line (the line's cache
+/// record, its store log and its image record) plus one event-table slot
+/// chunk per 16 store events and the logarithmic growth of the buffers.
+/// With the event records in one vector it measured 4.75, with separate
+/// cache, storemap, image and provenance slabs 7.2, and with one lowered
+/// `Vec` per chunk 17.4.
 const MAX_ALLOCS_PER_MEMSET_LINE: f64 = 5.2;
+
+/// Allocations per crash point of a pruned model check of
+/// `crashprune_workload(40, 5)` may not exceed this: about 10% above the
+/// 13.6 measured with members absorbed by counter arithmetic and slot
+/// chunks shared with snapshots (25.3 when each member's outcome was a
+/// copied run and each snapshot copied every live event record).
+const MAX_ALLOCS_PER_CRASH_POINT: f64 = 15.0;
 
 /// Runs the seven random-mode programs at the harness seed under
 /// `EngineConfig::sequential()` (the benchmark's configuration) and returns
@@ -93,6 +105,24 @@ fn random_mode_allocations() -> (u64, u64) {
         events += report.stats().events();
     }
     (allocations, events)
+}
+
+/// Model-checks the crash-dense log (480 crash points in 80 classes) with
+/// pruning under `EngineConfig::sequential()` and returns `(allocations,
+/// crash points)`. The program is built before counting.
+fn model_check_allocations() -> (u64, usize) {
+    let program = crashprune_workload(40, 5);
+    let before = allocs();
+    let report = Engine::run_observed(
+        &program,
+        ExecMode::model_check(),
+        &|| Box::new(YashmeDetector::new(YashmeConfig::default())),
+        &EngineConfig::sequential(),
+        jaaru::obs::Telemetry::off(),
+    );
+    let allocations = allocs() - before;
+    assert!(report.prune_stats().suffixes_skipped > 0, "pruning engaged");
+    (allocations, report.crash_points())
 }
 
 /// Allocations made by one `memset` of `len` bytes and its `pmem_persist`
@@ -127,6 +157,12 @@ fn the_event_path_stays_under_its_allocation_budget() {
     let lines = len / pmem::CACHE_LINE_SIZE;
     let memset = memset_persist_allocations(len);
     println!("{len}-byte memset + persist: {memset} allocations over {lines} lines");
+    let (mc_allocations, points) = model_check_allocations();
+    let per_point = mc_allocations as f64 / points as f64;
+    println!(
+        "model check: {mc_allocations} allocations over {points} crash points \
+         ({per_point:.1}/point)"
+    );
     assert!(
         per_event <= MAX_ALLOCS_PER_EVENT,
         "{allocations} heap allocations over {events} simulated events is \
@@ -136,5 +172,10 @@ fn the_event_path_stays_under_its_allocation_budget() {
         memset as f64 <= MAX_ALLOCS_PER_MEMSET_LINE * lines as f64,
         "a {len}-byte memset and its persist made {memset} allocations over \
          {lines} lines, above {MAX_ALLOCS_PER_MEMSET_LINE} per line"
+    );
+    assert!(
+        per_point <= MAX_ALLOCS_PER_CRASH_POINT,
+        "{mc_allocations} heap allocations over {points} crash points is \
+         {per_point:.1} per point, above the budget of {MAX_ALLOCS_PER_CRASH_POINT}"
     );
 }

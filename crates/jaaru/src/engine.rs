@@ -307,11 +307,12 @@ struct ReportSet {
 }
 
 impl ReportSet {
-    /// Adds `new`, keeping the first report per `(kind, label)` key.
-    fn merge(&mut self, new: Vec<RaceReport>) {
+    /// Adds `new`, keeping the first report per `(kind, label)` key (a
+    /// report is copied only when kept).
+    fn merge(&mut self, new: &[RaceReport]) {
         for report in new {
             if self.seen.insert((report.kind(), report.label())) {
-                self.reports.push(report);
+                self.reports.push(report.clone());
             } else {
                 self.dedup_hits += 1;
             }
@@ -361,17 +362,109 @@ impl RunAccumulator {
         }
     }
 
-    fn absorb_run(&mut self, mut run: SingleRun) {
+    fn absorb_run(&mut self, run: &SingleRun) {
         self.executions += 1;
         self.stats.absorb(&run.stats);
         self.cov.absorb(&run.cov);
         self.fork.absorb(&run.fork);
         self.gc.absorb(&run.gc);
         if let Some(t) = self.trace.as_mut() {
-            t.push_run(run.trace.take().unwrap_or_default());
+            t.push_run(run.trace.clone().unwrap_or_default());
         }
-        self.races.merge(run.reports);
-        self.panics.extend(run.panics);
+        self.races.merge(&run.reports);
+        self.panics.extend_from_slice(&run.panics);
+    }
+
+    /// Absorbs a skipped member's attributed outcome, after its
+    /// representative's run: counter arithmetic, a count of dedup hits
+    /// and, when there are any, copies of the representative's panic
+    /// messages and trace lane. No run is built for it.
+    fn absorb_member(&mut self, m: &Attributed<'_>) {
+        self.executions += 1;
+        m.add_counters(&mut self.stats, &mut self.cov);
+        self.fork.absorb(&m.fork());
+        if let Some(t) = self.trace.as_mut() {
+            t.push_run(m.rep.trace.clone().unwrap_or_default());
+        }
+        // The representative's run was merged first, so the key of every
+        // report the member inherits is already present: each is a hit.
+        self.races.dedup_hits += m.rep.reports.len() as u64;
+        self.panics.extend_from_slice(&m.rep.panics);
+    }
+}
+
+/// What a class's representative did after its crash point: the suffix
+/// counters every skipped member of the class inherits on top of its own
+/// prefix. Computed once per class with members.
+struct ClassDelta {
+    stats: crate::mem::ExecStats,
+    cov: obs::SiteTable,
+}
+
+impl ClassDelta {
+    fn new(rep: &SingleRun, rep_rec: &PointRecord) -> Self {
+        ClassDelta {
+            stats: rep.stats.minus(&rep_rec.stats),
+            cov: rep.cov.minus(&rep_rec.cov),
+        }
+    }
+}
+
+/// The outcome of a skipped class member, attributed from its
+/// representative's executed run: the one definition that pruning absorbs
+/// ([`RunAccumulator::absorb_member`]) and exhaustive resumption's
+/// attribution check materializes ([`Attributed::materialize`]).
+///
+/// Everything observable is inherited: by class construction no event
+/// between the two crash points changed the materialized crash state or
+/// the detector's report-relevant state, so the member's post-crash
+/// continuation is the representative's. Only the operation counters
+/// differ — the member's prefix counted more (effect-free) events — so its
+/// stats and coverage are its own recorded prefix plus the class delta,
+/// exactly what a full run targeting the member counts.
+struct Attributed<'a> {
+    rep: &'a SingleRun,
+    delta: &'a ClassDelta,
+    member: &'a PointRecord,
+}
+
+impl Attributed<'_> {
+    /// Adds the member's operation counters and coverage to `stats` and
+    /// `cov`: its recorded prefix, then the class delta.
+    fn add_counters(&self, stats: &mut crate::mem::ExecStats, cov: &mut obs::SiteTable) {
+        stats.absorb(&self.member.stats);
+        stats.absorb(&self.delta.stats);
+        cov.absorb(&self.member.cov);
+        cov.absorb(&self.delta.cov);
+    }
+
+    /// The member's fork bookkeeping: one resumed run whose prefix is the
+    /// member's and whose suffix is the representative's. Physical GC work
+    /// happened once, in the representative's run, and is not attributed
+    /// again.
+    fn fork(&self) -> ForkStats {
+        ForkStats {
+            resumed_runs: 1,
+            prefix_events_skipped: self.member.stats.events(),
+            suffix_events: self.rep.fork.suffix_events,
+            ..ForkStats::default()
+        }
+    }
+
+    /// The member's outcome as a run of its own, for the attribution check.
+    fn materialize(&self) -> SingleRun {
+        let mut points = self.rep.points.clone();
+        points[self.member.phase] = self.member.point + 1;
+        let mut run = SingleRun {
+            reports: self.rep.reports.clone(),
+            panics: self.rep.panics.clone(),
+            points,
+            trace: self.rep.trace.clone(),
+            fork: self.fork(),
+            ..SingleRun::default()
+        };
+        self.add_counters(&mut run.stats, &mut run.cov);
+        run
     }
 }
 
@@ -436,8 +529,8 @@ impl Engine {
                 );
                 tel.add(Count::Executions, 1);
                 crash_points = profile.points.iter().sum();
-                let profile_points = profile.points.clone();
-                acc.absorb_run(profile);
+                acc.absorb_run(&profile);
+                let profile_points = profile.points;
                 let log = log.expect("the profile run keeps its snapshot log");
 
                 // One crash target per recorded point, in target order.
@@ -504,7 +597,7 @@ impl Engine {
                 tel.add(Count::Executions, 1);
                 crash_points = profile.points.iter().sum();
                 let est = profile.points.first().copied().unwrap_or(0);
-                acc.absorb_run(profile);
+                acc.absorb_run(&profile);
                 // Seeds and crash targets are drawn up front so the
                 // schedule of draws — and hence every run — is identical
                 // however the runs are distributed over workers.
@@ -649,9 +742,9 @@ impl Engine {
     ///
     /// Under [`Capture::EveryPoint`] (fork without pruning) every member
     /// suffix is executed as well: each executed member is asserted equal
-    /// to the outcome attribution would have synthesized for it, and the
-    /// executed run is what the accumulator absorbs — so the report is the
-    /// exhaustive one and the `prune.*` counters stay zero.
+    /// to its [`Attributed`] outcome, materialized, and the executed run is
+    /// what the accumulator absorbs — so the report is the exhaustive one
+    /// and the `prune.*` counters stay zero.
     fn resume_classes(
         program: &Program,
         log: SnapshotLog,
@@ -689,78 +782,51 @@ impl Engine {
             let rep = runs.next().expect("one run per class");
             let rep_rec = &records[start];
             let members = &records[start + 1..start + len];
-            let synthesized: Vec<SingleRun> = members
-                .iter()
-                .map(|m| Self::attribute_member(&rep, rep_rec, m))
-                .collect();
-            let member_runs = if every_point {
-                members
-                    .iter()
-                    .zip(synthesized)
-                    .map(|(member, synth)| {
-                        let actual = runs.next().expect("every member was resumed");
-                        assert_eq!(
-                            Self::run_fingerprint(&actual),
-                            Self::run_fingerprint(&synth),
-                            "attributed outcome for crash point (phase {}, point {}) \
-                             diverges from its executed run",
-                            member.phase,
-                            member.point,
-                        );
-                        actual
-                    })
-                    .collect()
-            } else {
+            if !every_point {
                 // Attribution completes the members' crash points; under
                 // `EveryPoint` each member was resumed (and counted) above.
                 acc.prune.suffixes_skipped += members.len() as u64;
                 acc.prune.events_attributed += rep.fork.suffix_events * members.len() as u64;
                 tel.add(Count::CrashPointsDone, members.len() as u64);
                 tel.add(Count::SuffixesPruned, members.len() as u64);
-                synthesized
-            };
-            acc.absorb_run(rep);
-            for run in member_runs {
+                acc.absorb_run(&rep);
+                if !members.is_empty() {
+                    let delta = ClassDelta::new(&rep, rep_rec);
+                    for member in members {
+                        acc.absorb_member(&Attributed {
+                            rep: &rep,
+                            delta: &delta,
+                            member,
+                        });
+                    }
+                }
+                continue;
+            }
+            let delta = ClassDelta::new(&rep, rep_rec);
+            let executed: Vec<SingleRun> = members
+                .iter()
+                .map(|member| {
+                    let actual = runs.next().expect("every member was resumed");
+                    let attributed = Attributed {
+                        rep: &rep,
+                        delta: &delta,
+                        member,
+                    };
+                    assert_eq!(
+                        Self::run_fingerprint(&actual),
+                        Self::run_fingerprint(&attributed.materialize()),
+                        "attributed outcome for crash point (phase {}, point {}) \
+                         diverges from its executed run",
+                        member.phase,
+                        member.point,
+                    );
+                    actual
+                })
+                .collect();
+            acc.absorb_run(&rep);
+            for run in &executed {
                 acc.absorb_run(run);
             }
-        }
-    }
-
-    /// Synthesizes the outcome of a skipped class member from its
-    /// representative's executed run.
-    ///
-    /// Everything observable is inherited: by class construction no event
-    /// between the two crash points changed the materialized crash state
-    /// or the detector's report-relevant state, so the member's post-crash
-    /// continuation is the representative's. Only the operation counters
-    /// differ — the member's prefix counted more (effect-free) events — so
-    /// its stats are its own recorded prefix plus the representative's
-    /// suffix delta, exactly what a full run targeting the member counts.
-    fn attribute_member(rep: &SingleRun, rep_rec: &PointRecord, member: &PointRecord) -> SingleRun {
-        let mut stats = member.stats;
-        stats.absorb(&rep.stats.minus(&rep_rec.stats));
-        // Coverage attributes exactly like stats: the member's own recorded
-        // prefix plus the representative's post-crash suffix delta.
-        let mut cov = member.cov.clone();
-        cov.absorb(&rep.cov.minus(&rep_rec.cov));
-        let mut points = rep.points.clone();
-        points[member.phase] = member.point + 1;
-        SingleRun {
-            reports: rep.reports.clone(),
-            panics: rep.panics.clone(),
-            points,
-            stats,
-            cov,
-            trace: rep.trace.clone(),
-            fork: ForkStats {
-                resumed_runs: 1,
-                prefix_events_skipped: member.stats.events(),
-                suffix_events: rep.fork.suffix_events,
-                ..ForkStats::default()
-            },
-            // Physical GC work happened once, in the representative's run;
-            // attributing it again would double-count.
-            gc: GcStats::default(),
         }
     }
 
@@ -846,7 +912,7 @@ impl Engine {
             );
             for (script, (run, log)) in wave.iter().zip(results) {
                 runs += 1;
-                races.merge(run.reports);
+                races.merge(&run.reports);
                 // Branch: every not-yet-tried alternative at or past the
                 // forced prefix spawns a new script.
                 for i in script.len()..log.len() {
@@ -935,7 +1001,7 @@ impl Engine {
             Self::run_batch(program, specs, sink_factory, config, tel, count_points)
         };
         let _t = tel.time(WallPhase::Merge);
-        for (run, _) in runs {
+        for (run, _) in &runs {
             acc.absorb_run(run);
         }
     }

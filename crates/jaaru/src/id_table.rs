@@ -13,6 +13,9 @@ const ABSENT: u32 = u32::MAX;
 /// Ids per index chunk (a power of two).
 const CHUNK: usize = 256;
 
+/// Record slots per slot chunk (a power of two).
+const SLOT_CHUNK: usize = 16;
+
 /// The slot numbers of `CHUNK` consecutive ids.
 #[derive(Clone)]
 struct Chunk([u32; CHUNK]);
@@ -20,6 +23,16 @@ struct Chunk([u32; CHUNK]);
 impl Default for Chunk {
     fn default() -> Self {
         Chunk([ABSENT; CHUNK])
+    }
+}
+
+/// `SLOT_CHUNK` consecutive record slots.
+#[derive(Clone)]
+struct Slots<T>([Option<T>; SLOT_CHUNK]);
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots(std::array::from_fn(|_| None))
     }
 }
 
@@ -33,12 +46,19 @@ impl Default for Chunk {
 /// kinds of events). The window is cut into [`CHUNK`]-id chunks that a
 /// fork shares copy-on-write: new ids land in the last chunk, so a snapshot
 /// costs a reference per chunk and the live side copies about one chunk
-/// after it. The records themselves sit in a slot vector with a free list,
+/// after it. The records themselves sit in numbered slots with a free list,
 /// so retired records give their slots back and resident slots track the
-/// *live* set, not the run's history. Removing the oldest live id moves the
+/// *live* set, not the run's history. The slots too are cut into
+/// [`SLOT_CHUNK`]-slot chunks shared copy-on-write with a fork, so a
+/// snapshot copies no record: each side copies a slot chunk when it first
+/// writes one the other still holds. Removing the oldest live id moves the
 /// window's start up to the chunk of the next live one.
 pub(crate) struct IdTable<T> {
-    slots: Vec<Option<T>>,
+    /// Record slots, [`SLOT_CHUNK`] per chunk.
+    slots: Vec<CowBox<Slots<T>>>,
+    /// Slots handed out so far: the free list holds every lower slot that
+    /// holds no record.
+    next_slot: u32,
     /// Slot numbers of ids `base..`, [`CHUNK`] per chunk.
     chunks: VecDeque<CowBox<Chunk>>,
     /// The first id of `chunks[0]`, a multiple of [`CHUNK`].
@@ -59,6 +79,7 @@ impl<T> Default for IdTable<T> {
     fn default() -> Self {
         IdTable {
             slots: Vec::new(),
+            next_slot: 0,
             chunks: VecDeque::new(),
             base: 0,
             first: 0,
@@ -75,7 +96,7 @@ fn chunk_start(id: EventId) -> EventId {
     id - id % CHUNK as EventId
 }
 
-impl<T> IdTable<T> {
+impl<T: Clone> IdTable<T> {
     /// Stores `value` under `id`, which must hold no record. Ids normally
     /// arrive in ascending order; an id below the window's start widens it.
     #[inline(always)]
@@ -93,16 +114,20 @@ impl<T> IdTable<T> {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.reused += 1;
-                let dst = &mut self.slots[s as usize];
-                assert!(dst.is_none(), "a freed slot holds no record");
-                *dst = Some(make());
                 s
             }
             None => {
-                self.slots.push(Some(make()));
-                u32::try_from(self.slots.len() - 1).expect("live records fit u32 slots")
+                let s = self.next_slot;
+                self.next_slot = s.checked_add(1).expect("live records fit u32 slots");
+                if s as usize == self.slots.len() * SLOT_CHUNK {
+                    self.slots.push(CowBox::default());
+                }
+                s
             }
         };
+        let dst = self.slot_mut(slot as usize);
+        assert!(dst.is_none(), "a free slot holds no record");
+        *dst = Some(make());
         if self.len == 0 {
             // Every entry is absent, so the chunk left serves any range.
             self.base = chunk_start(id);
@@ -136,6 +161,16 @@ impl<T> IdTable<T> {
         &mut chunk.0[off % CHUNK]
     }
 
+    /// Slot `s`, writable (copying a slot chunk shared with a fork).
+    #[inline(always)]
+    fn slot_mut(&mut self, s: usize) -> &mut Option<T> {
+        let chunk = match &mut self.slots[s / SLOT_CHUNK] {
+            CowBox::Owned(c) => c,
+            shared => shared.make_mut().0,
+        };
+        &mut chunk.0[s % SLOT_CHUNK]
+    }
+
     /// The slot holding `id`'s record, if it has one.
     #[inline(always)]
     fn slot(&self, id: EventId) -> Option<usize> {
@@ -145,12 +180,13 @@ impl<T> IdTable<T> {
     }
 
     pub(crate) fn get(&self, id: EventId) -> Option<&T> {
-        self.slots[self.slot(id)?].as_ref()
+        let s = self.slot(id)?;
+        self.slots[s / SLOT_CHUNK].0[s % SLOT_CHUNK].as_ref()
     }
 
     pub(crate) fn get_mut(&mut self, id: EventId) -> Option<&mut T> {
-        let slot = self.slot(id)?;
-        self.slots[slot].as_mut()
+        let s = self.slot(id)?;
+        self.slot_mut(s).as_mut()
     }
 
     /// Removes and returns `id`'s record, freeing its slot for reuse (an id
@@ -179,12 +215,13 @@ impl<T> IdTable<T> {
             }
             self.first = self.base + (off % CHUNK) as EventId;
         }
-        self.slots[slot].take()
+        self.slot_mut(slot).take()
     }
 
     /// Drops every record. The high-water mark and reuse count stay.
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
+        self.next_slot = 0;
         self.chunks.clear();
         self.free.clear();
         self.len = 0;
@@ -200,7 +237,7 @@ impl<T> IdTable<T> {
 
     /// Every live record, in no particular order.
     pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().flatten()
+        self.slots.iter().flat_map(|c| c.0.iter().flatten())
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -216,7 +253,7 @@ impl<T> IdTable<T> {
     }
 }
 
-impl<T> Index<EventId> for IdTable<T> {
+impl<T: Clone> Index<EventId> for IdTable<T> {
     type Output = T;
 
     fn index(&self, id: EventId) -> &T {
@@ -226,12 +263,15 @@ impl<T> Index<EventId> for IdTable<T> {
 }
 
 impl<T: Clone> Forkable for IdTable<T> {
-    /// A copy that shares the index chunks copy-on-write and copies the
-    /// records. Its slot-reuse count starts at zero: reuse before the fork
-    /// is the capturing run's work, not the fork's.
+    /// A copy that shares the index and slot chunks copy-on-write, so it
+    /// copies no record. Chunk copies are not counted in `fork.cow_*`:
+    /// those count the persistence layer's line records. The slot-reuse
+    /// count starts at zero: reuse before the fork is the capturing run's
+    /// work, not the fork's.
     fn fork(&mut self) -> Self {
         IdTable {
-            slots: self.slots.clone(),
+            slots: self.slots.iter_mut().map(Forkable::fork).collect(),
+            next_slot: self.next_slot,
             chunks: self.chunks.iter_mut().map(Forkable::fork).collect(),
             base: self.base,
             first: self.first,
@@ -248,6 +288,9 @@ mod tests {
     use super::*;
     use pmem::FastMap;
 
+    /// Kinds of operation [`Pair::apply`] draws from.
+    const OPS: u8 = 200;
+
     /// One table and its `FastMap` oracle, compared after every operation.
     #[derive(Default)]
     struct Pair {
@@ -256,21 +299,32 @@ mod tests {
     }
 
     impl Pair {
-        /// Applies one generated operation: `op` picks insert, get, remove
-        /// (of `id`, or of the oldest live id, which moves the window) or
-        /// clear; `id` is an absolute event id.
+        /// Applies one generated operation: `op` (below [`OPS`]) picks
+        /// insert or overwrite, get, remove (of `id`, of the live id
+        /// ranked `id` modulo the live count, which frees a slot in the
+        /// middle, or of the oldest live id, which moves the window) or,
+        /// rarely, clear; `id` is an absolute event id. Inserts outweigh
+        /// removals, so the live records span several slot chunks.
         fn apply(&mut self, op: u8, id: EventId, value: u64) {
             match op {
-                0..=3 => {
+                0..=111 => {
                     if self.oracle.insert(id, value).is_none() {
                         self.table.insert(id, value);
                     } else {
                         *self.table.get_mut(id).expect("present in the oracle") = value;
                     }
                 }
-                4..=5 => assert_eq!(self.table.get(id), self.oracle.get(&id)),
-                6..=7 => assert_eq!(self.table.remove(id), self.oracle.remove(&id)),
-                8 => {
+                112..=139 => assert_eq!(self.table.get(id), self.oracle.get(&id)),
+                140..=149 => assert_eq!(self.table.remove(id), self.oracle.remove(&id)),
+                150..=173 => {
+                    let mut live: Vec<EventId> = self.oracle.keys().copied().collect();
+                    if !live.is_empty() {
+                        live.sort_unstable();
+                        let victim = live[id as usize % live.len()];
+                        assert_eq!(self.table.remove(victim), self.oracle.remove(&victim));
+                    }
+                }
+                174..=198 => {
                     if let Some(&oldest) = self.oracle.keys().min() {
                         assert_eq!(self.table.remove(oldest), self.oracle.remove(&oldest));
                     }
@@ -355,6 +409,36 @@ mod tests {
     }
 
     #[test]
+    fn appending_after_a_fork_copies_at_most_one_slot_chunk() {
+        let n = 3 * SLOT_CHUNK as u64 + 5;
+        let mut live = IdTable::default();
+        for id in 0..n {
+            live.insert(id, id);
+        }
+        let snapshot = live.fork();
+        let shared = |t: &IdTable<u64>| {
+            t.slots
+                .iter()
+                .filter(|c| matches!(c, CowBox::Shared(_)))
+                .count()
+        };
+        assert_eq!((shared(&live), shared(&snapshot)), (4, 4));
+        live.insert(n, n);
+        assert_eq!(shared(&live), 3, "only the written slot chunk was copied");
+        // Filling that chunk and starting new ones copies nothing more.
+        for id in n + 1..n + 2 * SLOT_CHUNK as u64 {
+            live.insert(id, id);
+        }
+        assert_eq!((shared(&live), live.slots.len()), (3, 6));
+        assert_eq!(snapshot.len(), n as usize);
+        for id in 0..n {
+            assert_eq!(snapshot[id], id, "the fork's record {id} is intact");
+        }
+        assert_eq!(snapshot.get(n), None);
+        assert_eq!(live[n], n);
+    }
+
+    #[test]
     #[should_panic(expected = "event 7 has no record")]
     fn indexing_a_missing_id_panics() {
         let t: IdTable<u8> = IdTable::default();
@@ -369,7 +453,7 @@ mod tests {
             // Ids drift upward as the shared counter hands them out, over
             // a range many chunks wide: inserts land below the window's
             // start and past its end, and removals drop whole chunks.
-            ops in proptest::collection::vec((0u8..10, 0u64..600, 0u64..1000), 0..200),
+            ops in proptest::collection::vec((0u8..OPS, 0u64..600, 0u64..1000), 0..400),
             fork_at in 0usize..200,
         ) {
             let mut pair = Pair::default();
@@ -383,10 +467,11 @@ mod tests {
                         oracle: pair.oracle.clone(),
                     });
                 }
-                // Mutating the fork with other draws never touches the
-                // original, and the other way round.
+                // Mutating the fork with other draws (inserts, removals and
+                // free-slot reuse alike) never touches the original, and
+                // the other way round.
                 if let Some(f) = &mut forked {
-                    f.apply((op + 3) % 10, id + delta % 5, value + 1);
+                    f.apply((op + 37) % OPS, id + delta % 5, value + 1);
                     pair.check();
                 }
             }

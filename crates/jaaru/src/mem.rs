@@ -107,13 +107,13 @@ pub struct MemState {
 impl Forkable for MemState {
     /// Captures this memory system for later resumption.
     ///
-    /// The persistence layer's line records, the buffer queues and the id
-    /// index of the pending flush and fence table are shared copy-on-write:
-    /// this memory system's owned storage becomes shared, so its next
-    /// write to a captured record copies it instead of changing the
-    /// snapshot. Per-event records and vector clocks are cloned outright
-    /// (they grow with the live events, not with the bytes of simulated
-    /// PM); the scratch buffers start empty. Copy counts and GC work
+    /// The persistence layer's line records and event table, the buffer
+    /// queues and the pending flush and fence table are shared
+    /// copy-on-write: this memory system's owned storage becomes shared,
+    /// so its next write to a captured record, or to a chunk of event
+    /// records, copies it instead of changing the snapshot. The
+    /// per-thread vector clocks are cloned outright; the scratch buffers
+    /// start empty. Copy counts and GC work
     /// counters start at zero: the prefix's work is the capturing run's.
     fn fork(&mut self) -> Self {
         MemState {

@@ -209,7 +209,7 @@ pub(crate) struct Persist {
 }
 
 impl Forkable for Persist {
-    /// Shares every line record and the event index copy-on-write; copy
+    /// Shares every line record and the event table copy-on-write; copy
     /// and GC work counts start at zero (the prefix's are the capturer's).
     fn fork(&mut self) -> Self {
         Persist {

@@ -93,6 +93,13 @@ fn pruned_matches_exhaustive_on_the_crashprune_workload() {
             want,
             "workers {workers}"
         );
+        // The fingerprint holds no coverage: the members' attributed site
+        // counters, heat map and cartography are pinned here.
+        assert_eq!(
+            pruned.coverage(),
+            exhaustive.coverage(),
+            "workers {workers}: coverage"
+        );
         let p = pruned.prune_stats();
         assert!(p.suffixes_skipped > 0, "pruning should actually engage");
         assert!(

@@ -74,6 +74,7 @@ fn check_program(mix: &Mix, seed: u64, mode: ExecMode) {
                             check(&program, mode, &config)
                         };
                         assert_eq!(fingerprint("randomized", &report), want, "{at}");
+                        assert_eq!(report.coverage(), reference.coverage(), "{at}: coverage");
                         assert_eq!(
                             report.trace().map(obs::to_chrome_json),
                             want_trace,
