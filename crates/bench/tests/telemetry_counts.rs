@@ -7,7 +7,8 @@
 //! the report's own counters — the execution stats, `ForkStats`,
 //! `PruneStats` and `GcStats` — under every exploration strategy and worker
 //! count. This test checks those identities on all 20 `yashme --all`
-//! programs, reading the counts back from the Prometheus exposition.
+//! programs, in their own modes and under schedule exploration, reading
+//! the counts back from the Prometheus exposition.
 //!
 //! It also pins the five op counts the coverage plane keeps a second time:
 //! each of `ops.stores_executed`, `ops.stores_committed`, `ops.loads`,
@@ -49,15 +50,20 @@ fn phase_count(prom: &str, phase: &str) -> u64 {
     )
 }
 
-/// Runs every program under `config` and checks each telemetry count
-/// against its owner's expression.
-fn check_identities(tag: &str, config: &EngineConfig) {
+/// Each program's own `yashme --all` mode.
+fn suite_mode(entry: &SuiteEntry) -> ExecMode {
+    match entry.mode {
+        SuiteMode::ModelCheck => ExecMode::model_check(),
+        SuiteMode::Random(n) => ExecMode::random(n, HARNESS_SEED),
+    }
+}
+
+/// Runs every program under `config`, in the mode `mode` picks for it,
+/// and checks each telemetry count against its owner's expression.
+fn check_identities(tag: &str, config: &EngineConfig, mode: fn(&SuiteEntry) -> ExecMode) {
     for entry in programs() {
         let program = (entry.program)();
-        let mode = match entry.mode {
-            SuiteMode::ModelCheck => ExecMode::model_check(),
-            SuiteMode::Random(n) => ExecMode::random(n, HARNESS_SEED),
-        };
+        let mode = mode(&entry);
         let tel = Arc::new(Telemetry::new());
         let report = Engine::run_observed(
             &program,
@@ -69,9 +75,9 @@ fn check_identities(tag: &str, config: &EngineConfig) {
         let prom = tel.to_prometheus();
         let (fork, prune, gc) = (report.fork_stats(), report.prune_stats(), report.gc_stats());
         let executions = report.executions() as u64;
-        let points = match entry.mode {
-            SuiteMode::ModelCheck => executions - 1,
-            SuiteMode::Random(_) => 0,
+        let points = match mode {
+            ExecMode::ModelCheck(_) => executions - 1,
+            _ => 0,
         };
         let expected = [
             (
@@ -150,22 +156,34 @@ fn check_identities(tag: &str, config: &EngineConfig) {
 
 #[test]
 fn counts_equal_their_owners_by_default() {
-    check_identities("default", &EngineConfig::sequential());
+    check_identities("default", &EngineConfig::sequential(), suite_mode);
 }
 
 #[test]
 fn counts_equal_their_owners_without_fork() {
-    check_identities("--no-fork", &EngineConfig::sequential().with_fork(false));
+    check_identities(
+        "--no-fork",
+        &EngineConfig::sequential().with_fork(false),
+        suite_mode,
+    );
 }
 
 #[test]
 fn counts_equal_their_owners_without_prune() {
-    check_identities("--no-prune", &EngineConfig::sequential().with_prune(false));
+    check_identities(
+        "--no-prune",
+        &EngineConfig::sequential().with_prune(false),
+        suite_mode,
+    );
 }
 
 #[test]
 fn counts_equal_their_owners_without_gc() {
-    check_identities("--no-gc", &EngineConfig::sequential().with_gc(false));
+    check_identities(
+        "--no-gc",
+        &EngineConfig::sequential().with_gc(false),
+        suite_mode,
+    );
 }
 
 #[test]
@@ -174,15 +192,29 @@ fn counts_equal_their_owners_with_every_strategy_off() {
         .with_fork(false)
         .with_prune(false)
         .with_gc(false);
-    check_identities("all off", &config);
+    check_identities("all off", &config, suite_mode);
 }
 
 #[test]
 fn counts_equal_their_owners_with_a_gc_pass_per_commit() {
-    check_identities("gc_every 1", &EngineConfig::sequential().with_gc_every(1));
+    check_identities(
+        "gc_every 1",
+        &EngineConfig::sequential().with_gc_every(1),
+        suite_mode,
+    );
 }
 
 #[test]
 fn counts_equal_their_owners_at_workers_8() {
-    check_identities("workers 8", &EngineConfig::with_workers(8));
+    check_identities("workers 8", &EngineConfig::with_workers(8), suite_mode);
+}
+
+#[test]
+fn counts_equal_their_owners_under_schedule_exploration() {
+    check_identities("explore", &EngineConfig::sequential(), |_| {
+        ExecMode::Explore {
+            crash_target: None,
+            max_runs: 8,
+        }
+    });
 }

@@ -1,5 +1,5 @@
 //! The execution engine: drives programs through crash-separated phases in
-//! model-checking or random mode.
+//! model-checking, random, or schedule-exploration mode.
 //!
 //! Crash-point exploration is embarrassingly parallel: every injected crash
 //! target is an independent simulated run with its own [`MemState`] and
@@ -57,13 +57,34 @@ impl Default for RandomConfig {
     }
 }
 
-/// The engine's operating mode (§4: "Yashme has two modes of operation").
+/// The engine's operating mode: the paper's two (§4: "Yashme has two modes
+/// of operation"), `ModelCheck` and `Random`, plus one extension,
+/// `Explore`.
 #[derive(Debug, Clone, Copy)]
 pub enum ExecMode {
     /// Explore an injected crash before every flush/fence point.
     ModelCheck(ModelCheckConfig),
     /// Random schedules, eviction timing, and crash placement.
     Random(RandomConfig),
+    /// Exhaustive schedule exploration, an extension beyond the paper's
+    /// Yashme, which "does not exhaustively explore the space of
+    /// schedules" (§6): one run per distinct thread interleaving,
+    /// breadth-first over the branch points where more than one task is
+    /// runnable, each crashing at `crash_target` (`(phase, point)`; `None`
+    /// runs every phase to its end) into the full cache. Stops after
+    /// `max_runs` schedules.
+    ///
+    /// The frontier runs in waves of up to [`EngineConfig::workers`]
+    /// schedules taken from the front of the queue, and each schedule's
+    /// alternatives enqueue in schedule order, so the schedules run — and
+    /// the report — are the same at every worker count. There is no
+    /// crash-point fan-out, so fork and pruning have nothing to act on.
+    Explore {
+        /// The injected crash of every schedule.
+        crash_target: Option<(usize, usize)>,
+        /// The bound on the number of schedules run.
+        max_runs: usize,
+    },
 }
 
 impl ExecMode {
@@ -295,47 +316,23 @@ impl RunSpec {
 /// same policy as the full runs they stand in for.
 const MODEL_CHECK_PERSISTENCE: PersistencePolicy = PersistencePolicy::FullCache;
 
-/// Order-preserving report accumulator with hashed `(kind, label)` dedup —
-/// replaces the old O(n²) linear-scan merge.
-#[derive(Debug, Default)]
-struct ReportSet {
-    seen: FastSet<(crate::ReportKind, crate::event::Label)>,
-    reports: Vec<RaceReport>,
-    /// Reports dropped because their `(kind, label)` was already present —
-    /// surfaced as the `engine.dedup_hits` metric.
-    dedup_hits: u64,
-}
-
-impl ReportSet {
-    /// Adds `new`, keeping the first report per `(kind, label)` key (a
-    /// report is copied only when kept).
-    fn merge(&mut self, new: &[RaceReport]) {
-        for report in new {
-            if self.seen.insert((report.kind(), report.label())) {
-                self.reports.push(report.clone());
-            } else {
-                self.dedup_hits += 1;
-            }
-        }
-    }
-
-    /// Finishes into a deterministic order: stable sort by `(kind, label)`,
-    /// making the output independent of worker count and merge order.
-    fn into_sorted(self) -> Vec<RaceReport> {
-        let mut reports = self.reports;
-        reports.sort_by_key(|r| (r.kind(), r.label()));
-        reports
-    }
-}
-
 /// Merges per-run outcomes in run order: stats, trace lanes, de-duplicated
 /// reports, panics, fork counters, and the execution count all absorb
 /// through one path, so every mode accounts its runs (including the
 /// profiling run) identically.
+#[derive(Default)]
 struct RunAccumulator {
-    races: ReportSet,
+    /// The first report per `(kind, label)` key, in run order.
+    races: Vec<RaceReport>,
+    seen: FastSet<(crate::ReportKind, crate::event::Label)>,
+    /// Reports dropped because their `(kind, label)` was already present —
+    /// surfaced as the `engine.dedup_hits` metric.
+    dedup_hits: u64,
     panics: Vec<String>,
     executions: usize,
+    /// The first absorbed run's crash-point total: the profiling run's in
+    /// model checking and random mode, the empty script's in exploration.
+    crash_points: usize,
     stats: crate::mem::ExecStats,
     cov: obs::SiteTable,
     fork: ForkStats,
@@ -350,19 +347,15 @@ struct RunAccumulator {
 impl RunAccumulator {
     fn new(trace: bool) -> Self {
         RunAccumulator {
-            races: ReportSet::default(),
-            panics: Vec::new(),
-            executions: 0,
-            stats: crate::mem::ExecStats::default(),
-            cov: obs::SiteTable::default(),
-            fork: ForkStats::default(),
-            prune: PruneStats::default(),
-            gc: GcStats::default(),
             trace: trace.then(obs::RunTrace::new),
+            ..RunAccumulator::default()
         }
     }
 
     fn absorb_run(&mut self, run: &SingleRun) {
+        if self.executions == 0 {
+            self.crash_points = run.points.iter().sum();
+        }
         self.executions += 1;
         self.stats.absorb(&run.stats);
         self.cov.absorb(&run.cov);
@@ -371,7 +364,13 @@ impl RunAccumulator {
         if let Some(t) = self.trace.as_mut() {
             t.push_run(run.trace.clone().unwrap_or_default());
         }
-        self.races.merge(&run.reports);
+        for report in &run.reports {
+            if self.seen.insert((report.kind(), report.label())) {
+                self.races.push(report.clone());
+            } else {
+                self.dedup_hits += 1;
+            }
+        }
         self.panics.extend_from_slice(&run.panics);
     }
 
@@ -388,7 +387,7 @@ impl RunAccumulator {
         }
         // The representative's run was merged first, so the key of every
         // report the member inherits is already present: each is a hit.
-        self.races.dedup_hits += m.rep.reports.len() as u64;
+        self.dedup_hits += m.rep.reports.len() as u64;
         self.panics.extend_from_slice(&m.rep.panics);
     }
 }
@@ -497,7 +496,6 @@ impl Engine {
         let workers = config.resolved_workers();
         let mut acc = RunAccumulator::new(config.trace);
         let mut cartography = obs::Cartography::default();
-        let crash_points;
 
         match mode {
             ExecMode::ModelCheck(cfg) => {
@@ -528,7 +526,6 @@ impl Engine {
                     tel,
                 );
                 tel.add(Count::Executions, 1);
-                crash_points = profile.points.iter().sum();
                 acc.absorb_run(&profile);
                 let profile_points = profile.points;
                 let log = log.expect("the profile run keeps its snapshot log");
@@ -595,7 +592,6 @@ impl Engine {
                     tel,
                 );
                 tel.add(Count::Executions, 1);
-                crash_points = profile.points.iter().sum();
                 let est = profile.points.first().copied().unwrap_or(0);
                 acc.absorb_run(&profile);
                 // Seeds and crash targets are drawn up front so the
@@ -619,24 +615,75 @@ impl Engine {
                 drop(profile_phase);
                 Self::absorb_batch(program, specs, sink_factory, config, tel, &mut acc, false);
             }
+            ExecMode::Explore {
+                crash_target,
+                max_runs,
+            } => {
+                // Breadth-first over branch points: alternatives at *early*
+                // branch points diverge most, so they are explored first
+                // under a bound.
+                let mut pending = std::collections::VecDeque::from([Vec::<usize>::new()]);
+                while acc.executions < max_runs && !pending.is_empty() {
+                    let wave_len = pending.len().min(workers).min(max_runs - acc.executions);
+                    let wave: Vec<Vec<usize>> = pending.drain(..wave_len).collect();
+                    let specs = wave
+                        .iter()
+                        .map(|script| RunSpec {
+                            script: script.clone(),
+                            ..RunSpec::new(
+                                SchedPolicy::Scripted,
+                                PersistencePolicy::FullCache,
+                                0,
+                                crash_target,
+                            )
+                        })
+                        .collect();
+                    let logs = Self::absorb_batch(
+                        program,
+                        specs,
+                        sink_factory,
+                        config,
+                        tel,
+                        &mut acc,
+                        false,
+                    );
+                    for (script, log) in wave.iter().zip(logs) {
+                        // Branch: every not-yet-tried alternative at or past
+                        // the forced prefix spawns a new script.
+                        for i in script.len()..log.len() {
+                            let (chosen, n) = log[i];
+                            for alt in chosen + 1..n {
+                                let mut next: Vec<usize> =
+                                    log[..i].iter().map(|&(c, _)| c).collect();
+                                next.push(alt);
+                                pending.push_back(next);
+                            }
+                        }
+                    }
+                }
+            }
         }
 
         let _merge = tel.time(WallPhase::Merge);
         let RunAccumulator {
-            races,
+            mut races,
+            dedup_hits,
             panics,
             executions,
+            crash_points,
             stats,
             cov,
             fork,
             prune,
             gc,
             trace,
+            ..
         } = acc;
         let elapsed = start.elapsed();
         tel.add_total(elapsed);
-        let dedup_hits = races.dedup_hits;
-        let races = races.into_sorted();
+        // A stable sort by `(kind, label)` makes the order independent of
+        // worker count and merge order.
+        races.sort_by_key(|r| (r.kind(), r.label()));
         // Coverage plane bundle: the accumulated site table, the
         // cartography, and the labels the final report's persistency races
         // name (sorted + deduplicated — they drive the `raced` verdicts).
@@ -857,77 +904,6 @@ impl Engine {
         }
     }
 
-    /// Exhaustively explores thread interleavings: runs `program` once per
-    /// distinct schedule (breadth-first over branch points where more than
-    /// one task is runnable), bounded by `max_runs`. An extension beyond
-    /// the paper's Yashme, which notes it "does not exhaustively explore
-    /// the space of schedules" (§6).
-    ///
-    /// Returns the de-duplicated reports and the number of schedules run.
-    /// The frontier is explored in waves of up to `config.workers`
-    /// schedules; the schedules run, their reports merge, and their branch
-    /// alternatives enqueue in exactly the order the sequential
-    /// breadth-first search uses, so results are identical for every worker
-    /// count. Each schedule's memory system follows `config`'s GC settings
-    /// (streaming GC, `gc_every`). The result carries
-    /// no trace, so tracing stays off; fork and pruning have no crash-point
-    /// fan-out to act on here.
-    pub fn explore_schedules(
-        program: &Program,
-        crash_target: Option<(usize, usize)>,
-        sink_factory: SinkFactory<'_>,
-        max_runs: usize,
-        config: &EngineConfig,
-    ) -> (Vec<RaceReport>, usize) {
-        let workers = config.resolved_workers();
-        let config = config.with_trace(false);
-        // Breadth-first over branch points: alternatives at *early* branch
-        // points diverge most, so they are explored first under a bound.
-        let mut pending: std::collections::VecDeque<Vec<usize>> =
-            std::collections::VecDeque::from([Vec::new()]);
-        let mut races = ReportSet::default();
-        let mut runs = 0usize;
-        while runs < max_runs && !pending.is_empty() {
-            let wave_len = pending.len().min(workers).min(max_runs - runs);
-            let wave: Vec<Vec<usize>> = pending.drain(..wave_len).collect();
-            let specs = wave
-                .iter()
-                .map(|script| RunSpec {
-                    script: script.clone(),
-                    ..RunSpec::new(
-                        SchedPolicy::Scripted,
-                        PersistencePolicy::FullCache,
-                        0,
-                        crash_target,
-                    )
-                })
-                .collect();
-            let results = Self::run_batch(
-                program,
-                specs,
-                sink_factory,
-                &config,
-                Telemetry::off(),
-                false,
-            );
-            for (script, (run, log)) in wave.iter().zip(results) {
-                runs += 1;
-                races.merge(&run.reports);
-                // Branch: every not-yet-tried alternative at or past the
-                // forced prefix spawns a new script.
-                for i in script.len()..log.len() {
-                    let (chosen, n) = log[i];
-                    for alt in chosen + 1..n {
-                        let mut next: Vec<usize> = log[..i].iter().map(|&(c, _)| c).collect();
-                        next.push(alt);
-                        pending.push_back(next);
-                    }
-                }
-            }
-        }
-        (races.into_sorted(), runs)
-    }
-
     /// Runs every phase of `program` once with the given scheduling policy,
     /// persistence policy, seed, and optional `(phase, point)` crash
     /// target, under default engine configuration (streaming GC on).
@@ -983,10 +959,12 @@ impl Engine {
         run
     }
 
-    /// Runs `specs` as one batch and absorbs the outcomes in spec order:
-    /// the full re-execution tail shared by random mode and model checking
-    /// without snapshots. `count_points` marks each run as one completed
-    /// crash point on the progress counters.
+    /// Runs `specs` as one batch and absorbs the outcomes in spec order,
+    /// returning each run's branch-choice log (which only exploration
+    /// reads). The specs fan out over [`pool::run_batch`]; each run builds
+    /// a private sink, so runs never share mutable state. `count_points`
+    /// marks each run as one completed crash point on the progress
+    /// counters.
     fn absorb_batch(
         program: &Program,
         specs: Vec<RunSpec>,
@@ -995,38 +973,24 @@ impl Engine {
         tel: &Arc<Telemetry>,
         acc: &mut RunAccumulator,
         count_points: bool,
-    ) {
+    ) -> Vec<Vec<(usize, usize)>> {
         let runs = {
             let _t = tel.time(WallPhase::FullRun);
-            Self::run_batch(program, specs, sink_factory, config, tel, count_points)
+            pool::run_batch(specs, config.resolved_workers(), tel, |spec| {
+                let sink = Self::make_sink(sink_factory, config);
+                let (run, log, _) = Self::run_inner(program, &spec, sink, None, config, tel);
+                tel.add(Count::Executions, 1);
+                tel.add(Count::CrashPointsDone, u64::from(count_points));
+                (run, log)
+            })
         };
         let _t = tel.time(WallPhase::Merge);
-        for (run, _) in &runs {
-            acc.absorb_run(run);
-        }
-    }
-
-    /// Runs every spec on its own sink from `sink_factory`, returning
-    /// `(outcome, branch-choice log)` pairs in spec order. The specs fan
-    /// out over [`pool::run_batch`]; each run builds a private sink, so runs
-    /// never share mutable state. The telemetry handle is forwarded to the
-    /// memory system for event-rate publishing only; no phase or total time
-    /// is attributed here (the caller owns that).
-    fn run_batch(
-        program: &Program,
-        specs: Vec<RunSpec>,
-        sink_factory: SinkFactory<'_>,
-        config: &EngineConfig,
-        tel: &Arc<Telemetry>,
-        count_points: bool,
-    ) -> Vec<(SingleRun, Vec<(usize, usize)>)> {
-        pool::run_batch(specs, config.resolved_workers(), tel, |spec| {
-            let sink = Self::make_sink(sink_factory, config);
-            let (run, log, _) = Self::run_inner(program, &spec, sink, None, config, tel);
-            tel.add(Count::Executions, 1);
-            tel.add(Count::CrashPointsDone, u64::from(count_points));
-            (run, log)
-        })
+        runs.into_iter()
+            .map(|(run, log)| {
+                acc.absorb_run(&run);
+                log
+            })
+            .collect()
     }
 
     /// Builds and runs one simulated run from `spec` under `config`'s GC

@@ -14,14 +14,16 @@
 //!   through the compiler model, so they may tear), `memset`/`memcpy`,
 //!   `clflush`/`clwb`, `sfence`/`mfence`, CAS, spawn/join;
 //! * [`Engine`] — runs a program in model-checking mode (a crash injected
-//!   before every flush/fence point) or random mode (random schedules,
-//!   eviction timing, and crash placement), simulating the Px86sim storage
-//!   system and reporting events to a pluggable [`EventSink`]. One entry
-//!   point per job: [`Engine::run_observed`] (a whole [`ExecMode`] run),
+//!   before every flush/fence point), random mode (random schedules,
+//!   eviction timing, and crash placement) or, beyond the paper, exhaustive
+//!   schedule exploration, simulating the Px86sim storage system and
+//!   reporting events to a pluggable [`EventSink`]. Three entry points:
+//!   [`Engine::run_observed`] (a whole [`ExecMode`] run) and
 //!   [`Engine::run_single`]/[`Engine::run_single_observed`] (one simulated
-//!   run), and [`Engine::explore_schedules`]. Each takes its [`EngineConfig`]
-//!   explicitly (or uses [`EngineConfig::default`]); nothing is read from
-//!   the environment;
+//!   run). Each takes its [`EngineConfig`] explicitly (or uses
+//!   [`EngineConfig::default`]). The environment is read once, for one test
+//!   hook: `YASHME_SCHED_STALL_MS` sets the fan-out's per-item stall
+//!   ([`pool::set_stall_ms`]) on first use;
 //! * [`RaceReport`]/[`RunReport`] — detector findings (filled in by the
 //!   `yashme` crate's sink; [`NullSink`] gives plain-Jaaru behaviour).
 //!

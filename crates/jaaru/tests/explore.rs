@@ -5,7 +5,16 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use jaaru::{Atomicity, Ctx, Engine, EngineConfig, Program};
+use jaaru::obs::Telemetry;
+use jaaru::{Atomicity, Ctx, Engine, EngineConfig, ExecMode, Program};
+
+/// Schedule exploration with no injected crash, bounded at `max_runs`.
+fn explore(max_runs: usize) -> ExecMode {
+    ExecMode::Explore {
+        crash_target: None,
+        max_runs,
+    }
+}
 
 #[test]
 fn enumerates_all_store_buffering_outcomes() {
@@ -37,13 +46,14 @@ fn enumerates_all_store_buffering_outcomes() {
             .unwrap()
             .insert((r1.load(Ordering::SeqCst), r2.load(Ordering::SeqCst)));
     });
-    let (_, runs) = Engine::explore_schedules(
+    let runs = Engine::run_observed(
         &program,
-        None,
+        explore(500),
         &|| Box::new(jaaru::NullSink),
-        500,
         &EngineConfig::default(),
-    );
+        Telemetry::off(),
+    )
+    .executions();
     let found = outcomes.lock().unwrap().clone();
     assert!(runs > 1, "multiple schedules explored");
     assert!(found.contains(&(1, 1)), "{found:?}");
@@ -59,13 +69,14 @@ fn single_threaded_program_explores_exactly_once() {
         ctx.store_u64(x, 1, Atomicity::Plain, "x");
         ctx.clflush(x);
     });
-    let (_, runs) = Engine::explore_schedules(
+    let runs = Engine::run_observed(
         &program,
-        None,
+        explore(100),
         &|| Box::new(jaaru::NullSink),
-        100,
         &EngineConfig::default(),
-    );
+        Telemetry::off(),
+    )
+    .executions();
     assert_eq!(runs, 1, "no branch points in a single-threaded program");
 }
 
@@ -85,13 +96,14 @@ fn exploration_respects_the_run_bound() {
             ctx.join(h);
         }
     });
-    let (_, runs) = Engine::explore_schedules(
+    let runs = Engine::run_observed(
         &program,
-        None,
+        explore(25),
         &|| Box::new(jaaru::NullSink),
-        25,
         &EngineConfig::default(),
-    );
+        Telemetry::off(),
+    )
+    .executions();
     assert_eq!(runs, 25, "bound reached");
 }
 
@@ -139,8 +151,14 @@ fn exploration_detects_schedule_dependent_races() {
             let _ = ctx.load_u64(x, Atomicity::Plain);
         });
     let sink_factory = move || Box::new(count.clone()) as Box<dyn jaaru::EventSink>;
-    let (_, runs) =
-        Engine::explore_schedules(&program, None, &sink_factory, 10, &EngineConfig::default());
+    let runs = Engine::run_observed(
+        &program,
+        explore(10),
+        &sink_factory,
+        &EngineConfig::default(),
+        Telemetry::off(),
+    )
+    .executions();
     assert_eq!(runs, 1);
     assert!(
         total.load(std::sync::atomic::Ordering::SeqCst) > 0,
@@ -174,7 +192,8 @@ fn exploration_follows_the_gc_settings() {
         let counter = RetireCounter::default();
         let seen = counter.0.clone();
         let factory = move || Box::new(counter.clone()) as Box<dyn jaaru::EventSink>;
-        let (_, runs) = Engine::explore_schedules(&program, None, &factory, 10, config);
+        let runs = Engine::run_observed(&program, explore(10), &factory, config, Telemetry::off())
+            .executions();
         assert_eq!(runs, 1);
         seen.load(Ordering::SeqCst)
     };

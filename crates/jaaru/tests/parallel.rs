@@ -103,20 +103,21 @@ fn schedule_exploration_identical_across_worker_counts() {
         ctx.join(h1);
         ctx.join(h2);
     });
-    let (seq_reports, seq_runs) = Engine::explore_schedules(
-        &program,
-        None,
-        &|| Box::new(jaaru::NullSink),
-        40,
-        &EngineConfig::with_workers(1),
-    );
-    let (par_reports, par_runs) = Engine::explore_schedules(
-        &program,
-        None,
-        &|| Box::new(jaaru::NullSink),
-        40,
-        &EngineConfig::with_workers(8),
-    );
+    let explore = |workers| {
+        let report = Engine::run_observed(
+            &program,
+            ExecMode::Explore {
+                crash_target: None,
+                max_runs: 40,
+            },
+            &|| Box::new(jaaru::NullSink),
+            &EngineConfig::with_workers(workers),
+            Telemetry::off(),
+        );
+        (report.races().to_vec(), report.executions())
+    };
+    let (seq_reports, seq_runs) = explore(1);
+    let (par_reports, par_runs) = explore(8);
     assert_eq!(seq_runs, par_runs);
     assert_eq!(fingerprint(&seq_reports), fingerprint(&par_reports));
 }

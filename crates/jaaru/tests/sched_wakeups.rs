@@ -245,16 +245,21 @@ fn scripted_schedules_never_hang_with_a_crash_at_every_point() {
         let clean = run(&program, SchedPolicy::Deterministic, 0, None);
         for target in std::iter::once(None).chain(targets(&clean.points).into_iter().map(Some)) {
             let p = program.clone();
-            let (_, schedules) = watchdog(
+            let schedules = watchdog(
                 format!("{} scripted crash {target:?}", program.name()),
                 move || {
-                    Engine::explore_schedules(
+                    let mode = ExecMode::Explore {
+                        crash_target: target,
+                        max_runs: 40,
+                    };
+                    Engine::run_observed(
                         &p,
-                        target,
+                        mode,
                         &|| Box::new(NullSink),
-                        40,
                         &EngineConfig::sequential(),
+                        Telemetry::off(),
                     )
+                    .executions()
                 },
             );
             if target.is_none() {

@@ -2,7 +2,9 @@
 //! of the engine's physical strategies — fork × capture policy × GC ×
 //! workers × tracing — must produce a report (and, traced, a span trace)
 //! byte-identical to the all-off sequential reference: full re-execution,
-//! no pruning, no GC, one worker. Exhaustive resumption (`every-point`)
+//! no pruning, no GC, one worker. Model checking runs the matrix with and
+//! without recovery crashes, and schedule exploration runs it too, where
+//! fork and prune must be no-ops. Exhaustive resumption (`every-point`)
 //! also asserts every executed class member against the outcome pruning
 //! would attribute to it, and the `shadow` GC mode runs each detector
 //! beside an un-GC'd copy that must drain the same reports. The
@@ -80,6 +82,16 @@ fn check_program(mix: &Mix, seed: u64, mode: ExecMode) {
                             want_trace,
                             "{at}: span trace"
                         );
+                        let pruned = *report.prune_stats();
+                        if matches!(mode, ExecMode::Explore { .. }) {
+                            // Schedule exploration has no crash-point
+                            // fan-out: fork and prune are no-ops.
+                            assert!(report.executions() > 1, "{at}: schedules branch");
+                            assert_eq!(report.fork_stats().snapshots, 0, "{at}: fork");
+                            assert_eq!(report.fork_stats().resumed_runs, 0, "{at}: fork");
+                            assert_eq!(pruned, PruneStats::default(), "{at}: prune");
+                            continue;
+                        }
                         if fork {
                             assert!(report.fork_stats().snapshots > 0, "{at}: fork engaged");
                             assert_eq!(
@@ -88,7 +100,6 @@ fn check_program(mix: &Mix, seed: u64, mode: ExecMode) {
                                 "{at}: every non-profile run resumed or attributed"
                             );
                         }
-                        let pruned = *report.prune_stats();
                         if fork && prune {
                             assert!(pruned.classes > 0, "{at}: pruning engaged");
                         } else {
@@ -112,4 +123,15 @@ fn every_strategy_matches_the_reference_with_crash_in_recovery() {
         crash_in_recovery: true,
     });
     run_matrix(mode, &[1, 4]);
+}
+
+#[test]
+fn every_strategy_matches_the_reference_under_schedule_exploration() {
+    // The generated programs spawn a child, so the scripted schedules
+    // branch; the bound keeps the row small.
+    let mode = ExecMode::Explore {
+        crash_target: None,
+        max_runs: 16,
+    };
+    run_matrix(mode, &[0, 1, 2]);
 }

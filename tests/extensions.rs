@@ -59,13 +59,16 @@ fn schedule_exploration_composes_with_the_detector() {
                 let _ = ctx.load_u64(z, Atomicity::Plain);
             }
         });
-    let (reports, runs) = jaaru::Engine::explore_schedules(
+    let report = yashme::check(
         &program,
-        None,
-        &|| Box::new(YashmeDetector::with_defaults()),
-        40,
+        ExecMode::Explore {
+            crash_target: None,
+            max_runs: 40,
+        },
+        YashmeConfig::default(),
         &EngineConfig::default(),
     );
+    let (reports, runs) = (report.races(), report.executions());
     assert!(runs > 1);
     assert!(
         reports.iter().any(|r| r.label() == "z"),
